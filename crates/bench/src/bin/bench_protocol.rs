@@ -46,11 +46,10 @@
 //! `audit_on_engine_round_*` rows), so the cost of commit-and-challenge
 //! verification is a tracked number rather than folklore; `--batch` adds
 //! the batched-kernel ablation rows (Straus multi-exp vs iterated modpow
-//! at k ∈ {1, 4, 16, 64}, Karatsuba vs schoolbook Montgomery product at
-//! 4096 bits, fixed-Garner vs gcd CRT recombination, batched vs per-item
-//! pool refill and DGK zero test), each k-sweep reported as per-item
-//! nanoseconds; `--out` defaults to `BENCH_protocol.json` in the current
-//! directory.
+//! at k ∈ {1, 4, 16, 64}, fixed-Garner vs gcd CRT recombination, batched
+//! vs per-item pool refill and DGK zero test), each k-sweep reported as
+//! per-item nanoseconds; `--out` defaults to `BENCH_protocol.json` in the
+//! current directory.
 //!
 //! `--scale` runs the simulated streaming-ingest sweep behind the
 //! hierarchical shard layer: |U| ∈ {100k, 300k, 1M} uploads (one
@@ -526,28 +525,7 @@ fn main() {
             );
         }
 
-        // (b) One Montgomery product at a 4096-bit modulus (64 limbs, above
-        // the Karatsuba crossover) with the limb multiply pinned to
-        // schoolbook vs the production Karatsuba dispatch.
-        let mut wm = random::gen_exact_bits(&mut rng, 4096);
-        wm.set_bit(0, true);
-        let wctx = MontgomeryContext::new(&wm).expect("odd modulus");
-        let wa = wctx.to_mont(&random::gen_below(&mut rng, &wm));
-        let wb = wctx.to_mont(&random::gen_below(&mut rng, &wm));
-        report.record(
-            "ablation_mont_mul_school_4096",
-            time_ns(iters, || {
-                black_box(wctx.mont_mul_ablation(&wa, &wb, false));
-            }),
-        );
-        report.record(
-            "ablation_mont_mul_karatsuba_4096",
-            time_ns(iters, || {
-                black_box(wctx.mont_mul_ablation(&wa, &wb, true));
-            }),
-        );
-
-        // (c) CRT recombination on two half-size prime proxies: the
+        // (b) CRT recombination on two half-size prime proxies: the
         // generic extended-gcd `crt_pair` (what `decrypt_crt` used to call
         // per decryption) vs the fixed Garner form with a precomputed
         // `p⁻¹ mod q` (what the key now caches).
@@ -576,7 +554,7 @@ fn main() {
             }),
         );
 
-        // (d) Randomizer-pool refill: one full-width `r^n mod n²` per entry
+        // (c) Randomizer-pool refill: one full-width `r^n mod n²` per entry
         // vs the batched fixed-base short-exponent kernel. The batched
         // pool's bases are pre-warmed outside the timed region so the rows
         // compare steady-state refill cost, not the one-time table build.
@@ -601,7 +579,7 @@ fn main() {
             );
         }
 
-        // (e) DGK zero test over the same k ciphertexts: a per-item loop
+        // (d) DGK zero test over the same k ciphertexts: a per-item loop
         // vs the batched scratch-reusing CRT test.
         for &k in &ks {
             let zcs: Vec<_> = (0..k).map(|i| dpk.encrypt_u64((i % 3) as u64, &mut rng)).collect();

@@ -47,6 +47,24 @@ impl Ubig {
         (Ubig::from_limbs(quotient), rem as Limb)
     }
 
+    /// `self % divisor` for a single-limb divisor, without allocating.
+    ///
+    /// ```
+    /// use bigint::Ubig;
+    /// assert_eq!((Ubig::one() << 100).rem_limb(7), 2);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `divisor` is zero.
+    pub fn rem_limb(&self, divisor: Limb) -> Limb {
+        assert!(divisor != 0, "division by zero limb");
+        let rem = self.limbs.iter().rev().fold(0 as DoubleLimb, |rem, &limb| {
+            ((rem << LIMB_BITS) | limb as DoubleLimb) % divisor as DoubleLimb
+        });
+        rem as Limb
+    }
+
     /// Knuth Algorithm D for multi-limb divisors.
     fn div_rem_knuth(&self, divisor: &Ubig) -> (Ubig, Ubig) {
         // D1: normalize so the divisor's top limb has its high bit set.

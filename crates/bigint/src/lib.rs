@@ -33,6 +33,7 @@ mod div;
 mod error;
 mod fmt;
 mod ibig;
+mod kernel;
 mod mul;
 mod serde_impl;
 mod shift;
@@ -46,8 +47,6 @@ pub mod random;
 
 pub use error::ParseBigIntError;
 pub use ibig::{Ibig, Sign};
-#[doc(hidden)]
-pub use mul::mul_for_ablation;
 pub use ubig::Ubig;
 
 /// Number of bits in one limb of a [`Ubig`].

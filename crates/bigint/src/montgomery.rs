@@ -6,9 +6,10 @@
 //! comparison blinding). The plain [`crate::modular::modpow`] pays a full
 //! division per multiply; Montgomery's REDC replaces those divisions with
 //! word-level multiplications, which is the standard production-grade
-//! approach. On top of the raw context this module layers the caches that
-//! make modulus- and base-reuse first-class (DESIGN.md, "Exponentiation
-//! strategy"):
+//! approach. Every product, squaring and reduction here is one of the
+//! three allocation-free limb kernels in `crate::kernel`. On top of the
+//! raw context this module layers the caches that make modulus- and
+//! base-reuse first-class (DESIGN.md, "Exponentiation strategy"):
 //!
 //! * [`MontgomeryContext`] — per-modulus precomputation with a 4-bit
 //!   windowed [`MontgomeryContext::modpow`], a Shamir/Straus
@@ -29,10 +30,10 @@
 //! Only odd moduli are supported (always true for RSA-like `n`, `n²` and
 //! the DGK modulus).
 
-use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
-use crate::ubig::wide_mul;
+pub use crate::kernel::{modpow_cost_ns, mont_cost_ns};
+use crate::kernel::{mul_into, redc_into, sqr_into};
 use crate::{Limb, Ubig, LIMB_BITS};
 
 /// Exponent-window width in bits. 2^4 = 16 table entries balances table
@@ -44,12 +45,6 @@ const WINDOW_BITS: u32 = 4;
 /// the 16-entry window table (the table costs ~14 Montgomery squarings
 /// and multiplications up front).
 const WINDOW_THRESHOLD: u64 = 64;
-
-/// Operand limb count at which the Montgomery product switches from the
-/// in-place schoolbook kernel to the Karatsuba multiply in [`crate::mul`].
-/// Matches the `Ubig` multiplication threshold: below it the extra
-/// allocations of the recursive path cost more than the saved limb work.
-const MONT_KARATSUBA_LIMBS: usize = 32;
 
 /// Precomputed context for arithmetic modulo a fixed odd `n`.
 ///
@@ -85,62 +80,6 @@ fn inv_mod_word(n0: Limb) -> Limb {
     }
     debug_assert_eq!(n0.wrapping_mul(inv), 1);
     inv
-}
-
-/// Compares two equal-length little-endian limb slices.
-fn cmp_limbs(a: &[Limb], b: &[Limb]) -> Ordering {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
-        match x.cmp(y) {
-            Ordering::Equal => continue,
-            ord => return ord,
-        }
-    }
-    Ordering::Equal
-}
-
-/// `a -= b` over equal-length limb slices; returns the final borrow.
-fn sub_limbs_in_place(a: &mut [Limb], b: &[Limb]) -> Limb {
-    debug_assert_eq!(a.len(), b.len());
-    let mut borrow: Limb = 0;
-    for (x, &y) in a.iter_mut().zip(b) {
-        let (d1, b1) = x.overflowing_sub(y);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        *x = d2;
-        borrow = (b1 as Limb) + (b2 as Limb);
-    }
-    borrow
-}
-
-/// Product of `a` and `b` into `out` (zeroed first). Schoolbook in place
-/// for narrow operands; at [`MONT_KARATSUBA_LIMBS`] limbs and above the
-/// sub-quadratic Karatsuba multiply wins despite its allocations.
-/// `out.len()` must be at least `a.len() + b.len()`.
-fn mul_limbs_into(a: &[Limb], b: &[Limb], out: &mut [Limb]) {
-    debug_assert!(out.len() >= a.len() + b.len());
-    out.fill(0);
-    if a.is_empty() || b.is_empty() {
-        return;
-    }
-    if a.len().min(b.len()) >= MONT_KARATSUBA_LIMBS {
-        let prod = crate::mul::mul_limbs(a, b);
-        out[..prod.len()].copy_from_slice(&prod);
-        return;
-    }
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 {
-            continue;
-        }
-        let mut carry: Limb = 0;
-        for (j, &bj) in b.iter().enumerate() {
-            let (lo, hi) = wide_mul(ai, bj);
-            let (s1, c1) = out[i + j].overflowing_add(lo);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out[i + j] = s2;
-            carry = hi + c1 as Limb + c2 as Limb;
-        }
-        out[i + b.len()] = carry;
-    }
 }
 
 /// Reads the `w`-th `WINDOW_BITS`-wide digit of `exp` (digit 0 is least
@@ -191,83 +130,51 @@ impl MontgomeryContext {
         &self.n
     }
 
-    /// Scratch-buffer length the limb-level routines need: `2k + 1`.
+    /// Scratch-buffer length the limb-level routines need: `2k`.
     fn scratch_len(&self) -> usize {
-        2 * self.k + 1
+        2 * self.k
     }
 
-    /// In-place Montgomery reduction over a `2k+1`-limb buffer holding
-    /// `t < n·R`; afterwards the canonical result (`< n`) occupies
-    /// `buf[k..2k]`.
-    fn redc_in_place(&self, buf: &mut [Limb]) {
-        let k = self.k;
-        debug_assert_eq!(buf.len(), self.scratch_len());
-        let n_limbs = self.n.as_limbs();
-        for i in 0..k {
-            let m = buf[i].wrapping_mul(self.n_prime);
-            // buf += m * n << (64 i)
-            let mut carry: Limb = 0;
-            for j in 0..k {
-                let (lo, hi) = wide_mul(m, n_limbs[j]);
-                let (s1, c1) = buf[i + j].overflowing_add(lo);
-                let (s2, c2) = s1.overflowing_add(carry);
-                buf[i + j] = s2;
-                carry = hi.wrapping_add(c1 as Limb).wrapping_add(c2 as Limb);
-                // hi + c1 + c2 cannot wrap: hi <= 2^64 - 2 when lo exists.
-            }
-            // Propagate the final carry upward.
-            let mut idx = i + k;
-            while carry != 0 {
-                let (s, c) = buf[idx].overflowing_add(carry);
-                buf[idx] = s;
-                carry = c as Limb;
-                idx += 1;
-            }
-        }
-        // The value in buf[k..=2k] lies in [0, 2n): one conditional
-        // subtraction canonicalizes it.
-        let needs_sub = buf[2 * k] != 0 || cmp_limbs(&buf[k..2 * k], n_limbs) != Ordering::Less;
-        if needs_sub {
-            let borrow = sub_limbs_in_place(&mut buf[k..2 * k], n_limbs);
-            buf[2 * k] = buf[2 * k].wrapping_sub(borrow);
-            debug_assert_eq!(buf[2 * k], 0);
-        }
-    }
-
-    /// Montgomery product of two `k`-limb values into `out` (`k` limbs),
-    /// using `scratch` (`2k+1` limbs). `out` must not alias the inputs.
+    /// Montgomery product `a·b·R⁻¹ mod n` of two values of at most `k`
+    /// limbs into `out` (`k` limbs), using `scratch` (`2k` limbs). `out`
+    /// must not alias the inputs.
     fn mont_mul_limbs(&self, a: &[Limb], b: &[Limb], out: &mut [Limb], scratch: &mut [Limb]) {
-        mul_limbs_into(a, b, scratch);
-        self.redc_in_place(scratch);
-        out.copy_from_slice(&scratch[self.k..2 * self.k]);
+        mul_into(a, b, scratch);
+        redc_into(scratch, self.n.as_limbs(), self.n_prime, out);
     }
 
-    /// Converts a reduced `x < n` into a fixed-width `k`-limb Montgomery
-    /// representation.
-    fn to_mont_limbs(&self, x: &Ubig, scratch: &mut [Limb]) -> Vec<Limb> {
-        debug_assert!(x < &self.n);
-        mul_limbs_into(x.as_limbs(), self.r_squared.as_limbs(), scratch);
-        self.redc_in_place(scratch);
-        scratch[self.k..2 * self.k].to_vec()
+    /// Montgomery squaring `a²·R⁻¹ mod n`; same contract as
+    /// [`MontgomeryContext::mont_mul_limbs`] at about ¾ of its cost.
+    fn mont_sqr_limbs(&self, a: &[Limb], out: &mut [Limb], scratch: &mut [Limb]) {
+        sqr_into(a, scratch);
+        redc_into(scratch, self.n.as_limbs(), self.n_prime, out);
     }
 
-    /// [`MontgomeryContext::to_mont_limbs`] writing into a reusable
-    /// output vector instead of allocating.
+    /// Converts a reduced `x < n` into the fixed-width `k`-limb
+    /// Montgomery representation, reusing `out`'s allocation.
     fn to_mont_limbs_into(&self, x: &Ubig, scratch: &mut [Limb], out: &mut Vec<Limb>) {
         debug_assert!(x < &self.n);
-        mul_limbs_into(x.as_limbs(), self.r_squared.as_limbs(), scratch);
-        self.redc_in_place(scratch);
         out.clear();
-        out.extend_from_slice(&scratch[self.k..2 * self.k]);
+        out.resize(self.k, 0);
+        self.mont_mul_limbs(x.as_limbs(), self.r_squared.as_limbs(), out, scratch);
     }
 
-    /// Converts a `k`-limb Montgomery value back to a normalized [`Ubig`].
+    /// [`MontgomeryContext::to_mont_limbs_into`] into a fresh vector.
+    fn to_mont_limbs(&self, x: &Ubig, scratch: &mut [Limb]) -> Vec<Limb> {
+        let mut out = Vec::new();
+        self.to_mont_limbs_into(x, scratch, &mut out);
+        out
+    }
+
+    /// Converts a Montgomery value of at most `k` limbs back to a
+    /// normalized [`Ubig`].
     #[allow(clippy::wrong_self_convention)] // converts the argument, not self
     fn from_mont_limbs(&self, a: &[Limb], scratch: &mut [Limb]) -> Ubig {
-        scratch.fill(0);
-        scratch[..self.k].copy_from_slice(a);
-        self.redc_in_place(scratch);
-        Ubig::from_limbs(scratch[self.k..2 * self.k].to_vec())
+        scratch[..a.len()].copy_from_slice(a);
+        scratch[a.len()..].fill(0);
+        let mut out = vec![0; self.k];
+        redc_into(scratch, self.n.as_limbs(), self.n_prime, &mut out);
+        Ubig::from_limbs(out)
     }
 
     /// `one_mont` padded to the fixed `k`-limb width.
@@ -277,15 +184,6 @@ impl MontgomeryContext {
         out
     }
 
-    /// Montgomery reduction: given `t < n·R`, returns `t·R⁻¹ mod n`.
-    fn redc(&self, t: &Ubig) -> Ubig {
-        let mut buf: Vec<Limb> = vec![0; self.scratch_len()];
-        let t_limbs = t.as_limbs();
-        buf[..t_limbs.len()].copy_from_slice(t_limbs);
-        self.redc_in_place(&mut buf);
-        Ubig::from_limbs(buf[self.k..2 * self.k].to_vec())
-    }
-
     /// Converts `x < n` into Montgomery form `x·R mod n`.
     ///
     /// # Panics
@@ -293,18 +191,21 @@ impl MontgomeryContext {
     /// Panics (debug) if `x >= n`.
     pub fn to_mont(&self, x: &Ubig) -> Ubig {
         debug_assert!(x < &self.n, "operand must be reduced");
-        self.redc(&(x * &self.r_squared))
+        self.mul_mont(x, &self.r_squared)
     }
 
     /// Converts out of Montgomery form.
     #[allow(clippy::wrong_self_convention)] // converts the argument, not self
     pub fn from_mont(&self, x_mont: &Ubig) -> Ubig {
-        self.redc(x_mont)
+        self.from_mont_limbs(x_mont.as_limbs(), &mut vec![0; self.scratch_len()])
     }
 
-    /// Multiplies two Montgomery-form values.
+    /// Multiplies two Montgomery-form values (each `< n`).
     pub fn mul_mont(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        self.redc(&(a * b))
+        let mut out = vec![0; self.k];
+        let scratch = &mut vec![0; self.scratch_len()];
+        self.mont_mul_limbs(a.as_limbs(), b.as_limbs(), &mut out, scratch);
+        Ubig::from_limbs(out)
     }
 
     /// `base^exp mod n` with all multiplications in Montgomery form on
@@ -324,14 +225,21 @@ impl MontgomeryContext {
     /// first. Bit-exact with `modpow` — it *is* the implementation
     /// `modpow` delegates to.
     pub fn modpow_with_scratch(&self, base: &Ubig, exp: &Ubig, ws: &mut PowScratch) -> Ubig {
-        let base = base % &self.n;
         if exp.is_zero() {
-            return if self.n.is_one() { Ubig::zero() } else { Ubig::one() };
+            return Ubig::one();
         }
+        self.pow_into_acc(&(base % &self.n), exp, ws);
+        self.from_mont_limbs(&ws.acc, &mut ws.scratch)
+    }
+
+    /// Leaves `base^exp` in Montgomery form in `ws.acc` (`base < n`,
+    /// `exp > 0`); `ws.tmp` and `ws.scratch` are sized for further limb
+    /// operations on the result.
+    fn pow_into_acc(&self, base: &Ubig, exp: &Ubig, ws: &mut PowScratch) {
         let k = self.k;
         ws.scratch.clear();
         ws.scratch.resize(self.scratch_len(), 0);
-        self.to_mont_limbs_into(&base, &mut ws.scratch, &mut ws.base);
+        self.to_mont_limbs_into(base, &mut ws.scratch, &mut ws.base);
         let nbits = exp.bits();
         ws.acc.clear();
         ws.acc.resize(k, 0);
@@ -341,7 +249,7 @@ impl MontgomeryContext {
         if nbits < WINDOW_THRESHOLD {
             // Plain left-to-right binary ladder.
             for i in (0..nbits).rev() {
-                self.mont_mul_limbs(&ws.acc, &ws.acc, &mut ws.tmp, &mut ws.scratch);
+                self.mont_sqr_limbs(&ws.acc, &mut ws.tmp, &mut ws.scratch);
                 std::mem::swap(&mut ws.acc, &mut ws.tmp);
                 if exp.bit(i) {
                     self.mont_mul_limbs(&ws.acc, &ws.base, &mut ws.tmp, &mut ws.scratch);
@@ -366,7 +274,7 @@ impl MontgomeryContext {
             for w in (0..nwin).rev() {
                 if w + 1 != nwin {
                     for _ in 0..WINDOW_BITS {
-                        self.mont_mul_limbs(&ws.acc, &ws.acc, &mut ws.tmp, &mut ws.scratch);
+                        self.mont_sqr_limbs(&ws.acc, &mut ws.tmp, &mut ws.scratch);
                         std::mem::swap(&mut ws.acc, &mut ws.tmp);
                     }
                 }
@@ -377,7 +285,41 @@ impl MontgomeryContext {
                 }
             }
         }
-        self.from_mont_limbs(&ws.acc, &mut ws.scratch)
+    }
+
+    /// Miller–Rabin strong-probable-prime test of the modulus `n > 2` to
+    /// base `a < n`, where `n − 1 = d·2^s` with `d` odd. The `a^d` walk
+    /// and the squaring ladder both stay in Montgomery form on `ws`, so a
+    /// primality test builds one context per candidate, not one per
+    /// round.
+    pub(crate) fn is_strong_probable_prime(
+        &self,
+        a: &Ubig,
+        d: &Ubig,
+        s: u64,
+        ws: &mut PowScratch,
+    ) -> bool {
+        let one = self.one_mont_limbs();
+        let minus_one = {
+            let mut limbs = (&self.n - &self.one_mont).as_limbs().to_vec();
+            limbs.resize(self.k, 0);
+            limbs
+        };
+        self.pow_into_acc(a, d, ws);
+        if ws.acc == one || ws.acc == minus_one {
+            return true;
+        }
+        for _ in 1..s {
+            self.mont_sqr_limbs(&ws.acc, &mut ws.tmp, &mut ws.scratch);
+            std::mem::swap(&mut ws.acc, &mut ws.tmp);
+            if ws.acc == minus_one {
+                return true;
+            }
+            if ws.acc == one {
+                return false;
+            }
+        }
+        false
     }
 
     /// Simultaneous double exponentiation `g^a · h^b mod n` by the
@@ -405,7 +347,7 @@ impl MontgomeryContext {
     pub fn modpow2(&self, g: &Ubig, a: &Ubig, h: &Ubig, b: &Ubig) -> Ubig {
         let nbits = a.bits().max(b.bits());
         if nbits == 0 {
-            return if self.n.is_one() { Ubig::zero() } else { Ubig::one() };
+            return Ubig::one();
         }
         let k = self.k;
         let mut scratch = vec![0; self.scratch_len()];
@@ -416,7 +358,7 @@ impl MontgomeryContext {
         let mut acc = self.one_mont_limbs();
         let mut tmp = vec![0; k];
         for i in (0..nbits).rev() {
-            self.mont_mul_limbs(&acc, &acc, &mut tmp, &mut scratch);
+            self.mont_sqr_limbs(&acc, &mut tmp, &mut scratch);
             std::mem::swap(&mut acc, &mut tmp);
             let factor = match (a.bit(i), b.bit(i)) {
                 (true, true) => Some(&gh_m),
@@ -468,7 +410,7 @@ impl MontgomeryContext {
     pub fn modpow_multi(&self, pairs: &[(&Ubig, &Ubig)]) -> Ubig {
         let nbits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
         if nbits == 0 {
-            return if self.n.is_one() { Ubig::zero() } else { Ubig::one() };
+            return Ubig::one();
         }
         let k = self.k;
         let mut scratch = vec![0; self.scratch_len()];
@@ -493,7 +435,7 @@ impl MontgomeryContext {
         for win in (0..nwin).rev() {
             if win + 1 != nwin {
                 for _ in 0..w {
-                    self.mont_mul_limbs(&acc, &acc, &mut tmp, &mut scratch);
+                    self.mont_sqr_limbs(&acc, &mut tmp, &mut scratch);
                     std::mem::swap(&mut acc, &mut tmp);
                 }
             }
@@ -506,16 +448,6 @@ impl MontgomeryContext {
             }
         }
         self.from_mont_limbs(&acc, &mut scratch)
-    }
-
-    /// One Montgomery product `a·b·R⁻¹ mod n` of two Montgomery-form
-    /// values with the limb multiply pinned to schoolbook
-    /// (`karatsuba = false`) or the production dispatch (`true`). Bench
-    /// ablation hook only — not part of the public API surface.
-    #[doc(hidden)]
-    pub fn mont_mul_ablation(&self, a_mont: &Ubig, b_mont: &Ubig, karatsuba: bool) -> Ubig {
-        let prod = crate::mul::mul_for_ablation(a_mont, b_mont, karatsuba);
-        self.redc(&prod)
     }
 }
 
@@ -544,7 +476,7 @@ impl MontgomeryContext {
 /// ```
 #[derive(Debug, Default)]
 pub struct PowScratch {
-    /// `2k+1`-limb REDC buffer.
+    /// `2k`-limb product/REDC buffer.
     scratch: Vec<Limb>,
     /// Running accumulator in Montgomery form.
     acc: Vec<Limb>,
@@ -619,7 +551,7 @@ impl FixedBaseTable {
             }
             // base^(16^(w+1)) = (base^(8·16^w))^2.
             let mut next_cur = vec![0; k];
-            ctx.mont_mul_limbs(&entries[7], &entries[7], &mut next_cur, &mut scratch);
+            ctx.mont_sqr_limbs(&entries[7], &mut next_cur, &mut scratch);
             cur = next_cur;
             windows.push(entries);
         }
@@ -1120,34 +1052,36 @@ mod tests {
     }
 
     #[test]
-    fn karatsuba_mont_path_matches_plain_at_wide_moduli() {
-        // 2048-bit modulus = 32 limbs: mul_limbs_into crosses
-        // MONT_KARATSUBA_LIMBS and routes through crate::mul.
+    fn wide_moduli_match_plain() {
+        // 2048- and 4096-bit moduli (32 and 64 limbs): the widths every
+        // deployable Paillier `n²` runs at.
         let mut rng = StdRng::seed_from_u64(12);
-        let mut n = random::gen_exact_bits(&mut rng, 2048);
-        n.set_bit(0, true);
-        let ctx = MontgomeryContext::new(&n).unwrap();
-        let a = random::gen_below(&mut rng, &n);
-        let b = random::gen_below(&mut rng, &n);
-        let expect = modmul(&a, &b, &n);
-        let got = ctx.from_mont(&ctx.mul_mont(&ctx.to_mont(&a), &ctx.to_mont(&b)));
-        assert_eq!(got, expect);
-        let exp = random::gen_exact_bits(&mut rng, 64);
-        assert_eq!(ctx.modpow(&a, &exp), modpow_basic(&a, &exp, &n));
+        for bits in [2048u64, 4096] {
+            let mut n = random::gen_exact_bits(&mut rng, bits);
+            n.set_bit(0, true);
+            let ctx = MontgomeryContext::new(&n).unwrap();
+            let a = random::gen_below(&mut rng, &n);
+            let b = random::gen_below(&mut rng, &n);
+            let got = ctx.from_mont(&ctx.mul_mont(&ctx.to_mont(&a), &ctx.to_mont(&b)));
+            assert_eq!(got, modmul(&a, &b, &n));
+            let exp = random::gen_exact_bits(&mut rng, 64);
+            assert_eq!(ctx.modpow(&a, &exp), modpow_basic(&a, &exp, &n));
+        }
     }
 
     #[test]
-    fn mont_mul_ablation_agrees_between_kernels() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut n = random::gen_exact_bits(&mut rng, 2048);
-        n.set_bit(0, true);
-        let ctx = MontgomeryContext::new(&n).unwrap();
-        let a = ctx.to_mont(&random::gen_below(&mut rng, &n));
-        let b = ctx.to_mont(&random::gen_below(&mut rng, &n));
-        let school = ctx.mont_mul_ablation(&a, &b, false);
-        let kara = ctx.mont_mul_ablation(&a, &b, true);
-        assert_eq!(school, kara);
-        assert_eq!(school, ctx.mul_mont(&a, &b));
+    fn strong_probable_prime_test_matches_definition() {
+        let mut ws = PowScratch::new();
+        // 561 = 3·11·17 is a Carmichael number: a Fermat liar for every
+        // coprime base, but base 2 is a strong witness. 2^89 − 1 is prime.
+        for (n, expect) in [(Ubig::from(561u64), false), ((Ubig::one() << 89) - Ubig::one(), true)]
+        {
+            let ctx = MontgomeryContext::new(&n).unwrap();
+            let n_minus_1 = &n - &Ubig::one();
+            let s = n_minus_1.trailing_zeros().unwrap();
+            let d = &n_minus_1 >> (s as u32);
+            assert_eq!(ctx.is_strong_probable_prime(&Ubig::two(), &d, s, &mut ws), expect);
+        }
     }
 
     #[test]

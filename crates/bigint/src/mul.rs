@@ -119,26 +119,6 @@ fn add_limbs_at(out: &mut [Limb], src: &[Limb], at: usize) {
     }
 }
 
-/// Limb-level product with the same Karatsuba/schoolbook dispatch as the
-/// [`Mul`] impl; the Montgomery kernels call this for wide operands so
-/// 2048-bit `n²` multiplies stop paying schoolbook `O(limbs²)`.
-pub(crate) fn mul_limbs(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
-    mul_karatsuba(a, b)
-}
-
-/// Forces one multiplication algorithm for benchmark ablations:
-/// `karatsuba = false` pins schoolbook, `true` uses the production
-/// dispatch (Karatsuba above [`KARATSUBA_THRESHOLD`] limbs). Not part of
-/// the public API surface.
-#[doc(hidden)]
-pub fn mul_for_ablation(a: &Ubig, b: &Ubig, karatsuba: bool) -> Ubig {
-    if karatsuba {
-        Ubig::from_limbs(mul_karatsuba(&a.limbs, &b.limbs))
-    } else {
-        Ubig::from_limbs(mul_schoolbook(&a.limbs, &b.limbs))
-    }
-}
-
 impl Ubig {
     /// Squares `self`.
     ///

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::modular::modpow;
+use crate::montgomery::{MontgomeryContext, PowScratch};
 use crate::random::{gen_exact_bits, gen_range};
 use crate::Ubig;
 
@@ -21,26 +21,6 @@ const DETERMINISTIC_WITNESSES: [u64; 13] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 
 /// probability is at most `4^-64`.
 const RANDOM_ROUNDS: usize = 64;
 
-/// Miller–Rabin strong-probable-prime test to base `a`.
-/// Requires `n` odd and `n > 2`; `d * 2^s == n - 1` with `d` odd.
-fn is_sprp(n: &Ubig, a: &Ubig, d: &Ubig, s: u64) -> bool {
-    let n_minus_1 = n - &Ubig::one();
-    let mut x = modpow(a, d, n);
-    if x.is_one() || x == n_minus_1 {
-        return true;
-    }
-    for _ in 1..s {
-        x = modpow(&x, &Ubig::two(), n);
-        if x == n_minus_1 {
-            return true;
-        }
-        if x.is_one() {
-            return false;
-        }
-    }
-    false
-}
-
 /// Tests whether `n` is (very probably) prime.
 ///
 /// Deterministic for `n < 2^81` via fixed witness sets; probabilistic with
@@ -56,24 +36,29 @@ pub fn is_prime<R: Rng + ?Sized>(n: &Ubig, rng: &mut R) -> bool {
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let pb = Ubig::from(p);
-        if *n == pb {
+        if *n == p {
             return true;
         }
-        if (n % &pb).is_zero() {
+        if n.rem_limb(p) == 0 {
             return false;
         }
     }
+    // Miller–Rabin: n − 1 = d·2^s with d odd. One Montgomery context and
+    // one scratch serve every round of this candidate.
     let n_minus_1 = n - &Ubig::one();
     let s = n_minus_1.trailing_zeros().expect("n > 1 so n-1 > 0");
     let d = &n_minus_1 >> (s as u32);
+    let ctx = MontgomeryContext::new(n).expect("survived trial division by 2, so odd and > 251");
+    let mut ws = PowScratch::new();
 
     if n.bits() <= 81 {
-        DETERMINISTIC_WITNESSES.iter().all(|&a| is_sprp(n, &Ubig::from(a), &d, s))
+        DETERMINISTIC_WITNESSES
+            .iter()
+            .all(|&a| ctx.is_strong_probable_prime(&Ubig::from(a), &d, s, &mut ws))
     } else {
         (0..RANDOM_ROUNDS).all(|_| {
             let a = gen_range(rng, &Ubig::two(), &n_minus_1);
-            is_sprp(n, &a, &d, s)
+            ctx.is_strong_probable_prime(&a, &d, s, &mut ws)
         })
     }
 }

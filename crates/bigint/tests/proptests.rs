@@ -303,28 +303,115 @@ proptest! {
     }
 }
 
+/// Limb widths the Montgomery kernel is pinned at: both sides of every
+/// power of two up to the 4096-bit `n²` of a 2048-bit Paillier key, so
+/// the fused row pairs, the odd tail row and the one-limb case all run.
+const KERNEL_WIDTHS: [usize; 15] = [1, 2, 3, 4, 5, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65];
+
+/// A `k`-limb value chosen to stress carry propagation.
+fn hostile(pattern: u8, k: usize, seed: u64) -> Ubig {
+    let mut state = seed;
+    let mut next = || {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let limbs: Vec<u64> = match pattern % 4 {
+        // Saturated: every limb product and every carry is maximal.
+        0 => vec![u64::MAX; k],
+        // A lone top bit over zero limbs.
+        1 => (0..k).map(|i| if i + 1 == k { 1 << 63 } else { 0 }).collect(),
+        // Interior zero limbs between saturated and random ones.
+        2 => (0..k)
+            .map(|i| match i % 3 {
+                0 => u64::MAX,
+                1 => 0,
+                _ => next(),
+            })
+            .collect(),
+        _ => (0..k).map(|_| next()).collect(),
+    };
+    Ubig::from_limbs(limbs)
+}
+
+/// An odd `k`-limb modulus (top limb non-zero) from a hostile pattern.
+fn hostile_modulus(pattern: u8, k: usize, seed: u64) -> Ubig {
+    let mut m = hostile(pattern, k, seed);
+    m.set_bit(0, true);
+    m.set_bit(64 * k as u64 - 1, true);
+    m
+}
+
 proptest! {
-    // Wide-operand cases are expensive; keep the case count low.
+    // Every case walks all fifteen widths; keep the case count low.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn karatsuba_mont_mul_matches_schoolbook(
-        seed_a in proptest::collection::vec(any::<u64>(), 33..40),
-        seed_b in proptest::collection::vec(any::<u64>(), 33..40),
-        m in proptest::collection::vec(any::<u64>(), 33..40),
+    fn kernel_product_square_and_redc_match_division_path(
+        pat_n in 0u8..4, pat_a in 0u8..4, pat_b in 0u8..4, seed in any::<u64>(),
     ) {
-        // Moduli above MONT_KARATSUBA_LIMBS route mont_mul through the
-        // Karatsuba multiply; pin it to the schoolbook kernel.
-        let mut m = Ubig::from_limbs(m);
-        m.set_bit(0, true);
-        prop_assume!(m > Ubig::one());
-        let ctx = MontgomeryContext::new(&m).unwrap();
-        let a = ctx.to_mont(&(&Ubig::from_limbs(seed_a) % &m));
-        let b = ctx.to_mont(&(&Ubig::from_limbs(seed_b) % &m));
-        prop_assert_eq!(
-            ctx.mont_mul_ablation(&a, &b, true),
-            ctx.mont_mul_ablation(&a, &b, false)
-        );
-        prop_assert_eq!(ctx.mont_mul_ablation(&a, &b, true), ctx.mul_mont(&a, &b));
+        for k in KERNEL_WIDTHS {
+            let n = hostile_modulus(pat_n, k, seed);
+            let ctx = MontgomeryContext::new(&n).unwrap();
+            let r = &(Ubig::one() << (64 * k as u32)) % &n;
+            let n_minus_1 = &n - &Ubig::one();
+            let a = &hostile(pat_a, k, seed ^ 1) % &n;
+            let b = &hostile(pat_b, k, seed ^ 2) % &n;
+            for (x, y) in [(&a, &b), (&a, &n_minus_1), (&n_minus_1, &n_minus_1)] {
+                let (xm, ym) = (ctx.to_mont(x), ctx.to_mont(y));
+                // REDC: into and out of Montgomery form is the identity,
+                // and from_mont divides by R.
+                prop_assert_eq!(&ctx.from_mont(&xm), x, "roundtrip k={}", k);
+                prop_assert_eq!(&modmul(&ctx.from_mont(x), &r, &n), x, "redc k={}", k);
+                // Product.
+                prop_assert_eq!(
+                    ctx.from_mont(&ctx.mul_mont(&xm, &ym)), modmul(x, y, &n), "product k={}", k
+                );
+                // Equal by value, distinct by reference: still a product.
+                let xm_copy = xm.clone();
+                prop_assert_eq!(
+                    ctx.from_mont(&ctx.mul_mont(&xm, &xm_copy)), modmul(x, x, &n), "a·a k={}", k
+                );
+                // The dedicated squaring: exponent 2 walks the ladder as
+                // 1²·x, then x² — one squaring of a non-trivial value.
+                prop_assert_eq!(ctx.modpow(x, &Ubig::two()), modmul(x, x, &n), "square k={}", k);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_exponentiation_entry_points_match_basic(
+        pat_n in 0u8..4, pat_g in 0u8..4, pat_e in 0u8..4, seed in any::<u64>(),
+    ) {
+        let mut ws = bigint::montgomery::PowScratch::new();
+        for k in KERNEL_WIDTHS {
+            let n = hostile_modulus(pat_n, k, seed);
+            let ctx = Arc::new(MontgomeryContext::new(&n).unwrap());
+            // Unreduced bases: one limb wider than the modulus.
+            let g = hostile(pat_g, k + 1, seed ^ 3);
+            let h = &n - &Ubig::one();
+            // One exponent per path: binary ladder (< 64 bits) and 4-bit
+            // windows; saturated exponents hit digit 15 everywhere, the
+            // lone top bit hits runs of zero digits.
+            let short = hostile(pat_e, 1, seed ^ 4) >> 7;
+            let wide = hostile(pat_e, 2, seed ^ 5) >> 3;
+            for e in [&short, &wide] {
+                let g_e = modpow_basic(&g, e, &n);
+                prop_assert_eq!(&ctx.modpow(&g, e), &g_e, "modpow k={}", k);
+                prop_assert_eq!(&ctx.modpow_with_scratch(&g, e, &mut ws), &g_e, "scratch k={}", k);
+                let h_s = modpow_basic(&h, &short, &n);
+                let both = modmul(&g_e, &h_s, &n);
+                prop_assert_eq!(&ctx.modpow2(&g, e, &h, &short), &both, "modpow2 k={}", k);
+                prop_assert_eq!(
+                    &ctx.modpow_multi(&[(&g, e), (&h, &short)]), &both, "modpow_multi k={}", k
+                );
+                let tg = FixedBaseTable::new(Arc::clone(&ctx), &g, 128);
+                let th = FixedBaseTable::new(Arc::clone(&ctx), &h, 64);
+                prop_assert_eq!(&tg.pow(e), &g_e, "fixed-base k={}", k);
+                prop_assert_eq!(&tg.pow_mul(e, &th, &short), &both, "fixed-base pair k={}", k);
+            }
+        }
     }
 }

@@ -46,12 +46,11 @@ pub struct BlindedWitnesses {
 }
 
 /// Rough wall-clock model (ns) for one protocol-step item costing
-/// `exp_bits` Montgomery multiplications over `Z_n`, used to hint
+/// `products` Montgomery products over `Z_n`, used to hint
 /// [`Parallelism`] splitting at the round call sites. The hint only
 /// affects chunking; outputs stay bit-identical.
-fn step_cost_ns(pk: &DgkPublicKey, exp_bits: u64) -> u64 {
-    let k = pk.modulus().bits().div_ceil(64).max(1);
-    exp_bits.max(1) * (k * k).max(4) * 5
+fn step_cost_ns(pk: &DgkPublicKey, products: u64) -> u64 {
+    bigint::montgomery::mont_cost_ns(pk.modulus().bits(), 0, products.max(1))
 }
 
 /// Validates that `v` fits the protocol's `ℓ`-bit input domain.

@@ -513,8 +513,7 @@ impl DgkPrivateKey {
     /// Rough wall-clock model (ns) for one zero test (`v_p`-bit exponent
     /// mod `p`), used to hint [`Parallelism`] splitting.
     pub(crate) fn zero_test_cost_ns(&self) -> u64 {
-        let k = self.p.bits().div_ceil(64).max(1);
-        self.v_p.bits().max(1) * (k * k).max(4) * 5
+        bigint::montgomery::modpow_cost_ns(self.p.bits(), self.v_p.bits())
     }
 
     /// Full decryption by table lookup over `Z_u`.

@@ -64,11 +64,8 @@ struct BlindBases {
 /// Rough wall-clock model (ns) for one full-width `r^n mod n²`
 /// exponentiation, used as a [`Parallelism::with_item_cost_ns`] hint so
 /// small refills stay sequential instead of paying spawn/join overhead.
-/// One Montgomery square over `k` limbs costs ~`k²` word multiplies; a
-/// full exponent walks ~`n.bits()` squarings plus table multiplies.
 fn full_exp_cost_ns(pk: &PublicKey) -> u64 {
-    let k = pk.modulus_squared().bits().div_ceil(64).max(1);
-    pk.modulus().bits().max(1) * (k * k).max(4) * 5
+    bigint::montgomery::modpow_cost_ns(pk.modulus_squared().bits(), pk.modulus().bits())
 }
 
 /// A single-use pool of precomputed Paillier randomizers `r^n mod n²`.

@@ -139,3 +139,40 @@ proptest! {
         prop_assert_eq!(pool_seq.fallback_generated(), pool_par.fallback_generated());
     }
 }
+
+/// Keypairs at the test, mid and paper key sizes, generated once.
+fn sized_keypairs() -> &'static [Keypair] {
+    use std::sync::OnceLock;
+    static KPS: OnceLock<Vec<Keypair>> = OnceLock::new();
+    KPS.get_or_init(|| {
+        [64, 512, 1024]
+            .map(|bits| Keypair::generate(&mut StdRng::seed_from_u64(bits), bits))
+            .to_vec()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn own_key_encryption_matches_public_byte_for_byte(
+        limbs in proptest::collection::vec(any::<u64>(), 0..17),
+        seed in any::<u64>(),
+    ) {
+        // The factorization route to r^n must land on the same group
+        // element and leave the RNG where the public route leaves it.
+        for kp in sized_keypairs() {
+            let (pk, sk) = (kp.public_key(), kp.private_key());
+            let n = pk.modulus();
+            for m in [Ubig::zero(), n - &Ubig::one(), &Ubig::from_limbs(limbs.clone()) % n] {
+                let mut rng_pub = StdRng::seed_from_u64(seed);
+                let mut rng_own = StdRng::seed_from_u64(seed);
+                let public = pk.encrypt(&m, &mut rng_pub).unwrap();
+                let own = sk.encrypt(&m, &mut rng_own).unwrap();
+                prop_assert_eq!(own.as_raw().to_le_bytes(), public.as_raw().to_le_bytes());
+                prop_assert_eq!(rng_own.gen::<u64>(), rng_pub.gen::<u64>());
+                prop_assert_eq!(sk.decrypt_crt(&own).unwrap(), m);
+            }
+        }
+    }
+}

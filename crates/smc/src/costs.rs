@@ -11,47 +11,49 @@
 //! they compute: outputs are split-invariant by construction, so results
 //! stay bit-identical with or without them.
 //!
-//! The models only need to be right to an order of magnitude. They all
-//! reduce to "exponent bits × cost of one Montgomery multiplication",
-//! with the multiplication cost quadratic in the modulus limb count —
-//! the same shape the `bigint` ablation benches measure.
+//! The models only need to be right to a small factor. They all count
+//! Montgomery squarings and products and price them with
+//! [`bigint::montgomery::mont_cost_ns`], the one model fitted to the limb
+//! kernel.
 
+use bigint::montgomery::{modpow_cost_ns, mont_cost_ns};
 use dgk::DgkPublicKey;
 use paillier::PublicKey;
-
-/// ~cost of one Montgomery multiplication mod a `modulus_bits`-wide
-/// modulus: quadratic in the limb count, ~5 ns per limb product.
-fn mont_mul_cost_ns(modulus_bits: u64) -> u64 {
-    let k = modulus_bits.div_ceil(64).max(1);
-    (k * k).max(4) * 5
-}
 
 /// One Paillier encryption: the `r^n` blind dominates — an `|n|`-bit
 /// exponent mod `n²`.
 pub(crate) fn paillier_encrypt_cost_ns(pk: &PublicKey) -> u64 {
-    pk.modulus().bits().max(1) * mont_mul_cost_ns(pk.modulus_squared().bits())
+    modpow_cost_ns(pk.modulus_squared().bits(), pk.modulus().bits())
 }
 
-/// One CRT Paillier decryption: two half-width exponentiations under the
-/// quarter-size `p²`/`q²` contexts — about half of one full-size
-/// exponentiation.
+/// One Paillier encryption under the encrypting server's own key
+/// ([`paillier::PrivateKey::encrypt`]): per prime factor, a `|p|`-bit
+/// exponentiation mod `p` and another mod `p²`.
+pub(crate) fn paillier_own_encrypt_cost_ns(pk: &PublicKey) -> u64 {
+    let (n_bits, p_bits) = (pk.modulus().bits(), pk.modulus().bits() / 2);
+    2 * (modpow_cost_ns(p_bits, p_bits) + modpow_cost_ns(n_bits, p_bits))
+}
+
+/// One CRT Paillier decryption: a `|p|`-bit exponentiation under each of
+/// the half-width `p²`/`q²` contexts.
 pub(crate) fn paillier_decrypt_cost_ns(pk: &PublicKey) -> u64 {
-    (paillier_encrypt_cost_ns(pk) / 2).max(1)
+    let (n_bits, p_bits) = (pk.modulus().bits(), pk.modulus().bits() / 2);
+    2 * modpow_cost_ns(n_bits, p_bits)
 }
 
 /// One RNG-free homomorphic step (`add` / `add_plain`): a handful of
 /// modular multiplications mod `n²`. Cheap — the point of hinting it is
 /// to keep small per-label fan-outs sequential.
 pub(crate) fn paillier_add_cost_ns(pk: &PublicKey) -> u64 {
-    4 * mont_mul_cost_ns(pk.modulus_squared().bits())
+    mont_cost_ns(pk.modulus_squared().bits(), 0, 4)
 }
 
 /// One leg of an `ℓ`-bit DGK comparison: `ℓ` bit-encryptions, `ℓ`
 /// witness multi-exponentiations, or `ℓ` CRT zero tests. All three are
-/// within a small factor of `ℓ · blind_bits / 2` multiplications over
-/// `Z_n`, which is accurate enough to decide whether a pairwise batch is
-/// worth splitting.
+/// within a small factor of `ℓ · blind_bits / 2` products over `Z_n`,
+/// which is accurate enough to decide whether a pairwise batch is worth
+/// splitting.
 pub(crate) fn dgk_compare_leg_cost_ns(pk: &DgkPublicKey) -> u64 {
     let ell = pk.compare_bits() as u64;
-    (ell * pk.blind_bits() / 2).max(1) * mont_mul_cost_ns(pk.modulus().bits())
+    mont_cost_ns(pk.modulus().bits(), 0, (ell * pk.blind_bits() / 2).max(1))
 }

@@ -84,8 +84,8 @@ check paillier_decrypt_crt paillier_decrypt 100 \
   "CRT decrypt faster than plain decrypt"
 check ablation_multiexp_straus_k1 ablation_multiexp_iter_k1 125 \
   "Straus multi-exp no slower than iterated modpow at k=1"
-check ablation_mont_mul_karatsuba_4096 ablation_mont_mul_school_4096 125 \
-  "Karatsuba Montgomery product no slower than schoolbook"
+check ablation_modpow_cached_montgomery_256 ablation_modpow_division_256 100 \
+  "Montgomery-kernel modpow faster than division-path modpow_basic"
 check ablation_crt_recombine_fixed ablation_crt_recombine_gcd 125 \
   "fixed Garner recombination no slower than extended-gcd CRT"
 check ablation_pool_refill_batched_k1 ablation_pool_refill_k1 125 \

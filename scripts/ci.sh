@@ -5,6 +5,8 @@
 #   2. cargo clippy -D warnings   — lints, all targets
 #   3. cargo build --release      — the tier-1 build
 #   4. cargo test                 — the tier-1 test suite
+#   5. the smoke suites, the bench harness gate and the repo benchmark's
+#      --smoke pass (a kernel that is fast but wrong fails here)
 #
 # In offline sandboxes where the third-party crates cannot be fetched,
 # use scripts/devcheck.sh instead — same checks, pointed at the
@@ -47,5 +49,8 @@ cargo test -q -p consensus-core --test reactor sixteen_session_smoke
 
 echo "==> bench harness smoke (scripts/bench.sh --smoke --batch --scale, 2 worker threads)"
 bash scripts/bench.sh --smoke --threads 2 --batch --scale
+
+echo "==> repo benchmark smoke (crates/benchmark/run.sh --smoke: every op checked against the clear-text oracle)"
+bash crates/benchmark/run.sh --smoke
 
 echo "CI checks passed."

@@ -5,7 +5,7 @@
 # --config patches, leaving the real manifests untouched. On a networked
 # machine just use scripts/ci.sh instead.
 #
-# Usage: scripts/devcheck.sh [check|test|clippy|fmt] [extra cargo args...]
+# Usage: scripts/devcheck.sh [check|test|clippy|fmt|bench-smoke] [extra args...]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -35,8 +35,14 @@ case "$cmd" in
   fmt)
     cargo fmt --all -- --check
     ;;
+  bench-smoke)
+    # The repo benchmark at 64-bit keys: every workload, both passes,
+    # every operation verified against the clear-text oracle. run.sh
+    # detects the offline sandbox and applies the same patches itself.
+    bash "${repo}/crates/benchmark/run.sh" --smoke "$@"
+    ;;
   *)
-    echo "usage: $0 [check|test|clippy|fmt] [extra cargo args...]" >&2
+    echo "usage: $0 [check|test|clippy|fmt|bench-smoke] [extra args...]" >&2
     exit 2
     ;;
 esac
