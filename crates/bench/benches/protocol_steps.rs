@@ -51,27 +51,10 @@ fn bench_noise_splitting_overhead(c: &mut Criterion) {
     c.bench_function("noise_centralized", |b| b.iter(|| central.sample(&mut rng)));
 }
 
-fn bench_argmax_strategies(c: &mut Criterion) {
-    // Ablation: pairwise (paper, K(K-1)/2 comparisons) vs tournament
-    // (K-1) — measured through the comparison count proxy on the clear
-    // values, and end-to-end in the smc tests; here we measure the DGK
-    // comparison itself as the unit cost.
-    let mut rng = StdRng::seed_from_u64(4);
-    let params = dgk::DgkParams::insecure_test();
-    let keys = dgk::DgkKeypair::generate(&mut rng, &params);
-    let mut group = c.benchmark_group("argmax_unit_cost");
-    group.sample_size(10);
-    group.bench_function("single_dgk_comparison", |b| {
-        b.iter(|| dgk::comparison::compare_gt_plain(123, 456, &keys, &mut rng).unwrap())
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_secure_instance,
     bench_clear_instance,
-    bench_noise_splitting_overhead,
-    bench_argmax_strategies
+    bench_noise_splitting_overhead
 );
 criterion_main!(benches);

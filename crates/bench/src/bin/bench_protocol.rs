@@ -68,6 +68,12 @@
 //! the machine's available cores, so trend tooling can discount thread
 //! sweeps measured on single-core boxes.
 //!
+//! Every run also times the steps-4/8 ranking bracket over real channels
+//! at K ∈ {10, 100} and emits one `rank_bracket_k<K>` JSON row each (ns
+//! per ranking, comparisons, S1↔S2 messages and bytes);
+//! `scripts/check_bench.sh` gates comparisons = K−1 and messages =
+//! 3·⌈log₂K⌉.
+//!
 //! Every run also drives the multi-session reactor at 128 concurrent
 //! sessions (16 in smoke mode) and emits one `reactor_sessions` JSON row
 //! with sessions/sec and p50/p99 admission→completion latency, plus one
@@ -93,20 +99,22 @@ use bigint::{random, Ubig};
 use consensus_core::campaign::{CampaignConfig, CampaignRunner};
 use consensus_core::config::ConsensusConfig;
 use consensus_core::reactor::{Reactor, ReactorConfig, SessionMachine, SessionResult};
-use consensus_core::secure::{RankingStrategy, SecureEngine};
-use dgk::comparison::{blinder_build_witnesses_par, evaluator_encrypt_bits_par};
+use consensus_core::secure::SecureEngine;
+use dgk::comparison::{blinder_build_witnesses, evaluator_encrypt_bits};
 use dgk::{DgkKeypair, DgkParams};
 use paillier::{Ciphertext, Keypair, RandomizerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use smc::bracket::{server1_argmax, server2_argmax};
 use smc::secure_sum::aggregate_user_vectors;
 use smc::shard::{intersect_sorted, STREAM_CHUNK};
 use smc::{
-    AuditPolicy, Parallelism, SessionConfig, ShardAccumulator, ShardConfig, ShardPlan,
+    AuditPolicy, Parallelism, SessionConfig, SessionKeys, ShardAccumulator, ShardConfig, ShardPlan,
     UploadValidator,
 };
 use std::sync::Arc;
-use transport::{FaultStats, Meter, Network, PartyId, Step, Wire};
+use transport::metrics::LinkStats;
+use transport::{FaultStats, LinkKind, Meter, Network, PartyId, Step, Wire};
 
 /// The dispatch threshold the pre-change `modular::modpow` used.
 const OLD_MONTGOMERY_EXP_THRESHOLD: u64 = 24;
@@ -162,6 +170,28 @@ fn proc_status_kb(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with(field))?;
     line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Runs one step-4 ranking of the shared sequences `xs`/`ys` on real
+/// channels and returns the S1↔S2 traffic it put on the wire.
+fn rank_once(keys: &SessionKeys, xs: &[i128], ys: &[i128]) -> LinkStats {
+    let (s1_ctx, s2_ctx) = (keys.server1(), keys.server2());
+    let mut net = Network::new(0);
+    let mut s1 = net.take_endpoint(PartyId::Server1);
+    let mut s2 = net.take_endpoint(PartyId::Server2);
+    let (w1, w2) = std::thread::scope(|scope| {
+        let h1 = scope.spawn(|| {
+            let mut rng = StdRng::seed_from_u64(11);
+            server1_argmax(&mut s1, &s1_ctx, xs, Step::CompareRank, &mut rng).expect("S1 rank")
+        });
+        let h2 = scope.spawn(|| {
+            let mut rng = StdRng::seed_from_u64(12);
+            server2_argmax(&mut s2, &s2_ctx, ys, Step::CompareRank, &mut rng).expect("S2 rank")
+        });
+        (h1.join().expect("S1 thread"), h2.join().expect("S2 thread"))
+    });
+    assert_eq!(w1, w2, "servers must elect the same slot");
+    net.meter().report().link_stats(Step::CompareRank, LinkKind::ServerToServer)
 }
 
 struct Report {
@@ -602,6 +632,33 @@ fn main() {
         }
     }
 
+    // ----- Ranking bracket (steps 4/8) -------------------------------------
+    // One ranking over K permuted slots, both servers on real channels.
+    // Every comparison round costs three messages, each a length-prefixed
+    // (4-byte) vector, so `comparisons` is the ranking's payload bytes in
+    // units of a single comparison's (the K = 2 ranking) payload bytes.
+    println!("\nRanking bracket (K-1 comparisons in ceil(log2 K) rounds):");
+    let rank_keys = SessionKeys::generate(SessionConfig::test(1, 2), &mut rng);
+    let payload = |link: LinkStats| link.bytes - 4 * link.messages;
+    let unit = payload(rank_once(&rank_keys, &[5, 3], &[0, 1])) as f64;
+    for k in [10usize, 100] {
+        let xs: Vec<i128> = (0..k as i128).map(|i| (i * 7919) % 1000 - 500).collect();
+        let ys: Vec<i128> = (0..k as i128).map(|i| (i * 104_729) % 1000 - 500).collect();
+        let mut link = LinkStats::default();
+        let ns = time_ns(if smoke { 1 } else { 5 }, || {
+            link = rank_once(&rank_keys, &xs, &ys);
+        });
+        let comparisons = (payload(link) as f64 / unit).round() as u64;
+        report.record_obj(
+            &format!("rank_bracket_k{k}"),
+            format!(
+                "{{\"ns\": {ns}, \"threads\": 1, \"classes\": {k}, \"comparisons\": {comparisons}, \
+                 \"messages\": {}, \"bytes\": {}}}",
+                link.messages, link.bytes
+            ),
+        );
+    }
+
     // ----- Data-parallel thread-scaling sweep -----------------------------
     // `--threads` (default: CONSENSUS_THREADS, else 1) is always a sweep
     // point; the full 1/2/4/8 grid runs in non-smoke mode. Reported
@@ -665,13 +722,13 @@ fn main() {
             t,
         );
 
-        let round1 = evaluator_encrypt_bits_par(dgk_x, &dpk, &par, &mut rng)
-            .expect("x in comparison domain");
+        let round1 =
+            evaluator_encrypt_bits(dgk_x, &dpk, &par, &mut rng).expect("x in comparison domain");
         report.record_at(
             &format!("par_dgk_witnesses_t{t}"),
             time_ns(heavy_iters, || {
                 black_box(
-                    blinder_build_witnesses_par(dgk_y, &round1, &dpk, &par, &mut rng)
+                    blinder_build_witnesses(dgk_y, &round1, &dpk, &par, &mut rng)
                         .expect("y in comparison domain"),
                 );
             }),
@@ -705,14 +762,13 @@ fn main() {
             t,
         );
 
-        // One full Alg. 5 round end-to-end (batched ranking).
+        // One full Alg. 5 round end-to-end.
         let mut engine_rng = StdRng::seed_from_u64(7);
         let engine = SecureEngine::new(
             SessionConfig::test(sweep_users, sweep_classes),
             ConsensusConfig::paper_default(2.0, 2.0),
             &mut engine_rng,
         )
-        .with_ranking(RankingStrategy::Batched)
         .with_parallelism(par);
         report.record_at(
             &format!("par_engine_round_u8_k10_t{t}"),
@@ -743,7 +799,6 @@ fn main() {
                 ConsensusConfig::paper_default(2.0, 2.0),
                 &mut engine_rng,
             )
-            .with_ranking(RankingStrategy::Batched)
             .with_parallelism(Parallelism::new(cli_threads));
             if let Some(p) = policy {
                 engine = engine.with_audit(p);

@@ -68,8 +68,10 @@ fn main() {
     }
     table.print();
     println!(
-        "\nPaper reference shape: the two Secure Comparison steps dominate (~4.5x the \
-         Threshold Checking step, which compares one pair instead of K(K-1)/2); \
-         Blind-and-Permute traffic is ~3x the plaintext size from ciphertext expansion."
+        "\nPaper reference shape: the two Secure Comparison steps dominate — here (K-1)x \
+         the Threshold Checking step, which is the one-match round of the same exchange \
+         (the paper's all-pairs ranking compares K(K-1)/2 pairs: multiply by K/2 for \
+         parity); Blind-and-Permute traffic is ~3x the plaintext size from ciphertext \
+         expansion."
     );
 }

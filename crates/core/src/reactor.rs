@@ -246,7 +246,6 @@ impl SessionMachine {
                 let state1 = std::mem::replace(&mut run.state1, RoundState::Start);
                 let state2 = std::mem::replace(&mut run.state2, RoundState::Start);
                 let prepared = &self.prepared;
-                let ranking = self.engine.ranking();
                 let faults = self.engine.fault_plan();
                 let Run { s1, s2, ctx1, ctx2, audit1, audit2, quorum, .. } = &mut **run;
                 let quorum = *quorum;
@@ -259,7 +258,6 @@ impl SessionMachine {
                             prepared.num_classes,
                             prepared.seed1,
                             prepared.shard_seed,
-                            ranking,
                             quorum,
                             state1,
                             audit1,
@@ -274,7 +272,6 @@ impl SessionMachine {
                             prepared.num_classes,
                             prepared.seed2,
                             prepared.shard_seed,
-                            ranking,
                             quorum,
                             state2,
                             audit2,

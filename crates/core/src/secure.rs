@@ -11,15 +11,15 @@
 //!    S2; servers aggregate homomorphically;
 //! 3. **Blind-and-Permute (step 3)** — both aggregated vectors pass
 //!    through Alg. 2 under one shared hidden permutation `π`;
-//! 4. **Secure comparison (step 4)** — pairwise DGK ranking finds the
-//!    permuted winner slot `π(i*)`;
+//! 4. **Secure comparison (step 4)** — a knock-out bracket of DGK
+//!    comparisons finds the permuted winner slot `π(i*)`;
 //! 5. **Threshold check (step 5)** — one DGK comparison of the two
 //!    threshold sequences at `π(i*)` decides
 //!    `c_{i*} + N(0, σ₁²) ≥ T`; on failure both servers output `⊥`;
 //! 6. **Secure sum (step 6)** — the noisy vote shares
 //!    `a^u + z₂ₐ^u` / `b^u + z₂ᵦ^u` are aggregated;
 //! 7. **Blind-and-Permute (step 7)** — under a fresh permutation `π′`;
-//! 8. **Secure comparison (step 8)** — pairwise ranking of the noisy
+//! 8. **Secure comparison (step 8)** — the same bracket over the noisy
 //!    votes finds `π′(ĩ*)`;
 //! 9. **Restoration (step 9)** — Alg. 3 recovers and publishes `ĩ*`.
 //!
@@ -48,13 +48,9 @@ use std::sync::Arc;
 use paillier::Ciphertext;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smc::argmax::{
-    server1_argmax_pairwise, server1_argmax_tournament, server2_argmax_pairwise,
-    server2_argmax_tournament,
-};
-use smc::batch::{server1_argmax_batched, server2_argmax_batched};
 use smc::blind_permute::{server1_blind_permute, server2_blind_permute};
-use smc::compare::{server1_compare_geq, server2_compare_geq};
+use smc::bracket::{server1_argmax, server2_argmax};
+use smc::compare::{server1_compare_batch, server2_compare_batch};
 use smc::restoration::{server1_restore, server2_restore};
 use smc::secure_sum::{
     aggregate_surviving_vectors_sharded, aggregate_user_vectors_sharded, encrypt_share_vector,
@@ -213,26 +209,11 @@ impl SecureOutcome {
     }
 }
 
-/// How the servers rank the permuted sequences in steps 4 and 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RankingStrategy {
-    /// The paper's sequential all-pairs comparisons — `K(K−1)/2`
-    /// three-message dialogues.
-    #[default]
-    Pairwise,
-    /// Linear-scan champion tournament — `K−1` comparisons.
-    Tournament,
-    /// All pairs batched into three messages (same computation, minimal
-    /// rounds; see `smc::batch`).
-    Batched,
-}
-
 /// A provisioned secure deployment: session keys plus consensus
 /// parameters.
 pub struct SecureEngine {
     keys: SessionKeys,
     consensus: ConsensusConfig,
-    ranking: RankingStrategy,
     timeout: TimeoutPolicy,
     faults: Option<FaultPlan>,
     transport: TransportBackend,
@@ -306,20 +287,12 @@ impl SecureEngine {
         SecureEngine {
             keys,
             consensus,
-            ranking: RankingStrategy::default(),
             timeout: TimeoutPolicy::default(),
             faults: None,
             transport: TransportBackend::default(),
             audit: None,
             audit_rounds: AtomicU64::new(0),
         }
-    }
-
-    /// Selects the ranking strategy for steps 4 and 8.
-    #[must_use]
-    pub fn with_ranking(mut self, ranking: RankingStrategy) -> Self {
-        self.ranking = ranking;
-        self
     }
 
     /// Sets the per-receive deadline/retry policy every round's network
@@ -371,7 +344,7 @@ impl SecureEngine {
 
     /// Sets the data-parallelism config every party in every round uses
     /// for its crypto hot loops (Paillier batch encryption, per-label
-    /// aggregation/masking, per-bit DGK witnesses, pairwise compare
+    /// aggregation/masking, per-bit DGK witnesses, per-match compare
     /// fan-out). Defaults to sequential. Protocol transcripts and
     /// outcomes are bit-identical for every setting — parallel loops
     /// derive per-item RNG streams from the same root draws the
@@ -385,11 +358,6 @@ impl SecureEngine {
     /// The configured data-parallelism.
     pub fn parallelism(&self) -> Parallelism {
         self.keys.parallelism()
-    }
-
-    /// The configured ranking strategy.
-    pub fn ranking(&self) -> RankingStrategy {
-        self.ranking
     }
 
     /// The session configuration.
@@ -695,7 +663,6 @@ impl SecureEngine {
     ) -> Result<(RoundState, RoundState), SmcError> {
         let ctx1 = self.keys.server1();
         let ctx2 = self.keys.server2();
-        let ranking = self.ranking;
         let quorum = if self.resilient() { Some(self.quorum()) } else { None };
         let roster = &prepared.roster;
         let num_classes = prepared.num_classes;
@@ -714,7 +681,6 @@ impl SecureEngine {
                     num_classes,
                     seed1,
                     shard_seed,
-                    ranking,
                     quorum,
                     state1,
                     checkpoints,
@@ -733,7 +699,6 @@ impl SecureEngine {
                     num_classes,
                     seed2,
                     shard_seed,
-                    ranking,
                     quorum,
                     state2,
                     checkpoints,
@@ -848,42 +813,6 @@ impl SecureEngine {
             audit_challenges: fault_stats.audit_challenges - fault_stats_before.audit_challenges,
         };
         SecureOutcome { label, witness, health }
-    }
-}
-
-/// S1's full Alg. 5 run. Records per-step wall time (S2's work overlaps
-/// this wall clock, matching how the paper reports per-step costs).
-fn server1_rank<R: Rng + ?Sized>(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    sequence: &[i128],
-    step: Step,
-    ranking: RankingStrategy,
-    rng: &mut R,
-) -> Result<usize, SmcError> {
-    match ranking {
-        RankingStrategy::Pairwise => server1_argmax_pairwise(endpoint, ctx, sequence, step, rng),
-        RankingStrategy::Tournament => {
-            server1_argmax_tournament(endpoint, ctx, sequence, step, rng)
-        }
-        RankingStrategy::Batched => server1_argmax_batched(endpoint, ctx, sequence, step, rng),
-    }
-}
-
-fn server2_rank<R: Rng + ?Sized>(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    sequence: &[i128],
-    step: Step,
-    ranking: RankingStrategy,
-    rng: &mut R,
-) -> Result<usize, SmcError> {
-    match ranking {
-        RankingStrategy::Pairwise => server2_argmax_pairwise(endpoint, ctx, sequence, step, rng),
-        RankingStrategy::Tournament => {
-            server2_argmax_tournament(endpoint, ctx, sequence, step, rng)
-        }
-        RankingStrategy::Batched => server2_argmax_batched(endpoint, ctx, sequence, step, rng),
     }
 }
 
@@ -1021,7 +950,6 @@ pub(crate) fn server1_advance(
     num_classes: usize,
     root_seed: u64,
     shard_seed: u64,
-    ranking: RankingStrategy,
     quorum: Option<usize>,
     state: RoundState,
     audit: &mut AuditContext,
@@ -1077,16 +1005,18 @@ pub(crate) fn server1_advance(
         RoundState::Permuted { votes_seq, thresh_seq, survivors, .. } => {
             // Step 4: ranking → permuted winner slot.
             let slot = meter.time(Step::CompareRank, || {
-                server1_rank(endpoint, ctx, &votes_seq, Step::CompareRank, ranking, &mut rng)
+                server1_argmax(endpoint, ctx, &votes_seq, Step::CompareRank, &mut rng)
             })?;
             RoundState::Ranked { slot, thresh_seq, survivors }
         }
         RoundState::Ranked { slot, thresh_seq, survivors } => {
-            // Step 5: noisy threshold check at that slot.
+            // Step 5: noisy threshold check at that slot — a one-match
+            // comparison round.
             let passed = meter.time(Step::ThresholdCheck, || {
-                server1_compare_geq(endpoint, ctx, thresh_seq[slot], Step::ThresholdCheck, &mut rng)
+                let x = [thresh_seq[slot]];
+                server1_compare_batch(endpoint, ctx, &x, Step::ThresholdCheck, &mut rng)
             })?;
-            if passed {
+            if passed[0] {
                 RoundState::Gated { survivors }
             } else {
                 RoundState::Done { label: None, survivors, noisy_survivors: None }
@@ -1137,7 +1067,7 @@ pub(crate) fn server1_advance(
             // Step 8: rank the noisy votes (S2 drives restoration from
             // the same slot).
             let noisy_slot = meter.time(Step::CompareNoisyRank, || {
-                server1_rank(endpoint, ctx, &noisy_seq, Step::CompareNoisyRank, ranking, &mut rng)
+                server1_argmax(endpoint, ctx, &noisy_seq, Step::CompareNoisyRank, &mut rng)
             })?;
             RoundState::RankedNoisy { noisy_slot, permutation, survivors, noisy_survivors }
         }
@@ -1164,7 +1094,6 @@ pub(crate) fn server2_advance(
     num_classes: usize,
     root_seed: u64,
     shard_seed: u64,
-    ranking: RankingStrategy,
     quorum: Option<usize>,
     state: RoundState,
     audit: &mut AuditContext,
@@ -1211,19 +1140,13 @@ pub(crate) fn server2_advance(
             }
         }
         RoundState::Permuted { votes_seq, thresh_seq, survivors, .. } => {
-            let slot =
-                server2_rank(endpoint, ctx, &votes_seq, Step::CompareRank, ranking, &mut rng)?;
+            let slot = server2_argmax(endpoint, ctx, &votes_seq, Step::CompareRank, &mut rng)?;
             RoundState::Ranked { slot, thresh_seq, survivors }
         }
         RoundState::Ranked { slot, thresh_seq, survivors } => {
-            let passed = server2_compare_geq(
-                endpoint,
-                ctx,
-                thresh_seq[slot],
-                Step::ThresholdCheck,
-                &mut rng,
-            )?;
-            if passed {
+            let y = [thresh_seq[slot]];
+            let passed = server2_compare_batch(endpoint, ctx, &y, Step::ThresholdCheck, &mut rng)?;
+            if passed[0] {
                 RoundState::Gated { survivors }
             } else {
                 RoundState::Done { label: None, survivors, noisy_survivors: None }
@@ -1266,7 +1189,7 @@ pub(crate) fn server2_advance(
         }
         RoundState::PermutedNoisy { noisy_seq, permutation, survivors, noisy_survivors } => {
             let noisy_slot =
-                server2_rank(endpoint, ctx, &noisy_seq, Step::CompareNoisyRank, ranking, &mut rng)?;
+                server2_argmax(endpoint, ctx, &noisy_seq, Step::CompareNoisyRank, &mut rng)?;
             RoundState::RankedNoisy { noisy_slot, permutation, survivors, noisy_survivors }
         }
         RoundState::RankedNoisy { noisy_slot, permutation, survivors, noisy_survivors } => {
@@ -1300,7 +1223,6 @@ fn server_drive(
     num_classes: usize,
     root_seed: u64,
     shard_seed: u64,
-    ranking: RankingStrategy,
     quorum: Option<usize>,
     mut state: RoundState,
     checkpoints: Option<(&dyn CheckpointStore, u64)>,
@@ -1322,7 +1244,6 @@ fn server_drive(
                 num_classes,
                 root_seed,
                 shard_seed,
-                ranking,
                 quorum,
                 state,
                 &mut audit,
@@ -1335,7 +1256,6 @@ fn server_drive(
                 num_classes,
                 root_seed,
                 shard_seed,
-                ranking,
                 quorum,
                 state,
                 &mut audit,
@@ -1467,10 +1387,10 @@ mod tests {
             assert!(report.step_bytes(step) > 0, "no traffic recorded for {step}");
         }
         assert!(report.step_time(Step::CompareRank) > std::time::Duration::ZERO);
-        // The ranking step compares K(K−1)/2 pairs vs 1 threshold compare.
+        // The K = 3 bracket plays 2 matches vs the threshold check's 1.
         assert!(
             report.step_bytes(Step::CompareRank) > report.step_bytes(Step::ThresholdCheck),
-            "pairwise ranking must dominate the single threshold check"
+            "the ranking bracket must outweigh the single threshold check"
         );
     }
 
@@ -1489,51 +1409,38 @@ mod tests {
     }
 
     #[test]
-    fn batched_ranking_matches_decision_function() {
+    fn bracket_ranking_matches_clear_oracle_at_k10_with_ties() {
         let mut rng = StdRng::seed_from_u64(7);
-        let batched = SecureEngine::with_keys(
-            SessionKeys::generate(SessionConfig::test(4, 3), &mut rng),
+        let engine = SecureEngine::new(
+            SessionConfig::test(4, 10),
             ConsensusConfig::paper_default(1e-6, 1e-6),
-        )
-        .with_ranking(RankingStrategy::Batched);
-        for votes in [
-            vec![onehot(2), onehot(2), onehot(2), onehot(0)],
-            vec![onehot(1), onehot(0), onehot(1), onehot(1)],
-        ] {
-            let out = batched.run_instance(&votes, Meter::new(), &mut rng).unwrap();
+            &mut rng,
+        );
+        // Most classes tie at zero votes in every case; [3, 3, 5, 5] also
+        // ties at the top (2 < T = 2.4, so either winner is rejected).
+        for picks in [[7, 7, 7, 2], [0, 0, 0, 0], [9, 9, 9, 9], [3, 3, 5, 5], [4, 9, 4, 4]] {
+            let votes: Vec<Vec<f64>> = picks
+                .iter()
+                .map(|&k| {
+                    let mut v = vec![0.0; 10];
+                    v[k] = 1.0;
+                    v
+                })
+                .collect();
+            let meter = Meter::new();
+            let out = engine.run_instance(&votes, Arc::clone(&meter), &mut rng).unwrap();
             let expect = threshold_decision_scaled(
                 &out.witness.counts_scaled,
                 &out.witness.z1_scaled,
                 &out.witness.z2_scaled,
                 out.witness.threshold_scaled,
             );
-            assert_eq!(out.label, expect, "batched ranking, votes {votes:?}");
+            assert_eq!(out.label, expect, "picks {picks:?}");
+            // K = 10: 9 comparisons in ⌈log₂10⌉ = 4 three-message rounds.
+            let rank =
+                meter.report().link_stats(Step::CompareRank, transport::LinkKind::ServerToServer);
+            assert_eq!(rank.messages, 12, "picks {picks:?}");
         }
-    }
-
-    #[test]
-    fn batched_ranking_uses_fewer_messages() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let keys = SessionKeys::generate(SessionConfig::test(4, 3), &mut rng);
-        let votes: Vec<Vec<f64>> = (0..4).map(|_| onehot(1)).collect();
-        let run_with = |ranking: RankingStrategy, rng: &mut StdRng| {
-            let engine = SecureEngine::with_keys(
-                SessionKeys::generate(SessionConfig::test(4, 3), rng),
-                ConsensusConfig::paper_default(1e-6, 1e-6),
-            )
-            .with_ranking(ranking);
-            let meter = Meter::new();
-            engine.run_instance(&votes, Arc::clone(&meter), rng).unwrap();
-            meter
-                .report()
-                .link_stats(Step::CompareRank, transport::LinkKind::ServerToServer)
-                .messages
-        };
-        let _ = keys;
-        let sequential = run_with(RankingStrategy::Pairwise, &mut rng);
-        let batched = run_with(RankingStrategy::Batched, &mut rng);
-        assert_eq!(batched, 3, "batched ranking is 3 messages");
-        assert!(sequential > batched, "{sequential} vs {batched}");
     }
 
     #[test]

@@ -63,28 +63,15 @@ fn check_width(v: u64, pk: &DgkPublicKey) -> Result<(), DgkError> {
     Ok(())
 }
 
-/// **Round 1** — run by the evaluator B: encrypt the bits of `b`.
+/// **Round 1** — run by the evaluator B: encrypt the bits of `b`, the `ℓ`
+/// bit encryptions fanned out according to `par`. Each bit draws its
+/// randomness from its own seed-derived stream, so the message is
+/// bit-identical for every thread count.
 ///
 /// # Errors
 ///
 /// Returns [`DgkError::InputTooWide`] if `b` does not fit `ℓ` bits.
 pub fn evaluator_encrypt_bits<R: Rng + ?Sized>(
-    b: u64,
-    pk: &DgkPublicKey,
-    rng: &mut R,
-) -> Result<EvaluatorBits, DgkError> {
-    evaluator_encrypt_bits_par(b, pk, &Parallelism::sequential(), rng)
-}
-
-/// [`evaluator_encrypt_bits`] with the `ℓ` bit encryptions fanned out
-/// according to `par`. Each bit draws its randomness from its own
-/// seed-derived stream, so the message is bit-identical for every thread
-/// count.
-///
-/// # Errors
-///
-/// Returns [`DgkError::InputTooWide`] if `b` does not fit `ℓ` bits.
-pub fn evaluator_encrypt_bits_par<R: Rng + ?Sized>(
     b: u64,
     pk: &DgkPublicKey,
     par: &Parallelism,
@@ -102,23 +89,7 @@ pub fn evaluator_encrypt_bits_par<R: Rng + ?Sized>(
 }
 
 /// **Round 2** — run by the blinder A: form, blind and shuffle the
-/// per-position witnesses for `a > b`.
-///
-/// # Errors
-///
-/// Returns [`DgkError::InputTooWide`] if `a` does not fit `ℓ` bits, or
-/// [`DgkError::MalformedCiphertext`] if the round-1 message has the wrong
-/// arity.
-pub fn blinder_build_witnesses<R: Rng + ?Sized>(
-    a: u64,
-    round1: &EvaluatorBits,
-    pk: &DgkPublicKey,
-    rng: &mut R,
-) -> Result<BlindedWitnesses, DgkError> {
-    blinder_build_witnesses_par(a, round1, pk, &Parallelism::sequential(), rng)
-}
-
-/// [`blinder_build_witnesses`] with the expensive per-position work
+/// per-position witnesses for `a > b`, the expensive per-position work
 /// fanned out according to `par`.
 ///
 /// The round splits into three stages:
@@ -147,7 +118,7 @@ pub fn blinder_build_witnesses<R: Rng + ?Sized>(
 /// Returns [`DgkError::InputTooWide`] if `a` does not fit `ℓ` bits, or
 /// [`DgkError::MalformedCiphertext`] if the round-1 message has the wrong
 /// arity.
-pub fn blinder_build_witnesses_par<R: Rng + ?Sized>(
+pub fn blinder_build_witnesses<R: Rng + ?Sized>(
     a: u64,
     round1: &EvaluatorBits,
     pk: &DgkPublicKey,
@@ -238,52 +209,43 @@ pub fn blinder_build_witnesses_par<R: Rng + ?Sized>(
 
 /// **Finish** — run by the evaluator B: `a > b` iff some witness is zero.
 ///
-/// # Errors
-///
-/// Propagates [`DgkError::MalformedCiphertext`] from the zero test.
-pub fn evaluator_decide(round2: &BlindedWitnesses, sk: &DgkPrivateKey) -> Result<bool, DgkError> {
-    let mut ws = PowScratch::new();
-    for w in &round2.witnesses {
-        if sk.is_zero_scratch(w, &mut ws)? {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
-/// [`evaluator_decide`] with the zero tests fanned out according to
-/// `par`.
-///
-/// The sequential path early-exits on the first zero; the parallel path
-/// splits the witnesses into contiguous per-worker chunks (each chunk
-/// reusing one exponentiation scratch, as
-/// [`DgkPrivateKey::is_zero_batch`] does), then scans the per-item
-/// results in index order — so a zero at index `i` shadows any malformed
-/// ciphertext at index `> i` exactly as the sequential loop would. (This
-/// is why it cannot delegate to [`DgkPrivateKey::is_zero_batch_par`],
-/// which always surfaces the lowest-index error.)
+/// The witnesses split into contiguous per-worker chunks according to
+/// `par`, each chunk reusing one exponentiation scratch and stopping at
+/// its first zero; the chunk verdicts are then scanned in index order, so
+/// a zero at index `i` shadows any malformed ciphertext at index `> i` at
+/// every thread count. (This is why it cannot delegate to
+/// [`DgkPrivateKey::is_zero_batch_par`], which always surfaces the
+/// lowest-index error.)
 ///
 /// # Errors
 ///
-/// Propagates [`DgkError::MalformedCiphertext`] from the zero test.
-pub fn evaluator_decide_par(
+/// Returns [`DgkError::MalformedCiphertext`] if the round-2 message does
+/// not carry exactly `ℓ` witnesses — a short frame has no zero in it and
+/// must not read as `a ≤ b` — and propagates it from the zero test.
+pub fn evaluator_decide(
     round2: &BlindedWitnesses,
     sk: &DgkPrivateKey,
     par: &Parallelism,
 ) -> Result<bool, DgkError> {
-    let par = par.with_item_cost_ns(sk.zero_test_cost_ns());
-    let workers = par.workers_for(round2.witnesses.len());
-    if workers <= 1 {
-        return evaluator_decide(round2, sk);
+    let ell = sk.public_key().compare_bits() as usize;
+    if round2.witnesses.len() != ell {
+        return Err(DgkError::MalformedCiphertext);
     }
-    let chunk = round2.witnesses.len().div_ceil(workers);
-    let chunks: Vec<&[DgkCiphertext]> = round2.witnesses.chunks(chunk).collect();
-    let per_chunk: Vec<Vec<Result<bool, DgkError>>> = par.map(&chunks, |_, slice| {
+    let workers = par.with_item_cost_ns(sk.zero_test_cost_ns()).workers_for(ell);
+    let chunks: Vec<&[DgkCiphertext]> =
+        round2.witnesses.chunks(ell.div_ceil(workers).max(1)).collect();
+    // The split is already decided: one worker per chunk.
+    let verdicts = Parallelism::new(chunks.len()).with_min_batch(1).map(&chunks, |_, slice| {
         let mut ws = PowScratch::new();
-        slice.iter().map(|w| sk.is_zero_scratch(w, &mut ws)).collect()
+        for w in *slice {
+            if sk.is_zero_scratch(w, &mut ws)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     });
-    for test in per_chunk.into_iter().flatten() {
-        if test? {
+    for verdict in verdicts {
+        if verdict? {
             return Ok(true);
         }
     }
@@ -315,9 +277,10 @@ pub fn compare_gt_plain<R: Rng + ?Sized>(
     keys: &DgkKeypair,
     rng: &mut R,
 ) -> Result<bool, DgkError> {
-    let round1 = evaluator_encrypt_bits(b, keys.public_key(), rng)?;
-    let round2 = blinder_build_witnesses(a, &round1, keys.public_key(), rng)?;
-    evaluator_decide(&round2, keys.private_key())
+    let par = Parallelism::sequential();
+    let round1 = evaluator_encrypt_bits(b, keys.public_key(), &par, rng)?;
+    let round2 = blinder_build_witnesses(a, &round1, keys.public_key(), &par, rng)?;
+    evaluator_decide(&round2, keys.private_key(), &par)
 }
 
 #[cfg(test)]
@@ -333,6 +296,10 @@ mod tests {
         KEYS.get_or_init(|| {
             DgkKeypair::generate(&mut StdRng::seed_from_u64(21), &DgkParams::insecure_test())
         })
+    }
+
+    fn seq() -> Parallelism {
+        Parallelism::sequential()
     }
 
     #[test]
@@ -379,7 +346,7 @@ mod tests {
             Err(DgkError::InputTooWide { .. })
         ));
         assert!(matches!(
-            evaluator_encrypt_bits(over, kp.public_key(), &mut rng),
+            evaluator_encrypt_bits(over, kp.public_key(), &seq(), &mut rng),
             Err(DgkError::InputTooWide { .. })
         ));
     }
@@ -391,9 +358,36 @@ mod tests {
         let short =
             EvaluatorBits { encrypted_bits: vec![kp.public_key().encrypt_bit(true, &mut rng)] };
         assert_eq!(
-            blinder_build_witnesses(3, &short, kp.public_key(), &mut rng),
+            blinder_build_witnesses(3, &short, kp.public_key(), &seq(), &mut rng),
             Err(DgkError::MalformedCiphertext)
         );
+    }
+
+    #[test]
+    fn wrong_arity_round2_rejected() {
+        // A truncated or empty witness list has no zero in it; it must be
+        // a typed error, never "a ≤ b".
+        let kp = keys();
+        let mut rng = StdRng::seed_from_u64(9);
+        let r1 = evaluator_encrypt_bits(4, kp.public_key(), &seq(), &mut rng).unwrap();
+        let full = blinder_build_witnesses(9, &r1, kp.public_key(), &seq(), &mut rng).unwrap();
+        assert_eq!(evaluator_decide(&full, kp.private_key(), &seq()), Ok(true));
+        for par in [seq(), Parallelism::new(4).with_min_batch(1)] {
+            for keep in [0, 1, full.witnesses.len() - 1] {
+                let short = BlindedWitnesses { witnesses: full.witnesses[..keep].to_vec() };
+                assert_eq!(
+                    evaluator_decide(&short, kp.private_key(), &par),
+                    Err(DgkError::MalformedCiphertext),
+                    "{keep} witnesses"
+                );
+            }
+            let mut long = full.clone();
+            long.witnesses.push(full.witnesses[0].clone());
+            assert_eq!(
+                evaluator_decide(&long, kp.private_key(), &par),
+                Err(DgkError::MalformedCiphertext)
+            );
+        }
     }
 
     #[test]
@@ -403,8 +397,8 @@ mod tests {
         let kp = keys();
         let mut rng = StdRng::seed_from_u64(6);
         for (a, b) in [(9u64, 4u64), (255, 254), (37, 21)] {
-            let r1 = evaluator_encrypt_bits(b, kp.public_key(), &mut rng).unwrap();
-            let r2 = blinder_build_witnesses(a, &r1, kp.public_key(), &mut rng).unwrap();
+            let r1 = evaluator_encrypt_bits(b, kp.public_key(), &seq(), &mut rng).unwrap();
+            let r2 = blinder_build_witnesses(a, &r1, kp.public_key(), &seq(), &mut rng).unwrap();
             let zeros =
                 r2.witnesses.iter().filter(|w| kp.private_key().is_zero(w).unwrap()).count();
             assert_eq!(zeros, 1, "exactly one witness expected for {a} > {b}");
@@ -415,8 +409,8 @@ mod tests {
     fn witness_count_matches_width() {
         let kp = keys();
         let mut rng = StdRng::seed_from_u64(7);
-        let r1 = evaluator_encrypt_bits(5, kp.public_key(), &mut rng).unwrap();
-        let r2 = blinder_build_witnesses(3, &r1, kp.public_key(), &mut rng).unwrap();
+        let r1 = evaluator_encrypt_bits(5, kp.public_key(), &seq(), &mut rng).unwrap();
+        let r2 = blinder_build_witnesses(3, &r1, kp.public_key(), &seq(), &mut rng).unwrap();
         assert_eq!(r2.witnesses.len(), kp.public_key().compare_bits() as usize);
     }
 
@@ -429,11 +423,10 @@ mod tests {
                 .map(|threads| {
                     let par = Parallelism::new(threads).with_min_batch(1);
                     let mut rng = StdRng::seed_from_u64(40);
-                    let r1 =
-                        evaluator_encrypt_bits_par(b, kp.public_key(), &par, &mut rng).unwrap();
-                    let r2 = blinder_build_witnesses_par(a, &r1, kp.public_key(), &par, &mut rng)
-                        .unwrap();
-                    let gt = evaluator_decide_par(&r2, kp.private_key(), &par).unwrap();
+                    let r1 = evaluator_encrypt_bits(b, kp.public_key(), &par, &mut rng).unwrap();
+                    let r2 =
+                        blinder_build_witnesses(a, &r1, kp.public_key(), &par, &mut rng).unwrap();
+                    let gt = evaluator_decide(&r2, kp.private_key(), &par).unwrap();
                     (r1, r2, gt)
                 })
                 .collect();

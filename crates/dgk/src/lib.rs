@@ -12,7 +12,7 @@
 //! bit `a > b` and nothing else.
 //!
 //! The private consensus protocol (paper §IV) invokes this comparison in
-//! three places: the pairwise vote-ranking (step 4), the noisy threshold
+//! three places: the vote-ranking bracket (step 4), the noisy threshold
 //! check (step 5), and the noisy re-ranking (step 8).
 //!
 //! # Examples

@@ -4,9 +4,7 @@
 //! worker count, each round-1/round-2 message must be bit-identical to
 //! the sequential execution under the same caller seed.
 
-use dgk::comparison::{
-    blinder_build_witnesses_par, evaluator_decide, evaluator_decide_par, evaluator_encrypt_bits_par,
-};
+use dgk::comparison::{blinder_build_witnesses, evaluator_decide, evaluator_encrypt_bits};
 use dgk::{DgkCiphertext, DgkKeypair, DgkParams};
 use parallel::Parallelism;
 use proptest::prelude::*;
@@ -42,20 +40,20 @@ proptest! {
 
         let mut rng_seq = StdRng::seed_from_u64(seed);
         let mut rng_par = StdRng::seed_from_u64(seed);
-        let r1_seq = evaluator_encrypt_bits_par(x, pk, &seq, &mut rng_seq).unwrap();
-        let r1_par = evaluator_encrypt_bits_par(x, pk, &par, &mut rng_par).unwrap();
+        let r1_seq = evaluator_encrypt_bits(x, pk, &seq, &mut rng_seq).unwrap();
+        let r1_par = evaluator_encrypt_bits(x, pk, &par, &mut rng_par).unwrap();
         prop_assert_eq!(&r1_seq, &r1_par);
 
-        let r2_seq = blinder_build_witnesses_par(y, &r1_seq, pk, &seq, &mut rng_seq).unwrap();
-        let r2_par = blinder_build_witnesses_par(y, &r1_par, pk, &par, &mut rng_par).unwrap();
+        let r2_seq = blinder_build_witnesses(y, &r1_seq, pk, &seq, &mut rng_seq).unwrap();
+        let r2_par = blinder_build_witnesses(y, &r1_par, pk, &par, &mut rng_par).unwrap();
         prop_assert_eq!(&r2_seq, &r2_par);
         // Both executions drew the same number of values from the caller RNG.
         prop_assert_eq!(rng_seq.gen::<u64>(), rng_par.gen::<u64>());
 
         // The zero-test decision agrees between the parallel scan and the
         // sequential early-exit, and matches the protocol's meaning.
-        let d_seq = evaluator_decide(&r2_seq, kp.private_key()).unwrap();
-        let d_par = evaluator_decide_par(&r2_par, kp.private_key(), &par).unwrap();
+        let d_seq = evaluator_decide(&r2_seq, kp.private_key(), &seq).unwrap();
+        let d_par = evaluator_decide(&r2_par, kp.private_key(), &par).unwrap();
         prop_assert_eq!(d_seq, d_par);
         prop_assert_eq!(d_par, y > x);
     }

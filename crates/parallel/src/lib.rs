@@ -1,7 +1,7 @@
 //! Data-parallel execution layer for the collection-shaped protocol loops.
 //!
 //! Every per-item hot loop in the workspace (per-user aggregation, per-label
-//! rerandomization, per-bit DGK witnesses, pairwise compare fan-out) funnels
+//! rerandomization, per-bit DGK witnesses, per-match compare fan-out) funnels
 //! through [`Parallelism`], a small engine-owned splitter built on
 //! `std::thread::scope`. Two invariants shape the design:
 //!

@@ -51,7 +51,7 @@ pub(crate) fn paillier_add_cost_ns(pk: &PublicKey) -> u64 {
 /// One leg of an `ℓ`-bit DGK comparison: `ℓ` bit-encryptions, `ℓ`
 /// witness multi-exponentiations, or `ℓ` CRT zero tests. All three are
 /// within a small factor of `ℓ · blind_bits / 2` products over `Z_n`,
-/// which is accurate enough to decide whether a pairwise batch is worth
+/// which is accurate enough to decide whether a round of matches is worth
 /// splitting.
 pub(crate) fn dgk_compare_leg_cost_ns(pk: &DgkPublicKey) -> u64 {
     let ell = pk.compare_bits() as u64;

@@ -16,9 +16,10 @@
 //!   by shard geometry instead of |U|;
 //! * [`blind_permute`] — Alg. 2, the Blind-and-Permute protocol;
 //! * [`compare`] — the DGK comparison of §III-B run over channels between
-//!   the servers, plus the shared-value comparison forms of Eqn. 6/7;
-//! * [`argmax`] — pairwise secure ranking (step 4/8) in the permuted
-//!   domain;
+//!   the servers: any number of matches per three-message round, the
+//!   threshold check (step 5) being the one-match round;
+//! * [`bracket`] — the secure argmax (step 4/8) in the permuted domain: a
+//!   knock-out bracket of `K−1` comparisons in `⌈log₂K⌉` such rounds;
 //! * [`restoration`] — Alg. 3, recovering the true label index of a
 //!   permuted position;
 //! * [`audit`] — covert-security commit-and-challenge verification of
@@ -34,10 +35,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod argmax;
 pub mod audit;
-pub mod batch;
 pub mod blind_permute;
+pub mod bracket;
 pub mod compare;
 mod costs;
 pub mod domain;

@@ -1,13 +1,16 @@
 //! Property-based tests for the SMC building blocks: permutation algebra,
-//! share-domain arithmetic, the comparison encoding, and thread-count
-//! invariance of the data-parallel protocol loops.
+//! share-domain arithmetic, the comparison encoding, the ranking bracket,
+//! and thread-count invariance of the data-parallel protocol loops.
 
+use dgk::comparison::{BlindedWitnesses, EvaluatorBits};
+use dgk::DgkParams;
 use paillier::{Ciphertext, Keypair};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smc::audit::{commit_seed, fnv1a, fnv1a_start};
 use smc::blind_permute::{server1_blind_permute, server2_blind_permute, BlindPermuteOutput};
+use smc::bracket::{server1_argmax, server2_argmax};
 use smc::secure_sum::{
     aggregate_user_vectors, aggregate_user_vectors_sharded, send_encrypted_vector,
 };
@@ -16,7 +19,7 @@ use smc::{
     AuditTap, Parallelism, Permutation, SessionConfig, SessionKeys, ShardConfig, ShardPlan,
     ShareDomain,
 };
-use transport::{Network, PartyId, Step};
+use transport::{LinkKind, Network, PartyId, Step};
 
 proptest! {
     #[test]
@@ -430,5 +433,114 @@ proptest! {
         prop_assert_eq!(s2_seq.sequences, s2_par.sequences);
         prop_assert_eq!(s1_seq.own_permutation, s1_par.own_permutation);
         prop_assert_eq!(s2_seq.own_permutation, s2_par.own_permutation);
+    }
+}
+
+/// Session keys for the bracket property. The DGK modulus is 512 bits so
+/// one comparison leg costs more than [`parallel::SPLIT_MIN_WORK_NS`] and
+/// a three-thread run really splits its multi-match rounds.
+fn bracket_keys() -> &'static SessionKeys {
+    use std::sync::OnceLock;
+    static KEYS: OnceLock<SessionKeys> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let config = SessionConfig {
+            dgk: DgkParams { modulus_bits: 512, subgroup_bits: 64, compare_bits: 26 },
+            ..SessionConfig::test(1, 2)
+        };
+        SessionKeys::generate(config, &mut StdRng::seed_from_u64(977))
+    })
+}
+
+/// Every frame of one ranking, in wire order: per bracket round S1's bit
+/// encryptions, S2's witness sets and S1's outcome bits.
+type RankTranscript = Vec<(Vec<EvaluatorBits>, Vec<BlindedWitnesses>, Vec<bool>)>;
+
+/// Runs `server1_argmax` and `server2_argmax` on two separate networks
+/// with the test relaying (and recording) every frame between them.
+/// Returns both winners, the transcript, and the S1↔S2 message count the
+/// S1-side meter saw.
+fn run_bracket(
+    xs: &[i128],
+    ys: &[i128],
+    seed: u64,
+    par: Parallelism,
+) -> (usize, usize, RankTranscript, u64) {
+    let keys = bracket_keys().clone().with_parallelism(par);
+    let (s1_ctx, s2_ctx) = (keys.server1(), keys.server2());
+    let step = Step::CompareRank;
+    let rounds = xs.len().next_power_of_two().trailing_zeros();
+
+    let (mut net_a, mut net_b) = (Network::new(0), Network::new(0));
+    let meter = std::sync::Arc::clone(net_a.meter());
+    let mut s1 = net_a.take_endpoint(PartyId::Server1);
+    let mut to_s1 = net_a.take_endpoint(PartyId::Server2);
+    let mut to_s2 = net_b.take_endpoint(PartyId::Server1);
+    let mut s2 = net_b.take_endpoint(PartyId::Server2);
+
+    let (w1, w2, transcript) = std::thread::scope(|scope| {
+        let h1 = scope.spawn(move || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            server1_argmax(&mut s1, &s1_ctx, xs, step, &mut rng).unwrap()
+        });
+        let h2 = scope.spawn(move || {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            server2_argmax(&mut s2, &s2_ctx, ys, step, &mut rng).unwrap()
+        });
+        let transcript: RankTranscript = (0..rounds)
+            .map(|_| {
+                let bits: Vec<EvaluatorBits> = to_s1.recv(PartyId::Server1, step).unwrap();
+                to_s2.send(PartyId::Server2, step, &bits).unwrap();
+                let witnesses: Vec<BlindedWitnesses> = to_s2.recv(PartyId::Server2, step).unwrap();
+                to_s1.send(PartyId::Server1, step, &witnesses).unwrap();
+                let outcomes: Vec<bool> = to_s1.recv(PartyId::Server1, step).unwrap();
+                to_s2.send(PartyId::Server2, step, &outcomes).unwrap();
+                (bits, witnesses, outcomes)
+            })
+            .collect();
+        (h1.join().unwrap(), h2.join().unwrap(), transcript)
+    });
+    let messages = meter.report().link_stats(step, LinkKind::ServerToServer).messages;
+    (w1, w2, transcript, messages)
+}
+
+/// One permuted slot: S1's share and the hidden total. S1 shares span
+/// `[−(2^24 − 1), 2^24 − 2]` with both ends drawn half the time and totals only
+/// `{0, 1, 2}`, so the sequences are tie-heavy, mostly negative on one
+/// side, and S2's differences `ys[hi] − ys[lo]` reach `±(2^25 − 1)` — the
+/// last values `encode_compare` accepts.
+fn slot_strategy() -> impl Strategy<Value = (i128, i128)> {
+    let h = 1i128 << 24;
+    let share = prop_oneof![Just(-(h - 1)), Just(h - 2), -3i128..=3, -(h - 1)..=(h - 2)];
+    (share, 0i128..=2)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn bracket_elects_the_lowest_index_maximum(
+        slots in proptest::collection::vec(slot_strategy(), 1..18),
+        seed in any::<u64>(),
+    ) {
+        let k = slots.len();
+        let xs: Vec<i128> = slots.iter().map(|&(x, _)| x).collect();
+        let ys: Vec<i128> = slots.iter().map(|&(x, total)| total - x).collect();
+        let best = slots.iter().map(|&(_, total)| total).max().unwrap();
+        let expect = slots.iter().position(|&(_, total)| total == best).unwrap();
+
+        let (w1, w2, transcript, messages) =
+            run_bracket(&xs, &ys, seed, Parallelism::sequential());
+        prop_assert_eq!((w1, w2), (expect, expect));
+
+        // K−1 comparisons in ⌈log₂K⌉ three-message rounds (none for K = 1).
+        let rounds = k.next_power_of_two().trailing_zeros() as usize;
+        prop_assert_eq!(messages, 3 * rounds as u64);
+        prop_assert_eq!(transcript.len(), rounds);
+        let witness_sets: usize = transcript.iter().map(|(_, w, _)| w.len()).sum();
+        prop_assert_eq!(witness_sets, k - 1);
+
+        // Same seeds, three worker threads: byte-identical frames.
+        let threaded = run_bracket(&xs, &ys, seed, Parallelism::new(3).with_min_batch(1));
+        prop_assert_eq!(threaded, (w1, w2, transcript, messages));
     }
 }

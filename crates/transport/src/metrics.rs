@@ -31,7 +31,7 @@ pub enum Step {
     SecureSumVotes,
     /// Step 3 — first Blind-and-Permute over the aggregated shares.
     BlindPermute1,
-    /// Step 4 — pairwise DGK comparisons to find `π(i*)`.
+    /// Step 4 — the DGK comparison bracket that finds `π(i*)`.
     CompareRank,
     /// Step 5 — DGK threshold check of the noisy maximum.
     ThresholdCheck,
@@ -39,7 +39,7 @@ pub enum Step {
     SecureSumNoisy,
     /// Step 7 — second Blind-and-Permute.
     BlindPermute2,
-    /// Step 8 — pairwise DGK comparisons on noisy votes to find `π′(ĩ*)`.
+    /// Step 8 — the DGK comparison bracket on noisy votes that finds `π′(ĩ*)`.
     CompareNoisyRank,
     /// Step 9 — Restoration of the winning index.
     Restoration,

@@ -55,7 +55,8 @@ fn main() {
     println!("\n--- per-step message volume (Table II form) ---");
     print!("{}", report.render_table2());
     println!(
-        "\nNote the Secure Comparison steps dominating both tables, exactly as in the \
-         paper: each of the K(K-1)/2 ranking comparisons encrypts the operands bit by bit."
+        "\nNote the Secure Comparison steps dominating both tables, as in the paper: each \
+         of the K-1 bracket comparisons encrypts the operands bit by bit (the paper's \
+         all-pairs ranking runs K(K-1)/2 of them; multiply by K/2 for parity)."
     );
 }

@@ -4,11 +4,13 @@
 # slower than its predecessor at k = 1 (125% tolerance absorbs timer
 # noise on loaded machines), the sorted-merge survivor intersection beats
 # the linear scan it replaced, across the --scale sweep sharded
-# streaming never costs more than flat + 5% bytes/user at equal |U|, and
+# streaming never costs more than flat + 5% bytes/user at equal |U|,
 # the campaign daemon telemetry (campaign_summary + campaign_round_*) is
 # present with a positive rounds/sec and a monotone epsilon trajectory,
-# and the multi-session reactor row (reactor_sessions) carries a
-# positive sessions/sec with p99 round latency no smaller than p50.
+# the multi-session reactor row (reactor_sessions) carries a
+# positive sessions/sec with p99 round latency no smaller than p50, and
+# the ranking bracket rows (rank_bracket_k*) show exactly K-1 comparisons
+# in 3*ceil(log2 K) messages.
 # Rows the file does not carry (e.g. a run without --batch or --scale)
 # are noted and skipped, never failed. When the meta object says the box
 # has one core, thread-sweep rows get a warning: their scaling curves are
@@ -186,6 +188,29 @@ elif awk -v lo="$reactor_p50" -v hi="$reactor_p99" 'BEGIN { exit !(hi < lo) }'; 
 else
   echo "  ok    reactor round latency p50 ${reactor_p50} ns <= p99 ${reactor_p99} ns"
 fi
+
+# Ranking bracket: every bench run ranks K = 10 and K = 100 slots over
+# real channels. The knock-out bracket must spend exactly K-1 comparisons
+# in ceil(log2 K) three-message rounds — an all-pairs or linear-scan
+# ranking creeping back in fails here.
+for key in rank_bracket_k10 rank_bracket_k100; do
+  k=$(field_of "$key" classes)
+  cmps=$(field_of "$key" comparisons)
+  msgs=$(field_of "$key" messages)
+  if [[ -z "$k" || -z "$cmps" || -z "$msgs" ]]; then
+    echo "  FAIL  ${key} row missing (ranking bracket not measured)"
+    fails=$((fails + 1))
+    continue
+  fi
+  rounds=0
+  while (( (1 << rounds) < k )); do rounds=$((rounds + 1)); done
+  if (( cmps != k - 1 || msgs != 3 * rounds )); then
+    echo "  FAIL  ${key}: ${cmps} comparisons / ${msgs} messages, expected $((k - 1)) / $((3 * rounds))"
+    fails=$((fails + 1))
+  else
+    echo "  ok    ${key}: ${cmps} comparisons in ${msgs} messages ($(field_of "$key" bytes) bytes, $(ns_of "$key") ns)"
+  fi
+done
 
 # Thread sweeps on a single-core box are flat by construction, not by
 # regression — say so rather than letting a trend line cry wolf.

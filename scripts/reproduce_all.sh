@@ -28,7 +28,6 @@ run fig5_threshold_sweep
 run fig5_uneven
 run fig6_celeba
 run table3_retention
-run ablation_rounds
 
 echo "== criterion ablation benches =="
 cargo bench -p benches | tee results/criterion.txt
