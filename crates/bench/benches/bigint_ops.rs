@@ -2,7 +2,7 @@
 //! modular exponentiation at the key sizes the cryptosystems use.
 
 use bigint::modular::modpow;
-use bigint::montgomery::{FixedBaseTable, MontgomeryContext};
+use bigint::montgomery::{FixedBaseComb, MontgomeryContext};
 use bigint::random;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -68,8 +68,8 @@ fn bench_modpow_montgomery(c: &mut Criterion) {
 }
 
 fn bench_fixed_base(c: &mut Criterion) {
-    // Ablation (DESIGN.md §5): fixed-base windowed table vs plain
-    // cached-context modpow for a reused generator.
+    // Ablation (DESIGN.md §5): fixed-base comb vs plain cached-context
+    // modpow for a reused generator.
     use std::sync::Arc;
     let mut rng = StdRng::seed_from_u64(5);
     let mut group = c.benchmark_group("bigint_fixed_base");
@@ -79,10 +79,10 @@ fn bench_fixed_base(c: &mut Criterion) {
         m.set_bit(0, true);
         let ctx = Arc::new(MontgomeryContext::new(&m).expect("odd modulus"));
         let base = random::gen_below(&mut rng, &m);
-        let table = FixedBaseTable::new(Arc::clone(&ctx), &base, bits);
+        let comb = FixedBaseComb::new(Arc::clone(&ctx), &base, bits);
         let exp = random::gen_exact_bits(&mut rng, bits);
         group.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |bench, _| {
-            bench.iter(|| table.pow(&exp))
+            bench.iter(|| comb.pow(&exp))
         });
     }
     group.finish();

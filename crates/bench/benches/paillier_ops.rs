@@ -45,28 +45,6 @@ fn bench_decrypt_crt(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pooled_encryption(c: &mut Criterion) {
-    // Ablation (§VI-A): precomputed randomizer pool vs full encryption.
-    // Pool randomizers are single-use, so each timing iteration draws from
-    // a fresh batch built outside the measured region.
-    use criterion::BatchSize;
-    use paillier::RandomizerPool;
-    let mut rng = StdRng::seed_from_u64(9);
-    let kp = Keypair::generate(&mut rng, 64);
-    let pk = kp.public_key().clone();
-    c.bench_function("paillier_encrypt_pooled_64", |b| {
-        b.iter_batched(
-            || RandomizerPool::generate(pk.clone(), 16, &mut StdRng::seed_from_u64(10)),
-            |pool| {
-                for _ in 0..16 {
-                    pool.encrypt(&bigint::Ubig::from(12345u64)).unwrap();
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
 fn bench_homomorphic_ops(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(64);
     let kp = Keypair::generate(&mut rng, 64);
@@ -79,12 +57,5 @@ fn bench_homomorphic_ops(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_encrypt,
-    bench_decrypt,
-    bench_decrypt_crt,
-    bench_pooled_encryption,
-    bench_homomorphic_ops
-);
+criterion_group!(benches, bench_encrypt, bench_decrypt, bench_decrypt_crt, bench_homomorphic_ops);
 criterion_main!(benches);

@@ -11,7 +11,7 @@
 //!   contexts landed (a fresh context built per call, Montgomery only
 //!   when `exp.bits() >= 24`, allocation-per-step binary ladder);
 //! * `<step>` — the current path through the per-key caches and
-//!   fixed-base tables.
+//!   fixed-base combs.
 //!
 //! Private scalars the public API hides (Paillier `λ`, DGK `v_p`/`p`)
 //! are replaced by freshly sampled stand-ins of the same documented bit
@@ -20,13 +20,12 @@
 //!
 //! The `ablation_*` entries record the DESIGN.md "Exponentiation
 //! strategy" ladder (division → rebuilt Montgomery → cached Montgomery →
-//! fixed-base window → Shamir double-exp) at a 256-bit modulus.
+//! fixed-base comb → Shamir double-exp) at a 256-bit modulus.
 //!
 //! The `par_*` entries form the data-parallel thread-scaling sweep: the
-//! same hot loops (randomizer-pool generation, batch encryption, DGK
-//! witness construction, secure-sum aggregation, one full engine round at
-//! |U| = 8, K = 10) timed at 1/2/4/8 worker threads through the
-//! [`Parallelism`] engine. Every JSON sample carries the thread count it
+//! same hot loops (batch encryption, DGK witness construction,
+//! secure-sum aggregation, one full engine round at |U| = 8, K = 10)
+//! timed at 1/2/4/8 worker threads through the [`Parallelism`] engine. Every JSON sample carries the thread count it
 //! was measured at.
 //!
 //! The emitted JSON also contains one `fault_counters` object with the
@@ -47,8 +46,8 @@
 //! verification is a tracked number rather than folklore; `--batch` adds
 //! the batched-kernel ablation rows (Straus multi-exp vs iterated modpow
 //! at k ∈ {1, 4, 16, 64}, fixed-Garner vs gcd CRT recombination, batched
-//! vs per-item pool refill and DGK zero test), each k-sweep reported as
-//! per-item nanoseconds; `--out` defaults to `BENCH_protocol.json` in the
+//! vs per-item DGK zero test), each k-sweep reported as per-item
+//! nanoseconds; `--out` defaults to `BENCH_protocol.json` in the
 //! current directory.
 //!
 //! `--scale` runs the simulated streaming-ingest sweep behind the
@@ -67,6 +66,15 @@
 //! intersection that replaced it. Every run emits a `meta` object with
 //! the machine's available cores, so trend tooling can discount thread
 //! sweeps measured on single-core boxes.
+//!
+//! Every run also times encryption at deployable key sizes — per
+//! `bits ∈ {1024, 2048}` (1024 only in smoke mode) the full-width
+//! `r^n mod n²` (`modpow_n2_<bits>`), the randomizer comb alone
+//! (`fixed_base_comb_<bits>`) and a whole `PublicKey::encrypt`
+//! (`paillier_encrypt_<bits>`), plus the sieved prime search behind the
+//! keys (`gen_prime_<bits/2>`, mean over fixed seeds);
+//! `scripts/check_bench.sh` gates `paillier_encrypt_2048` at a quarter of
+//! `modpow_n2_2048`.
 //!
 //! Every run also times the steps-4/8 ranking bracket over real channels
 //! at K ∈ {10, 100} and emits one `rank_bracket_k<K>` JSON row each (ns
@@ -93,7 +101,7 @@ use std::time::{Duration, Instant};
 
 use benches::Args;
 use bigint::modular::{crt_pair, modinverse, modmul, modpow_basic, modsub};
-use bigint::montgomery::{FixedBaseTable, MontgomeryContext};
+use bigint::montgomery::{FixedBaseComb, MontgomeryContext};
 use bigint::prime::gen_prime;
 use bigint::{random, Ubig};
 use consensus_core::campaign::{CampaignConfig, CampaignRunner};
@@ -102,11 +110,11 @@ use consensus_core::reactor::{Reactor, ReactorConfig, SessionMachine, SessionRes
 use consensus_core::secure::SecureEngine;
 use dgk::comparison::{blinder_build_witnesses, evaluator_encrypt_bits};
 use dgk::{DgkKeypair, DgkParams};
-use paillier::{Ciphertext, Keypair, RandomizerPool};
+use paillier::{Ciphertext, Keypair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smc::bracket::{server1_argmax, server2_argmax};
-use smc::secure_sum::aggregate_user_vectors;
+use smc::secure_sum::{aggregate_user_vectors, encrypt_share_vector};
 use smc::shard::{intersect_sorted, STREAM_CHUNK};
 use smc::{
     AuditPolicy, Parallelism, SessionConfig, SessionKeys, ShardAccumulator, ShardConfig, ShardPlan,
@@ -373,24 +381,6 @@ fn main() {
         }),
     );
 
-    // Randomizer pool: amortized per-item generation cost.
-    let pool_items = if smoke { 2 } else { 32 };
-    report.record(
-        "paillier_pool_generate_per_item_pre",
-        time_ns(heavy_iters, || {
-            for _ in 0..pool_items {
-                let rr = random::gen_coprime(&mut rng, &n);
-                black_box(modpow_old(&rr, &n, &n2));
-            }
-        }) / pool_items as u128,
-    );
-    report.record(
-        "paillier_pool_generate_per_item",
-        time_ns(heavy_iters, || {
-            black_box(RandomizerPool::generate(pk.clone(), pool_items, &mut rng));
-        }) / pool_items as u128,
-    );
-
     // ----- DGK (test parameters: 128-bit n, ℓ = 26) -----------------------
     let dgk_params = DgkParams::insecure_test();
     let dgk = DgkKeypair::generate(&mut rng, &dgk_params);
@@ -470,10 +460,10 @@ fn main() {
     let actx = Arc::new(MontgomeryContext::new(&am).expect("odd modulus"));
     let abase = random::gen_below(&mut rng, &am);
     let aexp = random::gen_exact_bits(&mut rng, 256);
-    let atable = FixedBaseTable::new(Arc::clone(&actx), &abase, 256);
+    let atable = FixedBaseComb::new(Arc::clone(&actx), &abase, 256);
     let h = random::gen_below(&mut rng, &am);
     let bexp = random::gen_exact_bits(&mut rng, 256);
-    let htable = FixedBaseTable::new(Arc::clone(&actx), &h, 256);
+    let htable = FixedBaseComb::new(Arc::clone(&actx), &h, 256);
 
     println!("\nExponentiation ablation (256-bit modulus):");
     report.record(
@@ -584,32 +574,7 @@ fn main() {
             }),
         );
 
-        // (c) Randomizer-pool refill: one full-width `r^n mod n²` per entry
-        // vs the batched fixed-base short-exponent kernel. The batched
-        // pool's bases are pre-warmed outside the timed region so the rows
-        // compare steady-state refill cost, not the one-time table build.
-        let seq = Parallelism::sequential();
-        let mut pool_iter = RandomizerPool::generate(pk.clone(), 1, &mut rng);
-        let mut pool_batched = RandomizerPool::generate(pk.clone(), 1, &mut rng);
-        pool_batched.refill_batched(1, &seq, &mut rng);
-        for &k in &ks {
-            report.record(
-                &format!("ablation_pool_refill_k{k}"),
-                (time_ns(heavy_iters, || {
-                    pool_iter.refill_with(k, &seq, &mut rng);
-                }) / k as u128)
-                    .max(1),
-            );
-            report.record(
-                &format!("ablation_pool_refill_batched_k{k}"),
-                (time_ns(heavy_iters, || {
-                    pool_batched.refill_batched(k, &seq, &mut rng);
-                }) / k as u128)
-                    .max(1),
-            );
-        }
-
-        // (d) DGK zero test over the same k ciphertexts: a per-item loop
+        // (c) DGK zero test over the same k ciphertexts: a per-item loop
         // vs the batched scratch-reusing CRT test.
         for &k in &ks {
             let zcs: Vec<_> = (0..k).map(|i| dpk.encrypt_u64((i % 3) as u64, &mut rng)).collect();
@@ -630,6 +595,49 @@ fn main() {
                     .max(1),
             );
         }
+    }
+
+    // ----- Encryption at deployable key sizes ------------------------------
+    // The full-width ladder a classical randomizer costs, the comb that
+    // replaced it, a whole encryption through the comb, and the prime
+    // search behind the key (mean over fixed seeds: one search is luck).
+    println!("\nEncryption and prime search at deployable sizes:");
+    let deploy_iters: u64 = if smoke { 1 } else { 10 };
+    for bits in if smoke { vec![1024u64] } else { vec![1024, 2048] } {
+        let searches: u64 = if smoke { 1 } else { 8 };
+        report.record(
+            &format!("gen_prime_{}", bits / 2),
+            time_ns(1, || {
+                for seed in 0..searches {
+                    black_box(gen_prime(&mut StdRng::seed_from_u64(seed), bits / 2));
+                }
+            }) / searches as u128,
+        );
+        let big = Keypair::generate(&mut StdRng::seed_from_u64(bits), bits);
+        let big_pk = big.public_key();
+        let (big_n, big_n2) = (big_pk.modulus(), big_pk.modulus_squared());
+        let ctx = Arc::new(MontgomeryContext::new(big_n2).expect("n² is odd"));
+        let rr = random::gen_coprime(&mut rng, big_n);
+        report.record(
+            &format!("modpow_n2_{bits}"),
+            time_ns(deploy_iters, || {
+                black_box(ctx.modpow(&rr, big_n));
+            }),
+        );
+        let comb = FixedBaseComb::new(ctx, big_pk.randomizer_base(), big_pk.randomizer_bits());
+        let x = random::gen_exact_bits(&mut rng, big_pk.randomizer_bits());
+        report.record(
+            &format!("fixed_base_comb_{bits}"),
+            time_ns(deploy_iters, || {
+                black_box(comb.pow(&x));
+            }),
+        );
+        report.record(
+            &format!("paillier_encrypt_{bits}"),
+            time_ns(deploy_iters, || {
+                black_box(big_pk.encrypt(&m, &mut rng).expect("m below the 64-bit n"));
+            }),
+        );
     }
 
     // ----- Ranking bracket (steps 4/8) -------------------------------------
@@ -673,7 +681,7 @@ fn main() {
     sweep.sort_unstable();
 
     let batch = if smoke { 8usize } else { 32 };
-    let batch_values: Vec<Ubig> = (0..batch).map(|_| random::gen_below(&mut rng, &n)).collect();
+    let batch_values: Vec<i128> = (0..batch as i128).map(|i| i * 7919 - 100_000).collect();
     let sweep_users = 8usize;
     let sweep_classes = 10usize;
     let e2e_iters: u64 = if smoke { 1 } else { 3 };
@@ -703,21 +711,12 @@ fn main() {
         let par = Parallelism::new(t);
 
         report.record_at(
-            &format!("par_pool_generate_per_item_t{t}"),
-            time_ns(heavy_iters, || {
-                black_box(RandomizerPool::generate_with(pk.clone(), pool_items, &par, &mut rng));
-            }) / pool_items as u128,
-            t,
-        );
-
-        // Batch encryption against a pool sized for every timed call, so
-        // the sample isolates the parallel encrypt path (no fallbacks).
-        let pool =
-            RandomizerPool::generate(pk.clone(), batch * (heavy_iters as usize + 2), &mut rng);
-        report.record_at(
             &format!("par_encrypt_batch{batch}_t{t}"),
             time_ns(heavy_iters, || {
-                black_box(pool.encrypt_batch(&batch_values, &par).expect("pool sized for run"));
+                black_box(
+                    encrypt_share_vector(&batch_values, &pk, &par, &mut rng)
+                        .expect("values inside the signed window"),
+                );
             }),
             t,
         );
@@ -1100,7 +1099,7 @@ fn main() {
     if sweep.len() > 1 {
         let base = sweep[0];
         println!("\nThread scaling vs {base} thread(s) (this machine):");
-        for kind in ["par_pool_generate_per_item", "par_engine_round_u8_k10"] {
+        for kind in [format!("par_encrypt_batch{batch}"), "par_engine_round_u8_k10".to_string()] {
             let base_ns = report.ns(&format!("{kind}_t{base}"));
             for &t in &sweep[1..] {
                 let ns = report.ns(&format!("{kind}_t{t}"));

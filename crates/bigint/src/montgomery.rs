@@ -20,12 +20,12 @@
 //!   batch callers hold a [`PowScratch`] and use
 //!   [`MontgomeryContext::modpow_with_scratch`] to amortize even the
 //!   per-call buffer setup;
-//! * [`FixedBaseTable`] — windowed fixed-base exponentiation for
-//!   generators that never change (DGK `g`, `h`): all squarings are
-//!   precomputed, leaving one multiplication per 4-bit exponent digit;
-//! * [`CachedContext`] / [`CachedFixedBase`] — lazily initialized,
+//! * [`FixedBaseComb`] — Lim–Lee comb exponentiation for bases that
+//!   never change (the Paillier randomizer base `hs`, DGK `g`, `h`): a
+//!   tenth of the ladder's kernel operations at deployable widths;
+//! * [`CachedContext`] / [`CachedComb`] — lazily initialized,
 //!   clone-cheap, serde-skippable cells that key types embed so every
-//!   operation on the same key reuses one context/table.
+//!   operation on the same key reuses one context/comb.
 //!
 //! Only odd moduli are supported (always true for RSA-like `n`, `n²` and
 //! the DGK modulus).
@@ -220,10 +220,9 @@ impl MontgomeryContext {
     }
 
     /// [`MontgomeryContext::modpow`] with all working buffers drawn from a
-    /// caller-owned [`PowScratch`], so batch loops (pool refills, zero-test
-    /// fan-outs) pay zero heap allocation per exponentiation after the
-    /// first. Bit-exact with `modpow` — it *is* the implementation
-    /// `modpow` delegates to.
+    /// caller-owned [`PowScratch`], so batch loops (zero-test fan-outs) pay
+    /// zero heap allocation per exponentiation after the first. Bit-exact
+    /// with `modpow` — it *is* the implementation `modpow` delegates to.
     pub fn modpow_with_scratch(&self, base: &Ubig, exp: &Ubig, ws: &mut PowScratch) -> Ubig {
         if exp.is_zero() {
             return Ubig::one();
@@ -380,8 +379,8 @@ impl MontgomeryContext {
     /// **one** squaring chain over the widest exponent, each contributing
     /// one table multiplication per non-zero window digit. For k bases of
     /// `b`-bit exponents that is `b` squarings total instead of `k·b`,
-    /// which is where the batched kernels (pool refill, witness blinding)
-    /// get their speedup.
+    /// which is where the batched kernels (witness blinding) get their
+    /// speedup.
     ///
     /// The window width adapts to the exponent size: 1 bit (plain
     /// interleaving) below [`WINDOW_THRESHOLD`], else [`WINDOW_BITS`]
@@ -495,113 +494,148 @@ impl PowScratch {
     }
 }
 
-/// Windowed fixed-base exponentiation table for a base that never
-/// changes (a DGK generator, a group element reused across a protocol
-/// run).
+/// Most comb rows ever built: `2^8 − 1 = 255` table entries.
+const MAX_COMB_ROWS: u64 = 8;
+
+/// `(rows, cols)` of the comb for exponents of up to `max_exp_bits` bits:
+/// `⌊log₂ bits⌋` rows (at least 1, at most [`MAX_COMB_ROWS`]) and enough
+/// columns to cover the width.
+fn comb_geometry(max_exp_bits: u64) -> (u64, u64) {
+    let bits = max_exp_bits.max(1);
+    let rows = u64::from(bits.ilog2()).clamp(1, MAX_COMB_ROWS);
+    (rows, bits.div_ceil(rows))
+}
+
+/// [`mont_cost_ns`] of one [`FixedBaseComb::pow`] with a full-width
+/// `exp_bits`-bit exponent: `cols − 1` squarings and `cols` products.
+pub fn comb_cost_ns(modulus_bits: u64, exp_bits: u64) -> u64 {
+    let (_, cols) = comb_geometry(exp_bits);
+    mont_cost_ns(modulus_bits, cols - 1, cols)
+}
+
+/// Lim–Lee fixed-base comb for a base that never changes (the Paillier
+/// randomizer base `hs`, the DGK generators `g` and `h`).
 ///
-/// For every 4-bit exponent digit position the table stores the 15
-/// non-trivial powers `base^(d·16^w)` in Montgomery form, so
-/// [`FixedBaseTable::pow`] needs **zero squarings** — just one Montgomery
-/// multiplication per non-zero digit of the exponent (≈ `bits/4`), vs
-/// `bits` squarings plus `bits/2` multiplications for the binary ladder.
+/// An exponent of at most `rows·cols` bits is laid out as a
+/// `rows × cols` bit matrix (row `i` holds bits `i·cols ..
+/// (i+1)·cols`). The table stores, for every non-empty set `m` of rows,
+/// `∏_{i ∈ m} base^(2^(i·cols))` in Montgomery form, so one table product
+/// consumes a whole *column* of the matrix: [`FixedBaseComb::pow`] costs
+/// `cols − 1` squarings and at most `cols` products, against `bits`
+/// squarings plus `bits/4` products for the windowed ladder — ~255
+/// kernel operations instead of ~2560 for a 1024-bit exponent on 8 rows.
+///
+/// The row count follows the exponent width (`⌊log₂ bits⌋`, at most 8),
+/// so the `2^rows − 1` products of the build never exceed the `bits`
+/// squarings it needs anyway and a 32-bit exponent gets a 31-entry table,
+/// not a 255-entry one. The table is one flat limb vector.
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use bigint::{montgomery::{FixedBaseTable, MontgomeryContext}, modular, Ubig};
+/// use bigint::{montgomery::{FixedBaseComb, MontgomeryContext}, modular, Ubig};
 ///
 /// let n = Ubig::from(1_000_003u64);
 /// let ctx = Arc::new(MontgomeryContext::new(&n).expect("odd modulus"));
 /// let g = Ubig::from(42u64);
-/// let table = FixedBaseTable::new(Arc::clone(&ctx), &g, 64);
+/// let comb = FixedBaseComb::new(Arc::clone(&ctx), &g, 64);
 /// let e = Ubig::from(123_456_789u64);
-/// assert_eq!(table.pow(&e), modular::modpow(&g, &e, &n));
+/// assert_eq!(comb.pow(&e), modular::modpow(&g, &e, &n));
 /// ```
 #[derive(Debug, Clone)]
-pub struct FixedBaseTable {
+pub struct FixedBaseComb {
     ctx: Arc<MontgomeryContext>,
     /// The (reduced) base, kept for the wide-exponent fallback.
     base: Ubig,
-    max_exp_bits: u64,
-    /// `windows[w][d-1] = base^(d · 16^w)` in `k`-limb Montgomery form.
-    windows: Vec<Vec<Vec<Limb>>>,
+    rows: u64,
+    cols: u64,
+    /// Entry `m ∈ 1..2^rows` at limbs `(m−1)·k .. m·k`.
+    table: Vec<Limb>,
 }
 
-impl FixedBaseTable {
-    /// Precomputes the digit tables for exponents up to `max_exp_bits`
-    /// bits (wider exponents transparently fall back to
+impl FixedBaseComb {
+    /// Precomputes the comb for exponents up to `max_exp_bits` bits
+    /// (wider exponents transparently fall back to
     /// [`MontgomeryContext::modpow`]).
     pub fn new(ctx: Arc<MontgomeryContext>, base: &Ubig, max_exp_bits: u64) -> Self {
-        let max_exp_bits = max_exp_bits.max(WINDOW_BITS as u64);
+        let (rows, cols) = comb_geometry(max_exp_bits);
         let k = ctx.k;
         let mut scratch = vec![0; ctx.scratch_len()];
-        let base_red = base % &ctx.n;
-        let nwin = max_exp_bits.div_ceil(WINDOW_BITS as u64) as usize;
-        let mut windows = Vec::with_capacity(nwin);
-        // cur = base^(16^w) in Montgomery form.
-        let mut cur = ctx.to_mont_limbs(&base_red, &mut scratch);
-        for _ in 0..nwin {
-            let mut entries: Vec<Vec<Limb>> = Vec::with_capacity((1 << WINDOW_BITS) - 1);
-            entries.push(cur.clone());
-            for d in 2..1usize << WINDOW_BITS {
-                let mut next = vec![0; k];
-                ctx.mont_mul_limbs(&entries[d - 2], &cur, &mut next, &mut scratch);
-                entries.push(next);
+        let base = base % &ctx.n;
+        let mut table = vec![0; ((1usize << rows) - 1) * k];
+        // Single-row entries: base^(2^(i·cols)), each `cols` squarings
+        // past the previous one.
+        let mut cur = ctx.to_mont_limbs(&base, &mut scratch);
+        let mut tmp = vec![0; k];
+        for i in 0..rows {
+            let at = ((1usize << i) - 1) * k;
+            table[at..at + k].copy_from_slice(&cur);
+            if i + 1 < rows {
+                for _ in 0..cols {
+                    ctx.mont_sqr_limbs(&cur, &mut tmp, &mut scratch);
+                    std::mem::swap(&mut cur, &mut tmp);
+                }
             }
-            // base^(16^(w+1)) = (base^(8·16^w))^2.
-            let mut next_cur = vec![0; k];
-            ctx.mont_sqr_limbs(&entries[7], &mut next_cur, &mut scratch);
-            cur = next_cur;
-            windows.push(entries);
         }
-        FixedBaseTable { ctx, base: base_red, max_exp_bits, windows }
+        // Every other entry is the entry without its lowest row times
+        // that row's entry; both sit at lower indices.
+        for m in 1usize..1 << rows {
+            let low = m & m.wrapping_neg();
+            if low != m {
+                let (done, rest) = table.split_at_mut((m - 1) * k);
+                let entry = |e: usize| &done[(e - 1) * k..e * k];
+                ctx.mont_mul_limbs(entry(m ^ low), entry(low), &mut rest[..k], &mut scratch);
+            }
+        }
+        FixedBaseComb { ctx, base, rows, cols, table }
     }
 
-    /// The Montgomery context the table is bound to.
-    pub fn context(&self) -> &Arc<MontgomeryContext> {
-        &self.ctx
-    }
-
-    /// The (reduced) base the table was built for.
+    /// The (reduced) base the comb was built for.
     pub fn base(&self) -> &Ubig {
         &self.base
     }
 
-    /// Largest exponent width the table covers without falling back.
+    /// Largest exponent width the comb covers without falling back.
     pub fn max_exp_bits(&self) -> u64 {
-        self.max_exp_bits
+        self.rows * self.cols
     }
 
     /// `base^exp mod n` in `k`-limb Montgomery form, or `None` when the
-    /// exponent exceeds the table width.
+    /// exponent exceeds the comb width.
     fn pow_mont(&self, exp: &Ubig, scratch: &mut [Limb]) -> Option<Vec<Limb>> {
-        if exp.bits() > self.max_exp_bits {
+        if exp.bits() > self.max_exp_bits() {
             return None;
         }
         let k = self.ctx.k;
         let mut acc: Option<Vec<Limb>> = None;
         let mut tmp = vec![0; k];
-        let nwin = exp.bits().div_ceil(WINDOW_BITS as u64) as usize;
-        for (w, entries) in self.windows.iter().enumerate().take(nwin) {
-            let digit = window_digit(exp, w);
-            if digit == 0 {
+        // Columns above the exponent's top bit are empty in every row.
+        for col in (0..self.cols.min(exp.bits())).rev() {
+            if let Some(a) = acc.as_mut() {
+                self.ctx.mont_sqr_limbs(a, &mut tmp, scratch);
+                std::mem::swap(a, &mut tmp);
+            }
+            let m = (0..self.rows)
+                .fold(0usize, |m, i| m | usize::from(exp.bit(i * self.cols + col)) << i);
+            if m == 0 {
                 continue;
             }
-            match acc {
-                None => acc = Some(entries[digit - 1].clone()),
-                Some(ref a) => {
-                    self.ctx.mont_mul_limbs(a, &entries[digit - 1], &mut tmp, scratch);
-                    std::mem::swap(acc.as_mut().expect("set above"), &mut tmp);
+            let entry = &self.table[(m - 1) * k..m * k];
+            match acc.as_mut() {
+                None => acc = Some(entry.to_vec()),
+                Some(a) => {
+                    self.ctx.mont_mul_limbs(a, entry, &mut tmp, scratch);
+                    std::mem::swap(a, &mut tmp);
                 }
             }
         }
         Some(acc.unwrap_or_else(|| self.ctx.one_mont_limbs()))
     }
 
-    /// `base^exp mod n`. Wide exponents (beyond the precomputed width)
-    /// fall back to the context's windowed square-and-multiply; results
-    /// are bit-exact either way.
+    /// `base^exp mod n`. Wide exponents (beyond the comb width) fall back
+    /// to the context's windowed square-and-multiply; results are
+    /// bit-exact either way.
     pub fn pow(&self, exp: &Ubig) -> Ubig {
         let mut scratch = vec![0; self.ctx.scratch_len()];
         match self.pow_mont(exp, &mut scratch) {
@@ -610,17 +644,18 @@ impl FixedBaseTable {
         }
     }
 
-    /// `self.base^exp · other.base^other_exp mod n` with one shared
-    /// Montgomery reduction at the end — the fixed-base double
-    /// exponentiation DGK encryption (`g^m · h^r`) runs on.
+    /// `self.base^exp · other.base^other_exp mod n` with both factors
+    /// kept in Montgomery form and one reduction at the end — the
+    /// fixed-base double exponentiation DGK encryption (`g^m · h^r`)
+    /// runs on.
     ///
-    /// Both tables must be bound to the same modulus.
+    /// Both combs must be bound to the same modulus.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if the tables use different moduli.
-    pub fn pow_mul(&self, exp: &Ubig, other: &FixedBaseTable, other_exp: &Ubig) -> Ubig {
-        debug_assert_eq!(self.ctx.n, other.ctx.n, "tables bound to different moduli");
+    /// Panics (debug) if the combs use different moduli.
+    pub fn pow_mul(&self, exp: &Ubig, other: &FixedBaseComb, other_exp: &Ubig) -> Ubig {
+        debug_assert_eq!(self.ctx.n, other.ctx.n, "combs bound to different moduli");
         let mut scratch = vec![0; self.ctx.scratch_len()];
         match (self.pow_mont(exp, &mut scratch), other.pow_mont(other_exp, &mut scratch)) {
             (Some(a), Some(b)) => {
@@ -704,51 +739,47 @@ impl PartialEq for CachedContext {
 
 impl Eq for CachedContext {}
 
-/// A lazily built, shareable [`FixedBaseTable`] cell; the fixed-base
+/// A lazily built, shareable [`FixedBaseComb`] cell; the fixed-base
 /// companion of [`CachedContext`] with the same clone/serde/equality
 /// behaviour.
 #[derive(Debug, Clone, Default)]
-pub struct CachedFixedBase {
-    cell: OnceLock<Option<Arc<FixedBaseTable>>>,
+pub struct CachedComb {
+    cell: OnceLock<Arc<FixedBaseComb>>,
 }
 
-impl CachedFixedBase {
-    /// An empty cell; the table is built on first use.
+impl CachedComb {
+    /// An empty cell; the comb is built on first use.
     pub const fn new() -> Self {
-        CachedFixedBase { cell: OnceLock::new() }
+        CachedComb { cell: OnceLock::new() }
     }
 
-    /// The table for `base` under `ctx`, built on first call with digit
-    /// tables covering `max_exp_bits`-bit exponents.
+    /// The comb for `base` under `ctx`, built on first call to cover
+    /// `max_exp_bits`-bit exponents.
     ///
     /// Every call must pass the same base and context — the cell belongs
     /// to exactly one (checked in debug builds).
-    pub fn table(
+    pub fn comb(
         &self,
         ctx: &Arc<MontgomeryContext>,
         base: &Ubig,
         max_exp_bits: u64,
-    ) -> &Arc<FixedBaseTable> {
-        let table = self
+    ) -> &Arc<FixedBaseComb> {
+        let comb = self
             .cell
-            .get_or_init(|| {
-                Some(Arc::new(FixedBaseTable::new(Arc::clone(ctx), base, max_exp_bits)))
-            })
-            .as_ref()
-            .expect("always built with Some");
-        debug_assert_eq!(table.base(), &(base % ctx.modulus()), "CachedFixedBase base changed");
-        table
+            .get_or_init(|| Arc::new(FixedBaseComb::new(Arc::clone(ctx), base, max_exp_bits)));
+        debug_assert_eq!(comb.base(), &(base % ctx.modulus()), "CachedComb base changed");
+        comb
     }
 }
 
-impl PartialEq for CachedFixedBase {
+impl PartialEq for CachedComb {
     /// Caches are derived data: all cells compare equal.
     fn eq(&self, _other: &Self) -> bool {
         true
     }
 }
 
-impl Eq for CachedFixedBase {}
+impl Eq for CachedComb {}
 
 #[cfg(test)]
 mod tests {
@@ -888,43 +919,59 @@ mod tests {
     }
 
     #[test]
-    fn fixed_base_table_matches_modpow() {
+    fn comb_matches_modpow() {
         let mut rng = StdRng::seed_from_u64(5);
         for bits in [64u64, 128, 256] {
             let mut n = random::gen_exact_bits(&mut rng, bits);
             n.set_bit(0, true);
             let ctx = Arc::new(MontgomeryContext::new(&n).unwrap());
             let g = random::gen_below(&mut rng, &n);
-            let table = FixedBaseTable::new(Arc::clone(&ctx), &g, bits);
+            let comb = FixedBaseComb::new(Arc::clone(&ctx), &g, bits);
             for ebits in [0u64, 1, 4, 17, bits / 2, bits] {
                 let exp = random::gen_bits(&mut rng, ebits);
-                assert_eq!(table.pow(&exp), modpow_basic(&g, &exp, &n), "bits {bits}/{ebits}");
+                assert_eq!(comb.pow(&exp), modpow_basic(&g, &exp, &n), "bits {bits}/{ebits}");
             }
         }
     }
 
     #[test]
-    fn fixed_base_wide_exponent_falls_back() {
+    fn comb_geometry_follows_exponent_width() {
+        let ctx = Arc::new(MontgomeryContext::new(&Ubig::from(1_000_003u64)).unwrap());
+        let g = Ubig::from(42u64);
+        // (exponent bits, rows, cols): 2^rows ≤ bits up to 8 rows, and
+        // rows·cols covers the width.
+        for (bits, rows, cols) in
+            [(0u64, 1u64, 1u64), (1, 1, 1), (7, 2, 4), (32, 5, 7), (64, 6, 11), (528, 8, 66)]
+        {
+            let comb = FixedBaseComb::new(Arc::clone(&ctx), &g, bits);
+            assert_eq!((comb.rows, comb.cols), (rows, cols), "bits {bits}");
+            assert_eq!(comb.table.len(), (1 << rows) - 1, "bits {bits}: one-limb entries");
+            assert!(comb.max_exp_bits() >= bits);
+        }
+    }
+
+    #[test]
+    fn comb_wide_exponent_falls_back() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut n = random::gen_exact_bits(&mut rng, 128);
         n.set_bit(0, true);
         let ctx = Arc::new(MontgomeryContext::new(&n).unwrap());
         let g = random::gen_below(&mut rng, &n);
-        let table = FixedBaseTable::new(Arc::clone(&ctx), &g, 16);
+        let comb = FixedBaseComb::new(Arc::clone(&ctx), &g, 16);
         let wide = random::gen_exact_bits(&mut rng, 80);
-        assert_eq!(table.pow(&wide), modpow_basic(&g, &wide, &n));
+        assert_eq!(comb.pow(&wide), modpow_basic(&g, &wide, &n));
     }
 
     #[test]
-    fn fixed_base_pow_mul_is_double_exp() {
+    fn comb_pow_mul_is_double_exp() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut n = random::gen_exact_bits(&mut rng, 128);
         n.set_bit(0, true);
         let ctx = Arc::new(MontgomeryContext::new(&n).unwrap());
         let g = random::gen_below(&mut rng, &n);
         let h = random::gen_below(&mut rng, &n);
-        let tg = FixedBaseTable::new(Arc::clone(&ctx), &g, 32);
-        let th = FixedBaseTable::new(Arc::clone(&ctx), &h, 64);
+        let tg = FixedBaseComb::new(Arc::clone(&ctx), &g, 32);
+        let th = FixedBaseComb::new(Arc::clone(&ctx), &h, 64);
         for _ in 0..10 {
             let a = random::gen_bits(&mut rng, 32);
             let b = random::gen_bits(&mut rng, 64);
@@ -1085,15 +1132,15 @@ mod tests {
     }
 
     #[test]
-    fn cached_fixed_base_reuses_table() {
+    fn cached_comb_reuses_table() {
         let n = Ubig::from(1_000_003u64);
         let ctx = Arc::new(MontgomeryContext::new(&n).unwrap());
         let g = Ubig::from(29u64);
-        let cell = CachedFixedBase::new();
-        let t1 = Arc::as_ptr(cell.table(&ctx, &g, 64));
-        let t2 = Arc::as_ptr(cell.table(&ctx, &g, 64));
-        assert_eq!(t1, t2, "must reuse the table");
+        let cell = CachedComb::new();
+        let t1 = Arc::as_ptr(cell.comb(&ctx, &g, 64));
+        let t2 = Arc::as_ptr(cell.comb(&ctx, &g, 64));
+        assert_eq!(t1, t2, "must reuse the comb");
         let e = Ubig::from(999_999u64);
-        assert_eq!(cell.table(&ctx, &g, 64).pow(&e), modpow_basic(&g, &e, &n));
+        assert_eq!(cell.comb(&ctx, &g, 64).pow(&e), modpow_basic(&g, &e, &n));
     }
 }

@@ -1,17 +1,37 @@
 //! Primality testing (Miller–Rabin) and random prime generation.
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::montgomery::{MontgomeryContext, PowScratch};
 use crate::random::{gen_exact_bits, gen_range};
 use crate::Ubig;
 
-/// Small primes used for fast trial division before Miller–Rabin.
-const SMALL_PRIMES: [u64; 54] = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
-    197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
-];
+/// Primes below `2^13`, in order: the sieve of the incremental prime
+/// search. The first [`TRIAL_PRIMES`] of them are the trial divisors of
+/// [`is_prime`].
+static SIEVE_PRIMES: [u16; 1028] = {
+    let mut composite = [false; 1 << 13];
+    let mut primes = [0u16; 1028];
+    let (mut n, mut count) = (2, 0);
+    while n < composite.len() {
+        if !composite[n] {
+            primes[count] = n as u16;
+            count += 1;
+            let mut multiple = n * n;
+            while multiple < composite.len() {
+                composite[multiple] = true;
+                multiple += n;
+            }
+        }
+        n += 1;
+    }
+    assert!(count == primes.len());
+    primes
+};
+
+/// Trial divisions (by the primes up to 251) before Miller–Rabin.
+const TRIAL_PRIMES: usize = 54;
 
 /// Deterministic Miller–Rabin witnesses for `n < 3.3 * 10^24` (covers all
 /// values below 2^81); see Sorenson & Webster (2015).
@@ -35,7 +55,8 @@ pub fn is_prime<R: Rng + ?Sized>(n: &Ubig, rng: &mut R) -> bool {
     if n < &Ubig::two() {
         return false;
     }
-    for &p in &SMALL_PRIMES {
+    for &p in &SIEVE_PRIMES[..TRIAL_PRIMES] {
+        let p = u64::from(p);
         if *n == p {
             return true;
         }
@@ -63,6 +84,67 @@ pub fn is_prime<R: Rng + ?Sized>(n: &Ubig, rng: &mut R) -> bool {
     }
 }
 
+/// Finds a prime `p ≡ residue (mod step)` with exactly `bits` bits: the
+/// first one at or after a uniformly drawn point of that progression.
+///
+/// `start mod q` is computed once for each sieve prime `q` and kept up to
+/// date by adding `step mod q`, so a candidate with a small factor is
+/// discarded for a few word operations — before any Montgomery context
+/// is built. Survivors go to [`is_prime`]. The sieve is one prime per
+/// candidate bit (a Miller–Rabin round grows with the cube of the width,
+/// the sieve linearly), never fewer than `is_prime`'s own trial
+/// divisors and only primes below every candidate.
+///
+/// `step` must be even with `gcd(residue, step) = 1` and
+/// `residue < step` (otherwise the progression holds no odd prime).
+fn search_progression<R: Rng + ?Sized>(
+    rng: &mut R,
+    bits: u64,
+    residue: &Ubig,
+    step: &Ubig,
+) -> Ubig {
+    debug_assert!(step.is_even() && residue < step && crate::gcd::gcd(residue, step).is_one());
+    let sieve = &SIEVE_PRIMES[..(bits as usize).clamp(TRIAL_PRIMES, SIEVE_PRIMES.len())];
+    let sieve = &sieve[..sieve.partition_point(|&q| u64::from(q) >> (bits - 1).min(63) == 0)];
+    // Per sieve prime q: (q, step mod q, candidate mod q).
+    let mut walk: Vec<(u16, u16, u16)> =
+        sieve.iter().map(|&q| (q, step.rem_limb(u64::from(q)) as u16, 0)).collect();
+    loop {
+        // Witnesses come from a stream of the search's own, so a search
+        // takes the same few words from the caller however long it runs:
+        // the luck of one key's primes does not reshuffle the next key.
+        let mut witnesses = StdRng::seed_from_u64(rng.gen());
+        let point = gen_exact_bits(rng, bits);
+        let start = &(&point - &(&point % step)) + residue;
+        for (q, _, r) in &mut walk {
+            *r = start.rem_limb(u64::from(*q)) as u16;
+        }
+        for offset in 0u64.. {
+            let mut clean = true;
+            for (q, stride, r) in &mut walk {
+                clean &= *r != 0;
+                // Both below q < 2^13: no overflow.
+                *r += *stride;
+                if *r >= *q {
+                    *r -= *q;
+                }
+            }
+            if !clean {
+                continue;
+            }
+            let candidate = &start + &(step * &Ubig::from(offset));
+            match candidate.bits().cmp(&bits) {
+                std::cmp::Ordering::Less => continue,
+                std::cmp::Ordering::Greater => break,
+                std::cmp::Ordering::Equal => {}
+            }
+            if is_prime(&candidate, &mut witnesses) {
+                return candidate;
+            }
+        }
+    }
+}
+
 /// Generates a random prime with exactly `bits` bits.
 ///
 /// ```
@@ -77,13 +159,19 @@ pub fn is_prime<R: Rng + ?Sized>(n: &Ubig, rng: &mut R) -> bool {
 /// Panics if `bits < 2` (no primes below 2 bits).
 pub fn gen_prime<R: Rng + ?Sized>(rng: &mut R, bits: u64) -> Ubig {
     assert!(bits >= 2, "smallest prime needs 2 bits");
-    loop {
-        let mut candidate = gen_exact_bits(rng, bits);
-        candidate.set_bit(0, true); // force odd
-        if is_prime(&candidate, rng) {
-            return candidate;
-        }
-    }
+    search_progression(rng, bits, &Ubig::one(), &Ubig::two())
+}
+
+/// Generates a random prime `p ≡ 3 (mod 4)` with exactly `bits` bits —
+/// the prime shape Damgård–Jurik–Nielsen Paillier keys are built from
+/// (−1 is then a non-residue modulo `p`).
+///
+/// # Panics
+///
+/// Panics if `bits < 2`.
+pub fn gen_prime_3mod4<R: Rng + ?Sized>(rng: &mut R, bits: u64) -> Ubig {
+    assert!(bits >= 2, "smallest prime needs 2 bits");
+    search_progression(rng, bits, &Ubig::from(3u64), &Ubig::from(4u64))
 }
 
 /// Generates a random prime `p` with exactly `bits` bits such that
@@ -97,18 +185,7 @@ pub fn gen_prime_with_divisor<R: Rng + ?Sized>(rng: &mut R, bits: u64, m: &Ubig)
     assert!(!m.is_zero(), "divisor must be positive");
     let m_bits = m.bits();
     assert!(bits > m_bits + 1, "bits ({bits}) must exceed divisor bits ({m_bits}) + 1");
-    loop {
-        // p = k*m + 1 with k sized so p has exactly `bits` bits.
-        let k_bits = bits - m_bits;
-        let k = gen_exact_bits(rng, k_bits);
-        let candidate = &(&k * m) + &Ubig::one();
-        if candidate.bits() != bits {
-            continue;
-        }
-        if is_prime(&candidate, rng) {
-            return candidate;
-        }
-    }
+    search_progression(rng, bits, &Ubig::one(), &crate::gcd::lcm(&Ubig::two(), m))
 }
 
 /// Returns the smallest prime `>= n`.
@@ -193,6 +270,51 @@ mod tests {
         assert_eq!(p.bits(), 40);
         assert!(is_prime(&p, &mut r));
         assert!(((&p - &Ubig::one()) % &m).is_zero(), "m | p-1");
+    }
+
+    #[test]
+    fn progression_searches_hold_their_congruence_at_every_size() {
+        type Search<'a> = &'a dyn Fn(&mut StdRng) -> Ubig;
+        let m = Ubig::from(2u64 * 3 * 227);
+        let odd_m = Ubig::from(89u64 * 227);
+        for bits in [32u64, 64, 256, 512] {
+            let searches: [(Search<'_>, u64, &Ubig); 4] = [
+                (&|r| gen_prime(r, bits), 1, &Ubig::two()),
+                (&|r| gen_prime_3mod4(r, bits), 3, &Ubig::from(4u64)),
+                (&|r| gen_prime_with_divisor(r, bits, &m), 1, &m),
+                (&|r| gen_prime_with_divisor(r, bits, &odd_m), 1, &odd_m),
+            ];
+            for (search, residue, modulus) in searches {
+                let p = search(&mut StdRng::seed_from_u64(bits));
+                assert_eq!(p.bits(), bits);
+                assert!(is_prime(&p, &mut rng()), "{p} ≡ {residue} mod {modulus}");
+                assert_eq!(&p % modulus, Ubig::from(residue), "{p} mod {modulus}");
+                assert_eq!(search(&mut StdRng::seed_from_u64(bits)), p, "same prime per seed");
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_primes_are_not_sieved_away() {
+        // Candidates as small as the sieve primes themselves.
+        let mut r = rng();
+        for bits in 2u64..=14 {
+            for _ in 0..8 {
+                let p = gen_prime(&mut r, bits);
+                assert_eq!(p.bits(), bits);
+                assert!(is_prime(&p, &mut r));
+            }
+            assert_eq!(gen_prime_3mod4(&mut r, bits).rem_limb(4), 3);
+        }
+    }
+
+    #[test]
+    fn sieve_table_is_the_primes_below_2_pow_13() {
+        assert_eq!(SIEVE_PRIMES[..5], [2, 3, 5, 7, 11]);
+        assert_eq!(SIEVE_PRIMES[TRIAL_PRIMES - 1], 251);
+        assert_eq!(SIEVE_PRIMES[SIEVE_PRIMES.len() - 1], 8191);
+        let mut r = rng();
+        assert!(SIEVE_PRIMES.iter().all(|&q| is_prime(&Ubig::from(u64::from(q)), &mut r)));
     }
 
     #[test]

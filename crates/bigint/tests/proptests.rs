@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bigint::gcd::{extended_gcd, gcd, lcm, modinv};
 use bigint::modular::{modadd, modmul, modpow, modpow_basic, modsub};
-use bigint::montgomery::{CachedContext, FixedBaseTable, MontgomeryContext};
+use bigint::montgomery::{CachedContext, FixedBaseComb, MontgomeryContext};
 use bigint::{Ibig, Ubig};
 use proptest::prelude::*;
 
@@ -227,14 +227,14 @@ proptest! {
     }
 
     #[test]
-    fn fixed_base_table_matches_basic(
+    fn fixed_base_comb_matches_basic(
         base in ubig(),
         exp in exponent(),
         m in odd_modulus(),
     ) {
         let ctx = Arc::new(MontgomeryContext::new(&m).unwrap());
-        let table = FixedBaseTable::new(ctx, &(&base % &m), 256);
-        prop_assert_eq!(table.pow(&exp), modpow_basic(&base, &exp, &m));
+        let comb = FixedBaseComb::new(ctx, &(&base % &m), 256);
+        prop_assert_eq!(comb.pow(&exp), modpow_basic(&base, &exp, &m));
     }
 
     #[test]
@@ -260,8 +260,8 @@ proptest! {
 
         // The fixed-base pairing (the DGK g^m * h^r shape) must agree too.
         let arc = Arc::new(ctx);
-        let tg = FixedBaseTable::new(Arc::clone(&arc), &(&g % &m), 256);
-        let th = FixedBaseTable::new(arc, &(&h % &m), 256);
+        let tg = FixedBaseComb::new(Arc::clone(&arc), &(&g % &m), 256);
+        let th = FixedBaseComb::new(arc, &(&h % &m), 256);
         prop_assert_eq!(tg.pow_mul(&a, &th, &b), expect);
     }
 
@@ -407,10 +407,37 @@ proptest! {
                 prop_assert_eq!(
                     &ctx.modpow_multi(&[(&g, e), (&h, &short)]), &both, "modpow_multi k={}", k
                 );
-                let tg = FixedBaseTable::new(Arc::clone(&ctx), &g, 128);
-                let th = FixedBaseTable::new(Arc::clone(&ctx), &h, 64);
+                let tg = FixedBaseComb::new(Arc::clone(&ctx), &g, 128);
+                let th = FixedBaseComb::new(Arc::clone(&ctx), &h, 64);
                 prop_assert_eq!(&tg.pow(e), &g_e, "fixed-base k={}", k);
                 prop_assert_eq!(&tg.pow_mul(e, &th, &short), &both, "fixed-base pair k={}", k);
+            }
+        }
+    }
+
+    #[test]
+    fn comb_matches_both_ladders_at_every_width_and_exponent_edge(
+        pat_n in 0u8..4, pat_g in 0u8..4, pat_e in 0u8..4, seed in any::<u64>(),
+    ) {
+        // One comb width per geometry: a single row, two rows, the first
+        // width whose last row is partly empty, and a full 6-row comb.
+        let widths = (1..=9).chain([15, 16, 17, 31, 32, 33, 63, 64, 65]);
+        for (k, exp_bits) in widths.zip([1u64, 7, 33, 64].into_iter().cycle()) {
+            let n = hostile_modulus(pat_n, k, seed);
+            let ctx = Arc::new(MontgomeryContext::new(&n).unwrap());
+            let g = hostile(pat_g, k + 1, seed ^ 6);
+            let comb = FixedBaseComb::new(Arc::clone(&ctx), &g, exp_bits);
+            let full = comb.max_exp_bits();
+            prop_assert!(full >= exp_bits);
+            let all_ones = (Ubig::one() << full as u32) - Ubig::one();
+            let mut exactly_full = &hostile(pat_e, 2, seed ^ 7) % &all_ones;
+            exactly_full.set_bit(full - 1, true);
+            // One bit wider than the table: the modpow fallback.
+            let too_wide = &all_ones + &Ubig::one();
+            for e in [Ubig::zero(), Ubig::one(), all_ones.clone(), exactly_full, too_wide] {
+                let expect = modpow_basic(&g, &e, &n);
+                prop_assert_eq!(&comb.pow(&e), &expect, "comb k={} e={}", k, &e);
+                prop_assert_eq!(&ctx.modpow(&g, &e), &expect, "modpow k={} e={}", k, &e);
             }
         }
     }

@@ -79,7 +79,7 @@ pub fn evaluator_encrypt_bits<R: Rng + ?Sized>(
 ) -> Result<EvaluatorBits, DgkError> {
     check_width(b, pk)?;
     // One bit encryption = a fixed-base double exponentiation of
-    // ~(|u| + blind_bits)/4 multiplies (all squarings precomputed).
+    // ~(|u| + blind_bits)/4 comb squarings and products.
     let par = par
         .with_item_cost_ns(step_cost_ns(pk, (pk.plaintext_space().bits() + pk.blind_bits()) / 4));
     let encrypted_bits = par.map_n_seeded(pk.compare_bits() as usize, rng, |i, item_rng| {
@@ -103,7 +103,7 @@ pub fn evaluator_encrypt_bits<R: Rng + ?Sized>(
 ///    folds into **one** interleaved multi-exponentiation
 ///    ([`bigint::montgomery::MontgomeryContext::modpow_multi`]) over the
 ///    bases `E(b_i)`, `g`, `S` with the blinding exponent `r`
-///    pre-multiplied in, followed by a fixed-base `h^{r'}` lookup — one
+///    pre-multiplied in, followed by a fixed-base `h^{r'}` power — one
 ///    shared squaring chain instead of three independent modpows.
 ///    `g`'s order is `u·v_p·v_q`, not `u`, so the folded exponent
 ///    `(a_i−1 mod u)·r` stays unreduced; the result is the same group
@@ -160,7 +160,7 @@ pub fn blinder_build_witnesses<R: Rng + ?Sized>(
     // loop produced: c_i = g^{a_i − 1} · E(b_i)^{u−1} · E(Σ_{j>i} w_j)^3,
     // blinded by a random unit of Z_u and rerandomized. With the blinding
     // exponent r folded in, each witness is one 3-way multi-exponentiation
-    // with ~2|u|-bit exponents plus a fixed-base h^{r'} lookup.
+    // with ~2|u|-bit exponents plus a fixed-base h^{r'} power.
     let ctx = pk.ctx_n();
     let order: Vec<usize> = (0..ell).rev().collect();
     let witness_par = par

@@ -17,9 +17,7 @@
 use std::collections::HashMap;
 
 use bigint::modular::{crt_pair, modmul, modpow};
-use bigint::montgomery::{
-    CachedContext, CachedFixedBase, FixedBaseTable, MontgomeryContext, PowScratch,
-};
+use bigint::montgomery::{CachedComb, CachedContext, FixedBaseComb, MontgomeryContext, PowScratch};
 use bigint::prime::{gen_prime, gen_prime_with_divisor, next_prime};
 use bigint::{random, Ubig};
 use parallel::Parallelism;
@@ -71,19 +69,20 @@ impl Default for DgkParams {
 /// DGK public key.
 ///
 /// The key embeds lazily built exponentiation caches: a Montgomery
-/// context for `n` plus fixed-base window tables for the generators `g`
-/// and `h`, which never change over the key's lifetime. Encryption then
-/// collapses to two table lookups and one Montgomery multiplication
-/// (`g^m · h^r` with all squarings precomputed) — the multi-x win the
-/// comparison-heavy protocol steps (Alg. 2, SVT) ride on. The caches are
-/// skipped by serde and ignored by equality; call
-/// [`DgkPublicKey::precompute`] to build them eagerly:
+/// context for `n` plus fixed-base combs
+/// ([`bigint::montgomery::FixedBaseComb`]) for the generators `g` and
+/// `h`, which never change over the key's lifetime. Encryption is then
+/// two comb evaluations joined in Montgomery form (`g^m · h^r`) — the
+/// multi-x win the comparison-heavy protocol steps (Alg. 2, SVT) ride
+/// on. The caches are skipped by serde, ignored by equality and shared by
+/// every clone taken after they are built; [`DgkKeypair::generate`]
+/// builds them, and [`DgkPublicKey::precompute`] does so on a loaded key:
 ///
 /// ```
 /// use dgk::{DgkKeypair, DgkParams};
 /// let keys = DgkKeypair::generate(&mut rand::thread_rng(), &DgkParams::insecure_test());
 /// let pk = keys.public_key();
-/// pk.precompute(); // warm the n-context and g/h tables (optional)
+/// pk.precompute(); // idempotent
 /// let c = pk.encrypt_u64(3, &mut rand::thread_rng());
 /// assert_eq!(keys.private_key().decrypt(&c).unwrap(), 3);
 /// ```
@@ -100,12 +99,12 @@ pub struct DgkPublicKey {
     /// Montgomery context for `Z_n`, built once per key on first use.
     #[serde(skip)]
     ctx_n: CachedContext,
-    /// Fixed-base table for `g` (exponents `< u`, i.e. `u.bits()` wide).
+    /// Comb for `g` (exponents `< u`, i.e. `u.bits()` wide).
     #[serde(skip)]
-    table_g: CachedFixedBase,
-    /// Fixed-base table for `h` (exponents `blind_bits` wide).
+    comb_g: CachedComb,
+    /// Comb for `h` (exponents `blind_bits` wide).
     #[serde(skip)]
-    table_h: CachedFixedBase,
+    comb_h: CachedComb,
 }
 
 /// DGK private key: the factors, subgroup primes and decryption table.
@@ -247,9 +246,12 @@ impl DgkKeypair {
             blind_bits: 2 * t + 16,
             compare_bits: params.compare_bits,
             ctx_n: CachedContext::new(),
-            table_g: CachedFixedBase::new(),
-            table_h: CachedFixedBase::new(),
+            comb_g: CachedComb::new(),
+            comb_h: CachedComb::new(),
         };
+        // Built before the key is copied into the private half, so both
+        // halves and every later clone share one context and two combs.
+        public.precompute();
 
         // Decryption table over the order-u subgroup generated by g^{v_p}.
         let g_vp = ctx_p.modpow(&public.g, &v_p);
@@ -320,13 +322,10 @@ impl DgkPublicKey {
     }
 
     /// Eagerly builds the key's exponentiation caches: the Montgomery
-    /// context for `n` and the fixed-base window tables for `g` and `h`.
-    /// Idempotent; without it the caches are built on first use.
+    /// context for `n` and the combs for `g` and `h`. Idempotent; without
+    /// it the caches are built on first use.
     pub fn precompute(&self) {
-        if let Some(ctx) = self.ctx_n.context(&self.n) {
-            let _ = self.table_g.table(ctx, &self.g, self.u.bits());
-            let _ = self.table_h.table(ctx, &self.h, self.blind_bits);
-        }
+        let _ = (self.g_comb(), self.h_comb());
     }
 
     /// `base^exp mod n` through the per-key cached Montgomery context.
@@ -340,14 +339,14 @@ impl DgkPublicKey {
         self.ctx_n.context(&self.n)
     }
 
-    /// The fixed-base table for `g` (exponents live in `Z_u`).
-    pub(crate) fn g_table(&self) -> Option<&std::sync::Arc<FixedBaseTable>> {
-        self.ctx_n.context(&self.n).map(|ctx| self.table_g.table(ctx, &self.g, self.u.bits()))
+    /// The comb for `g` (exponents live in `Z_u`).
+    fn g_comb(&self) -> Option<&std::sync::Arc<FixedBaseComb>> {
+        self.ctx_n.context(&self.n).map(|ctx| self.comb_g.comb(ctx, &self.g, self.u.bits()))
     }
 
-    /// The fixed-base table for `h` (exponents are `blind_bits` wide).
-    pub(crate) fn h_table(&self) -> Option<&std::sync::Arc<FixedBaseTable>> {
-        self.ctx_n.context(&self.n).map(|ctx| self.table_h.table(ctx, &self.h, self.blind_bits))
+    /// The comb for `h` (exponents are `blind_bits` wide).
+    fn h_comb(&self) -> Option<&std::sync::Arc<FixedBaseComb>> {
+        self.ctx_n.context(&self.n).map(|ctx| self.comb_h.comb(ctx, &self.h, self.blind_bits))
     }
 
     /// Encrypts `m ∈ Z_u`: `E(m) = g^m · h^r mod n`.
@@ -364,10 +363,9 @@ impl DgkPublicKey {
             return Err(DgkError::MessageOutOfRange);
         }
         let r = random::gen_bits(rng, self.blind_bits);
-        // One fixed-base double exponentiation: both window tables are
-        // precomputed, so this costs ~(|m| + |r|)/4 Montgomery
-        // multiplications and zero squarings.
-        let raw = match (self.g_table(), self.h_table()) {
+        // One fixed-base double exponentiation over the two combs: about
+        // |r|/4 kernel operations, joined in Montgomery form.
+        let raw = match (self.g_comb(), self.h_comb()) {
             (Some(tg), Some(th)) => tg.pow_mul(m, th, &r),
             _ => modmul(&modpow(&self.g, m, &self.n), &modpow(&self.h, &r, &self.n), &self.n),
         };
@@ -393,11 +391,11 @@ impl DgkPublicKey {
         DgkCiphertext(modmul(&c1.0, &c2.0, &self.n))
     }
 
-    /// Homomorphic plaintext addition: multiplies by `g^k` (a fixed-base
-    /// table lookup).
+    /// Homomorphic plaintext addition: multiplies by `g^k` (a comb
+    /// evaluation).
     pub fn add_plain(&self, c: &DgkCiphertext, k: &Ubig) -> DgkCiphertext {
         let k = k % &self.u;
-        let g_k = match self.g_table() {
+        let g_k = match self.g_comb() {
             Some(tg) => tg.pow(&k),
             None => modpow(&self.g, &k, &self.n),
         };
@@ -415,11 +413,11 @@ impl DgkPublicKey {
         self.mul_plain(c, &(&self.u - &Ubig::one()))
     }
 
-    /// Rerandomizes a ciphertext by multiplying with a fresh `h^r` (a
-    /// fixed-base table lookup).
+    /// Rerandomizes a ciphertext by multiplying with a fresh `h^r` (a comb
+    /// evaluation).
     pub fn rerandomize<R: Rng + ?Sized>(&self, c: &DgkCiphertext, rng: &mut R) -> DgkCiphertext {
         let r = random::gen_bits(rng, self.blind_bits);
-        let h_r = match self.h_table() {
+        let h_r = match self.h_comb() {
             Some(th) => th.pow(&r),
             None => modpow(&self.h, &r, &self.n),
         };

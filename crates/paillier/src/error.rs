@@ -16,18 +16,8 @@ pub enum PaillierError {
     FixedPointOutOfRange(f64),
     /// Keys from different keypairs were mixed in one operation.
     KeyMismatch,
-    /// A [`crate::RandomizerPool`] ran out of precomputed randomizers.
-    ///
-    /// Carries the pool capacity and the randomizer index the caller
-    /// asked for, so long batch campaigns can size (or
-    /// [`crate::RandomizerPool::refill`]) pools instead of dying blind
-    /// mid-round.
-    PoolExhausted {
-        /// Total randomizers the pool was generated with.
-        size: usize,
-        /// The (zero-based) randomizer index the failed call requested.
-        index: usize,
-    },
+    /// A public key failed the checks of [`crate::PublicKey::from_parts`].
+    MalformedKey,
 }
 
 impl fmt::Display for PaillierError {
@@ -42,12 +32,8 @@ impl fmt::Display for PaillierError {
                 write!(f, "float {v} outside fixed-point range [-2^15, 2^15)")
             }
             PaillierError::KeyMismatch => write!(f, "operation mixed keys of different keypairs"),
-            PaillierError::PoolExhausted { size, index } => {
-                write!(
-                    f,
-                    "randomizer pool exhausted (size {size}, requested index {index}); \
-                     generate a larger pool or call refill()"
-                )
+            PaillierError::MalformedKey => {
+                write!(f, "public key is not an odd n > 1 with a unit 1 < hs < n^2")
             }
         }
     }

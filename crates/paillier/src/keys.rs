@@ -1,46 +1,62 @@
 //! Key generation and the encrypt/decrypt core of the Paillier scheme.
 
+use std::fmt;
+use std::sync::Arc;
+
 use bigint::gcd::{gcd, lcm, modinv};
-use bigint::modular::{modmul, modsub};
-use bigint::montgomery::CachedContext;
-use bigint::prime::gen_prime;
+use bigint::modular::{modmul, modneg, modpow, modsub};
+use bigint::montgomery::{CachedComb, CachedContext, FixedBaseComb};
+use bigint::prime::gen_prime_3mod4;
 use bigint::{random, Ubig};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::de::{self, Visitor};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::ciphertext::Ciphertext;
 use crate::error::PaillierError;
 
-/// Paillier public key: the modulus `n` (with `n²` cached) under which
-/// anyone can encrypt and combine ciphertexts homomorphically.
+/// Paillier public key: the modulus `n` (with `n²` cached) and the
+/// Damgård–Jurik–Nielsen randomizer base `hs`, under which anyone can
+/// encrypt and combine ciphertexts homomorphically.
 ///
-/// The generator is fixed to `g = n + 1`, the standard choice that makes
-/// encryption a single modular multiplication:
-/// `E[m] = (1 + m·n) · r^n mod n²`.
+/// The generator is fixed to `g = n + 1`, so `g^m = 1 + m·n` costs one
+/// multiplication, and the randomizer is a power of the fixed base
+/// `hs = h^n mod n²` (`h = −y² mod n` for a secret random `y`):
+/// `E[m] = (1 + m·n) · hs^x mod n²` with a fresh `⌈|n|/2⌉`-bit `x`
+/// (DJN §4.2). `hs^x = (h^x)^n` is an n-th power like the classical
+/// `r^n`, so decryption and every homomorphic identity are unchanged; a
+/// fixed base lets the power run on a Lim–Lee comb
+/// ([`bigint::montgomery::FixedBaseComb`]) over a half-width exponent.
 ///
-/// The key embeds a lazily built Montgomery context for `n²` so every
-/// exponentiation under the key (`r^n`, `E[m]^a`, rerandomization,
-/// [`crate::RandomizerPool`] generation) reuses one precomputation
-/// instead of rebuilding it per call. The cache is transparent: it is
-/// skipped by serde (rebuilt on first use after deserialization) and
-/// ignored by equality. Call [`PublicKey::precompute`] to pay the setup
-/// cost eagerly, e.g. before timing-sensitive protocol rounds:
+/// The key embeds lazily built caches — the Montgomery context for `n²`
+/// and the comb for `hs` — that every operation under the key reuses.
+/// They are transparent: skipped by serialization (rebuilt on first use
+/// after loading), ignored by equality, and shared by every clone taken
+/// after they are built. [`Keypair::generate`] builds them; call
+/// [`PublicKey::precompute`] on a loaded key to pay for them eagerly:
 ///
 /// ```
 /// use paillier::Keypair;
 /// let kp = Keypair::generate(&mut rand::thread_rng(), 64);
 /// let pk = kp.public_key();
-/// pk.precompute(); // warm the n² Montgomery context (optional)
+/// pk.precompute(); // idempotent
 /// let c = pk.encrypt_u64(7, &mut rand::thread_rng());
 /// assert_eq!(kp.private_key().decrypt_u64(&c), 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Serialized as the pair `(n, hs)`; loading recomputes `n²` and goes
+/// through [`PublicKey::from_parts`], so a malformed key is an error,
+/// not silent garbage.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicKey {
     n: Ubig,
     n_squared: Ubig,
+    /// The randomizer base `h^n mod n²`.
+    hs: Ubig,
     /// Montgomery context for `Z_{n²}`, built once per key on first use.
-    #[serde(skip)]
     ctx_n2: CachedContext,
+    /// Comb for `hs` over `⌈|n|/2⌉`-bit exponents.
+    comb_hs: CachedComb,
 }
 
 /// Paillier private key: the factorization-derived trapdoor
@@ -68,19 +84,12 @@ pub struct PrivateKey {
     /// `p⁻¹ mod q`, for Garner recombination without a per-call
     /// extended GCD.
     p_inv_q: Ubig,
-    /// Montgomery context for `Z_{p²}` (CRT decryption and own-key
-    /// encryption), built lazily.
+    /// Montgomery context for `Z_{p²}` (CRT decryption), built lazily.
     #[serde(skip)]
     ctx_p2: CachedContext,
     /// Montgomery context for `Z_{q²}`, built lazily.
     #[serde(skip)]
     ctx_q2: CachedContext,
-    /// Montgomery contexts for `Z_p` and `Z_q` (own-key encryption),
-    /// built lazily.
-    #[serde(skip)]
-    ctx_p: CachedContext,
-    #[serde(skip)]
-    ctx_q: CachedContext,
 }
 
 /// A freshly generated public/private keypair.
@@ -95,9 +104,12 @@ pub struct Keypair {
 impl Keypair {
     /// Generates a keypair with an (approximately) `modulus_bits`-bit `n`.
     ///
-    /// The two primes are `modulus_bits / 2` bits each, so `n` has
-    /// `modulus_bits` or `modulus_bits - 1` bits. Primes are regenerated
-    /// until `gcd(n, (p−1)(q−1)) = 1` and `p ≠ q`.
+    /// The two primes are `modulus_bits / 2` bits each and `≡ 3 (mod 4)`
+    /// (DJN's key shape: `−1` is then a non-residue modulo both), so `n`
+    /// has `modulus_bits` or `modulus_bits - 1` bits. Primes are
+    /// regenerated until `gcd(n, (p−1)(q−1)) = 1` and `p ≠ q`. The
+    /// public key's caches are built before it is copied into the private
+    /// half, so both halves and every later clone share them.
     ///
     /// ```
     /// use paillier::Keypair;
@@ -113,8 +125,8 @@ impl Keypair {
         assert!(modulus_bits >= 16, "modulus must be at least 16 bits");
         let prime_bits = modulus_bits / 2;
         loop {
-            let p = gen_prime(rng, prime_bits);
-            let q = gen_prime(rng, prime_bits);
+            let p = gen_prime_3mod4(rng, prime_bits);
+            let q = gen_prime_3mod4(rng, prime_bits);
             if p == q {
                 continue;
             }
@@ -129,20 +141,30 @@ impl Keypair {
                 Some(mu) => mu,
                 None => continue,
             };
-            let n_squared = n.square();
-            let public = PublicKey { n, n_squared, ctx_n2: CachedContext::new() };
-            // CRT precomputation: with g = 1+n and n² ≡ 0 (mod p²),
-            // g^{p−1} mod p² = 1 + (p−1)·n, so
-            // L_p(g^{p−1} mod p²) = (p−1)·q mod p (and symmetrically).
-            let h_p = modinv(&modmul(&p1, &q, &p), &p).expect("q invertible mod p");
-            let h_q = modinv(&modmul(&q1, &p, &q), &q).expect("p invertible mod q");
+            let (p_squared, q_squared) = (p.square(), q.square());
             let p_inv_q = modinv(&p, &q).expect("distinct primes are coprime");
+            // h = −y² mod n has Jacobi symbol 1 without being a square. A
+            // y sharing a factor with n (one draw in 2^|p|) carries it into
+            // hs, which the checked constructor then refuses.
+            let y = random::gen_positive_below(rng, &n);
+            let h = modneg(&modmul(&y, &y, &n), &n);
+            let hs = pow_n_crt(&h, (&p, &p_squared), (&q, &q_squared), &p_inv_q);
+            let Ok(public) = PublicKey::from_parts(n, hs) else { continue };
+            public.precompute();
+            // CRT precomputation: with g = 1+n and n² ≡ 0 (mod p²),
+            // g^{p−1} mod p² = 1 + (p−1)·n, so L_p(g^{p−1} mod p²) =
+            // (p−1)·q ≡ −q (mod p), and symmetrically −p (mod q). Both
+            // inverses come out of the one Bézout identity behind
+            // u = p⁻¹ mod q: u·p − 1 = k·q with 0 < k < p, so
+            // (−q)⁻¹ ≡ k (mod p), and (−p)⁻¹ ≡ q − u (mod q).
+            let h_p = &(&(&p_inv_q * &p) - &Ubig::one()) / &q;
+            let h_q = &q - &p_inv_q;
             let private = PrivateKey {
                 public: public.clone(),
                 lambda,
                 mu,
-                p_squared: p.square(),
-                q_squared: q.square(),
+                p_squared,
+                q_squared,
                 p,
                 q,
                 h_p,
@@ -152,8 +174,6 @@ impl Keypair {
                 p_inv_q,
                 ctx_p2: CachedContext::new(),
                 ctx_q2: CachedContext::new(),
-                ctx_p: CachedContext::new(),
-                ctx_q: CachedContext::new(),
             };
             return Keypair { public, private };
         }
@@ -175,7 +195,59 @@ impl Keypair {
     }
 }
 
+/// `r^n mod n²` for `r` coprime to `n = p·q`, by CRT over `p²` and `q²`
+/// — how key generation computes `hs` at half the cost of the direct
+/// power.
+///
+/// `x^p mod p²` depends only on `x mod p` (every other binomial term
+/// carries `p²`), so `r^n ≡ (r^q mod p)^p (mod p²)`, and Fermat reduces
+/// the inner exponent to `q mod (p−1)`: one half-width exponentiation mod
+/// `p` and one mod `p²`, each over a `|p|`-bit exponent. The halves
+/// recombine by Garner's formula, as in [`PrivateKey::decrypt_crt`].
+fn pow_n_crt(
+    r: &Ubig,
+    (p, p_squared): (&Ubig, &Ubig),
+    (q, q_squared): (&Ubig, &Ubig),
+    p_inv_q: &Ubig,
+) -> Ubig {
+    let one = Ubig::one();
+    let x_p = modpow(&modpow(r, &(q % &(p - &one)), p), p, p_squared);
+    let x_q = modpow(&modpow(r, &(p % &(q - &one)), q), q, q_squared);
+    // x = x_p + p²·((x_q − x_p)·(p²)⁻¹ mod q²). With u = p⁻¹ mod q, one
+    // Hensel step gives p⁻¹ mod q² = u·(2 − p·u), and its square is
+    // (p²)⁻¹ mod q².
+    let pu = modmul(p, p_inv_q, q_squared);
+    let p_inv_q2 = modmul(p_inv_q, &modsub(&Ubig::two(), &pu, q_squared), q_squared);
+    let diff = modsub(&x_q, &x_p, q_squared);
+    let t = modmul(&modmul(&diff, &p_inv_q2, q_squared), &p_inv_q2, q_squared);
+    &x_p + &(p_squared * &t)
+}
+
 impl PublicKey {
+    /// Builds a key from its serialized parts, recomputing `n²`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PaillierError::MalformedKey`] unless `n > 1` is odd,
+    /// `1 < hs < n²` and `gcd(hs, n) = 1`: `hs = 1` would make every
+    /// encryption the deterministic `1 + m·n`, and a base sharing a factor
+    /// with `n` yields ciphertexts that do not decrypt.
+    pub fn from_parts(n: Ubig, hs: Ubig) -> Result<PublicKey, PaillierError> {
+        let n_squared = n.square();
+        // No hs fits between 1 and n² = 1, so n = 1 fails the range too.
+        let well_formed = n.is_odd() && hs > Ubig::one() && hs < n_squared && gcd(&hs, &n).is_one();
+        if !well_formed {
+            return Err(PaillierError::MalformedKey);
+        }
+        Ok(PublicKey { n, n_squared, hs, ctx_n2: CachedContext::new(), comb_hs: CachedComb::new() })
+    }
+
+    /// The serialized form, `"<n>:<hs>"` in hex; `n²` and the caches are
+    /// derived data.
+    fn to_hex_pair(&self) -> String {
+        format!("{}:{}", self.n.to_str_radix(16), self.hs.to_str_radix(16))
+    }
+
     /// The modulus `n`; plaintexts live in `Z_n`.
     pub fn modulus(&self) -> &Ubig {
         &self.n
@@ -186,12 +258,35 @@ impl PublicKey {
         &self.n_squared
     }
 
-    /// Eagerly builds the Montgomery context for `n²` so the first
-    /// encryption does not pay the one-time setup cost. Idempotent and
-    /// cheap after the first call; useful before latency-sensitive
-    /// protocol rounds or before sharing the key across worker threads.
+    /// The randomizer base `hs = h^n mod n²`: an encryption of zero.
+    pub fn randomizer_base(&self) -> &Ubig {
+        &self.hs
+    }
+
+    /// Width of the exponent a randomizer `hs^x` draws: `⌈|n|/2⌉` bits,
+    /// the width DJN's subgroup assumption is stated for.
+    pub fn randomizer_bits(&self) -> u64 {
+        self.n.bits().div_ceil(2)
+    }
+
+    /// Eagerly builds the Montgomery context for `n²` and the comb for
+    /// `hs`, so the first encryption does not pay the one-time setup cost
+    /// and clones taken afterwards share both. Idempotent and cheap after
+    /// the first call.
     pub fn precompute(&self) {
-        let _ = self.ctx_n2.context(&self.n_squared);
+        let _ = self.comb();
+    }
+
+    /// The comb for `hs`, built on first use.
+    fn comb(&self) -> &Arc<FixedBaseComb> {
+        let ctx = self.ctx_n2.context(&self.n_squared).expect("n² is odd: checked at construction");
+        self.comb_hs.comb(ctx, &self.hs, self.randomizer_bits())
+    }
+
+    /// A fresh randomizer `hs^x mod n²`, `x` uniform over
+    /// [`PublicKey::randomizer_bits`] bits: a random encryption of zero.
+    fn randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> Ubig {
+        self.comb().pow(&random::gen_bits(rng, self.randomizer_bits()))
     }
 
     /// `base^exp mod n²` through the per-key cached Montgomery context.
@@ -199,16 +294,9 @@ impl PublicKey {
         self.ctx_n2.modpow(base, exp, &self.n_squared)
     }
 
-    /// The cached `n²` Montgomery context itself, for batch kernels
-    /// ([`bigint::montgomery::MontgomeryContext::modpow_multi`]) that need
-    /// more than one exponentiation per call. Always `Some` for RSA-like
-    /// keys (`n²` is odd), `None` only for degenerate test moduli.
-    pub(crate) fn ctx_n2(&self) -> Option<&std::sync::Arc<bigint::montgomery::MontgomeryContext>> {
-        self.ctx_n2.context(&self.n_squared)
-    }
-
     /// Encrypts a plaintext `m ∈ Z_n`:
-    /// `E[m] = (1 + m·n) · r^n mod n²` with uniform `r ∈ Z_n^*`.
+    /// `E[m] = (1 + m·n) · hs^x mod n²` with a fresh random `x` — the one
+    /// route from a message to a ciphertext, for every party and key.
     ///
     /// # Errors
     ///
@@ -221,12 +309,12 @@ impl PublicKey {
         if m >= &self.n {
             return Err(PaillierError::MessageOutOfRange);
         }
-        let r = random::gen_coprime(rng, &self.n);
-        Ok(self.encrypt_with_randomness(m, &r))
+        Ok(self.combine(m, &self.randomizer(rng)))
     }
 
-    /// Deterministic encryption with caller-chosen randomness `r`; used by
-    /// tests and by protocol transcripts that must be replayable.
+    /// The classical `E[m] = (1 + m·n) · r^n mod n²` with caller-chosen
+    /// `r ∈ Z_n^*`: deterministic, and the reference the fixed-base path
+    /// is tested against.
     ///
     /// # Panics
     ///
@@ -284,9 +372,7 @@ impl PublicKey {
     /// so it is unlinkable to its origin. Used when a server forwards
     /// ciphertexts it did not create.
     pub fn rerandomize<R: Rng + ?Sized>(&self, c: &Ciphertext, rng: &mut R) -> Ciphertext {
-        let r = random::gen_coprime(rng, &self.n);
-        let r_n = self.pow_mod_n2(&r, &self.n);
-        Ciphertext::from_raw(modmul(c.as_raw(), &r_n, &self.n_squared))
+        Ciphertext::from_raw(modmul(c.as_raw(), &self.randomizer(rng), &self.n_squared))
     }
 
     /// Encryption of zero with fixed randomness 1 — the homomorphic
@@ -320,68 +406,48 @@ impl PublicKey {
     }
 }
 
+impl Serialize for PublicKey {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_str(&self.to_hex_pair())
+    }
+}
+
+struct PublicKeyVisitor;
+
+impl Visitor<'_> for PublicKeyVisitor {
+    type Value = PublicKey;
+
+    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("a Paillier public key as \"<n>:<hs>\" in hex")
+    }
+
+    fn visit_str<E: de::Error>(self, v: &str) -> Result<PublicKey, E> {
+        let (n, hs) = v.split_once(':').ok_or_else(|| E::custom("missing ':' between n and hs"))?;
+        let n = Ubig::from_str_radix(n, 16).map_err(E::custom)?;
+        let hs = Ubig::from_str_radix(hs, 16).map_err(E::custom)?;
+        PublicKey::from_parts(n, hs).map_err(E::custom)
+    }
+}
+
+impl<'de> Deserialize<'de> for PublicKey {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        deserializer.deserialize_any(PublicKeyVisitor)
+    }
+}
+
 impl PrivateKey {
     /// Borrow the matching public key.
     pub fn public_key(&self) -> &PublicKey {
         &self.public
     }
 
-    /// Eagerly builds all Montgomery contexts the key works under (`n²`
-    /// via the embedded public key, `p²` and `q²` for the CRT paths, `p`
-    /// and `q` for own-key encryption). Idempotent; see
-    /// [`PublicKey::precompute`].
+    /// Eagerly builds every cache the key works under (the public
+    /// half's, plus the `p²` and `q²` contexts of the CRT path).
+    /// Idempotent; see [`PublicKey::precompute`].
     pub fn precompute(&self) {
         self.public.precompute();
         let _ = self.ctx_p2.context(&self.p_squared);
         let _ = self.ctx_q2.context(&self.q_squared);
-        let _ = self.ctx_p.context(&self.p);
-        let _ = self.ctx_q.context(&self.q);
-    }
-
-    /// Encrypts under the key's **own** public half, using the
-    /// factorization: the same `E[m] = (1 + m·n) · r^n mod n²` as
-    /// [`PublicKey::encrypt`], from the same single RNG draw, so for equal
-    /// RNG states the two return byte-identical ciphertexts — only the
-    /// route to `r^n` differs. About 2.6× cheaper at deployable key sizes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PaillierError::MessageOutOfRange`] if `m >= n`.
-    pub fn encrypt<R: Rng + ?Sized>(
-        &self,
-        m: &Ubig,
-        rng: &mut R,
-    ) -> Result<Ciphertext, PaillierError> {
-        let pk = &self.public;
-        if m >= &pk.n {
-            return Err(PaillierError::MessageOutOfRange);
-        }
-        let r = random::gen_coprime(rng, &pk.n);
-        Ok(pk.combine(m, &self.pow_n_crt(&r)))
-    }
-
-    /// `r^n mod n²` for `r` coprime to `n`, by CRT over `p²` and `q²`.
-    ///
-    /// `x^p mod p²` depends only on `x mod p` (every other binomial term
-    /// carries `p²`), so with `n = p·q`
-    /// `r^n ≡ (r^q mod p)^p (mod p²)`, and Fermat reduces the inner
-    /// exponent to `q mod (p−1)`: one half-width exponentiation mod `p`
-    /// and one mod `p²`, each over a `|p|`-bit exponent, instead of an
-    /// `|n|`-bit exponent mod `n²`. The halves recombine by Garner's
-    /// formula, as in [`PrivateKey::decrypt_crt`].
-    fn pow_n_crt(&self, r: &Ubig) -> Ubig {
-        let y_p = self.ctx_p.modpow(&(r % &self.p), &(&self.q % &self.p_minus_1), &self.p);
-        let x_p = self.ctx_p2.modpow(&y_p, &self.p, &self.p_squared);
-        let y_q = self.ctx_q.modpow(&(r % &self.q), &(&self.p % &self.q_minus_1), &self.q);
-        let x_q = self.ctx_q2.modpow(&y_q, &self.q, &self.q_squared);
-        // x = x_p + p²·((x_q − x_p)·(p²)⁻¹ mod q²). With u = p⁻¹ mod q,
-        // one Hensel step gives p⁻¹ mod q² = u·(2 − p·u), and its square
-        // is (p²)⁻¹ mod q².
-        let q2 = &self.q_squared;
-        let pu = modmul(&self.p, &self.p_inv_q, q2);
-        let p_inv_q2 = modmul(&self.p_inv_q, &modsub(&Ubig::two(), &pu, q2), q2);
-        let t = modmul(&modmul(&modsub(&x_q, &x_p, q2), &p_inv_q2, q2), &p_inv_q2, q2);
-        &x_p + &(&self.p_squared * &t)
     }
 
     /// Decrypts: `m = L(c^λ mod n²) · μ mod n`, where `L(x) = (x−1)/n`.
@@ -632,16 +698,82 @@ mod tests {
     }
 
     #[test]
-    fn own_key_encryption_is_byte_identical_to_public() {
+    fn generated_key_has_the_djn_shape() {
         let kp = keypair(64);
         let (pk, sk) = (kp.public_key(), kp.private_key());
-        let n_minus_1 = pk.modulus() - &Ubig::one();
-        for m in [Ubig::zero(), Ubig::from(41u64), n_minus_1] {
-            let public = pk.encrypt(&m, &mut StdRng::seed_from_u64(9)).unwrap();
-            let own = sk.encrypt(&m, &mut StdRng::seed_from_u64(9)).unwrap();
-            assert_eq!(own.as_raw().to_le_bytes(), public.as_raw().to_le_bytes());
+        for prime in [&sk.p, &sk.q] {
+            assert_eq!(prime.rem_limb(4), 3);
         }
-        assert_eq!(sk.encrypt(pk.modulus(), &mut rng()), Err(PaillierError::MessageOutOfRange));
+        // hs is an n-th power: an encryption of zero.
+        let hs = Ciphertext::from_raw(pk.randomizer_base().clone());
+        assert_eq!(sk.decrypt(&hs).unwrap(), Ubig::zero());
+        assert_eq!(pk.randomizer_bits(), pk.modulus().bits().div_ceil(2));
+        // The CRT power keygen computes hs with is the direct power.
+        for r in [2u64, 12345, u64::MAX] {
+            let r = Ubig::from(r) % pk.modulus();
+            let by_crt = pow_n_crt(&r, (&sk.p, &sk.p_squared), (&sk.q, &sk.q_squared), &sk.p_inv_q);
+            assert_eq!(by_crt, pk.pow_mod_n2(&r, pk.modulus()));
+        }
+    }
+
+    #[test]
+    fn malformed_public_keys_are_rejected() {
+        let kp = keypair(64);
+        let pk = kp.public_key();
+        let (n, hs, n2) = (pk.modulus(), pk.randomizer_base(), pk.modulus_squared());
+        assert_eq!(PublicKey::from_parts(n.clone(), hs.clone()).as_ref(), Ok(pk));
+        let p = kp.private_key().p.clone();
+        for (bad_n, bad_hs) in [
+            (n.clone(), Ubig::zero()),
+            (n.clone(), Ubig::one()),
+            (n.clone(), n2.clone()),
+            (n.clone(), n2 + hs),
+            (n.clone(), &p * &Ubig::from(5u64)),
+            (n + &Ubig::one(), hs.clone()),
+            (Ubig::one(), Ubig::zero()),
+            (Ubig::zero(), hs.clone()),
+        ] {
+            assert_eq!(
+                PublicKey::from_parts(bad_n.clone(), bad_hs.clone()),
+                Err(PaillierError::MalformedKey),
+                "n = {bad_n}, hs = {bad_hs}"
+            );
+        }
+    }
+
+    #[test]
+    fn serialized_key_is_n_and_hs_and_loads_through_the_checks() {
+        use serde::de::value::{Error as ValueError, StrDeserializer};
+        use serde::de::IntoDeserializer;
+
+        let load = |text: &str| {
+            let de: StrDeserializer<'_, ValueError> = text.into_deserializer();
+            PublicKey::deserialize(de)
+        };
+
+        let kp = keypair(64);
+        let pk = kp.public_key();
+        let text = pk.to_hex_pair();
+        let (n_hex, hs_hex) = text.split_once(':').unwrap();
+        assert_eq!(Ubig::from_str_radix(n_hex, 16).unwrap(), *pk.modulus());
+        let loaded = load(&text).unwrap();
+        assert_eq!(&loaded, pk);
+        assert_eq!(loaded.modulus_squared(), &pk.modulus().square(), "n² recomputed on load");
+        let c = loaded.encrypt_u64(77, &mut rng());
+        assert_eq!(kp.private_key().decrypt_u64(&c), 77);
+
+        // hs = 1, hs = n², a missing field, bad hex: all errors.
+        let n2_hex = pk.modulus_squared().to_str_radix(16);
+        for bad in [
+            format!("{n_hex}:1"),
+            format!("{n_hex}:{n2_hex}"),
+            format!("{n_hex}:0"),
+            n_hex.to_owned(),
+            format!("{n_hex}:zz"),
+            format!("10:{hs_hex}"),
+        ] {
+            assert!(load(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -37,14 +37,12 @@ mod ciphertext;
 mod error;
 mod fixed;
 mod keys;
-mod pool;
 mod signed;
 
 pub use ciphertext::Ciphertext;
 pub use error::PaillierError;
 pub use fixed::{FixedCodec, FIXED_FRACTION_BITS, FIXED_OFFSET_BITS};
 pub use keys::{Keypair, PrivateKey, PublicKey};
-pub use pool::RandomizerPool;
 pub use signed::SignedCodec;
 
 /// Default modulus size in bits, matching the paper's prototype ("The

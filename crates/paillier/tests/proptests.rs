@@ -1,13 +1,14 @@
 //! Property-based tests for the Paillier scheme: homomorphic identities,
-//! signed-codec ring arithmetic, fixed-point quantization bounds, and
-//! thread-count invariance of the data-parallel pool paths.
+//! signed-codec ring arithmetic, fixed-point quantization bounds, and the
+//! fixed-base (DJN) encryption path against the classical one.
 
+use bigint::modular::{modmul, modpow};
+use bigint::random;
 use bigint::Ubig;
-use paillier::{FixedCodec, Keypair, RandomizerPool, SignedCodec};
-use parallel::Parallelism;
+use paillier::{Ciphertext, FixedCodec, Keypair, SignedCodec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// One shared keypair for the whole suite: keygen is the expensive part and
 /// the properties quantify over messages, not keys.
@@ -92,52 +93,6 @@ proptest! {
         let c2 = pk.rerandomize(&c, &mut rng);
         prop_assert_eq!(kp.private_key().decrypt_u64(&c2), m as u64);
     }
-
-    #[test]
-    fn pool_generation_is_thread_count_invariant(
-        size in 1usize..12,
-        threads in 2usize..9,
-        seed in any::<u64>(),
-    ) {
-        // Sizes below the default min-batch (4) exercise the sequential
-        // degenerate path; larger sizes genuinely split across workers.
-        let pk = keypair().public_key().clone();
-        let mut rng_seq = StdRng::seed_from_u64(seed);
-        let mut rng_par = StdRng::seed_from_u64(seed);
-        let seq =
-            RandomizerPool::generate_with(pk.clone(), size, &Parallelism::sequential(), &mut rng_seq);
-        let par =
-            RandomizerPool::generate_with(pk.clone(), size, &Parallelism::new(threads), &mut rng_par);
-        // Identical pools encrypt identical values to identical ciphertexts.
-        let values: Vec<Ubig> = (0..size as u64).map(Ubig::from).collect();
-        let c_seq = seq.encrypt_batch(&values, &Parallelism::sequential()).unwrap();
-        let c_par = par.encrypt_batch(&values, &Parallelism::sequential()).unwrap();
-        prop_assert_eq!(c_seq, c_par);
-        // The caller RNG advanced by the same number of draws either way.
-        prop_assert_eq!(rng_seq.gen::<u64>(), rng_par.gen::<u64>());
-    }
-
-    #[test]
-    fn batch_encryption_is_thread_count_invariant(
-        raw_values in proptest::collection::vec(any::<u32>(), 1..10),
-        pool_size in 0usize..12,
-        threads in 2usize..9,
-        seed in any::<u64>(),
-    ) {
-        // Batches shorter than the pool exercise the pooled path, longer
-        // ones the deterministic on-the-fly fallback; batches under the
-        // min-batch threshold stay sequential regardless of `threads`.
-        let pk = keypair().public_key().clone();
-        let values: Vec<Ubig> = raw_values.iter().map(|&v| Ubig::from(v as u64)).collect();
-        let pool_seq = RandomizerPool::generate_with(
-            pk.clone(), pool_size, &Parallelism::sequential(), &mut StdRng::seed_from_u64(seed));
-        let pool_par = RandomizerPool::generate_with(
-            pk.clone(), pool_size, &Parallelism::sequential(), &mut StdRng::seed_from_u64(seed));
-        let c_seq = pool_seq.encrypt_batch(&values, &Parallelism::sequential()).unwrap();
-        let c_par = pool_par.encrypt_batch(&values, &Parallelism::new(threads)).unwrap();
-        prop_assert_eq!(c_seq, c_par);
-        prop_assert_eq!(pool_seq.fallback_generated(), pool_par.fallback_generated());
-    }
 }
 
 /// Keypairs at the test, mid and paper key sizes, generated once.
@@ -155,24 +110,65 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn own_key_encryption_matches_public_byte_for_byte(
+    fn djn_ciphertexts_decrypt_and_combine_like_classical_ones(
         limbs in proptest::collection::vec(any::<u64>(), 0..17),
+        scalar in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        // The factorization route to r^n must land on the same group
-        // element and leave the RNG where the public route leaves it.
         for kp in sized_keypairs() {
             let (pk, sk) = (kp.public_key(), kp.private_key());
             let n = pk.modulus();
-            for m in [Ubig::zero(), n - &Ubig::one(), &Ubig::from_limbs(limbs.clone()) % n] {
-                let mut rng_pub = StdRng::seed_from_u64(seed);
-                let mut rng_own = StdRng::seed_from_u64(seed);
-                let public = pk.encrypt(&m, &mut rng_pub).unwrap();
-                let own = sk.encrypt(&m, &mut rng_own).unwrap();
-                prop_assert_eq!(own.as_raw().to_le_bytes(), public.as_raw().to_le_bytes());
-                prop_assert_eq!(rng_own.gen::<u64>(), rng_pub.gen::<u64>());
-                prop_assert_eq!(sk.decrypt_crt(&own).unwrap(), m);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let random_m = &Ubig::from_limbs(limbs.clone()) % n;
+            // A classical r^n ciphertext of 1 to mix with.
+            let classical = pk.encrypt_with_randomness(&Ubig::one(), &random::gen_coprime(&mut rng, n));
+            for m in [Ubig::zero(), Ubig::one(), n - &Ubig::one(), random_m] {
+                let c = pk.encrypt(&m, &mut rng).unwrap();
+                prop_assert_eq!(&sk.decrypt(&c).unwrap(), &m);
+                prop_assert_eq!(&sk.decrypt_crt(&c).unwrap(), &m);
+                // Two encryptions of one message differ.
+                prop_assert_ne!(&pk.encrypt(&m, &mut rng).unwrap(), &c);
+                // Homomorphic identities hold across the two randomizer kinds.
+                let m_plus_1 = &(&m + &Ubig::one()) % n;
+                prop_assert_eq!(&sk.decrypt_crt(&pk.add(&c, &classical)).unwrap(), &m_plus_1);
+                prop_assert_eq!(
+                    sk.decrypt_crt(&pk.mul_plain(&c, &Ubig::from(scalar))).unwrap(),
+                    modmul(&m, &Ubig::from(scalar), n)
+                );
+                prop_assert_eq!(sk.decrypt_crt(&pk.sub(&c, &c)).unwrap(), Ubig::zero());
+                let again = pk.rerandomize(&c, &mut rng);
+                prop_assert_ne!(&again, &c);
+                prop_assert_eq!(&sk.decrypt_crt(&again).unwrap(), &m);
             }
+        }
+    }
+
+    #[test]
+    fn randomizer_is_the_fixed_base_raised_to_a_half_width_exponent(
+        m in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        for kp in sized_keypairs() {
+            let (pk, sk) = (kp.public_key(), kp.private_key());
+            let (n, n2) = (pk.modulus(), pk.modulus_squared());
+            prop_assert_eq!(pk.randomizer_bits(), n.bits().div_ceil(2));
+            // hs is an n-th power: it decrypts to zero.
+            let hs = Ciphertext::from_raw(pk.randomizer_base().clone());
+            prop_assert_eq!(sk.decrypt(&hs).unwrap(), Ubig::zero());
+            // Encryption draws exactly one ⌈|n|/2⌉-bit exponent x and
+            // returns (1 + m·n)·hs^x, as the full-width ladder computes it.
+            let m = &Ubig::from(m) % n;
+            let c = pk.encrypt(&m, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let x = random::gen_bits(&mut StdRng::seed_from_u64(seed), pk.randomizer_bits());
+            prop_assert!(x.bits() <= n.bits().div_ceil(2));
+            let g_m = &(Ubig::one() + &m * n) % n2;
+            prop_assert_eq!(c.as_raw(), &modmul(&g_m, &modpow(pk.randomizer_base(), &x, n2), n2));
+            // Rerandomization multiplies by the same kind of power.
+            let again = pk.rerandomize(&c, &mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(
+                again.as_raw(),
+                &modmul(c.as_raw(), &modpow(pk.randomizer_base(), &x, n2), n2)
+            );
         }
     }
 }

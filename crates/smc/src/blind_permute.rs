@@ -17,11 +17,9 @@
 //!   during the re-encryption bounce and is removed exactly.
 //!
 //! Every exponentiation below runs under a per-key cached Montgomery
-//! context. Encryptions under the *peer's* key pay a full `r^n mod n²`;
-//! the two encryptions each server makes under its **own** key (S1's
-//! `E_pk1[r1]`, S2's `E_pk2[−r3]`) go through
-//! [`paillier::PrivateKey::encrypt`], which reaches the same ciphertext
-//! bytes from the same RNG draw by CRT, about 2.6× cheaper.
+//! context, and every encryption — under the peer's key or the server's
+//! own — is the one [`paillier::PublicKey::encrypt`]: a fixed-base comb
+//! power of the key's randomizer base.
 //!
 //! The batch form runs several vectors through one protocol instance with
 //! the *same* `π1, π2` but independent masks — exactly what Alg. 5 step 3
@@ -130,10 +128,10 @@ pub fn server1_blind_permute<R: Rng + ?Sized>(
         })
         .collect::<Result<_, SmcError>>()?;
     let enc_r1: Vec<Ciphertext> = par
-        .with_item_cost_ns(crate::costs::paillier_own_encrypt_cost_ns(ctx.own_public()))
+        .with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(ctx.own_public()))
         .try_map_seeded(&r1, rng, |_, &mask, item_rng| {
             let encoded = codec1.encode_i128(mask)?;
-            Ok::<_, SmcError>(ctx.own_private().encrypt(&encoded, item_rng)?)
+            Ok::<_, SmcError>(ctx.own_public().encrypt(&encoded, item_rng)?)
         })?;
     tap.record_sent(&enc_r1);
     endpoint.send(PartyId::Server2, step, &enc_r1)?;
@@ -266,11 +264,9 @@ pub fn server2_blind_permute<R: Rng + ?Sized>(
         })?;
         masked_b.push(row);
         let negs: Vec<Ciphertext> = par
-            .with_item_cost_ns(crate::costs::paillier_own_encrypt_cost_ns(ctx.own_public()))
+            .with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(ctx.own_public()))
             .try_map_seeded(&r3, rng, |_, &mask3, item_rng| {
-                Ok::<_, SmcError>(
-                    ctx.own_private().encrypt(&codec2.encode_i128(-mask3)?, item_rng)?,
-                )
+                Ok::<_, SmcError>(ctx.own_public().encrypt(&codec2.encode_i128(-mask3)?, item_rng)?)
             })?;
         neg_r3_enc.push(negs);
     }

@@ -21,7 +21,7 @@
 //! by the public domain offset before the bitwise protocol, which
 //! preserves order. Every DGK operation (bit encryptions, blinding, zero
 //! tests) runs on the key's cached Montgomery contexts and `g`/`h`
-//! fixed-base tables (see [`dgk::DgkPublicKey::precompute`]). Each match
+//! fixed-base combs (see [`dgk::DgkPublicKey::precompute`]). Each match
 //! draws from its own seed-derived RNG stream, so both messages are
 //! byte-identical at every thread count.
 //!

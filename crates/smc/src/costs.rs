@@ -16,22 +16,14 @@
 //! [`bigint::montgomery::mont_cost_ns`], the one model fitted to the limb
 //! kernel.
 
-use bigint::montgomery::{modpow_cost_ns, mont_cost_ns};
+use bigint::montgomery::{comb_cost_ns, modpow_cost_ns, mont_cost_ns};
 use dgk::DgkPublicKey;
 use paillier::PublicKey;
 
-/// One Paillier encryption: the `r^n` blind dominates — an `|n|`-bit
-/// exponent mod `n²`.
+/// One Paillier encryption: the `hs^x` randomizer dominates — one comb
+/// evaluation mod `n²` over the key's randomizer exponent.
 pub(crate) fn paillier_encrypt_cost_ns(pk: &PublicKey) -> u64 {
-    modpow_cost_ns(pk.modulus_squared().bits(), pk.modulus().bits())
-}
-
-/// One Paillier encryption under the encrypting server's own key
-/// ([`paillier::PrivateKey::encrypt`]): per prime factor, a `|p|`-bit
-/// exponentiation mod `p` and another mod `p²`.
-pub(crate) fn paillier_own_encrypt_cost_ns(pk: &PublicKey) -> u64 {
-    let (n_bits, p_bits) = (pk.modulus().bits(), pk.modulus().bits() / 2);
-    2 * (modpow_cost_ns(p_bits, p_bits) + modpow_cost_ns(n_bits, p_bits))
+    comb_cost_ns(pk.modulus_squared().bits(), pk.randomizer_bits())
 }
 
 /// One CRT Paillier decryption: a `|p|`-bit exponentiation under each of

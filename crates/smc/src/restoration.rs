@@ -18,9 +18,6 @@
 //! 5. S2 applies `π2⁻¹` and adds `r2` → `E_pk1[e + r2]`;
 //! 6. S1 decrypts and returns the plaintext `e + r2`;
 //! 7. S2 strips `r2`, reads off the winner index, and announces it.
-//!
-//! Both encryptions (steps 1 and 4) are under the encrypting server's own
-//! key, so they take the CRT route of [`paillier::PrivateKey::encrypt`].
 
 use paillier::Ciphertext;
 use rand::Rng;
@@ -97,9 +94,9 @@ pub fn server1_restore<R: Rng + ?Sized>(
     // Step 4: strip r1 and re-encrypt under own pk1 — one seed-derived
     // RNG stream per entry, fanned out.
     let enc_pi2_e: Vec<Ciphertext> = par
-        .with_item_cost_ns(crate::costs::paillier_own_encrypt_cost_ns(ctx.own_public()))
+        .with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(ctx.own_public()))
         .try_map_seeded(&plain_masked, rng, |i, &v, item_rng| {
-            Ok::<_, SmcError>(ctx.own_private().encrypt(&codec1.encode_i128(v - r1[i])?, item_rng)?)
+            Ok::<_, SmcError>(ctx.own_public().encrypt(&codec1.encode_i128(v - r1[i])?, item_rng)?)
         })?;
     tap.record_sent(&enc_pi2_e);
     endpoint.send(PartyId::Server2, step, &enc_pi2_e)?;
@@ -168,9 +165,9 @@ pub fn server2_restore<R: Rng + ?Sized>(
     let mut indicator = vec![0i128; k];
     indicator[permuted_slot] = 1;
     let enc_indicator: Vec<Ciphertext> = par
-        .with_item_cost_ns(crate::costs::paillier_own_encrypt_cost_ns(ctx.own_public()))
+        .with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(ctx.own_public()))
         .try_map_seeded(&indicator, rng, |_, &v, item_rng| {
-            Ok::<_, SmcError>(ctx.own_private().encrypt(&codec2.encode_i128(v)?, item_rng)?)
+            Ok::<_, SmcError>(ctx.own_public().encrypt(&codec2.encode_i128(v)?, item_rng)?)
         })?;
     tap.record_sent(&enc_indicator);
     endpoint.send(PartyId::Server1, step, &enc_indicator)?;

@@ -181,11 +181,12 @@ impl SessionKeys {
     }
 
     /// Warms every per-key exponentiation cache (Paillier `n²`/`p²`/`q²`
-    /// Montgomery contexts, the DGK `n`/`p` contexts and the `g`/`h`
-    /// fixed-base tables). Because the caches live behind shared cells,
-    /// every [`ServerContext`]/[`UserContext`] cloned from these keys
-    /// reuses the warmed state — no party pays the setup cost on its
-    /// first protocol message. Called automatically by
+    /// Montgomery contexts and the randomizer comb, the DGK `n`/`p`
+    /// contexts and the `g`/`h` combs). Key generation already built the
+    /// public halves' caches and shares them between the halves of a
+    /// keypair, so every [`ServerContext`]/[`UserContext`] cloned from
+    /// these keys reuses the warmed state — no party pays the setup cost
+    /// on its first protocol message. Called automatically by
     /// [`SessionKeys::generate`]; idempotent.
     pub fn precompute(&self) {
         self.paillier1.private_key().precompute();

@@ -21,8 +21,8 @@
 #                audit layer off vs. on (audit_off_/audit_on_ rows in
 #                BENCH_protocol.json).
 #   --batch      also run the batched-kernel ablation (Straus multi-exp,
-#                fixed CRT recombination, batched pool refill and DGK
-#                zero test, k ∈ {1,4,16,64}).
+#                fixed CRT recombination, batched DGK zero test,
+#                k ∈ {1,4,16,64}).
 #   --scale      also run the simulated streaming-ingest scale sweep
 #                (|U| ∈ {100k, 300k, 1M} × shard counts, scale_* rows
 #                with bytes/user, throughput and VmHWM/VmRSS) plus the

@@ -2,7 +2,9 @@
 # Asserts the kernel invariants BENCH_protocol.json must uphold: the CRT
 # decrypt path beats the plain one, every batched/fixed kernel is no
 # slower than its predecessor at k = 1 (125% tolerance absorbs timer
-# noise on loaded machines), the sorted-merge survivor intersection beats
+# noise on loaded machines), a 2048-bit encryption through the
+# randomizer comb costs at most a quarter of the full-width r^n ladder it
+# replaced, the sorted-merge survivor intersection beats
 # the linear scan it replaced, across the --scale sweep sharded
 # streaming never costs more than flat + 5% bytes/user at equal |U|,
 # the campaign daemon telemetry (campaign_summary + campaign_round_*) is
@@ -90,8 +92,8 @@ check ablation_modpow_cached_montgomery_256 ablation_modpow_division_256 100 \
   "Montgomery-kernel modpow faster than division-path modpow_basic"
 check ablation_crt_recombine_fixed ablation_crt_recombine_gcd 125 \
   "fixed Garner recombination no slower than extended-gcd CRT"
-check ablation_pool_refill_batched_k1 ablation_pool_refill_k1 125 \
-  "batched pool refill no slower than per-item refill at k=1"
+check paillier_encrypt_2048 modpow_n2_2048 25 \
+  "2048-bit encryption at most a quarter of the full-width r^n ladder"
 check ablation_dgk_zero_batch_k1 ablation_dgk_zero_loop_k1 125 \
   "batched DGK zero test no slower than per-item loop at k=1"
 
