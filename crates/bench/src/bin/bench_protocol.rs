@@ -113,16 +113,17 @@ use dgk::{DgkKeypair, DgkParams};
 use paillier::{Ciphertext, Keypair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use smc::bracket::{server1_argmax, server2_argmax};
-use smc::secure_sum::{aggregate_user_vectors, encrypt_share_vector};
+use smc::bracket::Argmax;
+use smc::machine::{Next, Outbox};
+use smc::secure_sum::{encrypt_share_vector, Collect};
 use smc::shard::{intersect_sorted, STREAM_CHUNK};
 use smc::{
-    AuditPolicy, Parallelism, SessionConfig, SessionKeys, ShardAccumulator, ShardConfig, ShardPlan,
-    UploadValidator,
+    run_pair, AuditPolicy, Machine, Parallelism, SessionConfig, SessionKeys, ShardAccumulator,
+    ShardConfig, ShardPlan, UploadValidator,
 };
 use std::sync::Arc;
 use transport::metrics::LinkStats;
-use transport::{FaultStats, LinkKind, Meter, Network, PartyId, Step, Wire};
+use transport::{FaultStats, Meter, PartyId, Step, Wire};
 
 /// The dispatch threshold the pre-change `modular::modpow` used.
 const OLD_MONTGOMERY_EXP_THRESHOLD: u64 = 24;
@@ -180,26 +181,18 @@ fn proc_status_kb(field: &str) -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Runs one step-4 ranking of the shared sequences `xs`/`ys` on real
-/// channels and returns the S1↔S2 traffic it put on the wire.
+/// Runs one step-4 ranking of the shared sequences `xs`/`ys` in memory
+/// and returns the S1↔S2 traffic it put on the wire.
 fn rank_once(keys: &SessionKeys, xs: &[i128], ys: &[i128]) -> LinkStats {
     let (s1_ctx, s2_ctx) = (keys.server1(), keys.server2());
-    let mut net = Network::new(0);
-    let mut s1 = net.take_endpoint(PartyId::Server1);
-    let mut s2 = net.take_endpoint(PartyId::Server2);
-    let (w1, w2) = std::thread::scope(|scope| {
-        let h1 = scope.spawn(|| {
-            let mut rng = StdRng::seed_from_u64(11);
-            server1_argmax(&mut s1, &s1_ctx, xs, Step::CompareRank, &mut rng).expect("S1 rank")
-        });
-        let h2 = scope.spawn(|| {
-            let mut rng = StdRng::seed_from_u64(12);
-            server2_argmax(&mut s2, &s2_ctx, ys, Step::CompareRank, &mut rng).expect("S2 rank")
-        });
-        (h1.join().expect("S1 thread"), h2.join().expect("S2 thread"))
-    });
-    assert_eq!(w1, w2, "servers must elect the same slot");
-    net.meter().report().link_stats(Step::CompareRank, LinkKind::ServerToServer)
+    let s1 = Argmax::new(xs.to_vec(), Step::CompareRank, StdRng::seed_from_u64(11));
+    let s2 = Argmax::new(ys.to_vec(), Step::CompareRank, StdRng::seed_from_u64(12));
+    let run = run_pair((&s1_ctx, s1), (&s2_ctx, s2), Vec::new()).expect("rank");
+    assert_eq!(run.outputs.0, run.outputs.1, "servers must elect the same slot");
+    LinkStats {
+        messages: run.transcript.len() as u64,
+        bytes: run.transcript.iter().map(|f| f.payload.len() as u64).sum(),
+    }
 }
 
 struct Report {
@@ -685,13 +678,17 @@ fn main() {
     let sweep_users = 8usize;
     let sweep_classes = 10usize;
     let e2e_iters: u64 = if smoke { 1 } else { 3 };
-    let upload: Vec<Ciphertext> = (0..sweep_classes)
-        .map(|_| {
-            let v = random::gen_below(&mut rng, &n);
-            let rr = random::gen_coprime(&mut rng, &n);
-            pk.encrypt_with_randomness(&v, &rr)
-        })
-        .collect();
+    // S1-bound uploads are encrypted under S2's key.
+    let sum_keys = SessionKeys::generate(SessionConfig::test(sweep_users, sweep_classes), &mut rng);
+    let upload = encrypt_share_vector(
+        &vec![1; sweep_classes],
+        sum_keys.user().pk2(),
+        &Parallelism::sequential(),
+        &mut rng,
+    )
+    .expect("in-window shares")
+    .to_bytes();
+    let sum_roster: Vec<usize> = (0..sweep_users).collect();
     let votes: Vec<Vec<f64>> = (0..sweep_users)
         .map(|u| {
             let mut v = vec![0.0; sweep_classes];
@@ -734,29 +731,25 @@ fn main() {
             t,
         );
 
-        // Secure-sum aggregation over real channels: 8 users' uploads are
-        // re-sent each iteration, then folded per class slot.
-        let mut net = Network::new(sweep_users);
-        let mut server = net.take_endpoint(PartyId::Server1);
-        let mut user_eps: Vec<_> =
-            (0..sweep_users).map(|u| net.take_endpoint(PartyId::User(u))).collect();
+        // Secure-sum aggregation: S1's strict collection machine is fed
+        // 8 users' encoded uploads each iteration and folds them per
+        // class slot.
+        let sum_ctx = sum_keys.clone().with_parallelism(par).server1();
         report.record_at(
             &format!("par_secure_sum_aggregate_t{t}"),
             time_ns(iters.min(100), || {
-                for ep in &mut user_eps {
-                    ep.send(PartyId::Server1, Step::SecureSumVotes, &upload).expect("send");
-                }
-                black_box(
-                    aggregate_user_vectors(
-                        &mut server,
-                        Step::SecureSumVotes,
-                        sweep_users,
-                        sweep_classes,
-                        &pk,
-                        &par,
-                    )
-                    .expect("aggregate"),
-                );
+                let plan = ShardPlan::flat(&sum_roster);
+                let step = Step::SecureSumVotes;
+                let mut machine = Collect::new(&sum_ctx, step, plan, sweep_classes, 1, None);
+                let mut answer = None;
+                let aggregate = loop {
+                    match machine.resume(&sum_ctx, answer.take(), &mut Outbox::default()) {
+                        Ok(Next::Recv(_)) => answer = Some(Ok((1, upload.clone()))),
+                        Ok(Next::Done(aggregate)) => break aggregate,
+                        Err(e) => panic!("aggregate: {e}"),
+                    }
+                };
+                black_box(aggregate);
             }),
             t,
         );
@@ -860,6 +853,7 @@ fn main() {
                 ShardPlan::derive(0xC0FF_EE00 ^ users as u64, &roster, ShardConfig::new(shards));
             let rss_before = proc_status_kb("VmRSS:").unwrap_or(0);
             let mut validator = UploadValidator::new(scale_classes);
+            let mut rejections = Vec::new();
             let mut combined = ShardAccumulator::new(&pk, 1, scale_classes);
             let start = Instant::now();
             for shard in plan.shards() {
@@ -870,7 +864,7 @@ fn main() {
                     let arrival = template.clone();
                     validator
                         .check(
-                            &meter,
+                            &mut rejections,
                             PartyId::User(u),
                             Step::SecureSumVotes,
                             u as u64,
@@ -888,6 +882,7 @@ fn main() {
                 combined.merge(&pk, acc);
             }
             let secs = start.elapsed().as_secs_f64();
+            rejections.into_iter().for_each(|event| meter.record_fault(event));
             assert_eq!(combined.members().len(), users, "every user folded");
             assert_eq!(validator.live_senders(), 0, "per-user state retired after fold");
             black_box(combined.into_sums());

@@ -11,6 +11,7 @@
 //! Usage: `cargo run --release -p benches --bin table1_costs -- [--instances N] [--users U] [--classes K] [--paper-params]`
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use benches::{f3, Args, Table};
 use consensus_core::config::ConsensusConfig;
@@ -18,7 +19,7 @@ use consensus_core::secure::SecureEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smc::SessionConfig;
-use transport::{Meter, NetworkProfile, Step};
+use transport::{LinkKind, Meter, MeterReport, Step};
 
 fn main() {
     let args = Args::capture();
@@ -94,5 +95,169 @@ fn main() {
     ] {
         let t = profile.total_network_time(&report).as_secs_f64() / instances as f64;
         println!("  {name:<36} {t:.3} s");
+    }
+}
+
+// ---- Analytic network-cost model ------------------------------------
+//
+// The in-process channels deliver messages in microseconds, so the wall
+// times in Table I reflect pure computation. A real deployment pays
+// latency per message round and serialization per byte; since the meter
+// records exactly how many messages and bytes each step moved, the total
+// network cost of a run can be estimated for any link profile rather
+// than re-run over a WAN.
+
+/// A link's latency/bandwidth characteristics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LinkProfile {
+    /// One-way message latency in microseconds.
+    latency_us: u64,
+    /// Usable bandwidth in bytes per second.
+    bytes_per_sec: u64,
+}
+
+impl LinkProfile {
+    /// A same-rack / loopback link: 50 µs, 10 Gb/s.
+    fn loopback() -> Self {
+        LinkProfile { latency_us: 50, bytes_per_sec: 1_250_000_000 }
+    }
+
+    /// A LAN link: 0.5 ms, 1 Gb/s.
+    fn lan() -> Self {
+        LinkProfile { latency_us: 500, bytes_per_sec: 125_000_000 }
+    }
+
+    /// A WAN link between data centers: 30 ms, 100 Mb/s.
+    fn wan() -> Self {
+        LinkProfile { latency_us: 30_000, bytes_per_sec: 12_500_000 }
+    }
+}
+
+/// Link profiles for the three link kinds of the deployment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct NetworkProfile {
+    /// Users ↔ servers (typically WAN: users are remote institutions).
+    user_server: LinkProfile,
+    /// Server ↔ server (typically LAN or inter-DC).
+    server_server: LinkProfile,
+}
+
+impl NetworkProfile {
+    /// Everything on one machine.
+    fn local() -> Self {
+        NetworkProfile {
+            user_server: LinkProfile::loopback(),
+            server_server: LinkProfile::loopback(),
+        }
+    }
+
+    /// Users over WAN, servers co-located on a LAN — the paper's
+    /// two-corporation deployment story.
+    fn federated() -> Self {
+        NetworkProfile { user_server: LinkProfile::wan(), server_server: LinkProfile::lan() }
+    }
+
+    /// Everything across data centers.
+    fn wide_area() -> Self {
+        NetworkProfile { user_server: LinkProfile::wan(), server_server: LinkProfile::wan() }
+    }
+
+    fn profile_for(&self, link: LinkKind) -> LinkProfile {
+        match link {
+            LinkKind::UserToServer | LinkKind::ServerToUser => self.user_server,
+            LinkKind::ServerToServer => self.server_server,
+        }
+    }
+
+    /// Estimated network time of one step under this profile: every
+    /// message pays the link latency (the protocol's server↔server
+    /// messages are strictly sequential rounds) plus serialization.
+    fn step_network_time(&self, report: &MeterReport, step: Step) -> Duration {
+        let mut total = Duration::ZERO;
+        for (s, link, stats) in report.comm_rows() {
+            if s != step {
+                continue;
+            }
+            let profile = self.profile_for(link);
+            // User messages of one step travel concurrently: charge one
+            // latency for the slowest plus full serialization; the
+            // server↔server dialogue is sequential rounds.
+            match link {
+                LinkKind::UserToServer | LinkKind::ServerToUser => {
+                    if stats.messages > 0 {
+                        total += Duration::from_micros(profile.latency_us);
+                        total += Duration::from_secs_f64(
+                            stats.bytes as f64 / profile.bytes_per_sec as f64,
+                        );
+                    }
+                }
+                LinkKind::ServerToServer => {
+                    total += Duration::from_micros(profile.latency_us) * stats.messages as u32;
+                    total +=
+                        Duration::from_secs_f64(stats.bytes as f64 / profile.bytes_per_sec as f64);
+                }
+            }
+        }
+        total
+    }
+
+    /// Estimated total network time across all steps.
+    fn total_network_time(&self, report: &MeterReport) -> Duration {
+        Step::ALL.iter().map(|&s| self.step_network_time(report, s)).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample_report() -> MeterReport {
+        let meter = Meter::new();
+        // 10 users upload one 1 KB message each.
+        for _ in 0..10 {
+            meter.record_message(Step::SecureSumVotes, LinkKind::UserToServer, 1024);
+        }
+        // 45 comparison rounds of 2 messages, 4 KB each.
+        for _ in 0..90 {
+            meter.record_message(Step::CompareRank, LinkKind::ServerToServer, 4096);
+        }
+        meter.report()
+    }
+
+    #[test]
+    fn sequential_rounds_dominate_on_wan() {
+        let report = sample_report();
+        let profile = NetworkProfile::wide_area();
+        let compare = profile.step_network_time(&report, Step::CompareRank);
+        // 90 sequential messages × 30 ms ≈ 2.7 s of pure latency.
+        assert!(compare.as_secs_f64() > 2.6, "{compare:?}");
+        let upload = profile.step_network_time(&report, Step::SecureSumVotes);
+        // Concurrent uploads: one latency + 10 KB transfer — far smaller.
+        assert!(upload < compare / 10, "upload {upload:?} vs compare {compare:?}");
+    }
+
+    #[test]
+    fn faster_links_cost_less() {
+        let report = sample_report();
+        let local = NetworkProfile::local().total_network_time(&report);
+        let fed = NetworkProfile::federated().total_network_time(&report);
+        let wan = NetworkProfile::wide_area().total_network_time(&report);
+        assert!(local < fed);
+        assert!(fed <= wan);
+    }
+
+    #[test]
+    fn empty_report_is_free() {
+        let report = Meter::new().report();
+        assert_eq!(NetworkProfile::wide_area().total_network_time(&report), Duration::ZERO);
+    }
+
+    #[test]
+    fn total_is_sum_of_steps() {
+        let report = sample_report();
+        let profile = NetworkProfile::federated();
+        let by_steps: Duration =
+            Step::ALL.iter().map(|&s| profile.step_network_time(&report, s)).sum();
+        assert_eq!(by_steps, profile.total_network_time(&report));
     }
 }

@@ -9,7 +9,7 @@
 //! state machine and drives hundreds of them from one scheduler loop:
 //!
 //! * [`SessionMachine`] — one round as a pollable state machine, seeded
-//!   by the serializable [`RoundState`] the crash-recovery layer already
+//!   by the serializable [`smc::RoundState`] the crash-recovery layer already
 //!   checkpoints. `poll(incoming_frame)` ingests at most one
 //!   session-tagged frame and performs one bounded unit of work — either
 //!   buffering an upload or advancing both servers exactly one pipeline
@@ -29,18 +29,19 @@
 //! or quorum-losing session is torn down without touching any neighbor:
 //! every other session's
 //! [`ConsensusFingerprint`](crate::ConsensusFingerprint) stays
-//! bit-identical to a solo run of the same round. The per-step engine
-//! internals ([`server1_advance`]/[`server2_advance`]) are the *same*
-//! functions `run_round` composes, so the reactor cannot drift from the
-//! blocking path.
+//! bit-identical to a solo run of the same round. A running session is
+//! the engine's own round loop (`secure::Servers`) taken one step at a
+//! time — the loop `run_round` runs to the end — so the reactor cannot
+//! drift from the blocking path.
 //!
 //! # Scheduling model
 //!
-//! One poll advances both servers by one protocol step, on two scoped
-//! threads (the steps are interactive: blind-permute and the DGK
-//! comparisons exchange messages). Work per poll is therefore bounded by
-//! the most expensive single step, which is what makes round-robin
-//! servicing fair: no session can hold the scheduler for a whole round.
+//! One poll advances both servers by one protocol step on the calling
+//! thread: the steps are interactive, but strictly alternating, so one
+//! loop resumes whichever server's machine can run. No poll creates a
+//! thread. Work per poll is bounded by the most expensive single step,
+//! which is what makes round-robin servicing fair: no session can hold
+//! the scheduler for a whole round.
 //!
 //! # Exactly-once accounting
 //!
@@ -58,16 +59,13 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use dp::rdp::LinearRdp;
-use paillier::Ciphertext;
 use rand::Rng;
-use smc::{AuditContext, RoundState, ServerContext, SmcError};
-use transport::{
-    Endpoint, FaultEvent, FaultStats, Meter, Network, PartyId, SessionDemux, SessionError,
-    SessionFrame, Step, TransportError, Wire,
-};
+use smc::machine::Frame;
+use smc::SmcError;
+use transport::{FaultEvent, FaultStats, Meter, PartyId, SessionDemux, SessionError, SessionFrame};
 
 use crate::recovery::RdpLedger;
-use crate::secure::{server1_advance, server2_advance, PreparedRound, SecureEngine, SecureOutcome};
+use crate::secure::{PreparedRound, SecureEngine, SecureOutcome, Servers, FROM_START};
 
 /// What one [`SessionMachine::poll`] call produced.
 #[derive(Debug)]
@@ -88,28 +86,10 @@ pub enum SessionPoll {
 enum Phase {
     /// Waiting for the client upload frames (6 per roster user).
     Collecting { buffered: Vec<SessionFrame>, expected: usize },
-    /// Both server pipelines live over the session's private network.
-    Running(Box<Run>),
+    /// Both servers live over the session's private micro-network.
+    Running(Box<Servers>),
     /// Done, failed, or poisoned mid-transition.
     Finished,
-}
-
-/// The live state of a running round: the private micro-network, both
-/// server endpoints, both [`RoundState`]s and audit contexts. The
-/// network handle is kept alive so non-roster endpoints do not drop
-/// their links (a dropped link reads as a disconnect, not the timeout
-/// the solo path sees — and that difference would change fingerprints).
-struct Run {
-    _net: Network,
-    s1: Endpoint,
-    s2: Endpoint,
-    ctx1: ServerContext,
-    ctx2: ServerContext,
-    state1: RoundState,
-    state2: RoundState,
-    audit1: AuditContext,
-    audit2: AuditContext,
-    quorum: Option<usize>,
 }
 
 /// One consensus round as a pollable, non-blocking state machine.
@@ -156,27 +136,18 @@ impl SessionMachine {
         rng: &mut R,
     ) -> Result<(SessionMachine, Vec<SessionFrame>), SmcError> {
         let prepared = engine.prepare_round(votes, roster, rng)?;
-        let mut frames = Vec::with_capacity(prepared.uploads.len() * 6);
-        for (idx, up) in prepared.uploads.iter().enumerate() {
-            let slots: [(PartyId, Step, &Vec<Ciphertext>); 6] = [
-                (PartyId::Server1, Step::SecureSumVotes, &up.s1_votes),
-                (PartyId::Server1, Step::SecureSumVotes, &up.s1_thresh),
-                (PartyId::Server1, Step::SecureSumNoisy, &up.s1_noisy),
-                (PartyId::Server2, Step::SecureSumVotes, &up.s2_votes),
-                (PartyId::Server2, Step::SecureSumVotes, &up.s2_thresh),
-                (PartyId::Server2, Step::SecureSumNoisy, &up.s2_noisy),
-            ];
-            for (slot, (to, step, payload)) in slots.into_iter().enumerate() {
-                frames.push(SessionFrame {
-                    session,
-                    from: PartyId::User(up.user),
-                    to,
-                    step,
-                    seq: (idx * 6 + slot) as u64,
-                    payload: payload.to_bytes(),
-                });
-            }
-        }
+        let frames: Vec<SessionFrame> = prepared
+            .upload_frames()
+            .enumerate()
+            .map(|(seq, Frame { from, to, step, payload })| SessionFrame {
+                session,
+                from,
+                to,
+                step,
+                seq: seq as u64,
+                payload,
+            })
+            .collect();
         let expected = frames.len();
         let fault_stats_before = meter.fault_stats();
         let machine = SessionMachine {
@@ -233,7 +204,7 @@ impl SessionMachine {
                 // Poisoned until the transition succeeds: a failed start
                 // must not leave a half-built Running phase behind.
                 self.phase = Phase::Finished;
-                match self.start_round(&frames) {
+                match self.start_round(frames) {
                     Ok(run) => {
                         self.phase = Phase::Running(run);
                         SessionPoll::NeedMore
@@ -241,94 +212,36 @@ impl SessionMachine {
                     Err(e) => SessionPoll::Failed(e),
                 }
             }
-            Phase::Running(run) => {
+            Phase::Running(servers) => {
                 debug_assert!(incoming.is_none(), "running sessions consume no further frames");
-                let state1 = std::mem::replace(&mut run.state1, RoundState::Start);
-                let state2 = std::mem::replace(&mut run.state2, RoundState::Start);
-                let prepared = &self.prepared;
-                let faults = self.engine.fault_plan();
-                let Run { s1, s2, ctx1, ctx2, audit1, audit2, quorum, .. } = &mut **run;
-                let quorum = *quorum;
-                let (r1, r2) = std::thread::scope(|scope| {
-                    let h1 = scope.spawn(|| {
-                        server1_advance(
-                            s1,
-                            ctx1,
-                            &prepared.roster,
-                            prepared.num_classes,
-                            prepared.seed1,
-                            prepared.shard_seed,
-                            quorum,
-                            state1,
-                            audit1,
-                            faults,
-                        )
-                    });
-                    let h2 = scope.spawn(|| {
-                        server2_advance(
-                            s2,
-                            ctx2,
-                            &prepared.roster,
-                            prepared.num_classes,
-                            prepared.seed2,
-                            prepared.shard_seed,
-                            quorum,
-                            state2,
-                            audit2,
-                            faults,
-                        )
-                    });
-                    (h1.join().expect("S1 step panicked"), h2.join().expect("S2 step panicked"))
-                });
-                // Same root-cause priority as the blocking path: an audit
-                // conviction outranks everything, and a transport error is
-                // usually the timeout the *other* side's failure induced.
-                let advanced = match (r1, r2) {
-                    (Ok(a), Ok(b)) => Ok((a, b)),
-                    (Err(e @ SmcError::AuditFailure { .. }), _)
-                    | (_, Err(e @ SmcError::AuditFailure { .. })) => Err(e),
-                    (Err(SmcError::Transport(_)), Err(root)) => Err(root),
-                    (Err(root), _) => Err(root),
-                    (_, Err(root)) => Err(root),
-                };
-                match advanced {
-                    Err(e) => {
-                        self.phase = Phase::Finished;
-                        SessionPoll::Failed(e)
-                    }
-                    Ok((next1, next2)) => {
-                        if next1.is_terminal() {
-                            assert!(
-                                next2.is_terminal(),
-                                "server pipelines must terminate in lockstep"
-                            );
-                            self.phase = Phase::Finished;
-                            let outcome = self.engine.finalize_round(
-                                &self.prepared,
-                                next1,
-                                next2,
-                                &self.meter,
-                                self.fault_stats_before,
-                                0,
-                                Vec::new(),
-                            );
-                            SessionPoll::Done(Box::new(outcome))
-                        } else {
-                            let step = next1.completed_step();
-                            run.state1 = next1;
-                            run.state2 = next2;
-                            let beacon = SessionFrame {
-                                session: self.session,
-                                from: PartyId::Server1,
-                                to: PartyId::User(self.prepared.roster[0]),
-                                step,
-                                seq: u64::from(step.ordinal()),
-                                payload: Bytes::new(),
-                            };
-                            SessionPoll::Emit(vec![beacon])
-                        }
-                    }
+                if let Err(e) = servers.step(&mut ()) {
+                    self.phase = Phase::Finished;
+                    return SessionPoll::Failed(e);
                 }
+                if !servers.is_terminal() {
+                    let step = servers.completed_step();
+                    let beacon = SessionFrame {
+                        session: self.session,
+                        from: PartyId::Server1,
+                        to: PartyId::User(self.prepared.roster[0]),
+                        step,
+                        seq: u64::from(step.ordinal()),
+                        payload: Bytes::new(),
+                    };
+                    return SessionPoll::Emit(vec![beacon]);
+                }
+                let (done1, done2) = servers.states();
+                self.phase = Phase::Finished;
+                let outcome = self.engine.finalize_round(
+                    &self.prepared,
+                    done1,
+                    done2,
+                    &self.meter,
+                    self.fault_stats_before,
+                    0,
+                    Vec::new(),
+                );
+                SessionPoll::Done(Box::new(outcome))
             }
             Phase::Finished => panic!("poll on a terminal session machine"),
         }
@@ -339,36 +252,21 @@ impl SessionMachine {
     /// each fresh link's sequence numbers reproduce the solo run's and
     /// any fault decisions keyed on `(from, to, step, seq)` fire
     /// identically.
-    fn start_round(&self, frames: &[SessionFrame]) -> Result<Box<Run>, SmcError> {
-        let mut net = self.engine.build_network(&self.meter, self.engine.fault_plan().cloned());
-        let s1 = net.take_endpoint(PartyId::Server1);
-        let s2 = net.take_endpoint(PartyId::Server2);
-        for chunk in frames.chunks_exact(6) {
-            let endpoint = net.take_endpoint(chunk[0].from);
-            for frame in chunk {
-                debug_assert_eq!(frame.from, chunk[0].from, "upload frames grouped per user");
-                let ciphertexts = Vec::<Ciphertext>::from_bytes(frame.payload.clone())
-                    .map_err(|e| SmcError::Transport(TransportError::Codec(e)))?;
-                endpoint.send(frame.to, frame.step, &ciphertexts)?;
-            }
-        }
-        let round_id = self.engine.next_audit_round();
-        let (ctx1, ctx2) = self.engine.server_contexts();
-        let quorum = self.engine.resilient().then(|| self.engine.quorum());
-        let audit1 = AuditContext::new(self.engine.audit(), round_id, PartyId::Server1);
-        let audit2 = AuditContext::new(self.engine.audit(), round_id, PartyId::Server2);
-        Ok(Box::new(Run {
-            _net: net,
-            s1,
-            s2,
-            ctx1,
-            ctx2,
-            state1: RoundState::Start,
-            state2: RoundState::Start,
-            audit1,
-            audit2,
-            quorum,
-        }))
+    fn start_round(&self, frames: Vec<SessionFrame>) -> Result<Box<Servers>, SmcError> {
+        let servers = self.engine.launch(
+            &self.prepared,
+            frames.into_iter().map(|f| Frame {
+                from: f.from,
+                to: f.to,
+                step: f.step,
+                payload: f.payload,
+            }),
+            &self.meter,
+            self.engine.fault_plan().cloned(),
+            FROM_START,
+            self.engine.next_audit_round(),
+        )?;
+        Ok(Box::new(servers))
     }
 }
 

@@ -1,8 +1,9 @@
 //! Crash recovery: durable round checkpoints, resumption, and
 //! exactly-once privacy accounting.
 //!
-//! The secure pipeline snapshots each server's [`RoundState`] into a
-//! [`CheckpointStore`] after every completed step. [`RoundSupervisor`]
+//! [`RoundSupervisor`] is the engine's round loop plus a hook and a retry
+//! policy: the hook snapshots each server's [`smc::RoundState`] into a
+//! [`CheckpointStore`] as it completes each step, and the supervisor
 //! turns those snapshots into availability: when a round attempt dies
 //! (a server crash surfaces as a typed transport failure), the
 //! supervisor restores the **latest consistent S1/S2 snapshot pair** —
@@ -36,10 +37,11 @@ use std::sync::{Arc, Mutex};
 
 use dp::rdp::LinearRdp;
 use rand::Rng;
-use smc::{AuditCheckpoint, CheckpointImage, RoundState, SmcError};
+use smc::machine::party_of;
+use smc::{CheckpointImage, ServerRound, SmcError};
 use transport::{CheckpointStore, FaultEvent, Meter, PartyId, Step, Wire};
 
-use crate::secure::{SecureEngine, SecureOutcome};
+use crate::secure::{RoundHook, Seats, SecureEngine, SecureOutcome, FROM_START};
 
 /// Exactly-once RDP accounting across recovered rounds.
 ///
@@ -212,30 +214,26 @@ impl<'e> RoundSupervisor<'e> {
                     p.without_crash(PartyId::Server1).without_crash(PartyId::Server2)
                 }
             });
-            let (state1, state2, audit1, audit2) = if attempt == 0 {
-                (RoundState::Start, RoundState::Start, None, None)
+            let seats = if attempt == 0 {
+                FROM_START
             } else {
-                let (state1, state2, audit1, audit2) = self.restore_pair(round, &meter);
+                let seats = self.restore_pair(round, &meter);
                 resumptions += 1;
-                resumed_from.push(state1.next_step().unwrap_or(Step::Restoration));
+                resumed_from.push(seats[0].0.next_step().unwrap_or(Step::Restoration));
                 meter.record_fault(FaultEvent::RoundResumed);
-                (state1, state2, audit1, audit2)
+                seats
             };
 
-            let mut net = self.engine.build_network(&meter, plan);
-            let mut s1 = net.take_endpoint(PartyId::Server1);
-            let mut s2 = net.take_endpoint(PartyId::Server2);
-            self.engine.send_uploads(&mut net, &prepared)?;
-            match self.engine.drive_servers(
-                &mut s1,
-                &mut s2,
+            let servers = self.engine.launch(
                 &prepared,
-                state1,
-                state2,
-                (audit1, audit2),
+                prepared.upload_frames(),
+                &meter,
+                plan,
+                seats,
                 round,
-                Some((self.store.as_ref(), round)),
-            ) {
+            )?;
+            let mut snapshots = Snapshots { store: self.store.as_ref(), round, meter: &meter };
+            match servers.run(&mut snapshots) {
                 Ok((done1, done2)) => {
                     let outcome = self.engine.finalize_round(
                         &prepared,
@@ -267,16 +265,10 @@ impl<'e> RoundSupervisor<'e> {
     /// restart — never a panic, never a half-restored pair. Each side's
     /// audit commitments ride in the same image so a resumed challenge
     /// round re-verifies against the seeds committed before the crash.
-    #[allow(clippy::type_complexity)]
-    fn restore_pair(
-        &self,
-        round: u64,
-        meter: &Meter,
-    ) -> (RoundState, RoundState, Option<AuditCheckpoint>, Option<AuditCheckpoint>) {
-        let fresh = || (RoundState::Start, RoundState::Start, None, None);
+    fn restore_pair(&self, round: u64, meter: &Meter) -> Seats {
         let latest = |party| self.store.load_latest(round, party).ok().flatten();
         let (Some(c1), Some(c2)) = (latest(PartyId::Server1), latest(PartyId::Server2)) else {
-            return fresh();
+            return FROM_START;
         };
         let step = c1.step.min(c2.step);
         let at = |party, ckpt: transport::Checkpoint| {
@@ -291,10 +283,28 @@ impl<'e> RoundSupervisor<'e> {
             (Some(i1), Some(i2)) => {
                 meter.record_fault(FaultEvent::CheckpointRestored);
                 meter.record_fault(FaultEvent::CheckpointRestored);
-                (i1.state, i2.state, i1.audit, i2.audit)
+                [(i1.state, i1.audit), (i2.state, i2.audit)]
             }
-            _ => fresh(),
+            _ => FROM_START,
         }
+    }
+}
+
+/// The supervisor's hook into the round loop: snapshots each server as
+/// it completes a step.
+struct Snapshots<'a> {
+    store: &'a dyn CheckpointStore,
+    round: u64,
+    meter: &'a Meter,
+}
+
+impl RoundHook for Snapshots<'_> {
+    fn completed(&mut self, server: &ServerRound) {
+        let (party, step) = (party_of(server.role()), server.state().completed_step());
+        self.store
+            .save(self.round, party, step, &server.checkpoint().to_bytes())
+            .expect("checkpoint store failed while saving a snapshot");
+        self.meter.record_fault(FaultEvent::CheckpointSaved);
     }
 }
 

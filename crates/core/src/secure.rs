@@ -24,9 +24,13 @@
 //! 9. **Restoration (step 9)** — Alg. 3 recovers and publishes `ĩ*`.
 //!
 //! The engine runs users up-front (they are non-interactive senders) and
-//! the two servers on real threads. Every message is metered per step,
-//! and S1's thread records per-step wall time — together regenerating
-//! Tables I and II.
+//! then drives the two servers' [`ServerRound`] machines from one loop on
+//! the calling thread (`Servers`): inside a step only one server ever
+//! has work, so the loop resumes whichever machine can run, sends what it
+//! emits and performs the receive it asks for. Every message is metered
+//! per step, and the loop records each step's wall time from its first
+//! instruction on either server to the moment both have completed it —
+//! together regenerating Tables I and II.
 //!
 //! # Failure model
 //!
@@ -40,28 +44,25 @@
 //! the typed [`SmcError::QuorumLost`]. Every outcome carries a
 //! [`RoundHealth`] record of who survived, who dropped at which step,
 //! and the noise scale actually realized (see `DESIGN.md`, "Failure
-//! model").
+//! model"). The loop stops at the first error either server returns: a
+//! server that fails locally reports at once, and nobody waits out a
+//! receive deadline the failure would have induced on its peer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use paillier::Ciphertext;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use smc::blind_permute::{server1_blind_permute, server2_blind_permute};
-use smc::bracket::{server1_argmax, server2_argmax};
-use smc::compare::{server1_compare_batch, server2_compare_batch};
-use smc::restoration::{server1_restore, server2_restore};
-use smc::secure_sum::{
-    aggregate_surviving_vectors_sharded, aggregate_user_vectors_sharded, encrypt_share_vector,
-};
+use rand::Rng;
+use smc::machine::{party_of, Frame, Next, Outbound, Outbox, Recv};
+use smc::secure_sum::encrypt_share_vector;
 use smc::{
-    AuditCheckpoint, AuditContext, AuditPolicy, CheckpointImage, Parallelism, RoundState,
-    ServerContext, SessionConfig, SessionKeys, ShardConfig, ShardPlan, SmcError,
+    AuditCheckpoint, AuditContext, AuditPolicy, Parallelism, RoundState, ServerContext, ServerRole,
+    ServerRound, SessionConfig, SessionKeys, SmcError,
 };
 use transport::{
-    CheckpointStore, Endpoint, FaultEvent, FaultPlan, FaultStats, Meter, Network, PartyId, Step,
-    TimeoutPolicy, TransportBackend, Wire,
+    Endpoint, FaultPlan, FaultStats, Meter, Network, PartyId, Step, TimeoutPolicy,
+    TransportBackend, Wire,
 };
 
 use crate::clear::draw_user_noise_shares;
@@ -266,6 +267,43 @@ pub(crate) struct PreparedRound {
     pub(crate) shard_seed: u64,
 }
 
+impl PreparedRound {
+    /// Every user's six upload frames, in the canonical per-user,
+    /// per-link order — fresh networks restart each link's sequence
+    /// numbers at 1, so fault decisions keyed on (from, to, step, seq)
+    /// reproduce identically per attempt.
+    pub(crate) fn upload_frames(&self) -> impl Iterator<Item = Frame> + '_ {
+        self.uploads.iter().flat_map(|up| {
+            [
+                (PartyId::Server1, Step::SecureSumVotes, &up.s1_votes),
+                (PartyId::Server1, Step::SecureSumVotes, &up.s1_thresh),
+                (PartyId::Server1, Step::SecureSumNoisy, &up.s1_noisy),
+                (PartyId::Server2, Step::SecureSumVotes, &up.s2_votes),
+                (PartyId::Server2, Step::SecureSumVotes, &up.s2_thresh),
+                (PartyId::Server2, Step::SecureSumNoisy, &up.s2_noisy),
+            ]
+            .map(|(to, step, vector)| Frame {
+                from: PartyId::User(up.user),
+                to,
+                step,
+                payload: vector.to_bytes(),
+            })
+        })
+    }
+}
+
+/// Where a round attempt seats its two servers: each one's state and,
+/// when restored from a checkpoint, its audit material.
+pub(crate) type Seats = [(RoundState, Option<AuditCheckpoint>); 2];
+
+/// Both servers at the start of the pipeline.
+pub(crate) const FROM_START: Seats = [(RoundState::Start, None), (RoundState::Start, None)];
+
+/// Link-queue slots beyond the uploads: server↔server frames in flight
+/// (a server emits at most a handful before it needs its peer) and their
+/// injected duplicates.
+const SERVER_LINK_ALLOWANCE: usize = 64;
+
 impl SecureEngine {
     /// Generates key material for `session` and binds the consensus
     /// parameters.
@@ -433,8 +471,7 @@ impl SecureEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the vote matrix shape disagrees with the session, or if
-    /// a server thread panics.
+    /// Panics if the vote matrix shape disagrees with the session.
     pub fn run_instance<R: Rng + ?Sized>(
         &self,
         votes: &[Vec<f64>],
@@ -469,21 +506,15 @@ impl SecureEngine {
     ) -> Result<SecureOutcome, SmcError> {
         let prepared = self.prepare_round(votes, roster, rng)?;
         let fault_stats_before = meter.fault_stats();
-        let mut net = self.build_network(&meter, self.faults.clone());
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let mut s2 = net.take_endpoint(PartyId::Server2);
-        self.send_uploads(&mut net, &prepared)?;
-        let round_id = self.audit_rounds.fetch_add(1, Ordering::Relaxed);
-        let (done1, done2) = self.drive_servers(
-            &mut s1,
-            &mut s2,
+        let servers = self.launch(
             &prepared,
-            RoundState::Start,
-            RoundState::Start,
-            (None, None),
-            round_id,
-            None,
+            prepared.upload_frames(),
+            &meter,
+            self.faults.clone(),
+            FROM_START,
+            self.next_audit_round(),
         )?;
+        let (done1, done2) = servers.run(&mut ())?;
         Ok(self.finalize_round(&prepared, done1, done2, &meter, fault_stats_before, 0, Vec::new()))
     }
 
@@ -492,17 +523,9 @@ impl SecureEngine {
         self.faults.as_ref()
     }
 
-    /// The two server-side decryption/evaluation contexts, for callers
-    /// that drive [`server1_advance`]/[`server2_advance`] step by step
-    /// instead of through [`SecureEngine::drive_servers`] (the
-    /// multi-session reactor).
-    pub(crate) fn server_contexts(&self) -> (ServerContext, ServerContext) {
-        (self.keys.server1(), self.keys.server2())
-    }
-
     /// Claims the next audit round id from the engine's monotonic
     /// counter — one id per driven round, feeding the audit challenge
-    /// schedule exactly as [`SecureEngine::run_round`] does.
+    /// schedule.
     pub(crate) fn next_audit_round(&self) -> u64 {
         self.audit_rounds.fetch_add(1, Ordering::Relaxed)
     }
@@ -612,117 +635,83 @@ impl SecureEngine {
     /// Builds one attempt's network over the engine's transport backend
     /// (`plan` may differ from the engine's own on recovery attempts,
     /// where the supervisor strips the server crashes that already
-    /// fired).
-    pub(crate) fn build_network(&self, meter: &Arc<Meter>, plan: Option<FaultPlan>) -> Network {
-        let mut builder = Network::builder(self.keys.config().num_users)
+    /// fired). Its link queues are sized from the round: the one thread
+    /// that drives a round cannot drain a queue it is blocked sending
+    /// into, so a server's queue holds all `3·|U|` of its uploads (twice
+    /// that when a fault plan may duplicate each) plus
+    /// [`SERVER_LINK_ALLOWANCE`].
+    fn build_network(&self, meter: &Arc<Meter>, plan: Option<FaultPlan>) -> Network {
+        let num_users = self.keys.config().num_users;
+        let uploads = 3 * num_users * if plan.is_some() { 2 } else { 1 };
+        let mut builder = Network::builder(num_users)
             .meter(Arc::clone(meter))
             .timeout(self.timeout)
-            .backend(self.transport);
+            .backend(self.transport)
+            .capacity(uploads + SERVER_LINK_ALLOWANCE);
         if let Some(plan) = plan {
             builder = builder.faults(plan);
         }
         builder.build()
     }
 
-    /// Injects the prepared uploads into a fresh network, in the same
-    /// per-user, per-link order as the original engine — fresh networks
-    /// restart each link's sequence numbers at 1, so fault decisions
-    /// keyed on (from, to, step, seq) reproduce identically per attempt.
-    pub(crate) fn send_uploads(
+    /// Starts one attempt of `prepared`'s round: builds the network,
+    /// injects `uploads` and seats both servers. `round_id` feeds the
+    /// audit challenge schedule.
+    pub(crate) fn launch(
         &self,
-        net: &mut Network,
         prepared: &PreparedRound,
-    ) -> Result<(), SmcError> {
-        for up in &prepared.uploads {
-            let endpoint = net.take_endpoint(PartyId::User(up.user));
-            endpoint.send(PartyId::Server1, Step::SecureSumVotes, &up.s1_votes)?;
-            endpoint.send(PartyId::Server1, Step::SecureSumVotes, &up.s1_thresh)?;
-            endpoint.send(PartyId::Server1, Step::SecureSumNoisy, &up.s1_noisy)?;
-            endpoint.send(PartyId::Server2, Step::SecureSumVotes, &up.s2_votes)?;
-            endpoint.send(PartyId::Server2, Step::SecureSumVotes, &up.s2_thresh)?;
-            endpoint.send(PartyId::Server2, Step::SecureSumNoisy, &up.s2_noisy)?;
-        }
-        Ok(())
-    }
-
-    /// Runs both server threads from the given states to termination,
-    /// snapshotting each completed step into `checkpoints` when attached.
-    /// `audits` carries each side's restored audit material on recovery
-    /// attempts; `round_id` feeds the audit challenge schedule.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn drive_servers(
-        &self,
-        s1: &mut Endpoint,
-        s2: &mut Endpoint,
-        prepared: &PreparedRound,
-        state1: RoundState,
-        state2: RoundState,
-        audits: (Option<AuditCheckpoint>, Option<AuditCheckpoint>),
+        uploads: impl IntoIterator<Item = Frame>,
+        meter: &Arc<Meter>,
+        plan: Option<FaultPlan>,
+        seats: Seats,
         round_id: u64,
-        checkpoints: Option<(&dyn CheckpointStore, u64)>,
-    ) -> Result<(RoundState, RoundState), SmcError> {
-        let ctx1 = self.keys.server1();
-        let ctx2 = self.keys.server2();
-        let quorum = if self.resilient() { Some(self.quorum()) } else { None };
-        let roster = &prepared.roster;
-        let num_classes = prepared.num_classes;
-        let (seed1, seed2) = (prepared.seed1, prepared.seed2);
-        let shard_seed = prepared.shard_seed;
-        let policy = self.audit;
-        let faults = self.faults.as_ref();
-        let (audit1, audit2) = audits;
-        let (r1, r2) = std::thread::scope(|scope| {
-            let h1 = scope.spawn(move || {
-                server_drive(
-                    PartyId::Server1,
-                    s1,
-                    &ctx1,
-                    roster,
-                    num_classes,
-                    seed1,
-                    shard_seed,
-                    quorum,
-                    state1,
-                    checkpoints,
-                    policy,
-                    round_id,
-                    audit1,
-                    faults,
-                )
-            });
-            let h2 = scope.spawn(move || {
-                server_drive(
-                    PartyId::Server2,
-                    s2,
-                    &ctx2,
-                    roster,
-                    num_classes,
-                    seed2,
-                    shard_seed,
-                    quorum,
-                    state2,
-                    checkpoints,
-                    policy,
-                    round_id,
-                    audit2,
-                    faults,
-                )
-            });
-            (h1.join().expect("S1 thread panicked"), h2.join().expect("S2 thread panicked"))
-        });
-        // When one server fails mid-protocol the other times out waiting;
-        // surface the root cause, not the timeout it induced. An audit
-        // conviction outranks everything — the convicted side's own
-        // error (usually the timeout its abort induced on the peer, or
-        // a transport teardown) must never mask the verdict.
-        match (r1, r2) {
-            (Ok(d1), Ok(d2)) => Ok((d1, d2)),
-            (Err(e @ SmcError::AuditFailure { .. }), _)
-            | (_, Err(e @ SmcError::AuditFailure { .. })) => Err(e),
-            (Err(SmcError::Transport(_)), Err(root)) => Err(root),
-            (Err(root), _) => Err(root),
-            (_, Err(root)) => Err(root),
+    ) -> Result<Servers, SmcError> {
+        let mut net = self.build_network(meter, plan);
+        let endpoints = [net.take_endpoint(PartyId::Server1), net.take_endpoint(PartyId::Server2)];
+        let mut sender: Option<Endpoint> = None;
+        for Frame { from, to, step, payload } in uploads {
+            if sender.as_ref().map(Endpoint::id) != Some(from) {
+                sender = Some(net.take_endpoint(from));
+            }
+            sender.as_ref().expect("seated above").send_frame(to, step, payload)?;
         }
+        let quorum = self.resilient().then(|| self.quorum());
+        let seat = |role, seed, (state, restored): (RoundState, Option<AuditCheckpoint>)| {
+            let party = party_of(role);
+            let audit = match restored {
+                Some(ckpt) => AuditContext::restore(self.audit, round_id, party, ckpt),
+                None => AuditContext::new(self.audit, round_id, party),
+            };
+            let deviations = [Step::BlindPermute1, Step::BlindPermute2, Step::Restoration]
+                .into_iter()
+                .filter_map(|step| {
+                    Some((step, self.faults.as_ref()?.byzantine_action(party, step)?))
+                })
+                .collect();
+            ServerRound::new(
+                role,
+                prepared.roster.clone(),
+                seed,
+                prepared.shard_seed,
+                quorum,
+                audit,
+            )
+            .from_state(state)
+            .with_deviations(deviations)
+        };
+        let [seat1, seat2] = seats;
+        let rounds = [
+            seat(ServerRole::Server1, prepared.seed1, seat1),
+            seat(ServerRole::Server2, prepared.seed2, seat2),
+        ];
+        Ok(Servers {
+            _net: net,
+            ctx: [self.keys.server1(), self.keys.server2()],
+            rounds,
+            endpoints,
+            waiting: [None, None],
+            in_flight: [0, 0],
+        })
     }
 
     /// Cross-checks the two terminal states and assembles the outcome:
@@ -744,7 +733,7 @@ impl SecureEngine {
             RoundState::Done { label: label2, survivors: survivors2, noisy_survivors: noisy2 },
         ) = (done1, done2)
         else {
-            panic!("drive_servers must return terminal states");
+            panic!("a round is finalized from terminal states");
         };
         assert_eq!(label, label2, "servers must agree on the outcome");
         assert_eq!(survivors, survivors2, "servers must agree on the surviving set");
@@ -816,465 +805,146 @@ impl SecureEngine {
     }
 }
 
-/// The aggregated vote vector, threshold vector and surviving user ids
-/// of a step-2 collection.
-type VotesThreshSurvivors = (Vec<Ciphertext>, Vec<Ciphertext>, Vec<usize>);
+/// The two servers of one round attempt and the one loop that drives
+/// them: their [`ServerRound`] machines, the keys lent to them on every
+/// resume, and their [`Endpoint`]s — the IO edge, so fault plans,
+/// metering, timeouts and the TCP backend apply exactly as they do to any
+/// other endpoint user.
+pub(crate) struct Servers {
+    /// Kept alive so non-roster endpoints do not drop their links (a
+    /// dropped link reads as a disconnect, not a timeout).
+    _net: Network,
+    ctx: [ServerContext; 2],
+    rounds: [ServerRound; 2],
+    endpoints: [Endpoint; 2],
+    /// The frame each server's machine asked for last, if it is mid-step.
+    waiting: [Option<Recv>; 2],
+    /// Frames the peer has emitted to each server that it has not
+    /// received yet. A crashed or dropping link still counts — the frame
+    /// vanished after the send returned — so its receiver times out
+    /// exactly as it would on its own thread.
+    in_flight: [usize; 2],
+}
 
-/// Step-2 collection for either server: strict (`quorum == None`, every
-/// roster upload must arrive) or resilient (collect what arrives,
-/// reconcile survivors with the peer per shard, enforce the quorum).
-/// Both servers derive the identical shard plan from the round-shared
-/// `shard_seed`, so the streaming folds and per-shard exchanges line up.
-#[allow(clippy::too_many_arguments)]
-fn collect_votes_and_thresh(
-    endpoint: &mut Endpoint,
-    roster: &[usize],
-    num_classes: usize,
-    peer_key: &paillier::PublicKey,
-    peer_server: PartyId,
-    quorum: Option<usize>,
-    shard_seed: u64,
-    shards: ShardConfig,
-    par: &Parallelism,
-) -> Result<VotesThreshSurvivors, SmcError> {
-    let plan = ShardPlan::derive(shard_seed, roster, shards);
-    match quorum {
-        None => {
-            let votes = aggregate_user_vectors_sharded(
-                endpoint,
-                Step::SecureSumVotes,
-                &plan,
-                num_classes,
-                peer_key,
-                par,
-            )?;
-            let thresh = aggregate_user_vectors_sharded(
-                endpoint,
-                Step::SecureSumVotes,
-                &plan,
-                num_classes,
-                peer_key,
-                par,
-            )?;
-            Ok((votes, thresh, roster.to_vec()))
-        }
-        Some(q) => {
-            let mut agg = aggregate_surviving_vectors_sharded(
-                endpoint,
-                Step::SecureSumVotes,
-                &plan,
-                num_classes,
-                2,
-                peer_key,
-                peer_server,
-                q,
-                par,
-            )?;
-            let thresh = agg.sums.pop().expect("two aggregated vectors");
-            let votes = agg.sums.pop().expect("two aggregated vectors");
-            Ok((votes, thresh, agg.survivors))
-        }
+/// What the round loop reports as it happens; `()` listens to nothing.
+pub(crate) trait RoundHook {
+    /// `from`'s frame is about to be handed to its endpoint.
+    fn sending(&mut self, _from: PartyId, _frame: &Outbound) {}
+
+    /// `server` completed a pipeline step.
+    fn completed(&mut self, _server: &ServerRound) {}
+}
+
+impl RoundHook for () {}
+
+impl Servers {
+    /// Whether both servers hold a terminal state.
+    pub(crate) fn is_terminal(&self) -> bool {
+        self.rounds.iter().all(|round| round.state().is_terminal())
     }
-}
 
-/// Step-6 collection for either server, over the step-2 survivors.
-#[allow(clippy::too_many_arguments)]
-fn collect_noisy(
-    endpoint: &mut Endpoint,
-    survivors: &[usize],
-    num_classes: usize,
-    peer_key: &paillier::PublicKey,
-    peer_server: PartyId,
-    quorum: Option<usize>,
-    shard_seed: u64,
-    shards: ShardConfig,
-    par: &Parallelism,
-) -> Result<(Vec<Ciphertext>, Vec<usize>), SmcError> {
-    let plan = ShardPlan::derive(shard_seed, survivors, shards);
-    match quorum {
-        None => {
-            let noisy = aggregate_user_vectors_sharded(
-                endpoint,
-                Step::SecureSumNoisy,
-                &plan,
-                num_classes,
-                peer_key,
-                par,
-            )?;
-            Ok((noisy, survivors.to_vec()))
-        }
-        Some(q) => {
-            let mut agg = aggregate_surviving_vectors_sharded(
-                endpoint,
-                Step::SecureSumNoisy,
-                &plan,
-                num_classes,
-                1,
-                peer_key,
-                peer_server,
-                q,
-                par,
-            )?;
-            let noisy = agg.sums.pop().expect("one aggregated vector");
-            Ok((noisy, agg.survivors))
-        }
+    /// The step both servers completed last.
+    pub(crate) fn completed_step(&self) -> Step {
+        self.rounds[0].state().completed_step()
     }
-}
 
-/// Derives the RNG seed for one protocol step from a server's root seed
-/// (SplitMix64 of the seed and the step ordinal).
-///
-/// Each step draws from its own derived stream instead of one rolling
-/// RNG: resuming the pipeline at step *k* then reproduces the exact
-/// randomness the uninterrupted run would have used there, which is what
-/// makes recovered rounds bit-identical. Crash recovery never needs to
-/// checkpoint RNG *states* — only the root seeds, drawn once per round.
-/// The audit layer commits to this seed before the step runs, so a
-/// challenged server's draws can be replayed verbatim by its peer.
-fn step_seed(root_seed: u64, step: Step) -> u64 {
-    let mut z = root_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(step.ordinal()) + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Executes the single next step of S1's pipeline from `state`,
-/// returning the state after it. S1 wraps every step in the meter's wall
-/// clock (S2's overlapping work is covered by the same clock, matching
-/// how the paper reports per-step costs).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn server1_advance(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    roster: &[usize],
-    num_classes: usize,
-    root_seed: u64,
-    shard_seed: u64,
-    quorum: Option<usize>,
-    state: RoundState,
-    audit: &mut AuditContext,
-    faults: Option<&FaultPlan>,
-) -> Result<RoundState, SmcError> {
-    let meter = Arc::clone(endpoint.meter());
-    let step = state.next_step().expect("cannot advance a terminal round state");
-    let seed = step_seed(root_seed, step);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let byz = faults.and_then(|p| p.byzantine_action(PartyId::Server1, step));
-    Ok(match state {
-        RoundState::Start => {
-            // Step 2: aggregate the vote shares and threshold shares.
-            let pk2 = ctx.peer_public().clone();
-            let (votes, thresh, survivors) = meter.time(Step::SecureSumVotes, || {
-                collect_votes_and_thresh(
-                    endpoint,
-                    roster,
-                    num_classes,
-                    &pk2,
-                    PartyId::Server2,
-                    quorum,
-                    shard_seed,
-                    ctx.config().shards,
-                    ctx.parallelism(),
-                )
-            })?;
-            RoundState::Summed { votes, thresh, survivors }
-        }
-        RoundState::Summed { votes, thresh, survivors } => {
-            // Step 3: Blind-and-Permute over both vectors, one shared π.
-            let mut tap = audit.tap(step, seed, byz);
-            let bp = meter.time(Step::BlindPermute1, || {
-                server1_blind_permute(
-                    endpoint,
-                    ctx,
-                    &[votes, thresh],
-                    Step::BlindPermute1,
-                    &mut rng,
-                    &mut tap,
-                )
-            })?;
-            audit.complete(&tap);
-            let [votes_seq, thresh_seq]: [Vec<i128>; 2] =
-                bp.sequences.try_into().expect("two permuted sequences");
-            RoundState::Permuted {
-                votes_seq,
-                thresh_seq,
-                permutation: bp.own_permutation,
-                survivors,
-            }
-        }
-        RoundState::Permuted { votes_seq, thresh_seq, survivors, .. } => {
-            // Step 4: ranking → permuted winner slot.
-            let slot = meter.time(Step::CompareRank, || {
-                server1_argmax(endpoint, ctx, &votes_seq, Step::CompareRank, &mut rng)
-            })?;
-            RoundState::Ranked { slot, thresh_seq, survivors }
-        }
-        RoundState::Ranked { slot, thresh_seq, survivors } => {
-            // Step 5: noisy threshold check at that slot — a one-match
-            // comparison round.
-            let passed = meter.time(Step::ThresholdCheck, || {
-                let x = [thresh_seq[slot]];
-                server1_compare_batch(endpoint, ctx, &x, Step::ThresholdCheck, &mut rng)
-            })?;
-            if passed[0] {
-                RoundState::Gated { survivors }
-            } else {
-                RoundState::Done { label: None, survivors, noisy_survivors: None }
-            }
-        }
-        RoundState::Gated { survivors } => {
-            // Step 6: aggregate the noisy vote shares over the survivors.
-            let pk2 = ctx.peer_public().clone();
-            let (noisy, noisy_survivors) = meter.time(Step::SecureSumNoisy, || {
-                collect_noisy(
-                    endpoint,
-                    &survivors,
-                    num_classes,
-                    &pk2,
-                    PartyId::Server2,
-                    quorum,
-                    shard_seed,
-                    ctx.config().shards,
-                    ctx.parallelism(),
-                )
-            })?;
-            RoundState::SummedNoisy { noisy, survivors, noisy_survivors: Some(noisy_survivors) }
-        }
-        RoundState::SummedNoisy { noisy, survivors, noisy_survivors } => {
-            // Step 7: second Blind-and-Permute, fresh π′.
-            let mut tap = audit.tap(step, seed, byz);
-            let bp = meter.time(Step::BlindPermute2, || {
-                server1_blind_permute(
-                    endpoint,
-                    ctx,
-                    &[noisy],
-                    Step::BlindPermute2,
-                    &mut rng,
-                    &mut tap,
-                )
-            })?;
-            audit.complete(&tap);
-            let [noisy_seq]: [Vec<i128>; 1] =
-                bp.sequences.try_into().expect("one permuted sequence");
-            RoundState::PermutedNoisy {
-                noisy_seq,
-                permutation: bp.own_permutation,
-                survivors,
-                noisy_survivors,
-            }
-        }
-        RoundState::PermutedNoisy { noisy_seq, permutation, survivors, noisy_survivors } => {
-            // Step 8: rank the noisy votes (S2 drives restoration from
-            // the same slot).
-            let noisy_slot = meter.time(Step::CompareNoisyRank, || {
-                server1_argmax(endpoint, ctx, &noisy_seq, Step::CompareNoisyRank, &mut rng)
-            })?;
-            RoundState::RankedNoisy { noisy_slot, permutation, survivors, noisy_survivors }
-        }
-        RoundState::RankedNoisy { permutation, survivors, noisy_survivors, .. } => {
-            // Step 9: restore the true label.
-            let mut tap = audit.tap(step, seed, byz);
-            let label = meter.time(Step::Restoration, || {
-                server1_restore(endpoint, ctx, &permutation, Step::Restoration, &mut rng, &mut tap)
-            })?;
-            audit.complete(&tap);
-            RoundState::Done { label: Some(label), survivors, noisy_survivors }
-        }
-        RoundState::Done { .. } => unreachable!("terminal state has no next step"),
-    })
-}
-
-/// Executes the single next step of S2's pipeline (mirror of
-/// [`server1_advance`], no timing records).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn server2_advance(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    roster: &[usize],
-    num_classes: usize,
-    root_seed: u64,
-    shard_seed: u64,
-    quorum: Option<usize>,
-    state: RoundState,
-    audit: &mut AuditContext,
-    faults: Option<&FaultPlan>,
-) -> Result<RoundState, SmcError> {
-    let step = state.next_step().expect("cannot advance a terminal round state");
-    let seed = step_seed(root_seed, step);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let byz = faults.and_then(|p| p.byzantine_action(PartyId::Server2, step));
-    Ok(match state {
-        RoundState::Start => {
-            let pk1 = ctx.peer_public().clone();
-            let (votes, thresh, survivors) = collect_votes_and_thresh(
-                endpoint,
-                roster,
-                num_classes,
-                &pk1,
-                PartyId::Server1,
-                quorum,
-                shard_seed,
-                ctx.config().shards,
-                ctx.parallelism(),
-            )?;
-            RoundState::Summed { votes, thresh, survivors }
-        }
-        RoundState::Summed { votes, thresh, survivors } => {
-            let mut tap = audit.tap(step, seed, byz);
-            let bp = server2_blind_permute(
-                endpoint,
-                ctx,
-                &[votes, thresh],
-                Step::BlindPermute1,
-                &mut rng,
-                &mut tap,
-            )?;
-            audit.complete(&tap);
-            let [votes_seq, thresh_seq]: [Vec<i128>; 2] =
-                bp.sequences.try_into().expect("two permuted sequences");
-            RoundState::Permuted {
-                votes_seq,
-                thresh_seq,
-                permutation: bp.own_permutation,
-                survivors,
-            }
-        }
-        RoundState::Permuted { votes_seq, thresh_seq, survivors, .. } => {
-            let slot = server2_argmax(endpoint, ctx, &votes_seq, Step::CompareRank, &mut rng)?;
-            RoundState::Ranked { slot, thresh_seq, survivors }
-        }
-        RoundState::Ranked { slot, thresh_seq, survivors } => {
-            let y = [thresh_seq[slot]];
-            let passed = server2_compare_batch(endpoint, ctx, &y, Step::ThresholdCheck, &mut rng)?;
-            if passed[0] {
-                RoundState::Gated { survivors }
-            } else {
-                RoundState::Done { label: None, survivors, noisy_survivors: None }
-            }
-        }
-        RoundState::Gated { survivors } => {
-            let pk1 = ctx.peer_public().clone();
-            let (noisy, noisy_survivors) = collect_noisy(
-                endpoint,
-                &survivors,
-                num_classes,
-                &pk1,
-                PartyId::Server1,
-                quorum,
-                shard_seed,
-                ctx.config().shards,
-                ctx.parallelism(),
-            )?;
-            RoundState::SummedNoisy { noisy, survivors, noisy_survivors: Some(noisy_survivors) }
-        }
-        RoundState::SummedNoisy { noisy, survivors, noisy_survivors } => {
-            let mut tap = audit.tap(step, seed, byz);
-            let bp = server2_blind_permute(
-                endpoint,
-                ctx,
-                &[noisy],
-                Step::BlindPermute2,
-                &mut rng,
-                &mut tap,
-            )?;
-            audit.complete(&tap);
-            let [noisy_seq]: [Vec<i128>; 1] =
-                bp.sequences.try_into().expect("one permuted sequence");
-            RoundState::PermutedNoisy {
-                noisy_seq,
-                permutation: bp.own_permutation,
-                survivors,
-                noisy_survivors,
-            }
-        }
-        RoundState::PermutedNoisy { noisy_seq, permutation, survivors, noisy_survivors } => {
-            let noisy_slot =
-                server2_argmax(endpoint, ctx, &noisy_seq, Step::CompareNoisyRank, &mut rng)?;
-            RoundState::RankedNoisy { noisy_slot, permutation, survivors, noisy_survivors }
-        }
-        RoundState::RankedNoisy { noisy_slot, permutation, survivors, noisy_survivors } => {
-            let mut tap = audit.tap(step, seed, byz);
-            let label = server2_restore(
-                endpoint,
-                ctx,
-                &permutation,
-                noisy_slot,
-                Step::Restoration,
-                &mut rng,
-                &mut tap,
-            )?;
-            audit.complete(&tap);
-            RoundState::Done { label: Some(label), survivors, noisy_survivors }
-        }
-        RoundState::Done { .. } => unreachable!("terminal state has no next step"),
-    })
-}
-
-/// Runs one server from `state` to a terminal state, snapshotting after
-/// every completed step when a checkpoint store is attached. A resumed
-/// server passes its restored state here and re-enters the pipeline at
-/// exactly the step the snapshot pair agrees on.
-#[allow(clippy::too_many_arguments)]
-fn server_drive(
-    side: PartyId,
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    roster: &[usize],
-    num_classes: usize,
-    root_seed: u64,
-    shard_seed: u64,
-    quorum: Option<usize>,
-    mut state: RoundState,
-    checkpoints: Option<(&dyn CheckpointStore, u64)>,
-    audit_policy: Option<AuditPolicy>,
-    round_id: u64,
-    restored_audit: Option<AuditCheckpoint>,
-    faults: Option<&FaultPlan>,
-) -> Result<RoundState, SmcError> {
-    let mut audit = match restored_audit {
-        Some(ckpt) => AuditContext::restore(audit_policy, round_id, side, ckpt),
-        None => AuditContext::new(audit_policy, round_id, side),
-    };
-    while !state.is_terminal() {
-        state = match side {
-            PartyId::Server1 => server1_advance(
-                endpoint,
-                ctx,
-                roster,
-                num_classes,
-                root_seed,
-                shard_seed,
-                quorum,
-                state,
-                &mut audit,
-                faults,
-            )?,
-            PartyId::Server2 => server2_advance(
-                endpoint,
-                ctx,
-                roster,
-                num_classes,
-                root_seed,
-                shard_seed,
-                quorum,
-                state,
-                &mut audit,
-                faults,
-            )?,
-            PartyId::User(_) => unreachable!("only servers drive the pipeline"),
-        };
-        if let Some((store, round)) = checkpoints {
-            let image = CheckpointImage {
-                state: state.clone(),
-                audit: audit_policy.is_some().then(|| audit.checkpoint()),
-            };
-            store
-                .save(round, side, state.completed_step(), &image.to_bytes())
-                .expect("checkpoint store failed while saving a snapshot");
-            endpoint.meter().record_fault(FaultEvent::CheckpointSaved);
-        }
+    /// Both servers' states.
+    pub(crate) fn states(&self) -> (RoundState, RoundState) {
+        (self.rounds[0].state().clone(), self.rounds[1].state().clone())
     }
-    Ok(state)
+
+    /// Drives both servers to their terminal states, reporting to `hook`
+    /// on the way.
+    pub(crate) fn run(
+        mut self,
+        hook: &mut dyn RoundHook,
+    ) -> Result<(RoundState, RoundState), SmcError> {
+        while !self.is_terminal() {
+            self.step(hook)?;
+        }
+        Ok(self.states())
+    }
+
+    /// Drives both servers through their next pipeline step and records
+    /// its wall time, from the first instruction on either server to the
+    /// moment both have completed it — less the time spent in `hook`: a
+    /// snapshot is the supervisor's cost, not the step's.
+    ///
+    /// A server's receive is performed only when the frame can exist —
+    /// it comes from a user, or the peer has emitted a frame that is
+    /// still in flight — so with both machines waiting the loop never
+    /// blocks on the wrong one and turns an injected delay (or a frame
+    /// still in a socket) into a false timeout.
+    ///
+    /// # Errors
+    ///
+    /// The first error either server returns; nothing runs after it.
+    pub(crate) fn step(&mut self, hook: &mut dyn RoundHook) -> Result<(), SmcError> {
+        let step = self.rounds[0].state().next_step().expect("a live round has a next step");
+        assert_eq!(self.rounds[1].state().next_step(), Some(step), "servers advance in lockstep");
+        let meter = Arc::clone(self.endpoints[0].meter());
+        let (started, mut in_hook) = (Instant::now(), Duration::ZERO);
+        let result = self.advance(&meter, hook, &mut in_hook);
+        meter.record_time(step, started.elapsed().saturating_sub(in_hook));
+        result
+    }
+
+    fn advance(
+        &mut self,
+        meter: &Meter,
+        hook: &mut dyn RoundHook,
+        in_hook: &mut Duration,
+    ) -> Result<(), SmcError> {
+        let mut done = [false; 2];
+        while done != [true; 2] {
+            let mut progressed = false;
+            for side in [0, 1] {
+                if done[side] {
+                    continue;
+                }
+                let endpoint = &mut self.endpoints[side];
+                let answer = match self.waiting[side].take() {
+                    None => None,
+                    Some(recv) => {
+                        let from_user = matches!(recv.from, PartyId::User(_));
+                        if !from_user && self.in_flight[side] == 0 {
+                            self.waiting[side] = Some(recv);
+                            continue;
+                        }
+                        let policy = endpoint.timeout_policy();
+                        let policy = match recv.patience {
+                            None => policy,
+                            Some(n) => TimeoutPolicy::new(policy.total_budget().saturating_mul(n)),
+                        };
+                        if !from_user {
+                            self.in_flight[side] -= 1;
+                        }
+                        Some(endpoint.recv_frame(recv.from, recv.step, policy))
+                    }
+                };
+                progressed = true;
+                let mut out = Outbox::default();
+                let next = self.rounds[side].resume_step(&self.ctx[side], answer, &mut out);
+                out.events.into_iter().for_each(|event| meter.record_fault(event));
+                for frame in out.frames {
+                    hook.sending(endpoint.id(), &frame);
+                    endpoint.send_frame(frame.to, frame.step, frame.payload)?;
+                    self.in_flight[1 - side] += 1;
+                }
+                match next? {
+                    Next::Recv(recv) => self.waiting[side] = Some(recv),
+                    Next::Done(()) => {
+                        done[side] = true;
+                        let called = Instant::now();
+                        hook.completed(&self.rounds[side]);
+                        *in_hook += called.elapsed();
+                    }
+                }
+            }
+            assert!(progressed, "both servers wait for a frame that nobody sent");
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1386,7 +1056,7 @@ mod tests {
         ] {
             assert!(report.step_bytes(step) > 0, "no traffic recorded for {step}");
         }
-        assert!(report.step_time(Step::CompareRank) > std::time::Duration::ZERO);
+        assert!(report.step_time(Step::CompareRank) > Duration::ZERO);
         // The K = 3 bracket plays 2 matches vs the threshold check's 1.
         assert!(
             report.step_bytes(Step::CompareRank) > report.step_bytes(Step::ThresholdCheck),
@@ -1470,5 +1140,79 @@ mod tests {
             }
         }
         assert!(flips > 0, "σ2 = 8 over a 2-vote margin must flip sometimes");
+    }
+
+    #[test]
+    fn a_local_failure_reports_at_once() {
+        // 640 users' masked aggregate escapes the test share domain on
+        // S1 at step 4. Under the default policy its peer would wait 120 s
+        // for the frame that never comes; the round must not.
+        let mut rng = StdRng::seed_from_u64(5);
+        let engine = SecureEngine::new(
+            SessionConfig::test(640, 2),
+            ConsensusConfig::paper_default(1e-6, 1e-6),
+            &mut rng,
+        );
+        let votes = vec![vec![0.0, 1.0]; 640];
+        let started = Instant::now();
+        let err = engine.run_instance(&votes, Meter::new(), &mut rng).unwrap_err();
+        assert!(matches!(err, SmcError::Domain(smc::SharesOutOfRange { .. })), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(5), "{:?}", started.elapsed());
+    }
+
+    #[test]
+    fn a_round_larger_than_any_fixed_queue_completes() {
+        // 3·1366 upload frames per server overflow a 4096-slot queue that
+        // the one driving thread cannot drain while it is still sending.
+        let mut rng = StdRng::seed_from_u64(8);
+        let engine = SecureEngine::new(
+            SessionConfig::paper(1366, 2),
+            ConsensusConfig::paper_default(1e-6, 1e-6),
+            &mut rng,
+        );
+        let votes = vec![vec![1.0, 0.0]; 1366];
+        let out = engine.run_instance(&votes, Meter::new(), &mut rng).unwrap();
+        assert_eq!(out.label, Some(0));
+        assert_eq!(out.health.survivors.len(), 1366);
+    }
+
+    #[test]
+    fn server_link_transcript_is_the_same_in_memory_and_over_endpoints() {
+        let engine = SecureEngine::with_keys(
+            SessionKeys::generate(SessionConfig::test(4, 3), &mut StdRng::seed_from_u64(2024)),
+            ConsensusConfig::paper_default(1e-6, 1e-6).with_min_users(3),
+        )
+        .with_audit(AuditPolicy::strict());
+        let votes: Vec<Vec<f64>> = (0..4).map(|_| onehot(2)).collect();
+        let prepared =
+            engine.prepare_round(&votes, &[0, 1, 2, 3], &mut StdRng::seed_from_u64(9)).unwrap();
+
+        let launch = || {
+            engine.launch(&prepared, prepared.upload_frames(), &Meter::new(), None, FROM_START, 0)
+        };
+        struct Tape(Vec<Frame>);
+        impl RoundHook for Tape {
+            fn sending(&mut self, from: PartyId, frame: &Outbound) {
+                let (to, step, payload) = (frame.to, frame.step, frame.payload.clone());
+                self.0.push(Frame { from, to, step, payload });
+            }
+        }
+        let mut tape = Tape(Vec::new());
+        let over_endpoints = launch().unwrap().run(&mut tape).unwrap();
+
+        let Servers { ctx: [ctx1, ctx2], rounds: [round1, round2], .. } = launch().unwrap();
+        let uploads = prepared.upload_frames().collect();
+        let in_memory = smc::run_pair((&ctx1, round1), (&ctx2, round2), uploads).unwrap();
+
+        assert_eq!(in_memory.outputs, over_endpoints);
+        // Each driver may interleave the two directions its own way; what
+        // a link carries, in order, is the machines' alone.
+        for sender in [PartyId::Server1, PartyId::Server2] {
+            let link = |frames: &[Frame]| -> Vec<Frame> {
+                frames.iter().filter(|f| f.from == sender).cloned().collect()
+            };
+            assert!(link(&in_memory.transcript).len() > 10);
+            assert_eq!(link(&in_memory.transcript), link(&tape.0), "{sender}");
+        }
     }
 }

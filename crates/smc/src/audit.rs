@@ -12,17 +12,21 @@
 //!    Blind-and-Permute runs and Restoration), each server sends the
 //!    peer a hash commitment over `(step seed, step, round id)`. The
 //!    step seed is the value its permutation and mask draws derive from
-//!    (see `step_rng` in `consensus-core`), so committing to it commits
+//!    (see `step_seed` in [`crate::round`]), so committing to it commits
 //!    to every random choice the server is about to make.
 //! 2. **Transcript** — during the step, each server folds the frames it
 //!    sends, the frames it receives, the permutation it applies and the
-//!    masks it uses into running FNV-1a digests (an [`AuditTap`]).
+//!    masks it uses into running FNV-1a digests.
 //! 3. **Challenge** — in a seeded fraction of rounds
 //!    ([`AuditPolicy::challenge_rate`]) each server *opens* its
 //!    commitment after its last content send of the step: it reveals
 //!    the seed and its attested digests. The counterpart replays the
 //!    permutation/mask draws from the opened seed and cross-checks
 //!    every digest before using any data the peer produced.
+//!
+//! All three ride on the audited sub-protocol from outside: [`Audited`]
+//! wraps its [`Machine`] and works at the message boundary, so the
+//! sub-protocol itself only declares what it drew ([`Attest`]).
 //!
 //! Any inconsistency yields a typed [`SmcError::AuditFailure`] naming
 //! the guilty party, the step and the [`AuditEvidence`] — distinct from
@@ -34,13 +38,13 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use transport::{
-    ByzantineAction, Endpoint, FaultEvent, PartyId, Step, TransportError, Wire, WireError,
-};
+use transport::{FaultEvent, PartyId, Step, TransportError, Wire, WireError};
 
 use crate::domain::ShareDomain;
 use crate::error::SmcError;
+use crate::machine::{decode, Attest, Inbound, Machine, Next, Outbox, Recv};
 use crate::permutation::Permutation;
+use crate::session::ServerContext;
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -241,27 +245,33 @@ impl AuditContext {
         self.challenge
     }
 
-    /// Builds the tap for one audited step. `step_seed` must be the
-    /// seed the server's step RNG is built from; `byzantine` is the
-    /// covert deviation the fault plan schedules here, if any.
-    pub fn tap(
+    /// Whether auditing is on at all.
+    pub(crate) fn enabled(&self) -> bool {
+        self.policy.is_some()
+    }
+
+    /// Puts `inner`, the sub-protocol of one audited step, under audit.
+    /// `step_seed` must be the seed the step's RNG is built from; `k` is
+    /// the permuted vector length and `m` the number of per-vector masks
+    /// the peer draws this step.
+    pub fn wrap<M>(
         &mut self,
+        inner: M,
         step: Step,
         step_seed: u64,
-        byzantine: Option<ByzantineAction>,
-    ) -> AuditTap {
+        k: usize,
+        m: usize,
+    ) -> Audited<M> {
         let Some(policy) = self.policy else {
-            // A planned deviation still fires with auditing off — the
-            // attack does not care whether the defense is watching.
-            return AuditTap { byzantine, inner: None };
+            return Audited { inner, tap: None };
         };
         let commitment = commit_seed(step_seed, step, self.round_id);
         if !self.commitments.iter().any(|&(s, _)| s == step) {
             self.commitments.push((step, commitment));
         }
-        AuditTap {
-            byzantine,
-            inner: Some(Box::new(TapInner {
+        Audited {
+            inner,
+            tap: Some(Box::new(Tap {
                 step,
                 round_id: self.round_id,
                 peer: peer_of(self.self_party),
@@ -269,8 +279,10 @@ impl AuditContext {
                 commitment,
                 challenge: self.challenge,
                 strict: policy.strict,
-                sent: fnv1a_start(),
-                received: fnv1a_start(),
+                draws: (k, m),
+                phase: Phase::Start,
+                sent: (0, fnv1a_start()),
+                received: (0, fnv1a_start()),
                 perm: fnv1a_start(),
                 masks: fnv1a_start(),
                 peer_commitment: None,
@@ -280,12 +292,12 @@ impl AuditContext {
         }
     }
 
-    /// Absorbs what a completed step's tap learned (the peer's verified
+    /// Absorbs what a completed step's audit learned (the peer's verified
     /// BP2 permutation digest, needed later by Restoration).
-    pub fn complete(&mut self, tap: &AuditTap) {
-        if let Some(inner) = &tap.inner {
-            if inner.step == Step::BlindPermute2 {
-                if let Some(d) = inner.learned_peer_perm {
+    pub fn complete<M>(&mut self, audited: &Audited<M>) {
+        if let Some(tap) = &audited.tap {
+            if tap.step == Step::BlindPermute2 {
+                if let Some(d) = tap.learned_peer_perm {
                     self.peer_perm = Some(d);
                 }
             }
@@ -408,9 +420,30 @@ impl Wire for AuditMsg {
     }
 }
 
-/// Everything the tap tracks for one audited step on one server.
-#[derive(Debug, Clone)]
-struct TapInner {
+/// Content frames an audited sub-protocol moves in each direction:
+/// Alg. 2 and Alg. 3 both send three and receive three per server. They
+/// are the attested transcript; Restoration's winner announcement trails
+/// both openings and is outside it.
+const TRANSCRIPT_FRAMES: usize = 3;
+
+/// Where an audited step is between its audit frames.
+#[derive(Debug)]
+enum Phase {
+    Start,
+    /// The commitment is out; the peer's is awaited.
+    Commit,
+    /// The sub-protocol runs.
+    Running,
+    /// The last content frame is held back until the peer's opening has
+    /// been verified.
+    Opening {
+        held: Inbound,
+    },
+}
+
+/// Everything the audit tracks for one audited step on one server.
+#[derive(Debug)]
+struct Tap {
     step: Step,
     round_id: u64,
     peer: PartyId,
@@ -418,8 +451,12 @@ struct TapInner {
     commitment: u64,
     challenge: bool,
     strict: bool,
-    sent: u64,
-    received: u64,
+    /// `(k, m)` of [`AuditContext::wrap`].
+    draws: (usize, usize),
+    phase: Phase,
+    /// Content frames sent / received so far, and their digests.
+    sent: (usize, u64),
+    received: (usize, u64),
     perm: u64,
     masks: u64,
     peer_commitment: Option<u64>,
@@ -427,198 +464,167 @@ struct TapInner {
     learned_peer_perm: Option<u64>,
 }
 
-/// The per-step audit transcript recorder threaded through the
-/// Blind-and-Permute and Restoration protocol functions. A disabled tap
-/// (audit off) is a zero-cost no-op on every call.
-#[derive(Debug, Clone)]
-pub struct AuditTap {
-    byzantine: Option<ByzantineAction>,
-    inner: Option<Box<TapInner>>,
+/// A sub-protocol [`Machine`] under commit-and-challenge audit. With
+/// auditing off it is `inner` and nothing else.
+///
+/// The commitment frame leads every content frame in the step's FIFO
+/// stream. The transcript digests fold the frames in wire order — what a
+/// frame [attests](crate::machine::Outbound::attested) where that
+/// differs from its bytes. In a challenge round the opening (the seed
+/// and the attested digests) trails the *last* content frame sent, and
+/// the peer's opening is received and verified after the last content
+/// frame received and **before** `inner` sees it, so nothing the peer
+/// produced is used unverified.
+#[derive(Debug)]
+pub struct Audited<M> {
+    inner: M,
+    tap: Option<Box<Tap>>,
 }
 
-impl AuditTap {
-    /// A tap that records nothing and exchanges no frames — what
-    /// non-audited runs and unit tests pass.
-    pub fn disabled() -> AuditTap {
-        AuditTap { byzantine: None, inner: None }
-    }
+impl<M: Machine> Machine for Audited<M> {
+    type Output = M::Output;
 
-    /// A recording-disabled tap that still carries a planned covert
-    /// deviation — what the engine builds when a Byzantine fault is
-    /// scheduled but auditing is off.
-    pub fn with_byzantine(action: ByzantineAction) -> AuditTap {
-        AuditTap { byzantine: Some(action), inner: None }
-    }
-
-    /// Whether the tap is live (audit enabled for this step).
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The covert deviation the fault plan schedules at this step for
-    /// this server, if any — protocol functions consult this at each
-    /// deviation site.
-    pub fn byzantine(&self) -> Option<ByzantineAction> {
-        self.byzantine
-    }
-
-    /// Exchanges pre-step commitments: sends this server's commitment,
-    /// receives the peer's. Must be the first thing an audited protocol
-    /// function does, so the commitment frame leads every content frame
-    /// in the step's FIFO stream.
-    ///
     /// # Errors
     ///
-    /// Propagates transport failures.
-    pub fn begin(&mut self, endpoint: &mut Endpoint) -> Result<(), SmcError> {
-        let Some(inner) = self.inner.as_deref_mut() else { return Ok(()) };
-        endpoint.send(inner.peer, inner.step, &AuditMsg::Commit(inner.commitment))?;
-        match endpoint.recv::<AuditMsg>(inner.peer, inner.step)? {
-            AuditMsg::Commit(c) => inner.peer_commitment = Some(c),
-            AuditMsg::Open { .. } => {
-                return Err(SmcError::AuditFailure {
-                    party: inner.peer,
-                    step: inner.step,
-                    evidence: AuditEvidence::MissingOpening,
-                })
-            }
-        }
-        Ok(())
-    }
-
-    /// Attests to a content frame this server is about to send.
-    pub fn record_sent<T: Wire>(&mut self, value: &T) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.sent = fnv1a(inner.sent, &value.to_bytes());
-        }
-    }
-
-    /// Records a content frame received from the peer.
-    pub fn record_received<T: Wire>(&mut self, value: &T) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.received = fnv1a(inner.received, &value.to_bytes());
-        }
-    }
-
-    /// Attests to the permutation this server actually applied.
-    pub fn permutation(&mut self, pi: &Permutation) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.perm = fold_permutation(inner.perm, pi);
-        }
-    }
-
-    /// Attests to masks this server actually used (appended in draw
-    /// order).
-    pub fn masks(&mut self, masks: &[i128]) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.masks = fold_masks(inner.masks, masks);
-        }
-    }
-
-    /// In a challenge round, opens this server's commitment: sends the
-    /// seed and the attested digests. Call after the step's *last*
-    /// content send, so the opening trails every content frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures.
-    pub fn flush_opening(&mut self, endpoint: &mut Endpoint) -> Result<(), SmcError> {
-        let Some(inner) = self.inner.as_deref_mut() else { return Ok(()) };
-        if !inner.challenge {
-            return Ok(());
-        }
-        let open = AuditMsg::Open {
-            seed: inner.seed,
-            sent: inner.sent,
-            perm: inner.perm,
-            masks: inner.masks,
-        };
-        endpoint.send(inner.peer, inner.step, &open)?;
-        Ok(())
-    }
-
-    /// In a challenge round, receives and verifies the peer's opening:
-    /// commitment binding, transcript digest, and a full replay of the
-    /// permutation/mask draws from the opened seed. Call after the
-    /// step's *last* content receive and **before** using any data the
-    /// peer produced.
-    ///
-    /// `k` is the permuted vector length, `m` the number of per-vector
-    /// masks the peer drew this step.
-    ///
-    /// # Errors
-    ///
-    /// [`SmcError::AuditFailure`] naming the peer on any mismatch;
-    /// transport errors when the opening never arrives (strict mode
-    /// converts those to [`AuditEvidence::MissingOpening`]).
-    pub fn verify_peer(
+    /// Besides `inner`'s: [`SmcError::AuditFailure`] naming the peer on
+    /// any mismatch, and transport errors when the opening never arrives
+    /// (a strict policy converts those to
+    /// [`AuditEvidence::MissingOpening`]).
+    fn resume(
         &mut self,
-        endpoint: &mut Endpoint,
-        k: usize,
-        m: usize,
-        domain: &ShareDomain,
-    ) -> Result<(), SmcError> {
-        let Some(inner) = self.inner.as_deref_mut() else { return Ok(()) };
-        if !inner.challenge {
-            return Ok(());
-        }
-        let meter = std::sync::Arc::clone(endpoint.meter());
-        meter.record_fault(FaultEvent::AuditChallenge);
-        let fail = |evidence: AuditEvidence| {
-            meter.record_fault(FaultEvent::AuditFailureDetected);
-            if matches!(
-                evidence,
-                AuditEvidence::TranscriptDivergence { .. }
-                    | AuditEvidence::CommitmentMismatch { .. }
-            ) {
-                meter.record_fault(FaultEvent::EquivocationDetected);
-            }
-            Err(SmcError::AuditFailure { party: inner.peer, step: inner.step, evidence })
+        ctx: &ServerContext,
+        answer: Option<Inbound>,
+        out: &mut Outbox,
+    ) -> Result<Next<M::Output>, SmcError> {
+        let Some(tap) = self.tap.as_deref_mut() else {
+            return self.inner.resume(ctx, answer, out);
         };
-        let open = match endpoint.recv::<AuditMsg>(inner.peer, inner.step) {
-            Ok(AuditMsg::Open { seed, sent, perm, masks }) => (seed, sent, perm, masks),
-            Ok(AuditMsg::Commit(_)) => return fail(AuditEvidence::MissingOpening),
-            Err(TransportError::Timeout(_) | TransportError::Disconnected(_)) if inner.strict => {
-                return fail(AuditEvidence::MissingOpening);
+        let await_peer = Next::Recv(Recv { from: tap.peer, step: tap.step, patience: None });
+        let answer = match std::mem::replace(&mut tap.phase, Phase::Running) {
+            Phase::Start => {
+                out.send(tap.peer, tap.step, &AuditMsg::Commit(tap.commitment));
+                tap.phase = Phase::Commit;
+                return Ok(await_peer);
             }
-            Err(e) => return Err(e.into()),
-        };
-        let (seed, sent, perm, masks) = open;
-        let committed = inner.peer_commitment.unwrap_or(0);
-        let reopened = commit_seed(seed, inner.step, inner.round_id);
-        if reopened != committed {
-            return fail(AuditEvidence::CommitmentMismatch { committed, reopened });
-        }
-        if sent != inner.received {
-            return fail(AuditEvidence::TranscriptDivergence {
-                attested: sent,
-                observed: inner.received,
-            });
-        }
-        // Replay the peer's draws from the opened seed.
-        let (expected_perm, expected_masks) =
-            replay_draws(seed, inner.step, inner.peer, k, m, domain);
-        match expected_perm {
-            Some(expected) if expected != perm => {
-                return fail(AuditEvidence::PermutationMismatch { expected, used: perm });
-            }
-            Some(expected) => {
-                if inner.step == Step::BlindPermute2 {
-                    inner.learned_peer_perm = Some(expected);
+            Phase::Commit => match decode(answer)? {
+                AuditMsg::Commit(c) => {
+                    tap.peer_commitment = Some(c);
+                    None
                 }
-            }
-            // Restoration: the permutation is not drawn here — it must
-            // match the peer's verified BP2 permutation.
-            None => {
-                if let Some(expected) = inner.expected_peer_perm {
-                    if expected != perm {
-                        return fail(AuditEvidence::PermutationMismatch { expected, used: perm });
+                AuditMsg::Open { .. } => return Err(tap.convict(AuditEvidence::MissingOpening)),
+            },
+            Phase::Running => {
+                let frame = answer.expect("resumed without the requested frame");
+                if let (Ok((_, payload)), true) = (&frame, tap.received.0 < TRANSCRIPT_FRAMES) {
+                    tap.received = (tap.received.0 + 1, fnv1a(tap.received.1, payload));
+                    if tap.challenge && tap.received.0 == TRANSCRIPT_FRAMES {
+                        tap.phase = Phase::Opening { held: frame };
+                        return Ok(await_peer);
                     }
                 }
+                Some(frame)
+            }
+            Phase::Opening { held } => {
+                tap.verify(answer.expect("resumed without the opening"), &ctx.domain(), out)?;
+                Some(held)
+            }
+        };
+        let mut inner_out = Outbox::default();
+        let next = self.inner.resume(ctx, answer, &mut inner_out);
+        for draw in &inner_out.attest {
+            match draw {
+                Attest::Permutation(pi) => tap.perm = fold_permutation(tap.perm, pi),
+                Attest::Masks(masks) => tap.masks = fold_masks(tap.masks, masks),
             }
         }
+        out.events.append(&mut inner_out.events);
+        for frame in inner_out.frames {
+            let content = tap.sent.0 < TRANSCRIPT_FRAMES;
+            if content {
+                let attested = frame.attested.as_ref().unwrap_or(&frame.payload);
+                tap.sent = (tap.sent.0 + 1, fnv1a(tap.sent.1, attested));
+            }
+            out.frames.push(frame);
+            if content && tap.challenge && tap.sent.0 == TRANSCRIPT_FRAMES {
+                let open = AuditMsg::Open {
+                    seed: tap.seed,
+                    sent: tap.sent.1,
+                    perm: tap.perm,
+                    masks: tap.masks,
+                };
+                out.send(tap.peer, tap.step, &open);
+            }
+        }
+        next
+    }
+}
+
+impl Tap {
+    fn convict(&self, evidence: AuditEvidence) -> SmcError {
+        SmcError::AuditFailure { party: self.peer, step: self.step, evidence }
+    }
+
+    /// [`Self::convict`], counted.
+    fn fail(&self, evidence: AuditEvidence, out: &mut Outbox) -> SmcError {
+        out.events.push(FaultEvent::AuditFailureDetected);
+        if matches!(
+            evidence,
+            AuditEvidence::TranscriptDivergence { .. } | AuditEvidence::CommitmentMismatch { .. }
+        ) {
+            out.events.push(FaultEvent::EquivocationDetected);
+        }
+        self.convict(evidence)
+    }
+
+    /// Verifies the peer's opening: commitment binding, transcript
+    /// digest, and a full replay of the permutation/mask draws from the
+    /// opened seed.
+    fn verify(
+        &mut self,
+        opening: Inbound,
+        domain: &ShareDomain,
+        out: &mut Outbox,
+    ) -> Result<(), SmcError> {
+        out.events.push(FaultEvent::AuditChallenge);
+        let (seed, sent, perm, masks) = match opening {
+            Err(TransportError::Timeout(_) | TransportError::Disconnected(_)) if self.strict => {
+                return Err(self.fail(AuditEvidence::MissingOpening, out));
+            }
+            opening => match decode(Some(opening))? {
+                AuditMsg::Open { seed, sent, perm, masks } => (seed, sent, perm, masks),
+                AuditMsg::Commit(_) => return Err(self.fail(AuditEvidence::MissingOpening, out)),
+            },
+        };
+        let committed = self.peer_commitment.unwrap_or(0);
+        let reopened = commit_seed(seed, self.step, self.round_id);
+        if reopened != committed {
+            return Err(self.fail(AuditEvidence::CommitmentMismatch { committed, reopened }, out));
+        }
+        if sent != self.received.1 {
+            let observed = self.received.1;
+            return Err(
+                self.fail(AuditEvidence::TranscriptDivergence { attested: sent, observed }, out)
+            );
+        }
+        // Replay the peer's draws from the opened seed.
+        let (k, m) = self.draws;
+        let (expected_perm, expected_masks) =
+            replay_draws(seed, self.step, self.peer, k, m, domain);
+        // Restoration draws no permutation — the one used must match the
+        // peer's verified BP2 permutation.
+        if let Some(expected) = expected_perm.or(self.expected_peer_perm) {
+            if expected != perm {
+                return Err(
+                    self.fail(AuditEvidence::PermutationMismatch { expected, used: perm }, out)
+                );
+            }
+        }
+        if self.step == Step::BlindPermute2 {
+            self.learned_peer_perm = expected_perm;
+        }
         if expected_masks != masks {
-            return fail(AuditEvidence::MaskMismatch { expected: expected_masks, used: masks });
+            let evidence = AuditEvidence::MaskMismatch { expected: expected_masks, used: masks };
+            return Err(self.fail(evidence, out));
         }
         Ok(())
     }
@@ -801,24 +807,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tap_is_inert() {
-        let mut tap = AuditTap::disabled();
-        assert!(!tap.is_enabled());
-        assert_eq!(tap.byzantine(), None);
-        tap.permutation(&Permutation::identity(3));
-        tap.masks(&[1, 2, 3]);
-        tap.record_sent(&42u64);
-        // begin/flush/verify need an endpoint; the disabled guard makes
-        // them no-ops, exercised end to end by the engine tests.
-    }
-
-    #[test]
     fn context_learns_peer_perm_only_from_bp2() {
         let mut ctx = AuditContext::new(Some(AuditPolicy::strict()), 0, PartyId::Server1);
         assert!(ctx.is_challenge());
-        let mut tap = ctx.tap(Step::BlindPermute2, 99, None);
-        tap.inner.as_deref_mut().unwrap().learned_peer_perm = Some(123);
-        ctx.complete(&tap);
+        let mut audited = ctx.wrap((), Step::BlindPermute2, 99, 3, 1);
+        audited.tap.as_deref_mut().unwrap().learned_peer_perm = Some(123);
+        ctx.complete(&audited);
         assert_eq!(ctx.checkpoint().peer_perm, Some(123));
         // Restored contexts carry it into Restoration taps.
         let restored = AuditContext::restore(
@@ -828,7 +822,7 @@ mod tests {
             ctx.checkpoint(),
         );
         let mut r = restored.clone();
-        let tap = r.tap(Step::Restoration, 7, None);
-        assert_eq!(tap.inner.as_deref().unwrap().expected_peer_perm, Some(123));
+        let audited = r.wrap((), Step::Restoration, 7, 3, 0);
+        assert_eq!(audited.tap.as_deref().unwrap().expected_peer_perm, Some(123));
     }
 }

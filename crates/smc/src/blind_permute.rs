@@ -27,13 +27,16 @@
 //! permutation).
 
 use paillier::Ciphertext;
-use rand::Rng;
-use transport::{ByzantineAction, Endpoint, PartyId, Step};
+use rand::rngs::StdRng;
+use transport::{ByzantineAction, Step};
 
-use crate::audit::{transpose01, AuditTap};
+use crate::audit::transpose01;
 use crate::error::SmcError;
+use crate::machine::{
+    decode, expect_len, from_peer, peer_of, Attest, Inbound, Machine, Next, Outbox,
+};
 use crate::permutation::Permutation;
-use crate::session::ServerContext;
+use crate::session::{ServerContext, ServerRole};
 
 /// Result of a Blind-and-Permute run on one server: the masked plaintext
 /// sequences (one per input vector, all permuted by the same hidden `π`)
@@ -46,274 +49,309 @@ pub struct BlindPermuteOutput {
     pub own_permutation: Permutation,
 }
 
-fn expect_len<T>(v: &[T], expected: usize) -> Result<(), SmcError> {
-    if v.len() == expected {
-        Ok(())
-    } else {
-        Err(SmcError::LengthMismatch { expected, got: v.len() })
-    }
+/// Where a [`BlindPermute`] is in Alg. 2's six legs.
+#[derive(Debug)]
+enum Stage {
+    Start,
+    /// S1 sent `E_pk2[a + r1]`, waits for `π2(a + r1 + r2)`.
+    PermutedA {
+        pi1: Permutation,
+        r1: Vec<i128>,
+        stale: Option<Vec<Vec<Ciphertext>>>,
+    },
+    /// S1 sent `E_pk1[r1]`, waits for `E_pk1[π2(b+r1+r2)+r3]` …
+    MaskedB {
+        pi1: Permutation,
+        sequences: Vec<Vec<i128>>,
+        stale: Option<Vec<Vec<Ciphertext>>>,
+    },
+    /// … and then for `E_pk2[−r3]`.
+    NegR3 {
+        pi1: Permutation,
+        sequences: Vec<Vec<i128>>,
+        stale: Option<Vec<Vec<Ciphertext>>>,
+        masked_b: Vec<Vec<Ciphertext>>,
+    },
+    /// S2 waits for `E_pk2[a + r1]`.
+    MaskedA {
+        pi2: Permutation,
+        r2: Vec<i128>,
+    },
+    /// S2 sent `π2(a + r1 + r2)`, waits for `E_pk1[r1]`.
+    EncR1 {
+        pi2: Permutation,
+        r2: Vec<i128>,
+    },
+    /// S2 sent its two step-4 frames, waits for `E_pk2[π(b + r1 + r2)]`.
+    Final {
+        pi2: Permutation,
+    },
+    Finished,
 }
 
-/// S1's side of Alg. 2.
+/// One server's side of Alg. 2 over `enc`: on S1 the aggregated `a`-share
+/// vectors encrypted under pk2, on S2 the `b`-share vectors under pk1.
 ///
-/// `enc_a` are the aggregated `a`-share vectors encrypted under pk2.
-/// `tap` records the audit transcript (and carries any scheduled covert
-/// deviation); pass [`AuditTap::disabled`] for unaudited runs.
+/// `byzantine` is the covert deviation the fault plan schedules here, if
+/// any: the machine attests (see [`Attest`], [`Outbox::send_forged`]) to
+/// what it actually drew and to the frames an honest run would have sent,
+/// so a challenge replay from the committed seed exposes the substitution.
 ///
 /// # Errors
 ///
-/// Fails on transport, cryptosystem or domain errors, and with
-/// [`SmcError::AuditFailure`] when a challenge convicts the peer.
-pub fn server1_blind_permute<R: Rng + ?Sized>(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    enc_a: &[Vec<Ciphertext>],
+/// Resuming fails on transport, cryptosystem or domain errors.
+#[derive(Debug)]
+pub struct BlindPermute {
+    enc: Vec<Vec<Ciphertext>>,
     step: Step,
-    rng: &mut R,
-    tap: &mut AuditTap,
-) -> Result<BlindPermuteOutput, SmcError> {
-    let k = ctx.config().num_classes;
-    let m = enc_a.len();
-    let domain = ctx.domain();
-    let pk2 = ctx.peer_public();
-    let codec1 = ctx.own_codec();
-    let codec2 = ctx.peer_codec();
-    let par = ctx.parallelism();
-    tap.begin(endpoint)?;
-    let mut pi1 = Permutation::random(k, rng);
-    // One scalar mask per vector in the batch.
-    let mut r1: Vec<i128> = (0..m).map(|_| domain.random_mask(rng)).collect();
-    // Covert deviations replace the committed draws with tampered ones;
-    // the tap attests to what is actually used, so a challenge replay
-    // from the committed seed exposes the substitution.
-    if tap.byzantine() == Some(ByzantineAction::TamperPermutation) {
-        pi1 = transpose01(&pi1);
-    }
-    if tap.byzantine() == Some(ByzantineAction::DropMask) {
-        r1[0] = 0;
-    }
-    tap.permutation(&pi1);
-    tap.masks(&r1);
-
-    // Step 1: send E_pk2[a + r1] to S2. The per-entry mask additions are
-    // RNG-free homomorphic ops, fanned out across the K labels.
-    let mut masked_a: Vec<Vec<Ciphertext>> = enc_a
-        .iter()
-        .zip(&r1)
-        .map(|(vec, &mask)| {
-            expect_len(vec, k)?;
-            let mask_enc = codec2.encode_i128(mask)?;
-            let add_par = par.with_item_cost_ns(crate::costs::paillier_add_cost_ns(pk2));
-            Ok(add_par.map(vec, |_, c| pk2.add_plain(c, &mask_enc)))
-        })
-        .collect::<Result<_, SmcError>>()?;
-    tap.record_sent(&masked_a);
-    if tap.byzantine() == Some(ByzantineAction::Equivocate) {
-        // Attest to the honest frame, put a different one on the wire.
-        masked_a[0][0] = pk2.add_plain(&masked_a[0][0], &codec2.encode_i128(1)?);
-    }
-    endpoint.send(PartyId::Server2, step, &masked_a)?;
-
-    // Step 2 happens on S2; receive π2(a + r1 + r2) in plaintext.
-    let permuted_a: Vec<Vec<i128>> = endpoint.recv(PartyId::Server2, step)?;
-    tap.record_received(&permuted_a);
-    expect_len(&permuted_a, m)?;
-
-    // Step 3: apply π1 — this is S1's output half. Send E_pk1[r1] to S2.
-    let sequences: Vec<Vec<i128>> = permuted_a
-        .iter()
-        .map(|seq| {
-            expect_len(seq, k)?;
-            Ok(pi1.apply(seq))
-        })
-        .collect::<Result<_, SmcError>>()?;
-    let enc_r1: Vec<Ciphertext> = par
-        .with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(ctx.own_public()))
-        .try_map_seeded(&r1, rng, |_, &mask, item_rng| {
-            let encoded = codec1.encode_i128(mask)?;
-            Ok::<_, SmcError>(ctx.own_public().encrypt(&encoded, item_rng)?)
-        })?;
-    tap.record_sent(&enc_r1);
-    endpoint.send(PartyId::Server2, step, &enc_r1)?;
-
-    // Step 4 happens on S2; receive E_pk1[π2(b+r1+r2)+r3] and E_pk2[−r3].
-    let masked_b: Vec<Vec<Ciphertext>> = endpoint.recv(PartyId::Server2, step)?;
-    let neg_r3: Vec<Vec<Ciphertext>> = endpoint.recv(PartyId::Server2, step)?;
-    tap.record_received(&masked_b);
-    tap.record_received(&neg_r3);
-    expect_len(&masked_b, m)?;
-    expect_len(&neg_r3, m)?;
-
-    // Challenge-verify S2's opening before trusting anything it sent:
-    // the decrypt-and-re-encrypt pass below consumes S2's frames.
-    tap.verify_peer(endpoint, k, m, &domain)?;
-
-    // Step 5: decrypt under sk1, re-encrypt under pk2, strip r3
-    // homomorphically, permute with π1, return to S2. Each entry pays a
-    // decrypt + encrypt, so the K labels fan out; only the re-encryption
-    // draws randomness, one seed-derived stream per entry.
-    let mut reencrypted: Vec<Vec<Ciphertext>> = Vec::with_capacity(m);
-    for (vec, negs) in masked_b.iter().zip(&neg_r3) {
-        expect_len(vec, k)?;
-        expect_len(negs, k)?;
-        let row: Vec<Ciphertext> = par
-            .with_item_cost_ns(
-                crate::costs::paillier_decrypt_cost_ns(ctx.own_public())
-                    + crate::costs::paillier_encrypt_cost_ns(pk2),
-            )
-            .try_map_seeded(vec, rng, |i, c, item_rng| {
-                let value = codec1.decode_i128(&ctx.own_private().decrypt_crt(c)?)?;
-                let reenc = pk2.encrypt(&codec2.encode_i128(value)?, item_rng)?;
-                Ok::<_, SmcError>(pk2.add(&reenc, &negs[i]))
-            })?;
-        reencrypted.push(pi1.apply(&row));
-    }
-    tap.record_sent(&reencrypted);
-    if tap.byzantine() == Some(ByzantineAction::ReplayStaleFrame) {
-        // Resend the step-1 frame in place of the re-encryption; it has
-        // the same shape and decrypts cleanly, but is stale.
-        endpoint.send(PartyId::Server2, step, &masked_a)?;
-    } else {
-        endpoint.send(PartyId::Server2, step, &reencrypted)?;
-    }
-    tap.flush_opening(endpoint)?;
-
-    Ok(BlindPermuteOutput { sequences, own_permutation: pi1 })
+    rng: StdRng,
+    byzantine: Option<ByzantineAction>,
+    stage: Stage,
 }
 
-/// S2's side of Alg. 2.
-///
-/// `enc_b` are the aggregated `b`-share vectors encrypted under pk1.
-/// `tap` records the audit transcript (and carries any scheduled covert
-/// deviation); pass [`AuditTap::disabled`] for unaudited runs.
-///
-/// # Errors
-///
-/// Fails on transport, cryptosystem or domain errors, and with
-/// [`SmcError::AuditFailure`] when a challenge convicts the peer.
-pub fn server2_blind_permute<R: Rng + ?Sized>(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    enc_b: &[Vec<Ciphertext>],
-    step: Step,
-    rng: &mut R,
-    tap: &mut AuditTap,
-) -> Result<BlindPermuteOutput, SmcError> {
-    let k = ctx.config().num_classes;
-    let m = enc_b.len();
-    let domain = ctx.domain();
-    let pk1 = ctx.peer_public();
-    let codec1 = ctx.peer_codec();
-    let codec2 = ctx.own_codec();
-    let par = ctx.parallelism();
-    tap.begin(endpoint)?;
-    let mut pi2 = Permutation::random(k, rng);
-    let mut r2: Vec<i128> = (0..m).map(|_| domain.random_mask(rng)).collect();
-    if tap.byzantine() == Some(ByzantineAction::TamperPermutation) {
-        pi2 = transpose01(&pi2);
+impl BlindPermute {
+    /// Alg. 2 over `enc` under `step`, drawing from `rng`.
+    pub fn new(
+        enc: Vec<Vec<Ciphertext>>,
+        step: Step,
+        rng: StdRng,
+        byzantine: Option<ByzantineAction>,
+    ) -> BlindPermute {
+        BlindPermute { enc, step, rng, byzantine, stage: Stage::Start }
     }
-    if tap.byzantine() == Some(ByzantineAction::DropMask) {
-        r2[0] = 0;
-    }
-    tap.permutation(&pi2);
-    tap.masks(&r2);
 
-    // Step 2: receive E_pk2[a + r1]; decrypt (RNG-free, fanned out across
-    // the K labels), add r2, permute by π2, send the plaintext sequences
-    // back.
-    let masked_a: Vec<Vec<Ciphertext>> = endpoint.recv(PartyId::Server1, step)?;
-    tap.record_received(&masked_a);
-    expect_len(&masked_a, m)?;
-    let mut permuted_a: Vec<Vec<i128>> = Vec::with_capacity(m);
-    for (vec, &mask2) in masked_a.iter().zip(&r2) {
-        expect_len(vec, k)?;
-        let plain: Vec<i128> = par
-            .with_item_cost_ns(crate::costs::paillier_decrypt_cost_ns(ctx.own_public()))
-            .try_map(vec, |_, c| {
-                Ok::<_, SmcError>(codec2.decode_i128(&ctx.own_private().decrypt_crt(c)?)? + mask2)
-            })?;
-        permuted_a.push(pi2.apply(&plain));
+    /// Draws this server's permutation and one scalar mask per vector in
+    /// the batch, and attests to them. Covert deviations replace the
+    /// committed draws with tampered ones.
+    fn draw(&mut self, ctx: &ServerContext, out: &mut Outbox) -> (Permutation, Vec<i128>) {
+        let domain = ctx.domain();
+        let mut pi = Permutation::random(ctx.config().num_classes, &mut self.rng);
+        let mut r: Vec<i128> =
+            (0..self.enc.len()).map(|_| domain.random_mask(&mut self.rng)).collect();
+        if self.byzantine == Some(ByzantineAction::TamperPermutation) {
+            pi = transpose01(&pi);
+        }
+        if self.byzantine == Some(ByzantineAction::DropMask) {
+            r[0] = 0;
+        }
+        out.attest.push(Attest::Permutation(pi.clone()));
+        out.attest.push(Attest::Masks(r.clone()));
+        (pi, r)
     }
-    tap.record_sent(&permuted_a);
-    if tap.byzantine() == Some(ByzantineAction::Equivocate) {
-        permuted_a[0][0] += 1;
+}
+
+impl Machine for BlindPermute {
+    type Output = BlindPermuteOutput;
+
+    fn resume(
+        &mut self,
+        ctx: &ServerContext,
+        answer: Option<Inbound>,
+        out: &mut Outbox,
+    ) -> Result<Next<BlindPermuteOutput>, SmcError> {
+        let k = ctx.config().num_classes;
+        let m = self.enc.len();
+        let domain = ctx.domain();
+        let (own, own_pk, peer_pk) = (ctx.own_codec(), ctx.own_public(), ctx.peer_public());
+        let (peer_codec, sk) = (ctx.peer_codec(), ctx.own_private());
+        let par = ctx.parallelism();
+        let encrypt_par = |pk| par.with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(pk));
+        let decrypt_par = par.with_item_cost_ns(crate::costs::paillier_decrypt_cost_ns(own_pk));
+        let add_par = par.with_item_cost_ns(crate::costs::paillier_add_cost_ns(peer_pk));
+        let (peer, step) = (peer_of(ctx.role()), self.step);
+        match std::mem::replace(&mut self.stage, Stage::Finished) {
+            Stage::Start if ctx.role() == ServerRole::Server1 => {
+                let (pi1, r1) = self.draw(ctx, out);
+                // Step 1: send E_pk2[a + r1] to S2. The per-entry mask
+                // additions are RNG-free homomorphic ops, fanned out
+                // across the K labels.
+                let masked_a: Vec<Vec<Ciphertext>> = self
+                    .enc
+                    .iter()
+                    .zip(&r1)
+                    .map(|(vec, &mask)| {
+                        expect_len(k, vec.len())?;
+                        let mask_enc = peer_codec.encode_i128(mask)?;
+                        Ok(add_par.map(vec, |_, c| peer_pk.add_plain(c, &mask_enc)))
+                    })
+                    .collect::<Result<_, SmcError>>()?;
+                if self.byzantine == Some(ByzantineAction::Equivocate) {
+                    // Attest to the honest frame, put a different one on
+                    // the wire.
+                    let mut forged = masked_a.clone();
+                    forged[0][0] = peer_pk.add_plain(&forged[0][0], &peer_codec.encode_i128(1)?);
+                    out.send_forged(peer, step, &masked_a, &forged);
+                } else {
+                    out.send(peer, step, &masked_a);
+                }
+                let stale =
+                    (self.byzantine == Some(ByzantineAction::ReplayStaleFrame)).then_some(masked_a);
+                self.stage = Stage::PermutedA { pi1, r1, stale };
+            }
+            Stage::PermutedA { pi1, r1, stale } => {
+                // Step 2 happened on S2; π2(a + r1 + r2) arrives in plaintext.
+                let permuted_a: Vec<Vec<i128>> = decode(answer)?;
+                expect_len(m, permuted_a.len())?;
+                // Step 3: apply π1 — this is S1's output half. Send
+                // E_pk1[r1] to S2.
+                let sequences: Vec<Vec<i128>> = permuted_a
+                    .iter()
+                    .map(|seq| {
+                        expect_len(k, seq.len())?;
+                        Ok(pi1.apply(seq))
+                    })
+                    .collect::<Result<_, SmcError>>()?;
+                let enc_r1: Vec<Ciphertext> = encrypt_par(own_pk).try_map_seeded(
+                    &r1,
+                    &mut self.rng,
+                    |_, &mask, item_rng| {
+                        Ok::<_, SmcError>(own_pk.encrypt(&own.encode_i128(mask)?, item_rng)?)
+                    },
+                )?;
+                out.send(peer, step, &enc_r1);
+                self.stage = Stage::MaskedB { pi1, sequences, stale };
+            }
+            Stage::MaskedB { pi1, sequences, stale } => {
+                // Step 4 happened on S2: E_pk1[π2(b+r1+r2)+r3] …
+                let masked_b: Vec<Vec<Ciphertext>> = decode(answer)?;
+                expect_len(m, masked_b.len())?;
+                self.stage = Stage::NegR3 { pi1, sequences, stale, masked_b };
+            }
+            Stage::NegR3 { pi1, sequences, stale, masked_b } => {
+                // … and E_pk2[−r3].
+                let neg_r3: Vec<Vec<Ciphertext>> = decode(answer)?;
+                expect_len(m, neg_r3.len())?;
+                // Step 5: decrypt under sk1, re-encrypt under pk2, strip
+                // r3 homomorphically, permute with π1, return to S2. Each
+                // entry pays a decrypt + encrypt, so the K labels fan
+                // out; only the re-encryption draws randomness, one
+                // seed-derived stream per entry.
+                let both = par.with_item_cost_ns(
+                    crate::costs::paillier_decrypt_cost_ns(own_pk)
+                        + crate::costs::paillier_encrypt_cost_ns(peer_pk),
+                );
+                let mut reencrypted: Vec<Vec<Ciphertext>> = Vec::with_capacity(m);
+                for (vec, negs) in masked_b.iter().zip(&neg_r3) {
+                    expect_len(k, vec.len())?;
+                    expect_len(k, negs.len())?;
+                    let row: Vec<Ciphertext> =
+                        both.try_map_seeded(vec, &mut self.rng, |i, c, item_rng| {
+                            let value = own.decode_i128(&sk.decrypt_crt(c)?)?;
+                            let reenc =
+                                peer_pk.encrypt(&peer_codec.encode_i128(value)?, item_rng)?;
+                            Ok::<_, SmcError>(peer_pk.add(&reenc, &negs[i]))
+                        })?;
+                    reencrypted.push(pi1.apply(&row));
+                }
+                match stale {
+                    // Resend the step-1 frame in place of the
+                    // re-encryption; it has the same shape and decrypts
+                    // cleanly, but is stale.
+                    Some(masked_a) => out.send_forged(peer, step, &reencrypted, &masked_a),
+                    None => out.send(peer, step, &reencrypted),
+                }
+                return Ok(Next::Done(BlindPermuteOutput { sequences, own_permutation: pi1 }));
+            }
+            Stage::Start => {
+                let (pi2, r2) = self.draw(ctx, out);
+                self.stage = Stage::MaskedA { pi2, r2 };
+            }
+            Stage::MaskedA { pi2, r2 } => {
+                // Step 2: receive E_pk2[a + r1]; decrypt (RNG-free, fanned
+                // out across the K labels), add r2, permute by π2, send
+                // the plaintext sequences back.
+                let masked_a: Vec<Vec<Ciphertext>> = decode(answer)?;
+                expect_len(m, masked_a.len())?;
+                let mut permuted_a: Vec<Vec<i128>> = Vec::with_capacity(m);
+                for (vec, &mask2) in masked_a.iter().zip(&r2) {
+                    expect_len(k, vec.len())?;
+                    let plain: Vec<i128> = decrypt_par.try_map(vec, |_, c| {
+                        Ok::<_, SmcError>(own.decode_i128(&sk.decrypt_crt(c)?)? + mask2)
+                    })?;
+                    permuted_a.push(pi2.apply(&plain));
+                }
+                if self.byzantine == Some(ByzantineAction::Equivocate) {
+                    let mut forged = permuted_a.clone();
+                    forged[0][0] += 1;
+                    out.send_forged(peer, step, &permuted_a, &forged);
+                } else {
+                    out.send(peer, step, &permuted_a);
+                }
+                self.stage = Stage::EncR1 { pi2, r2 };
+            }
+            Stage::EncR1 { pi2, r2 } => {
+                // Step 4: receive E_pk1[r1]; build E_pk1[π2(b+r1+r2)+r3]
+                // and E_pk2[−r3].
+                let enc_r1: Vec<Ciphertext> = decode(answer)?;
+                expect_len(m, enc_r1.len())?;
+                let mut masked_b: Vec<Vec<Ciphertext>> = Vec::with_capacity(m);
+                let mut neg_r3: Vec<Vec<Ciphertext>> = Vec::with_capacity(m);
+                for ((vec, enc_mask1), &mask2) in self.enc.iter().zip(&enc_r1).zip(&r2) {
+                    expect_len(k, vec.len())?;
+                    let mask2_enc = peer_codec.encode_i128(mask2)?;
+                    // Bias additions are RNG-free homomorphic ops: fan
+                    // out per label.
+                    let biased: Vec<Ciphertext> = add_par
+                        .map(vec, |_, c| peer_pk.add_plain(&peer_pk.add(c, enc_mask1), &mask2_enc));
+                    let permuted = pi2.apply(&biased);
+                    // Per-entry r3, applied after the permutation. The
+                    // mask draws stay on the step's RNG (cheap); the
+                    // homomorphic additions and the −r3 encryptions fan
+                    // out.
+                    let r3: Vec<i128> = (0..k).map(|_| domain.random_mask(&mut self.rng)).collect();
+                    masked_b.push(add_par.try_map(&permuted, |i, c| {
+                        Ok::<_, SmcError>(peer_pk.add_plain(c, &peer_codec.encode_i128(r3[i])?))
+                    })?);
+                    neg_r3.push(encrypt_par(own_pk).try_map_seeded(
+                        &r3,
+                        &mut self.rng,
+                        |_, &mask3, item_rng| {
+                            Ok::<_, SmcError>(own_pk.encrypt(&own.encode_i128(-mask3)?, item_rng)?)
+                        },
+                    )?);
+                }
+                out.send(peer, step, &masked_b);
+                if self.byzantine == Some(ByzantineAction::ReplayStaleFrame) {
+                    // Resend the masked-b frame in place of −r3; same
+                    // shape, stale content.
+                    out.send_forged(peer, step, &neg_r3, &masked_b);
+                } else {
+                    out.send(peer, step, &neg_r3);
+                }
+                self.stage = Stage::Final { pi2 };
+            }
+            Stage::Final { pi2 } => {
+                // Step 6: receive E_pk2[π(b + r1 + r2)] and decrypt —
+                // S2's output.
+                let final_enc: Vec<Vec<Ciphertext>> = decode(answer)?;
+                expect_len(m, final_enc.len())?;
+                let sequences: Vec<Vec<i128>> = final_enc
+                    .iter()
+                    .map(|vec| {
+                        expect_len(k, vec.len())?;
+                        decrypt_par.try_map(vec, |_, c| {
+                            Ok::<_, SmcError>(own.decode_i128(&sk.decrypt_crt(c)?)?)
+                        })
+                    })
+                    .collect::<Result<_, SmcError>>()?;
+                return Ok(Next::Done(BlindPermuteOutput { sequences, own_permutation: pi2 }));
+            }
+            Stage::Finished => panic!("blind-and-permute resumed after it ended"),
+        }
+        Ok(from_peer(ctx, step))
     }
-    endpoint.send(PartyId::Server1, step, &permuted_a)?;
-
-    // Step 4: receive E_pk1[r1]; build E_pk1[π2(b+r1+r2)+r3] and
-    // E_pk2[−r3].
-    let enc_r1: Vec<Ciphertext> = endpoint.recv(PartyId::Server1, step)?;
-    tap.record_received(&enc_r1);
-    expect_len(&enc_r1, m)?;
-    let mut masked_b: Vec<Vec<Ciphertext>> = Vec::with_capacity(m);
-    let mut neg_r3_enc: Vec<Vec<Ciphertext>> = Vec::with_capacity(m);
-    for ((vec, enc_mask1), &mask2) in enc_b.iter().zip(&enc_r1).zip(&r2) {
-        expect_len(vec, k)?;
-        let mask2_enc = codec1.encode_i128(mask2)?;
-        // Bias additions are RNG-free homomorphic ops: fan out per label.
-        let add_par = par.with_item_cost_ns(crate::costs::paillier_add_cost_ns(pk1));
-        let biased: Vec<Ciphertext> =
-            add_par.map(vec, |_, c| pk1.add_plain(&pk1.add(c, enc_mask1), &mask2_enc));
-        let permuted = pi2.apply(&biased);
-        // Per-entry r3, applied after the permutation. The mask draws
-        // stay on the caller's RNG (cheap); the homomorphic additions and
-        // the −r3 encryptions fan out.
-        let r3: Vec<i128> = (0..k).map(|_| domain.random_mask(rng)).collect();
-        let row: Vec<Ciphertext> = add_par.try_map(&permuted, |i, c| {
-            Ok::<_, SmcError>(pk1.add_plain(c, &codec1.encode_i128(r3[i])?))
-        })?;
-        masked_b.push(row);
-        let negs: Vec<Ciphertext> = par
-            .with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(ctx.own_public()))
-            .try_map_seeded(&r3, rng, |_, &mask3, item_rng| {
-                Ok::<_, SmcError>(ctx.own_public().encrypt(&codec2.encode_i128(-mask3)?, item_rng)?)
-            })?;
-        neg_r3_enc.push(negs);
-    }
-    endpoint.send(PartyId::Server1, step, &masked_b)?;
-    tap.record_sent(&masked_b);
-    tap.record_sent(&neg_r3_enc);
-    if tap.byzantine() == Some(ByzantineAction::ReplayStaleFrame) {
-        // Resend the masked-b frame in place of −r3; same shape, stale
-        // content.
-        endpoint.send(PartyId::Server1, step, &masked_b)?;
-    } else {
-        endpoint.send(PartyId::Server1, step, &neg_r3_enc)?;
-    }
-    tap.flush_opening(endpoint)?;
-
-    // Step 6: receive E_pk2[π(b + r1 + r2)] and decrypt — S2's output.
-    let final_enc: Vec<Vec<Ciphertext>> = endpoint.recv(PartyId::Server1, step)?;
-    tap.record_received(&final_enc);
-    expect_len(&final_enc, m)?;
-
-    // Challenge-verify S1's opening before decrypting its output frame.
-    tap.verify_peer(endpoint, k, m, &domain)?;
-    let sequences: Vec<Vec<i128>> = final_enc
-        .iter()
-        .map(|vec| {
-            expect_len(vec, k)?;
-            par.with_item_cost_ns(crate::costs::paillier_decrypt_cost_ns(ctx.own_public()))
-                .try_map(vec, |_, c| {
-                    Ok::<_, SmcError>(codec2.decode_i128(&ctx.own_private().decrypt_crt(c)?)?)
-                })
-        })
-        .collect::<Result<_, SmcError>>()?;
-
-    Ok(BlindPermuteOutput { sequences, own_permutation: pi2 })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::secure_sum::send_encrypted_vector;
+    use crate::machine::run_pair;
+    use crate::secure_sum::encrypt_share_vector;
     use crate::session::{SessionConfig, SessionKeys};
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use transport::Network;
 
-    /// Runs a batched blind-and-permute over real channels and returns
-    /// both outputs plus the original plain vectors.
+    /// Runs a batched blind-and-permute in memory and returns both
+    /// outputs.
     fn run(
         seed: u64,
         a_vectors: Vec<Vec<i128>>,
@@ -322,75 +360,21 @@ mod tests {
         let k = a_vectors[0].len();
         let mut rng = StdRng::seed_from_u64(seed);
         let keys = SessionKeys::generate(SessionConfig::test(1, k), &mut rng);
-        let s1_ctx = keys.server1();
-        let s2_ctx = keys.server2();
-        let user_ctx = keys.user();
+        let (s1_ctx, s2_ctx, user_ctx) = (keys.server1(), keys.server2(), keys.user());
 
-        let mut net = Network::new(1);
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let mut s2 = net.take_endpoint(PartyId::Server2);
-        let user = net.take_endpoint(PartyId::User(0));
+        // The "aggregated" encrypted vectors come off the user path: a
+        // under pk2 (for S1), b under pk1 (for S2).
+        let mut encrypt = |vectors: &[Vec<i128>], key| -> Vec<Vec<Ciphertext>> {
+            let par = user_ctx.parallelism();
+            vectors.iter().map(|v| encrypt_share_vector(v, key, par, &mut rng).unwrap()).collect()
+        };
+        let enc_a = encrypt(&a_vectors, user_ctx.pk2());
+        let enc_b = encrypt(&b_vectors, user_ctx.pk1());
 
-        // Feed the "aggregated" encrypted vectors through the user path:
-        // a under pk2 (to S1), b under pk1 (to S2).
-        for a in &a_vectors {
-            send_encrypted_vector(
-                &user,
-                PartyId::Server1,
-                Step::Setup,
-                a,
-                user_ctx.pk2(),
-                user_ctx.parallelism(),
-                &mut rng,
-            )
-            .unwrap();
-        }
-        for b in &b_vectors {
-            send_encrypted_vector(
-                &user,
-                PartyId::Server2,
-                Step::Setup,
-                b,
-                user_ctx.pk1(),
-                user_ctx.parallelism(),
-                &mut rng,
-            )
-            .unwrap();
-        }
-
-        std::thread::scope(|scope| {
-            let h1 = scope.spawn(move || {
-                let enc_a: Vec<Vec<paillier::Ciphertext>> = (0..a_vectors.len())
-                    .map(|_| s1.recv(PartyId::User(0), Step::Setup).unwrap())
-                    .collect();
-                let mut rng = StdRng::seed_from_u64(seed + 1);
-                server1_blind_permute(
-                    &mut s1,
-                    &s1_ctx,
-                    &enc_a,
-                    Step::BlindPermute1,
-                    &mut rng,
-                    &mut AuditTap::disabled(),
-                )
-                .unwrap()
-            });
-            let h2 = scope.spawn(move || {
-                let enc_b: Vec<Vec<paillier::Ciphertext>> = (0..b_vectors.len())
-                    .map(|_| s2.recv(PartyId::User(0), Step::Setup).unwrap())
-                    .collect();
-                let mut rng = StdRng::seed_from_u64(seed + 2);
-                server2_blind_permute(
-                    &mut s2,
-                    &s2_ctx,
-                    &enc_b,
-                    Step::BlindPermute1,
-                    &mut rng,
-                    &mut AuditTap::disabled(),
-                )
-                .unwrap()
-            });
-            (h1.join().unwrap(), h2.join().unwrap())
-        })
+        let step = Step::BlindPermute1;
+        let s1 = BlindPermute::new(enc_a, step, StdRng::seed_from_u64(seed + 1), None);
+        let s2 = BlindPermute::new(enc_b, step, StdRng::seed_from_u64(seed + 2), None);
+        run_pair((&s1_ctx, s1), (&s2_ctx, s2), Vec::new()).unwrap().outputs
     }
 
     /// Recovers (π applied to totals, common bias) from one output pair:

@@ -21,80 +21,117 @@
 //! same outcome bits. They learn `K−1` bits over permuted slots, each a
 //! function of the total order the all-pairs ranking revealed in full.
 
-use rand::Rng;
-use transport::{Endpoint, Step};
+use rand::rngs::StdRng;
+use transport::Step;
 
-use crate::compare::{server1_compare_batch, server2_compare_batch};
+use crate::compare::CompareRound;
 use crate::error::SmcError;
-use crate::session::ServerContext;
+use crate::machine::{Inbound, Machine, Next, Outbox};
+use crate::session::{ServerContext, ServerRole};
 
-/// Plays the bracket over slots `0..k`. `round` decides one bracket
-/// round's matches `(lo, hi)`, `lo < hi`, returning per match whether
-/// `lo` is kept (`c_lo ≥ c_hi`).
-fn bracket(
-    k: usize,
-    mut round: impl FnMut(&[(usize, usize)]) -> Result<Vec<bool>, SmcError>,
-) -> Result<usize, SmcError> {
-    assert!(k >= 1, "argmax needs at least one element");
-    let mut alive: Vec<usize> = (0..k).collect();
-    while alive.len() > 1 {
-        let matches: Vec<(usize, usize)> = alive.chunks_exact(2).map(|m| (m[0], m[1])).collect();
-        let bye = alive.chunks_exact(2).remainder().first().copied();
-        let keep_lo = round(&matches)?;
-        alive = matches
+/// The knock-out schedule over slots `0..k`: who is still in, and how a
+/// round's outcomes thin them out.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Bracket {
+    alive: Vec<usize>,
+}
+
+impl Bracket {
+    fn new(k: usize) -> Bracket {
+        assert!(k >= 1, "argmax needs at least one element");
+        Bracket { alive: (0..k).collect() }
+    }
+
+    /// The winner, once a single slot is left.
+    fn winner(&self) -> Option<usize> {
+        (self.alive.len() == 1).then(|| self.alive[0])
+    }
+
+    /// This round's matches `(lo, hi)`, `lo < hi`; an odd slot out sits
+    /// the round out.
+    fn matches(&self) -> Vec<(usize, usize)> {
+        self.alive.chunks_exact(2).map(|m| (m[0], m[1])).collect()
+    }
+
+    /// Keeps each match's winner — `lo` where `keep_lo` (`c_lo ≥ c_hi`) —
+    /// and the bye.
+    fn advance(&mut self, keep_lo: &[bool]) {
+        let bye = self.alive.chunks_exact(2).remainder().first().copied();
+        self.alive = self
+            .matches()
             .iter()
             .zip(keep_lo)
-            .map(|(&(lo, hi), geq)| if geq { lo } else { hi })
+            .map(|(&(lo, hi), &geq)| if geq { lo } else { hi })
             .chain(bye)
             .collect();
     }
-    Ok(alive[0])
 }
 
-/// S1's side of the argmax over its permuted sequence. Returns the
-/// winning *permuted* slot.
+/// One server's side of the argmax over its permuted sequence; finishes
+/// with the winning *permuted* slot (the same on both servers).
 ///
 /// # Errors
 ///
-/// Fails on comparison or transport errors.
-///
-/// # Panics
-///
-/// Panics if `sequence` is empty.
-pub fn server1_argmax<R: Rng + ?Sized>(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    sequence: &[i128],
-    step: Step,
-    rng: &mut R,
-) -> Result<usize, SmcError> {
-    bracket(sequence.len(), |matches| {
-        let xs: Vec<i128> = matches.iter().map(|&(lo, hi)| sequence[lo] - sequence[hi]).collect();
-        server1_compare_batch(endpoint, ctx, &xs, step, rng)
-    })
+/// Resuming fails on comparison or transport errors.
+#[derive(Debug)]
+pub struct Argmax {
+    sequence: Vec<i128>,
+    bracket: Bracket,
+    round: CompareRound,
+    /// Whether `round` is mid-flight (else the next one has to be dealt).
+    playing: bool,
 }
 
-/// S2's side of the argmax. Returns the winning permuted slot (always
-/// equal to S1's).
-///
-/// # Errors
-///
-/// Fails on comparison or transport errors.
-///
-/// # Panics
-///
-/// Panics if `sequence` is empty.
-pub fn server2_argmax<R: Rng + ?Sized>(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    sequence: &[i128],
-    step: Step,
-    rng: &mut R,
-) -> Result<usize, SmcError> {
-    bracket(sequence.len(), |matches| {
-        let ys: Vec<i128> = matches.iter().map(|&(lo, hi)| sequence[hi] - sequence[lo]).collect();
-        server2_compare_batch(endpoint, ctx, &ys, step, rng)
-    })
+impl Argmax {
+    /// The argmax of `sequence` under `step`, every round drawing from
+    /// `rng` in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sequence` is empty.
+    pub fn new(sequence: Vec<i128>, step: Step, rng: StdRng) -> Argmax {
+        let bracket = Bracket::new(sequence.len());
+        Argmax {
+            sequence,
+            bracket,
+            round: CompareRound::new(Vec::new(), step, rng),
+            playing: false,
+        }
+    }
+}
+
+impl Machine for Argmax {
+    type Output = usize;
+
+    fn resume(
+        &mut self,
+        ctx: &ServerContext,
+        mut answer: Option<Inbound>,
+        out: &mut Outbox,
+    ) -> Result<Next<usize>, SmcError> {
+        loop {
+            if !self.playing {
+                if let Some(winner) = self.bracket.winner() {
+                    return Ok(Next::Done(winner));
+                }
+                // Eqn. 7: S1 compares ã_lo − ã_hi against S2's b̃_hi − b̃_lo.
+                let seq = &self.sequence;
+                let values = self.bracket.matches().into_iter().map(|(lo, hi)| match ctx.role() {
+                    ServerRole::Server1 => seq[lo] - seq[hi],
+                    ServerRole::Server2 => seq[hi] - seq[lo],
+                });
+                self.round.restart(values.collect());
+                self.playing = true;
+            }
+            match self.round.resume(ctx, answer.take(), out)? {
+                Next::Recv(recv) => return Ok(Next::Recv(recv)),
+                Next::Done(keep_lo) => {
+                    self.bracket.advance(&keep_lo);
+                    self.playing = false;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -103,13 +140,18 @@ mod tests {
 
     /// The bracket on clear totals, recording each round's matches.
     fn clear_bracket(totals: &[i64]) -> (usize, Vec<Vec<(usize, usize)>>) {
+        let mut bracket = Bracket::new(totals.len());
         let mut rounds = Vec::new();
-        let winner = bracket(totals.len(), |matches| {
-            rounds.push(matches.to_vec());
-            Ok(matches.iter().map(|&(lo, hi)| totals[lo] >= totals[hi]).collect())
-        })
-        .unwrap();
-        (winner, rounds)
+        loop {
+            if let Some(winner) = bracket.winner() {
+                return (winner, rounds);
+            }
+            let matches = bracket.matches();
+            let keep_lo: Vec<bool> =
+                matches.iter().map(|&(lo, hi)| totals[lo] >= totals[hi]).collect();
+            bracket.advance(&keep_lo);
+            rounds.push(matches);
+        }
     }
 
     /// The slot the all-pairs win tally elects (Eqn. 7's ranking): most
@@ -164,13 +206,21 @@ mod tests {
 
     #[test]
     fn a_failed_round_stops_the_bracket() {
-        let mut calls = 0;
-        let err = bracket(8, |_| {
-            calls += 1;
-            Err(SmcError::LengthMismatch { expected: 4, got: 0 })
-        })
-        .unwrap_err();
-        assert!(matches!(err, SmcError::LengthMismatch { .. }));
-        assert_eq!(calls, 1);
+        use crate::session::{SessionConfig, SessionKeys};
+        use dgk::comparison::EvaluatorBits;
+        use rand::SeedableRng;
+        use transport::Wire;
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let s2_ctx = SessionKeys::generate(SessionConfig::test(1, 8), &mut rng).server2();
+        let mut argmax = Argmax::new(vec![0; 8], Step::CompareRank, rng);
+        let mut out = Outbox::default();
+        assert!(matches!(argmax.resume(&s2_ctx, None, &mut out), Ok(Next::Recv(_))));
+        // Round 1 of the first bracket round arrives without its four
+        // matches: the bracket ends there, with nothing sent.
+        let empty = Vec::<EvaluatorBits>::new().to_bytes();
+        let err = argmax.resume(&s2_ctx, Some(Ok((1, empty))), &mut out).unwrap_err();
+        assert!(matches!(err, SmcError::LengthMismatch { expected: 4, got: 0 }));
+        assert!(out.frames.is_empty());
     }
 }

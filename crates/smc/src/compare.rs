@@ -34,12 +34,13 @@ use dgk::comparison::{
     blinder_build_witnesses, evaluator_decide, evaluator_encrypt_bits, BlindedWitnesses,
     EvaluatorBits,
 };
-use rand::Rng;
-use transport::{Endpoint, PartyId, Step};
+use rand::rngs::StdRng;
+use transport::Step;
 
 use crate::costs;
 use crate::error::SmcError;
-use crate::session::ServerContext;
+use crate::machine::{decode, expect_len, from_peer, peer_of, Inbound, Machine, Next, Outbox};
+use crate::session::{ServerContext, ServerRole};
 use crate::Parallelism;
 
 /// How one round of `matches` comparisons spends the server's workers:
@@ -57,88 +58,117 @@ fn fan_out(ctx: &ServerContext, matches: usize) -> (Parallelism, Parallelism) {
     }
 }
 
-fn check_len(expected: usize, got: usize) -> Result<(), SmcError> {
-    if got == expected {
-        Ok(())
-    } else {
-        Err(SmcError::LengthMismatch { expected, got })
+/// Where a [`CompareRound`] is in its three messages.
+#[derive(Debug)]
+enum Stage {
+    Start,
+    /// S1 sent its bit encryptions and waits for the witness sets.
+    Witnesses,
+    /// S2 waits for S1's bit encryptions.
+    Bits,
+    /// S2 sent its witness sets and waits for the outcome bits.
+    Outcome,
+    Finished,
+}
+
+/// One server's side of one comparison round. S1 holds `values = xs`, S2
+/// holds `values = ys`; both finish with `xs[m] ≥ ys[m]` per match.
+///
+/// # Errors
+///
+/// Resuming fails if a value escapes the comparison domain, if the peer's
+/// frames do not carry exactly one `ℓ`-bit encryption set / one
+/// `ℓ`-witness set / one outcome bit per match, or on transport errors.
+#[derive(Debug)]
+pub struct CompareRound {
+    values: Vec<i128>,
+    step: Step,
+    rng: StdRng,
+    stage: Stage,
+}
+
+impl CompareRound {
+    /// A round comparing `values` under `step`, drawing from `rng`.
+    pub fn new(values: Vec<i128>, step: Step, rng: StdRng) -> CompareRound {
+        CompareRound { values, step, rng, stage: Stage::Start }
+    }
+
+    /// Rearms a finished round over new `values`, continuing its RNG
+    /// stream — how [`crate::bracket::Argmax`] plays round after round.
+    pub(crate) fn restart(&mut self, values: Vec<i128>) {
+        self.values = values;
+        self.stage = Stage::Start;
     }
 }
 
-/// S1's side of one comparison round: compares each own `xs[m]` against
-/// S2's hidden `ys[m]`; returns `xs[m] ≥ ys[m]` per match.
-///
-/// # Errors
-///
-/// Fails if an `x` escapes the comparison domain, if S2's reply does not
-/// carry exactly one `ℓ`-witness set per match, or on transport errors.
-pub fn server1_compare_batch<R: Rng + ?Sized>(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    xs: &[i128],
-    step: Step,
-    rng: &mut R,
-) -> Result<Vec<bool>, SmcError> {
-    let keys = ctx.dgk_keys();
-    let domain = ctx.domain();
-    let (across, within) = fan_out(ctx, xs.len());
+impl Machine for CompareRound {
+    type Output = Vec<bool>;
 
-    let round1: Vec<EvaluatorBits> = across.try_map_seeded(xs, rng, |_, &x, match_rng| {
-        let encoded = domain.encode_compare(x)?;
-        Ok::<_, SmcError>(evaluator_encrypt_bits(encoded, keys.public_key(), &within, match_rng)?)
-    })?;
-    endpoint.send(PartyId::Server2, step, &round1)?;
-
-    let round2: Vec<BlindedWitnesses> = endpoint.recv(PartyId::Server2, step)?;
-    check_len(xs.len(), round2.len())?;
-    let geq: Vec<bool> = across.try_map(&round2, |_, witnesses| {
-        Ok::<_, SmcError>(!evaluator_decide(witnesses, keys.private_key(), &within)?)
-    })?;
-    endpoint.send(PartyId::Server2, step, &geq)?;
-    Ok(geq)
-}
-
-/// S2's side of one comparison round: compares S1's hidden `xs[m]`
-/// against each own `ys[m]`; returns `xs[m] ≥ ys[m]` per match.
-///
-/// # Errors
-///
-/// Fails if a `y` escapes the comparison domain, if S1's frames do not
-/// carry exactly one `ℓ`-bit encryption set / one outcome bit per match,
-/// or on transport errors.
-pub fn server2_compare_batch<R: Rng + ?Sized>(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    ys: &[i128],
-    step: Step,
-    rng: &mut R,
-) -> Result<Vec<bool>, SmcError> {
-    let pk = ctx.dgk_public();
-    let domain = ctx.domain();
-    let (across, within) = fan_out(ctx, ys.len());
-
-    let round1: Vec<EvaluatorBits> = endpoint.recv(PartyId::Server1, step)?;
-    check_len(ys.len(), round1.len())?;
-    let round2: Vec<BlindedWitnesses> = across.try_map_seeded(ys, rng, |m, &y, match_rng| {
-        let encoded = domain.encode_compare(y)?;
-        Ok::<_, SmcError>(blinder_build_witnesses(encoded, &round1[m], pk, &within, match_rng)?)
-    })?;
-    endpoint.send(PartyId::Server1, step, &round2)?;
-
-    let geq: Vec<bool> = endpoint.recv(PartyId::Server1, step)?;
-    check_len(ys.len(), geq.len())?;
-    Ok(geq)
+    fn resume(
+        &mut self,
+        ctx: &ServerContext,
+        answer: Option<Inbound>,
+        out: &mut Outbox,
+    ) -> Result<Next<Vec<bool>>, SmcError> {
+        let domain = ctx.domain();
+        let (across, within) = fan_out(ctx, self.values.len());
+        let (peer, step) = (peer_of(ctx.role()), self.step);
+        match std::mem::replace(&mut self.stage, Stage::Finished) {
+            Stage::Start if ctx.role() == ServerRole::Server1 => {
+                let pk = ctx.dgk_keys().public_key();
+                let round1: Vec<EvaluatorBits> =
+                    across.try_map_seeded(&self.values, &mut self.rng, |_, &x, match_rng| {
+                        let encoded = domain.encode_compare(x)?;
+                        Ok::<_, SmcError>(evaluator_encrypt_bits(encoded, pk, &within, match_rng)?)
+                    })?;
+                out.send(peer, step, &round1);
+                self.stage = Stage::Witnesses;
+            }
+            Stage::Start => self.stage = Stage::Bits,
+            Stage::Witnesses => {
+                let round2: Vec<BlindedWitnesses> = decode(answer)?;
+                expect_len(self.values.len(), round2.len())?;
+                let sk = ctx.dgk_keys().private_key();
+                let geq: Vec<bool> = across.try_map(&round2, |_, witnesses| {
+                    Ok::<_, SmcError>(!evaluator_decide(witnesses, sk, &within)?)
+                })?;
+                out.send(peer, step, &geq);
+                return Ok(Next::Done(geq));
+            }
+            Stage::Bits => {
+                let round1: Vec<EvaluatorBits> = decode(answer)?;
+                expect_len(self.values.len(), round1.len())?;
+                let pk = ctx.dgk_public();
+                let round2: Vec<BlindedWitnesses> =
+                    across.try_map_seeded(&self.values, &mut self.rng, |m, &y, match_rng| {
+                        let encoded = domain.encode_compare(y)?;
+                        Ok::<_, SmcError>(blinder_build_witnesses(
+                            encoded, &round1[m], pk, &within, match_rng,
+                        )?)
+                    })?;
+                out.send(peer, step, &round2);
+                self.stage = Stage::Outcome;
+            }
+            Stage::Outcome => {
+                let geq: Vec<bool> = decode(answer)?;
+                expect_len(self.values.len(), geq.len())?;
+                return Ok(Next::Done(geq));
+            }
+            Stage::Finished => panic!("comparison round resumed after it ended"),
+        }
+        Ok(from_peer(ctx, step))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::run_pair;
     use crate::session::{SessionConfig, SessionKeys};
     use dgk::DgkError;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::OnceLock;
-    use transport::Network;
+    use transport::Wire;
 
     fn keys() -> &'static SessionKeys {
         static KEYS: OnceLock<SessionKeys> = OnceLock::new();
@@ -147,27 +177,24 @@ mod tests {
         })
     }
 
-    fn endpoints() -> (Endpoint, Endpoint, std::sync::Arc<transport::Meter>) {
-        let mut net = Network::new(0);
-        let meter = std::sync::Arc::clone(net.meter());
-        (net.take_endpoint(PartyId::Server1), net.take_endpoint(PartyId::Server2), meter)
+    fn round(values: Vec<i128>, step: Step, seed: u64) -> CompareRound {
+        CompareRound::new(values, step, StdRng::seed_from_u64(seed))
     }
 
     fn run_round(xs: Vec<i128>, ys: Vec<i128>, seed: u64) -> (Vec<bool>, Vec<bool>) {
-        let s1_ctx = keys().server1();
-        let s2_ctx = keys().server2();
-        let (mut s1, mut s2, _) = endpoints();
-        std::thread::scope(|scope| {
-            let h1 = scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                server1_compare_batch(&mut s1, &s1_ctx, &xs, Step::CompareRank, &mut rng).unwrap()
-            });
-            let h2 = scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed + 1);
-                server2_compare_batch(&mut s2, &s2_ctx, &ys, Step::CompareRank, &mut rng).unwrap()
-            });
-            (h1.join().unwrap(), h2.join().unwrap())
-        })
+        let (s1_ctx, s2_ctx) = (keys().server1(), keys().server2());
+        let s1 = round(xs, Step::CompareRank, seed);
+        let s2 = round(ys, Step::CompareRank, seed + 1);
+        run_pair((&s1_ctx, s1), (&s2_ctx, s2), Vec::new()).unwrap().outputs
+    }
+
+    /// Resumes `machine` with `frame` as the answer to its last request.
+    fn feed<T: Wire>(
+        machine: &mut CompareRound,
+        ctx: &ServerContext,
+        frame: &T,
+    ) -> Result<Next<Vec<bool>>, SmcError> {
+        machine.resume(ctx, Some(Ok((1, frame.to_bytes()))), &mut Outbox::default())
     }
 
     #[test]
@@ -193,10 +220,9 @@ mod tests {
     #[test]
     fn out_of_domain_rejected_locally() {
         let s1_ctx = keys().server1();
-        let (mut s1, _s2, _) = endpoints();
         let offset = s1_ctx.domain().compare_offset();
-        let mut rng = StdRng::seed_from_u64(1);
-        let err = server1_compare_batch(&mut s1, &s1_ctx, &[offset], Step::CompareRank, &mut rng)
+        let err = round(vec![offset], Step::CompareRank, 1)
+            .resume(&s1_ctx, None, &mut Outbox::default())
             .unwrap_err();
         assert!(matches!(err, SmcError::Domain(_)));
     }
@@ -204,62 +230,40 @@ mod tests {
     #[test]
     fn a_round_is_three_messages_whatever_its_size() {
         for matches in [1usize, 4] {
-            let s1_ctx = keys().server1();
-            let s2_ctx = keys().server2();
-            let (mut s1, mut s2, meter) = endpoints();
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(2);
-                    let xs = vec![9; matches];
-                    server1_compare_batch(&mut s1, &s1_ctx, &xs, Step::ThresholdCheck, &mut rng)
-                        .unwrap()
-                });
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(3);
-                    let ys = vec![4; matches];
-                    server2_compare_batch(&mut s2, &s2_ctx, &ys, Step::ThresholdCheck, &mut rng)
-                        .unwrap()
-                });
-            });
-            let stats = meter
-                .report()
-                .link_stats(Step::ThresholdCheck, transport::LinkKind::ServerToServer);
-            assert_eq!(stats.messages, 3);
+            let (s1_ctx, s2_ctx) = (keys().server1(), keys().server2());
+            let s1 = round(vec![9; matches], Step::ThresholdCheck, 2);
+            let s2 = round(vec![4; matches], Step::ThresholdCheck, 3);
+            let run = run_pair((&s1_ctx, s1), (&s2_ctx, s2), Vec::new()).unwrap();
+            assert!(run.transcript.iter().all(|f| f.step == Step::ThresholdCheck));
+            assert_eq!(run.transcript.len(), 3);
             // ℓ bit encryptions + ℓ witnesses per match — substantial traffic.
-            assert!(stats.bytes > 100 * matches as u64);
+            let bytes: usize = run.transcript.iter().map(|f| f.payload.len()).sum();
+            assert!(bytes > 100 * matches);
         }
     }
 
-    /// Plays a hostile S2 over a raw endpoint: swallows S1's round 1 and
-    /// answers with `reply(honest witness sets)`.
+    /// Plays a hostile S2 against S1's machine: swallows S1's round 1 and
+    /// answers with `forge(honest witness sets)`.
     fn s1_against_forged_round2(
-        forge: impl FnOnce(Vec<BlindedWitnesses>) -> Vec<BlindedWitnesses> + Send,
+        forge: impl FnOnce(Vec<BlindedWitnesses>) -> Vec<BlindedWitnesses>,
     ) -> SmcError {
         let s1_ctx = keys().server1();
         let pk = keys().server2().dgk_public().clone();
-        let (mut s1, mut s2, _) = endpoints();
-        std::thread::scope(|scope| {
-            let h1 = scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(50);
-                // x < y on both matches: the honest reply holds a zero.
-                server1_compare_batch(&mut s1, &s1_ctx, &[1, 2], Step::CompareRank, &mut rng)
-            });
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(51);
-                let round1: Vec<EvaluatorBits> =
-                    s2.recv(PartyId::Server1, Step::CompareRank).unwrap();
-                let honest: Vec<BlindedWitnesses> = round1
-                    .iter()
-                    .map(|bits| {
-                        let y = keys().config().domain.encode_compare(5).unwrap();
-                        blinder_build_witnesses(y, bits, &pk, &Parallelism::sequential(), &mut rng)
-                            .unwrap()
-                    })
-                    .collect();
-                s2.send(PartyId::Server1, Step::CompareRank, &forge(honest)).unwrap();
-            });
-            h1.join().unwrap().expect_err("a malformed frame must never yield an outcome")
-        })
+        // x < y on both matches: the honest reply holds a zero.
+        let mut s1 = round(vec![1, 2], Step::CompareRank, 50);
+        let mut out = Outbox::default();
+        s1.resume(&s1_ctx, None, &mut out).unwrap();
+        let round1 = Vec::<EvaluatorBits>::from_bytes(out.frames[0].payload.clone()).unwrap();
+        let mut rng = StdRng::seed_from_u64(51);
+        let honest: Vec<BlindedWitnesses> = round1
+            .iter()
+            .map(|bits| {
+                let y = keys().config().domain.encode_compare(5).unwrap();
+                blinder_build_witnesses(y, bits, &pk, &Parallelism::sequential(), &mut rng).unwrap()
+            })
+            .collect();
+        feed(&mut s1, &s1_ctx, &forge(honest))
+            .expect_err("a malformed frame must never yield an outcome")
     }
 
     #[test]
@@ -303,6 +307,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(60);
         let bits = evaluator_encrypt_bits(3, &pk, &par, &mut rng).unwrap();
         let short = EvaluatorBits { encrypted_bits: bits.encrypted_bits[..1].to_vec() };
+        let s2_ctx = keys().server2();
+        // S2's machine over two matches, waiting for round 1.
+        let waiting = || {
+            let mut s2 = round(vec![0, 0], Step::CompareRank, 61);
+            s2.resume(&s2_ctx, None, &mut Outbox::default()).unwrap();
+            s2
+        };
 
         // Round 1 with the wrong number of matches, then with a short bit
         // vector inside the right number of matches.
@@ -315,22 +326,14 @@ mod tests {
             }),
         ];
         for (round1, is_expected) in cases {
-            let s2_ctx = keys().server2();
-            let (s1, mut s2, _) = endpoints();
-            s1.send(PartyId::Server2, Step::CompareRank, &round1).unwrap();
-            let err = server2_compare_batch(&mut s2, &s2_ctx, &[0, 0], Step::CompareRank, &mut rng)
-                .unwrap_err();
+            let err = feed(&mut waiting(), &s2_ctx, &round1).unwrap_err();
             assert!(is_expected(&err), "{err:?}");
         }
 
         // An outcome vector that does not cover the round's matches.
-        let s2_ctx = keys().server2();
-        let (mut s1, mut s2, _) = endpoints();
-        s1.send(PartyId::Server2, Step::CompareRank, &vec![bits.clone(), bits]).unwrap();
-        s1.send(PartyId::Server2, Step::CompareRank, &vec![true]).unwrap();
-        let err = server2_compare_batch(&mut s2, &s2_ctx, &[0, 0], Step::CompareRank, &mut rng)
-            .unwrap_err();
+        let mut s2 = waiting();
+        feed(&mut s2, &s2_ctx, &vec![bits.clone(), bits]).unwrap();
+        let err = feed(&mut s2, &s2_ctx, &vec![true]).unwrap_err();
         assert!(matches!(err, SmcError::LengthMismatch { expected: 2, got: 1 }), "{err:?}");
-        let _: Vec<BlindedWitnesses> = s1.recv(PartyId::Server2, Step::CompareRank).unwrap();
     }
 }

@@ -1,8 +1,14 @@
 //! Secure multiparty sub-protocols of the private consensus scheme.
 //!
 //! Everything in this crate is a *two-server* (S1/S2) or *users + two
-//! servers* interactive protocol running over [`transport`] channels:
+//! servers* interactive protocol, written sans-IO: each server's half is
+//! a [`machine::Machine`] that asks its driver for frames and never
+//! touches a [`transport`] endpoint itself:
 //!
+//! * [`machine`] — that shape, and an in-memory runner for a pair of
+//!   machines;
+//! * [`round`] — one server's whole round as one machine over the
+//!   sub-protocols below;
 //! * [`permutation`] — uniformly random permutations and their algebra;
 //! * [`domain`] — the signed share/mask/comparison bit-width bookkeeping
 //!   that keeps every value inside the cryptosystems' plaintext windows;
@@ -42,19 +48,23 @@ pub mod compare;
 mod costs;
 pub mod domain;
 mod error;
+pub mod machine;
 pub mod permutation;
 pub mod restoration;
+pub mod round;
 pub mod secure_sum;
 pub mod session;
 pub mod shard;
 pub mod state;
 pub mod validate;
 
-pub use audit::{AuditCheckpoint, AuditContext, AuditEvidence, AuditPolicy, AuditTap};
+pub use audit::{AuditCheckpoint, AuditContext, AuditEvidence, AuditPolicy, Audited};
 pub use domain::{ShareDomain, SharesOutOfRange};
 pub use error::SmcError;
+pub use machine::{run_pair, Machine};
 pub use parallel::Parallelism;
 pub use permutation::Permutation;
+pub use round::ServerRound;
 pub use session::{ServerContext, ServerRole, SessionConfig, SessionKeys, UserContext};
 pub use shard::{ShardAccumulator, ShardConfig, ShardPlan};
 pub use state::{CheckpointImage, RoundState};

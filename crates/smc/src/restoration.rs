@@ -20,237 +20,249 @@
 //! 7. S2 strips `r2`, reads off the winner index, and announces it.
 
 use paillier::Ciphertext;
-use rand::Rng;
-use transport::{ByzantineAction, Endpoint, PartyId, Step};
+use rand::rngs::StdRng;
+use transport::{ByzantineAction, Step};
 
-use crate::audit::{transpose01, AuditTap};
+use crate::audit::transpose01;
 use crate::error::SmcError;
+use crate::machine::{
+    decode, expect_len, from_peer, peer_of, Attest, Inbound, Machine, Next, Outbox,
+};
 use crate::permutation::Permutation;
-use crate::session::ServerContext;
+use crate::session::{ServerContext, ServerRole};
 
-/// S1's side of restoration. `pi1` is the permutation S1 chose during
-/// Blind-and-Permute. `tap` records the audit transcript; pass
-/// [`AuditTap::disabled`] for unaudited runs. Returns the true label
-/// index.
-///
-/// # Errors
-///
-/// Fails on transport, cryptosystem or domain errors, and with
-/// [`SmcError::AuditFailure`] when a challenge convicts the peer.
-pub fn server1_restore<R: Rng + ?Sized>(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    pi1: &Permutation,
-    step: Step,
-    rng: &mut R,
-    tap: &mut AuditTap,
-) -> Result<usize, SmcError> {
-    let k = ctx.config().num_classes;
-    let domain = ctx.domain();
-    let codec1 = ctx.own_codec();
-    let codec2 = ctx.peer_codec();
-    let pk2 = ctx.peer_public();
-    let par = ctx.parallelism();
-    tap.begin(endpoint)?;
-    // A tampering S1 walks the indicator through the wrong inverse; the
-    // tap attests to the permutation actually used, which Restoration
-    // checks against the one verified at the second Blind-and-Permute.
-    let used_pi1 = if tap.byzantine() == Some(ByzantineAction::TamperPermutation) {
-        transpose01(pi1)
-    } else {
-        pi1.clone()
-    };
-    tap.permutation(&used_pi1);
-
-    // Step 1 output from S2: E_pk2[π(e)].
-    let enc_pi_e: Vec<Ciphertext> = endpoint.recv(PartyId::Server2, step)?;
-    tap.record_received(&enc_pi_e);
-    if enc_pi_e.len() != k {
-        return Err(SmcError::LengthMismatch { expected: k, got: enc_pi_e.len() });
-    }
-
-    // Step 2: revert π1 and add per-entry mask r1.
-    let reverted = used_pi1.inverse().apply(&enc_pi_e);
-    let mut r1: Vec<i128> = (0..k).map(|_| domain.random_mask(rng)).collect();
-    if tap.byzantine() == Some(ByzantineAction::DropMask) {
-        r1[0] = 0;
-    }
-    tap.masks(&r1);
-    let masked: Vec<Ciphertext> = par
-        .with_item_cost_ns(crate::costs::paillier_add_cost_ns(pk2))
-        .try_map(&reverted, |i, c| {
-            Ok::<_, SmcError>(pk2.add_plain(c, &codec2.encode_i128(r1[i])?))
-        })?;
-    tap.record_sent(&masked);
-    endpoint.send(PartyId::Server2, step, &masked)?;
-
-    // Step 3 arrives in plaintext: π2(e) + r1.
-    let plain_masked: Vec<i128> = endpoint.recv(PartyId::Server2, step)?;
-    tap.record_received(&plain_masked);
-    if plain_masked.len() != k {
-        return Err(SmcError::LengthMismatch { expected: k, got: plain_masked.len() });
-    }
-
-    // Step 4: strip r1 and re-encrypt under own pk1 — one seed-derived
-    // RNG stream per entry, fanned out.
-    let enc_pi2_e: Vec<Ciphertext> = par
-        .with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(ctx.own_public()))
-        .try_map_seeded(&plain_masked, rng, |i, &v, item_rng| {
-            Ok::<_, SmcError>(ctx.own_public().encrypt(&codec1.encode_i128(v - r1[i])?, item_rng)?)
-        })?;
-    tap.record_sent(&enc_pi2_e);
-    endpoint.send(PartyId::Server2, step, &enc_pi2_e)?;
-
-    // Step 5 output from S2: E_pk1[e + r2]; step 6: decrypt and return.
-    let enc_e_masked: Vec<Ciphertext> = endpoint.recv(PartyId::Server2, step)?;
-    tap.record_received(&enc_e_masked);
-    if enc_e_masked.len() != k {
-        return Err(SmcError::LengthMismatch { expected: k, got: enc_e_masked.len() });
-    }
-
-    // Challenge-verify S2's opening before decrypting its final frame.
-    tap.verify_peer(endpoint, k, 0, &domain)?;
-
-    let mut plain: Vec<i128> = par
-        .with_item_cost_ns(crate::costs::paillier_decrypt_cost_ns(ctx.own_public()))
-        .try_map(&enc_e_masked, |_, c| {
-            Ok::<_, SmcError>(codec1.decode_i128(&ctx.own_private().decrypt_crt(c)?)?)
-        })?;
-    tap.record_sent(&plain);
-    if tap.byzantine() == Some(ByzantineAction::Equivocate) {
-        plain[0] += 1;
-    }
-    endpoint.send(PartyId::Server2, step, &plain)?;
-    tap.flush_opening(endpoint)?;
-
-    // Step 7: S2 announces the winner. (The announcement is not part of
-    // the audited transcript — it trails both openings.)
-    let winner: u64 = endpoint.recv(PartyId::Server2, step)?;
-    Ok(winner as usize)
+/// Where a [`Restoration`] is in Alg. 3's seven legs.
+#[derive(Debug)]
+enum Stage {
+    Start,
+    /// S1 waits for `E_pk2[π(e)]`.
+    Indicator,
+    /// S1 sent `E_pk2[π2(e) + r1]`, waits for the plaintext `π2(e) + r1`.
+    PlainMasked {
+        r1: Vec<i128>,
+    },
+    /// S1 sent `E_pk1[π2(e)]`, waits for `E_pk1[e + r2]`.
+    MaskedE,
+    /// S1 sent the plaintext `e + r2`, waits for the announcement.
+    Winner,
+    /// S2 sent `E_pk2[π(e)]`, waits for `E_pk2[π2(e) + r1]`.
+    Masked {
+        enc_indicator: Vec<Ciphertext>,
+    },
+    /// S2 sent the plaintext `π2(e) + r1`, waits for `E_pk1[π2(e)]`.
+    EncPi2E {
+        enc_indicator: Vec<Ciphertext>,
+    },
+    /// S2 sent `E_pk1[e + r2]`, waits for the plaintext `e + r2`.
+    PlainE {
+        r2: Vec<i128>,
+    },
+    Finished,
 }
 
-/// S2's side of restoration. `pi2` is S2's Blind-and-Permute permutation
-/// and `permuted_slot` the winning slot `π(ĩ*)` both servers learned from
-/// the ranking. Returns the true label index.
+/// One server's side of restoration. `permutation` is the one this
+/// server chose during the second Blind-and-Permute and `permuted_slot`
+/// the winning slot `π(ĩ*)` both servers learned from the ranking (S2
+/// starts the walk from it). Finishes with the true label index.
+///
+/// `byzantine` is the covert deviation the fault plan schedules here, if
+/// any; see [`crate::blind_permute::BlindPermute`].
 ///
 /// # Errors
 ///
-/// Fails on transport, cryptosystem or domain errors, or if the recovered
-/// vector is not a valid one-hot indicator (which would mean a corrupted
-/// run).
-pub fn server2_restore<R: Rng + ?Sized>(
-    endpoint: &mut Endpoint,
-    ctx: &ServerContext,
-    pi2: &Permutation,
+/// Resuming fails on transport, cryptosystem or domain errors, or if the
+/// recovered vector is not a valid one-hot indicator (which would mean a
+/// corrupted run).
+#[derive(Debug)]
+pub struct Restoration {
+    permutation: Permutation,
     permuted_slot: usize,
     step: Step,
-    rng: &mut R,
-    tap: &mut AuditTap,
-) -> Result<usize, SmcError> {
-    let k = ctx.config().num_classes;
-    let domain = ctx.domain();
-    let codec1 = ctx.peer_codec();
-    let codec2 = ctx.own_codec();
-    let pk1 = ctx.peer_public();
-    let par = ctx.parallelism();
-    tap.begin(endpoint)?;
-    let used_pi2 = if tap.byzantine() == Some(ByzantineAction::TamperPermutation) {
-        transpose01(pi2)
-    } else {
-        pi2.clone()
-    };
-    tap.permutation(&used_pi2);
+    rng: StdRng,
+    byzantine: Option<ByzantineAction>,
+    stage: Stage,
+}
 
-    // Step 1: encrypted indicator at the permuted slot, under own pk2.
-    let mut indicator = vec![0i128; k];
-    indicator[permuted_slot] = 1;
-    let enc_indicator: Vec<Ciphertext> = par
-        .with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(ctx.own_public()))
-        .try_map_seeded(&indicator, rng, |_, &v, item_rng| {
-            Ok::<_, SmcError>(ctx.own_public().encrypt(&codec2.encode_i128(v)?, item_rng)?)
-        })?;
-    tap.record_sent(&enc_indicator);
-    endpoint.send(PartyId::Server1, step, &enc_indicator)?;
-
-    // Step 3: decrypt S1's masked, π1-reverted vector and bounce it back
-    // in plaintext.
-    let masked: Vec<Ciphertext> = endpoint.recv(PartyId::Server1, step)?;
-    tap.record_received(&masked);
-    if masked.len() != k {
-        return Err(SmcError::LengthMismatch { expected: k, got: masked.len() });
-    }
-    let mut plain_masked: Vec<i128> = par
-        .with_item_cost_ns(crate::costs::paillier_decrypt_cost_ns(ctx.own_public()))
-        .try_map(&masked, |_, c| {
-            Ok::<_, SmcError>(codec2.decode_i128(&ctx.own_private().decrypt_crt(c)?)?)
-        })?;
-    tap.record_sent(&plain_masked);
-    if tap.byzantine() == Some(ByzantineAction::Equivocate) {
-        plain_masked[0] += 1;
-    }
-    endpoint.send(PartyId::Server1, step, &plain_masked)?;
-
-    // Step 5: revert π2 on the re-encrypted vector and add r2.
-    let enc_pi2_e: Vec<Ciphertext> = endpoint.recv(PartyId::Server1, step)?;
-    tap.record_received(&enc_pi2_e);
-    if enc_pi2_e.len() != k {
-        return Err(SmcError::LengthMismatch { expected: k, got: enc_pi2_e.len() });
-    }
-    let reverted = used_pi2.inverse().apply(&enc_pi2_e);
-    let mut r2: Vec<i128> = (0..k).map(|_| domain.random_mask(rng)).collect();
-    if tap.byzantine() == Some(ByzantineAction::DropMask) {
-        r2[0] = 0;
-    }
-    tap.masks(&r2);
-    let masked_e: Vec<Ciphertext> = par
-        .with_item_cost_ns(crate::costs::paillier_add_cost_ns(pk1))
-        .try_map(&reverted, |i, c| {
-            Ok::<_, SmcError>(pk1.add_plain(c, &codec1.encode_i128(r2[i])?))
-        })?;
-    tap.record_sent(&masked_e);
-    if tap.byzantine() == Some(ByzantineAction::ReplayStaleFrame) {
-        // Resend the step-1 indicator frame in place of the masked one;
-        // same shape, stale content.
-        endpoint.send(PartyId::Server1, step, &enc_indicator)?;
-    } else {
-        endpoint.send(PartyId::Server1, step, &masked_e)?;
-    }
-    tap.flush_opening(endpoint)?;
-
-    // Step 6 arrives in plaintext: e + r2. Step 7: strip r2 and read the
-    // indicator.
-    let plain_e_masked: Vec<i128> = endpoint.recv(PartyId::Server1, step)?;
-    tap.record_received(&plain_e_masked);
-    if plain_e_masked.len() != k {
-        return Err(SmcError::LengthMismatch { expected: k, got: plain_e_masked.len() });
+impl Restoration {
+    /// Alg. 3 under `step`, drawing from `rng`.
+    pub fn new(
+        permutation: Permutation,
+        permuted_slot: usize,
+        step: Step,
+        rng: StdRng,
+        byzantine: Option<ByzantineAction>,
+    ) -> Restoration {
+        Restoration { permutation, permuted_slot, step, rng, byzantine, stage: Stage::Start }
     }
 
-    // Challenge-verify S1's opening before the one-hot read-off: a
-    // convicted peer must never influence the announced label.
-    tap.verify_peer(endpoint, k, 0, &domain)?;
-    let e: Vec<i128> = plain_e_masked.iter().zip(&r2).map(|(&v, &m)| v - m).collect();
-    let winner = e.iter().position(|&v| v == 1);
-    let valid = winner.is_some() && e.iter().filter(|&&v| v != 0).count() == 1;
-    if !valid {
-        // A malformed indicator means protocol corruption, not bad input.
-        return Err(SmcError::LengthMismatch {
-            expected: 1,
-            got: e.iter().filter(|&&v| v != 0).count(),
-        });
+    /// Draws this server's per-entry masks and attests to them.
+    fn draw_masks(&mut self, ctx: &ServerContext, out: &mut Outbox) -> Vec<i128> {
+        let (k, domain) = (ctx.config().num_classes, ctx.domain());
+        let mut r: Vec<i128> = (0..k).map(|_| domain.random_mask(&mut self.rng)).collect();
+        if self.byzantine == Some(ByzantineAction::DropMask) {
+            r[0] = 0;
+        }
+        out.attest.push(Attest::Masks(r.clone()));
+        r
     }
-    let winner = winner.expect("checked above");
-    endpoint.send(PartyId::Server1, step, &(winner as u64))?;
-    Ok(winner)
+}
+
+impl Machine for Restoration {
+    type Output = usize;
+
+    fn resume(
+        &mut self,
+        ctx: &ServerContext,
+        answer: Option<Inbound>,
+        out: &mut Outbox,
+    ) -> Result<Next<usize>, SmcError> {
+        let k = ctx.config().num_classes;
+        let (own, own_pk, peer_pk) = (ctx.own_codec(), ctx.own_public(), ctx.peer_public());
+        let (peer_codec, sk) = (ctx.peer_codec(), ctx.own_private());
+        let par = ctx.parallelism();
+        let encrypt_par = par.with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(own_pk));
+        let decrypt_par = par.with_item_cost_ns(crate::costs::paillier_decrypt_cost_ns(own_pk));
+        let add_par = par.with_item_cost_ns(crate::costs::paillier_add_cost_ns(peer_pk));
+        let (peer, step) = (peer_of(ctx.role()), self.step);
+        let decode_k = |answer| -> Result<Vec<Ciphertext>, SmcError> {
+            let vec: Vec<Ciphertext> = decode(answer)?;
+            expect_len(k, vec.len())?;
+            Ok(vec)
+        };
+        match std::mem::replace(&mut self.stage, Stage::Finished) {
+            Stage::Start => {
+                // A tampering server walks the indicator through the
+                // wrong inverse; it attests to the permutation actually
+                // used, which the peer checks against the one verified at
+                // the second Blind-and-Permute.
+                if self.byzantine == Some(ByzantineAction::TamperPermutation) {
+                    self.permutation = transpose01(&self.permutation);
+                }
+                out.attest.push(Attest::Permutation(self.permutation.clone()));
+                if ctx.role() == ServerRole::Server1 {
+                    self.stage = Stage::Indicator;
+                } else {
+                    // Step 1: encrypted indicator at the permuted slot,
+                    // under own pk2.
+                    let mut indicator = vec![0i128; k];
+                    indicator[self.permuted_slot] = 1;
+                    let enc_indicator: Vec<Ciphertext> = encrypt_par.try_map_seeded(
+                        &indicator,
+                        &mut self.rng,
+                        |_, &v, item_rng| {
+                            Ok::<_, SmcError>(own_pk.encrypt(&own.encode_i128(v)?, item_rng)?)
+                        },
+                    )?;
+                    out.send(peer, step, &enc_indicator);
+                    self.stage = Stage::Masked { enc_indicator };
+                }
+            }
+            Stage::Indicator => {
+                // Step 1 output from S2: E_pk2[π(e)]. Step 2: revert π1
+                // and add per-entry mask r1.
+                let reverted = self.permutation.inverse().apply(&decode_k(answer)?);
+                let r1 = self.draw_masks(ctx, out);
+                let masked: Vec<Ciphertext> = add_par.try_map(&reverted, |i, c| {
+                    Ok::<_, SmcError>(peer_pk.add_plain(c, &peer_codec.encode_i128(r1[i])?))
+                })?;
+                out.send(peer, step, &masked);
+                self.stage = Stage::PlainMasked { r1 };
+            }
+            Stage::PlainMasked { r1 } => {
+                // Step 3 arrives in plaintext: π2(e) + r1. Step 4: strip
+                // r1 and re-encrypt under own pk1 — one seed-derived RNG
+                // stream per entry, fanned out.
+                let plain_masked: Vec<i128> = decode(answer)?;
+                expect_len(k, plain_masked.len())?;
+                let enc_pi2_e: Vec<Ciphertext> = encrypt_par.try_map_seeded(
+                    &plain_masked,
+                    &mut self.rng,
+                    |i, &v, item_rng| {
+                        Ok::<_, SmcError>(own_pk.encrypt(&own.encode_i128(v - r1[i])?, item_rng)?)
+                    },
+                )?;
+                out.send(peer, step, &enc_pi2_e);
+                self.stage = Stage::MaskedE;
+            }
+            Stage::MaskedE => {
+                // Step 5 output from S2: E_pk1[e + r2]; step 6: decrypt
+                // and return.
+                let plain: Vec<i128> = decrypt_par.try_map(&decode_k(answer)?, |_, c| {
+                    Ok::<_, SmcError>(own.decode_i128(&sk.decrypt_crt(c)?)?)
+                })?;
+                if self.byzantine == Some(ByzantineAction::Equivocate) {
+                    let mut forged = plain.clone();
+                    forged[0] += 1;
+                    out.send_forged(peer, step, &plain, &forged);
+                } else {
+                    out.send(peer, step, &plain);
+                }
+                self.stage = Stage::Winner;
+            }
+            Stage::Winner => {
+                // Step 7: S2 announces the winner.
+                let winner: u64 = decode(answer)?;
+                return Ok(Next::Done(winner as usize));
+            }
+            Stage::Masked { enc_indicator } => {
+                // Step 3: decrypt S1's masked, π1-reverted vector and
+                // bounce it back in plaintext.
+                let plain_masked: Vec<i128> = decrypt_par.try_map(&decode_k(answer)?, |_, c| {
+                    Ok::<_, SmcError>(own.decode_i128(&sk.decrypt_crt(c)?)?)
+                })?;
+                if self.byzantine == Some(ByzantineAction::Equivocate) {
+                    let mut forged = plain_masked.clone();
+                    forged[0] += 1;
+                    out.send_forged(peer, step, &plain_masked, &forged);
+                } else {
+                    out.send(peer, step, &plain_masked);
+                }
+                self.stage = Stage::EncPi2E { enc_indicator };
+            }
+            Stage::EncPi2E { enc_indicator } => {
+                // Step 5: revert π2 on the re-encrypted vector and add r2.
+                let reverted = self.permutation.inverse().apply(&decode_k(answer)?);
+                let r2 = self.draw_masks(ctx, out);
+                let masked_e: Vec<Ciphertext> = add_par.try_map(&reverted, |i, c| {
+                    Ok::<_, SmcError>(peer_pk.add_plain(c, &peer_codec.encode_i128(r2[i])?))
+                })?;
+                if self.byzantine == Some(ByzantineAction::ReplayStaleFrame) {
+                    // Resend the step-1 indicator frame in place of the
+                    // masked one; same shape, stale content.
+                    out.send_forged(peer, step, &masked_e, &enc_indicator);
+                } else {
+                    out.send(peer, step, &masked_e);
+                }
+                self.stage = Stage::PlainE { r2 };
+            }
+            Stage::PlainE { r2 } => {
+                // Step 6 arrives in plaintext: e + r2. Step 7: strip r2
+                // and read the indicator.
+                let plain_e_masked: Vec<i128> = decode(answer)?;
+                expect_len(k, plain_e_masked.len())?;
+                let e: Vec<i128> = plain_e_masked.iter().zip(&r2).map(|(&v, &m)| v - m).collect();
+                let nonzero = e.iter().filter(|&&v| v != 0).count();
+                let Some(winner) = e.iter().position(|&v| v == 1).filter(|_| nonzero == 1) else {
+                    // A malformed indicator means protocol corruption,
+                    // not bad input.
+                    return Err(SmcError::LengthMismatch { expected: 1, got: nonzero });
+                };
+                out.send(peer, step, &(winner as u64));
+                return Ok(Next::Done(winner));
+            }
+            Stage::Finished => panic!("restoration resumed after it ended"),
+        }
+        Ok(from_peer(ctx, step))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::{run_pair, PairRun};
     use crate::session::{SessionConfig, SessionKeys};
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::OnceLock;
-    use transport::Network;
 
     fn keys() -> &'static SessionKeys {
         static KEYS: OnceLock<SessionKeys> = OnceLock::new();
@@ -260,55 +272,25 @@ mod tests {
     }
 
     /// Runs restoration for a known joint permutation and target label.
-    fn run(true_label: usize, seed: u64) -> (usize, usize) {
+    fn run(true_label: usize, seed: u64) -> PairRun<usize, usize> {
         let k = keys().config().num_classes;
-        let s1_ctx = keys().server1();
-        let s2_ctx = keys().server2();
+        let (s1_ctx, s2_ctx) = (keys().server1(), keys().server2());
         let mut rng = StdRng::seed_from_u64(seed);
         let pi1 = Permutation::random(k, &mut rng);
         let pi2 = Permutation::random(k, &mut rng);
         // π = π1 ∘ π2; where does the true label land?
         let slot = pi1.compose(&pi2).apply_index(true_label);
 
-        let mut net = Network::new(0);
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let mut s2 = net.take_endpoint(PartyId::Server2);
-        std::thread::scope(|scope| {
-            let pi1_ref = &pi1;
-            let pi2_ref = &pi2;
-            let h1 = scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed + 1);
-                server1_restore(
-                    &mut s1,
-                    &s1_ctx,
-                    pi1_ref,
-                    Step::Restoration,
-                    &mut rng,
-                    &mut AuditTap::disabled(),
-                )
-                .unwrap()
-            });
-            let h2 = scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed + 2);
-                server2_restore(
-                    &mut s2,
-                    &s2_ctx,
-                    pi2_ref,
-                    slot,
-                    Step::Restoration,
-                    &mut rng,
-                    &mut AuditTap::disabled(),
-                )
-                .unwrap()
-            });
-            (h1.join().unwrap(), h2.join().unwrap())
-        })
+        let step = Step::Restoration;
+        let s1 = Restoration::new(pi1, slot, step, StdRng::seed_from_u64(seed + 1), None);
+        let s2 = Restoration::new(pi2, slot, step, StdRng::seed_from_u64(seed + 2), None);
+        run_pair((&s1_ctx, s1), (&s2_ctx, s2), Vec::new()).unwrap()
     }
 
     #[test]
     fn recovers_every_label() {
         for label in 0..5 {
-            let (w1, w2) = run(label, 900 + label as u64);
+            let (w1, w2) = run(label, 900 + label as u64).outputs;
             assert_eq!(w1, w2, "servers must agree");
             assert_eq!(w1, label, "restoration must invert the permutation");
         }
@@ -318,53 +300,15 @@ mod tests {
     fn many_random_permutations() {
         for seed in 0..10u64 {
             let label = (seed % 5) as usize;
-            let (w1, w2) = run(label, 1000 + seed * 13);
+            let (w1, w2) = run(label, 1000 + seed * 13).outputs;
             assert_eq!((w1, w2), (label, label), "seed {seed}");
         }
     }
 
     #[test]
-    fn restoration_traffic_metered() {
-        let k = keys().config().num_classes;
-        let s1_ctx = keys().server1();
-        let s2_ctx = keys().server2();
-        let mut rng = StdRng::seed_from_u64(3);
-        let pi1 = Permutation::random(k, &mut rng);
-        let pi2 = Permutation::random(k, &mut rng);
-        let slot = pi1.compose(&pi2).apply_index(2);
-        let mut net = Network::new(0);
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let mut s2 = net.take_endpoint(PartyId::Server2);
-        let meter = std::sync::Arc::clone(net.meter());
-        std::thread::scope(|scope| {
-            let pi1 = &pi1;
-            let pi2 = &pi2;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(4);
-                server1_restore(
-                    &mut s1,
-                    &s1_ctx,
-                    pi1,
-                    Step::Restoration,
-                    &mut rng,
-                    &mut AuditTap::disabled(),
-                )
-                .unwrap()
-            });
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(5);
-                server2_restore(
-                    &mut s2,
-                    &s2_ctx,
-                    pi2,
-                    slot,
-                    Step::Restoration,
-                    &mut rng,
-                    &mut AuditTap::disabled(),
-                )
-                .unwrap()
-            });
-        });
-        assert!(meter.report().step_bytes(Step::Restoration) > 0);
+    fn restoration_is_seven_frames_under_its_step_tag() {
+        let transcript = run(2, 3).transcript;
+        assert_eq!(transcript.len(), 7);
+        assert!(transcript.iter().all(|f| f.step == Step::Restoration && !f.payload.is_empty()));
     }
 }

@@ -6,15 +6,14 @@
 //! ciphertexts it cannot read. The server-side aggregation is the
 //! ciphertext product of Eqn. 1.
 //!
-//! Since the sharded streaming layer ([`crate::shard`]) landed, the
-//! server side is no longer a flat buffer-then-fold over all `|U|`
-//! uploads: uploads stream into per-shard running partial sums as they
-//! arrive and are dropped immediately, so live server memory is bounded
-//! by the shard geometry and `K` — never by `|U|`. The unsharded entry
-//! points below are the exact 1-shard instance of the same machinery
-//! and produce bit-identical aggregates (Paillier addition is a
-//! canonical modular multiplication, so fold grouping cannot change the
-//! product).
+//! The server side ([`Collect`]) is not a flat buffer-then-fold over all
+//! `|U|` uploads: uploads stream into per-shard running partial sums
+//! ([`crate::shard`]) and are dropped as they are folded, so live server
+//! memory is bounded by the shard geometry and `K` — never by `|U|`. The
+//! unsharded collection is the 1-shard plan ([`ShardPlan::flat`]) of the
+//! same machine and produces bit-identical aggregates (Paillier addition
+//! is a canonical modular multiplication, so fold grouping cannot change
+//! the product).
 //!
 //! Every `r^n mod n²` here runs under the public key's cached Montgomery
 //! context (see [`paillier::PublicKey::precompute`]); the per-user
@@ -24,45 +23,21 @@
 use paillier::{Ciphertext, PublicKey, SignedCodec};
 use parallel::Parallelism;
 use rand::Rng;
-use transport::{Endpoint, PartyId, Step, TransportError};
+use transport::{FaultEvent, PartyId, Step, TransportError, Wire};
 
 use crate::error::SmcError;
-use crate::session::UserContext;
+use crate::machine::{decode, peer_of, Inbound, Machine, Next, Outbox, Recv};
+use crate::session::ServerContext;
 use crate::shard::{intersect_sorted, ShardAccumulator, ShardPlan, STREAM_CHUNK};
 use crate::validate::UploadValidator;
 
-/// User side: encrypts the signed vector `values` under `recipient_key`
-/// and sends it to `to`, tagged with `step`. The per-entry encryptions
-/// fan out according to `par`, each on its own seed-derived RNG stream,
-/// so the message is bit-identical for every thread count.
-///
-/// `recipient_key` must be the *other* server's key: `pk2` when sending
-/// to S1, `pk1` when sending to S2 (use
-/// [`send_share_to_server1`] / [`send_share_to_server2`] to get this
-/// right automatically).
-///
-/// # Errors
-///
-/// Fails on signed-window overflow or transport failure.
-pub fn send_encrypted_vector<R: Rng + ?Sized>(
-    endpoint: &Endpoint,
-    to: PartyId,
-    step: Step,
-    values: &[i128],
-    recipient_key: &PublicKey,
-    par: &Parallelism,
-    rng: &mut R,
-) -> Result<(), SmcError> {
-    let encrypted = encrypt_share_vector(values, recipient_key, par, rng)?;
-    endpoint.send(to, step, &encrypted)?;
-    Ok(())
-}
-
-/// Encrypts the signed vector `values` under `recipient_key` without
-/// sending it — the payload-capture half of [`send_encrypted_vector`],
-/// drawing randomness in the identical order. The crash-recovery
-/// supervisor uses this to prepare a user's upload once and replay the
-/// *same* ciphertexts across round attempts, keeping recovered rounds
+/// User side: encrypts the signed share vector `values` under
+/// `recipient_key` — the *other* server's key: `pk2` for the S1-bound
+/// share, `pk1` for the S2-bound one. The per-entry encryptions fan out
+/// according to `par`, each on its own seed-derived RNG stream, so the
+/// upload is bit-identical for every thread count. The crash-recovery
+/// supervisor prepares a user's upload once and replays the *same*
+/// ciphertexts across round attempts, keeping recovered rounds
 /// bit-identical to uninterrupted ones.
 ///
 /// # Errors
@@ -82,213 +57,53 @@ pub fn encrypt_share_vector<R: Rng + ?Sized>(
     })
 }
 
-/// User side: sends the S1-bound share vector (encrypted under pk2).
-///
-/// # Errors
-///
-/// See [`send_encrypted_vector`].
-pub fn send_share_to_server1<R: Rng + ?Sized>(
-    endpoint: &Endpoint,
-    ctx: &UserContext,
-    step: Step,
-    values: &[i128],
-    rng: &mut R,
-) -> Result<(), SmcError> {
-    send_encrypted_vector(
-        endpoint,
-        PartyId::Server1,
-        step,
-        values,
-        ctx.pk2(),
-        ctx.parallelism(),
-        rng,
-    )
-}
-
-/// User side: sends the S2-bound share vector (encrypted under pk1).
-///
-/// # Errors
-///
-/// See [`send_encrypted_vector`].
-pub fn send_share_to_server2<R: Rng + ?Sized>(
-    endpoint: &Endpoint,
-    ctx: &UserContext,
-    step: Step,
-    values: &[i128],
-    rng: &mut R,
-) -> Result<(), SmcError> {
-    send_encrypted_vector(
-        endpoint,
-        PartyId::Server2,
-        step,
-        values,
-        ctx.pk1(),
-        ctx.parallelism(),
-        rng,
-    )
-}
-
-/// Server side: receives one encrypted vector from each of `num_users`
-/// users and aggregates them homomorphically under `peer_key` (the key
-/// the users encrypted with — i.e. this server's *peer's* key).
-///
-/// The flat entry point: exactly [`aggregate_user_vectors_sharded`] over
-/// the single-shard plan, so the two paths cannot drift.
-///
-/// Returns the element-wise encrypted sum `E[Σ_u v^u]`.
-///
-/// # Errors
-///
-/// Fails on transport errors or if any upload flunks validation:
-/// wrong arity, malformed ciphertext, or a replayed sequence number
-/// (see [`UploadValidator`]). Strict collection treats all of these as
-/// fatal — this is the non-resilient path.
-pub fn aggregate_user_vectors(
-    endpoint: &mut Endpoint,
-    step: Step,
-    num_users: usize,
-    num_classes: usize,
-    peer_key: &PublicKey,
-    par: &Parallelism,
-) -> Result<Vec<Ciphertext>, SmcError> {
-    let roster: Vec<usize> = (0..num_users).collect();
-    aggregate_user_vectors_sharded(
-        endpoint,
-        step,
-        &ShardPlan::flat(&roster),
-        num_classes,
-        peer_key,
-        par,
-    )
-}
-
-/// Sharded streaming variant of [`aggregate_user_vectors`]: walks the
-/// plan's shards in index order, streaming each member's upload into the
-/// shard's running partial sum the moment it validates (validate → add
-/// into slot → drop the upload), then tree-combines the shard
-/// aggregates. Live memory is O([`STREAM_CHUNK`] · K) — never O(|U|·K).
-///
-/// Uploads are drained in plan order, which is safe under any arrival
-/// order: since PR 1 the endpoint matches each receive by
-/// `(sender, step)`, so an early arrival from a later user is stashed,
-/// not misread. Each chunk's per-label ciphertext products of Eqn. 1 fan
-/// out across labels according to `par` — each label's product is an
-/// independent fold, and because Paillier addition is a canonical
-/// modular multiplication the result is bit-identical for every shard
-/// count, chunk size, and thread count.
-///
-/// # Errors
-///
-/// See [`aggregate_user_vectors`] — strict collection treats every
-/// failure as fatal.
-pub fn aggregate_user_vectors_sharded(
-    endpoint: &mut Endpoint,
-    step: Step,
-    plan: &ShardPlan,
-    num_classes: usize,
-    peer_key: &PublicKey,
-    par: &Parallelism,
-) -> Result<Vec<Ciphertext>, SmcError> {
-    let meter = std::sync::Arc::clone(endpoint.meter());
-    let mut validator = UploadValidator::new(num_classes);
-    let mut combined = ShardAccumulator::new(peer_key, 1, num_classes);
-    for shard in plan.shards() {
-        if shard.is_empty() {
-            continue;
-        }
-        let mut acc = ShardAccumulator::new(peer_key, 1, num_classes);
-        let mut chunk: Vec<(usize, Vec<Vec<Ciphertext>>)> =
-            Vec::with_capacity(STREAM_CHUNK.min(shard.len()));
-        for &u in shard {
-            let from = PartyId::User(u);
-            let (seq, shares): (u64, Vec<Ciphertext>) = endpoint.recv_tagged(from, step)?;
-            validator.check(&meter, from, step, seq, &shares, peer_key)?;
-            // The upload is about to be folded and dropped; nothing is
-            // ever received from this user under this call again, so its
-            // freshness window can go with it.
-            validator.retire(from);
-            chunk.push((u, vec![shares]));
-            if chunk.len() == STREAM_CHUNK {
-                acc.fold_chunk(peer_key, par, std::mem::take(&mut chunk));
-            }
-        }
-        acc.fold_chunk(peer_key, par, chunk);
-        combined.merge(peer_key, acc);
-    }
-    let mut sums = combined.into_sums();
-    Ok(sums.pop().expect("accumulator holds exactly one vector kind"))
-}
-
-/// Result of a dropout-tolerant aggregation ([`aggregate_surviving_vectors`]):
-/// the homomorphic sums restricted to the reconciled survivor set, plus
-/// the set itself.
+/// Result of a collection step: the homomorphic sums restricted to the
+/// users counted, plus that set.
 #[derive(Debug, Clone)]
 pub struct SurvivorAggregate {
     /// One aggregated ciphertext vector per uploaded vector kind, each
     /// summing only the survivors' contributions.
     pub sums: Vec<Vec<Ciphertext>>,
     /// User ids whose *complete* upload reached **both** servers, in
-    /// ascending order — the round's surviving set `U'`.
+    /// ascending order — the round's surviving set `U'` (under strict
+    /// collection, everyone).
     pub survivors: Vec<usize>,
 }
 
-/// Dropout-tolerant variant of [`aggregate_user_vectors`] — the
-/// collection step of the resilient protocol rounds. The flat entry
-/// point: exactly [`aggregate_surviving_vectors_sharded`] over the
-/// single-shard plan, so the two paths cannot drift.
-///
-/// Each user in `users` is expected to upload `vectors_per_user`
-/// encrypted vectors under `step`. Any per-user receive failure
-/// (timeout, detected corruption, codec damage, wrong arity) marks that
-/// user as dropped for the whole step and discards its partial upload —
-/// a half-arrived contribution must never skew the sum. The two servers
-/// then exchange their locally observed survivor lists over the
-/// server↔server link and intersect them, so both aggregate exactly the
-/// same set `U'` and the additive shares recombine consistently.
-///
-/// # Errors
-///
-/// Returns [`SmcError::QuorumLost`] when fewer than `min_users` users
-/// survive reconciliation, and propagates transport failures on the
-/// server↔server reconciliation exchange itself (user-link failures are
-/// absorbed as dropouts).
-#[allow(clippy::too_many_arguments)]
-pub fn aggregate_surviving_vectors(
-    endpoint: &mut Endpoint,
-    step: Step,
-    users: &[usize],
-    num_classes: usize,
-    vectors_per_user: usize,
-    peer_key: &PublicKey,
-    peer_server: PartyId,
-    min_users: usize,
-    par: &Parallelism,
-) -> Result<SurvivorAggregate, SmcError> {
-    aggregate_surviving_vectors_sharded(
-        endpoint,
-        step,
-        &ShardPlan::flat(users),
-        num_classes,
-        vectors_per_user,
-        peer_key,
-        peer_server,
-        min_users,
-        par,
-    )
-}
+/// One user's complete upload: `vectors_per_user` validated vectors.
+type Upload = (usize, Vec<Vec<Ciphertext>>);
 
-/// Sharded streaming variant of [`aggregate_surviving_vectors`].
+/// One server's collection step: receives `vectors_per_user` encrypted
+/// vectors under `step` from every user of the plan and aggregates them
+/// homomorphically under the key the users encrypted with — this
+/// server's *peer's* key.
 ///
-/// Additive two-server shares only recombine over the *intersection* of
-/// both servers' survivor sets, which is known only after a survivor
-/// exchange — so the resilient path cannot fold an upload the instant it
-/// arrives the way the strict path does. Instead the live window is one
-/// shard: each shard's uploads are buffered, that shard's survivor list
-/// is exchanged with `peer_server` and intersected (sorted merge, both
-/// lists ascending by construction), the surviving uploads are
-/// stream-folded into the shard's partial sum, and the buffer is freed
-/// before the next shard starts. Peak memory is O(max_shard · K), not
-/// O(|U| · K).
+/// It walks the plan's shards in index order and drains each member's
+/// stream in turn, which is safe under any arrival order: the endpoint
+/// matches each receive by `(sender, step)`, so an early arrival from a
+/// later user is stashed, not misread. Each chunk's per-label ciphertext
+/// products of Eqn. 1 fan out across labels; because Paillier addition
+/// is a canonical modular multiplication the result is bit-identical for
+/// every shard count, chunk size and thread count.
+///
+/// **Strict** (`quorum: None`): every upload must arrive and validate
+/// (see [`UploadValidator`]) — anything else fails the step. An upload is
+/// folded into its shard's running partial sum as soon as a chunk of
+/// [`STREAM_CHUNK`] is complete and then dropped: live memory is
+/// O(`STREAM_CHUNK` · K).
+///
+/// **Resilient** (`quorum: Some(min_users)`): any per-user receive or
+/// validation failure (timeout, detected corruption, codec damage, wrong
+/// arity, replayed sequence number) marks that user as dropped for the
+/// whole step and discards its partial upload — a half-arrived
+/// contribution must never skew the sum. Additive two-server shares only
+/// recombine over the *intersection* of both servers' survivor sets, so
+/// each shard's uploads are held until the two servers have exchanged
+/// that shard's survivor lists over the server↔server link and
+/// intersected them (sorted merge, both lists ascending by
+/// construction); the surviving uploads are then stream-folded and the
+/// buffer is freed before the next shard starts. Peak memory is
+/// O(max_shard · K), not O(|U| · K).
 ///
 /// Both servers derive the identical plan from the round-shared shard
 /// seed and walk its shards in index order, so the per-shard exchanges
@@ -301,135 +116,248 @@ pub fn aggregate_surviving_vectors(
 ///
 /// # Errors
 ///
-/// See [`aggregate_surviving_vectors`].
-#[allow(clippy::too_many_arguments)]
-pub fn aggregate_surviving_vectors_sharded(
-    endpoint: &mut Endpoint,
+/// Resuming a strict collection fails with the first transport or
+/// validation error. A resilient one absorbs user-link failures as
+/// dropouts, fails with [`SmcError::QuorumLost`] when fewer than
+/// `min_users` users survive reconciliation, and propagates transport
+/// failures of the reconciliation exchange itself — the server↔server
+/// link is the protocol's backbone.
+#[derive(Debug)]
+pub struct Collect {
     step: Step,
-    plan: &ShardPlan,
+    plan: ShardPlan,
     num_classes: usize,
     vectors_per_user: usize,
-    peer_key: &PublicKey,
-    peer_server: PartyId,
-    min_users: usize,
-    par: &Parallelism,
-) -> Result<SurvivorAggregate, SmcError> {
-    let meter = std::sync::Arc::clone(endpoint.meter());
-    let mut validator = UploadValidator::new(num_classes);
-    // The peer may still be stalled timing out its own missing uploads
-    // (possibly across earlier shards it has not finished draining):
-    // give each list one full receive budget per expected message in the
-    // whole round plus one per exchange, so a slow peer is not mistaken
-    // for a dead one (the wait stays finite either way).
-    let worst_stall = endpoint
-        .timeout_policy()
-        .total_budget()
-        .saturating_mul((plan.num_users() * vectors_per_user + plan.num_shards()) as u32);
-    let mut combined = ShardAccumulator::new(peer_key, vectors_per_user, num_classes);
-    for shard in plan.shards() {
-        if shard.is_empty() {
-            continue;
+    quorum: Option<usize>,
+    validator: UploadValidator,
+    /// The plan position of the user being drained.
+    shard: usize,
+    member: usize,
+    /// That user's vectors so far.
+    partial: Vec<Vec<Ciphertext>>,
+    /// Complete uploads not folded yet: the open chunk (strict) or the
+    /// whole shard (resilient) — the one live buffer.
+    buffered: Vec<Upload>,
+    /// The current shard's running sums, and all closed shards'.
+    acc: ShardAccumulator,
+    combined: ShardAccumulator,
+    /// Whether the peer's survivor list for the current shard is awaited.
+    reconciling: bool,
+}
+
+impl Collect {
+    /// A collection of `vectors_per_user` vectors of `num_classes`
+    /// entries from every user of `plan`.
+    pub fn new(
+        ctx: &ServerContext,
+        step: Step,
+        plan: ShardPlan,
+        num_classes: usize,
+        vectors_per_user: usize,
+        quorum: Option<usize>,
+    ) -> Collect {
+        let empty = ShardAccumulator::new(ctx.peer_public(), vectors_per_user, num_classes);
+        Collect {
+            step,
+            plan,
+            num_classes,
+            vectors_per_user,
+            quorum,
+            validator: UploadValidator::new(num_classes),
+            shard: 0,
+            member: 0,
+            partial: Vec::with_capacity(vectors_per_user),
+            buffered: Vec::new(),
+            acc: empty.clone(),
+            combined: empty,
+            reconciling: false,
         }
-        // Collect this shard's uploads — the one live buffer.
-        let mut collected: Vec<(usize, Vec<Vec<Ciphertext>>)> = Vec::with_capacity(shard.len());
-        for &u in shard {
-            let from = PartyId::User(u);
-            let mut vecs: Vec<Vec<Ciphertext>> = Vec::with_capacity(vectors_per_user);
-            for _ in 0..vectors_per_user {
-                match endpoint.recv_tagged::<Vec<Ciphertext>>(from, step) {
-                    // Validation failure (arity, malformed ciphertext,
-                    // replayed seq) is a dropout here, not an abort —
-                    // the validator has already counted the rejection
-                    // on the meter.
-                    Ok((seq, v)) => {
-                        if validator.check(&meter, from, step, seq, &v, peer_key).is_err() {
-                            vecs.clear();
-                            break;
-                        }
-                        vecs.push(v);
-                    }
-                    // Lost, late, or damaged: the user is out for this
-                    // step. Its remaining messages (if any) stay stashed
-                    // under their own step tags and are never misread as
-                    // another user's data.
-                    Err(
-                        TransportError::Timeout(_)
-                        | TransportError::Corrupt(_)
-                        | TransportError::Codec(_)
-                        | TransportError::Disconnected(_)
-                        | TransportError::UnknownParty(_),
-                    ) => {
-                        vecs.clear();
-                        break;
-                    }
+    }
+
+    /// Stream-folds `uploads` into the current shard's sums, a chunk at
+    /// a time.
+    fn fold(&mut self, ctx: &ServerContext, mut uploads: Vec<Upload>) {
+        while !uploads.is_empty() {
+            let rest = uploads.split_off(uploads.len().min(STREAM_CHUNK));
+            let chunk = std::mem::replace(&mut uploads, rest);
+            self.acc.fold_chunk(ctx.peer_public(), ctx.parallelism(), chunk);
+        }
+    }
+
+    /// Tree-combines the current shard into the closed ones and moves on.
+    fn close_shard(&mut self, ctx: &ServerContext) {
+        let key = ctx.peer_public();
+        let fresh = ShardAccumulator::new(key, self.vectors_per_user, self.num_classes);
+        self.combined.merge(key, std::mem::replace(&mut self.acc, fresh));
+        self.shard += 1;
+        self.member = 0;
+    }
+
+    /// Takes in the frame asked of the user at the plan position, and
+    /// moves on to the next user once this one's stream is drained.
+    fn take_in(
+        &mut self,
+        ctx: &ServerContext,
+        answer: Inbound,
+        out: &mut Outbox,
+    ) -> Result<(), SmcError> {
+        let user = self.plan.shards()[self.shard][self.member];
+        let from = PartyId::User(user);
+        let vector = answer.map_err(SmcError::from).and_then(|(seq, payload)| {
+            let vector = Vec::<Ciphertext>::from_bytes(payload).map_err(TransportError::from)?;
+            let key = ctx.peer_public();
+            self.validator.check(&mut out.events, from, self.step, seq, &vector, key)?;
+            Ok(vector)
+        });
+        match vector {
+            Ok(vector) => {
+                self.partial.push(vector);
+                if self.partial.len() < self.vectors_per_user {
+                    return Ok(());
+                }
+                self.buffered.push((user, std::mem::take(&mut self.partial)));
+                if self.quorum.is_none() && self.buffered.len() == STREAM_CHUNK {
+                    let chunk = std::mem::take(&mut self.buffered);
+                    self.fold(ctx, chunk);
                 }
             }
-            // Folded or dropped, this user's stream is fully drained —
-            // its freshness window goes with it, keeping validator state
-            // bounded by the in-flight user, not |U|.
-            validator.retire(from);
-            if vecs.len() == vectors_per_user {
-                collected.push((u, vecs));
-            }
+            Err(fatal) if self.quorum.is_none() => return Err(fatal),
+            // Lost, late, damaged or invalid (the validator has emitted
+            // the rejection): the user is out for this step. Its
+            // remaining messages (if any) stay stashed under their own
+            // step tags and are never misread as another user's data.
+            Err(_) => self.partial.clear(),
         }
+        // Folded, buffered or dropped, this user's stream is fully
+        // drained — nothing is received from it under this step again, so
+        // its freshness window goes with it, keeping validator state
+        // bounded by the in-flight user, not |U|.
+        self.validator.retire(from);
+        self.member += 1;
+        Ok(())
+    }
 
-        // Reconcile this shard: both servers must fold the same survivor
-        // set or the additive shares stop lining up. Failures here are
-        // fatal — the server↔server link is the protocol's backbone.
-        let local: Vec<u64> = collected.iter().map(|(u, _)| *u as u64).collect();
-        endpoint.send(peer_server, step, &local)?;
-        let peer: Vec<u64> = endpoint.recv_with_timeout(
-            peer_server,
-            step,
-            transport::TimeoutPolicy::new(worst_stall),
-        )?;
-        let local_ids: Vec<usize> = local.iter().map(|&u| u as usize).collect();
-        let peer_ids: Vec<usize> = peer.iter().map(|&u| u as usize).collect();
-        let shard_survivors = intersect_sorted(&local_ids, &peer_ids);
+    /// Reconciles the current shard with the `peer`'s survivor list: both
+    /// servers must fold the same set or the additive shares stop lining
+    /// up. Everything else — including contributions the peer never saw —
+    /// is dropped here.
+    fn reconcile(&mut self, ctx: &ServerContext, peer: &[u64], out: &mut Outbox) {
+        let local: Vec<usize> = self.buffered.iter().map(|(u, _)| *u).collect();
+        let peer: Vec<usize> = peer.iter().map(|&u| u as usize).collect();
+        let survivors = intersect_sorted(&local, &peer);
         // A planned shard whose entire membership dropped is a degraded
         // round, not an abort: the shard simply contributes nothing, the
-        // global quorum check below still governs releasability, and the
-        // engine charges RDP at the σ the surviving shares realize. The
-        // meter records the event so soak harnesses can assert the
-        // degradation actually happened.
-        if shard_survivors.is_empty() {
-            meter.record_fault(transport::FaultEvent::ShardDropped);
+        // global quorum check still governs releasability, and the engine
+        // charges RDP at the σ the surviving shares realize. The event
+        // lets soak harnesses assert the degradation actually happened.
+        if survivors.is_empty() {
+            out.events.push(FaultEvent::ShardDropped);
         }
+        let mut uploads = std::mem::take(&mut self.buffered);
+        uploads.retain(|(u, _)| survivors.binary_search(u).is_ok());
+        self.fold(ctx, uploads);
+    }
+}
 
-        // Stream-fold the shard's surviving uploads; everything else —
-        // including contributions the peer never saw — is dropped here,
-        // and the shard buffer is freed before the next shard starts.
-        let mut acc = ShardAccumulator::new(peer_key, vectors_per_user, num_classes);
-        let mut chunk: Vec<(usize, Vec<Vec<Ciphertext>>)> =
-            Vec::with_capacity(STREAM_CHUNK.min(shard_survivors.len()));
-        for (u, vecs) in collected {
-            if shard_survivors.binary_search(&u).is_err() {
-                continue;
-            }
-            chunk.push((u, vecs));
-            if chunk.len() == STREAM_CHUNK {
-                acc.fold_chunk(peer_key, par, std::mem::take(&mut chunk));
-            }
+impl Machine for Collect {
+    type Output = SurvivorAggregate;
+
+    fn resume(
+        &mut self,
+        ctx: &ServerContext,
+        answer: Option<Inbound>,
+        out: &mut Outbox,
+    ) -> Result<Next<SurvivorAggregate>, SmcError> {
+        let step = self.step;
+        if self.reconciling {
+            let peer: Vec<u64> = decode(answer)?;
+            self.reconcile(ctx, &peer, out);
+            self.reconciling = false;
+            self.close_shard(ctx);
+        } else if let Some(answer) = answer {
+            self.take_in(ctx, answer, out)?;
         }
-        acc.fold_chunk(peer_key, par, chunk);
-        combined.merge(peer_key, acc);
+        while let Some(shard) = self.plan.shards().get(self.shard) {
+            if let Some(&user) = shard.get(self.member) {
+                return Ok(Next::Recv(Recv { from: PartyId::User(user), step, patience: None }));
+            }
+            if self.quorum.is_some() && !shard.is_empty() {
+                let local: Vec<u64> = self.buffered.iter().map(|(u, _)| *u as u64).collect();
+                let peer = peer_of(ctx.role());
+                out.send(peer, step, &local);
+                self.reconciling = true;
+                // The peer may still be stalled timing out its own
+                // missing uploads (possibly across earlier shards it has
+                // not finished draining): give its list one full receive
+                // budget per expected message in the whole round plus one
+                // per exchange, so a slow peer is not mistaken for a dead
+                // one (the wait stays finite either way).
+                let stalls = self.plan.num_users() * self.vectors_per_user + self.plan.num_shards();
+                return Ok(Next::Recv(Recv { from: peer, step, patience: Some(stalls as u32) }));
+            }
+            let chunk = std::mem::take(&mut self.buffered);
+            self.fold(ctx, chunk);
+            self.close_shard(ctx);
+        }
+        let mut survivors = self.combined.members().to_vec();
+        survivors.sort_unstable();
+        if let Some(required) = self.quorum.filter(|&q| survivors.len() < q) {
+            return Err(SmcError::QuorumLost { step, survivors: survivors.len(), required });
+        }
+        let sums = std::mem::take(&mut self.combined).into_sums();
+        Ok(Next::Done(SurvivorAggregate { sums, survivors }))
     }
-
-    let mut survivors = combined.members().to_vec();
-    survivors.sort_unstable();
-    if survivors.len() < min_users {
-        return Err(SmcError::QuorumLost { step, survivors: survivors.len(), required: min_users });
-    }
-    Ok(SurvivorAggregate { sums: combined.into_sums(), survivors })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::{run_pair, Frame, PairRun};
     use crate::session::{SessionConfig, SessionKeys};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use transport::Network;
+
+    const STEP: Step = Step::SecureSumVotes;
+
+    /// `user`'s upload of `values` to `to`, encrypted under `key`.
+    fn upload(
+        user: usize,
+        to: PartyId,
+        values: &[i128],
+        key: &PublicKey,
+        rng: &mut StdRng,
+    ) -> Frame {
+        let vector = encrypt_share_vector(values, key, &Parallelism::sequential(), rng).unwrap();
+        Frame { from: PartyId::User(user), to, step: STEP, payload: vector.to_bytes() }
+    }
+
+    /// Both servers collect one vector per user of `users` from `uploads`.
+    fn collect(
+        keys: &SessionKeys,
+        users: &[usize],
+        quorum: [Option<usize>; 2],
+        uploads: Vec<Frame>,
+    ) -> Result<PairRun<SurvivorAggregate, SurvivorAggregate>, SmcError> {
+        let (s1_ctx, s2_ctx) = (keys.server1(), keys.server2());
+        let k = keys.config().num_classes;
+        let machine = |ctx, quorum| Collect::new(ctx, STEP, ShardPlan::flat(users), k, 1, quorum);
+        let (s1, s2) = (machine(&s1_ctx, quorum[0]), machine(&s2_ctx, quorum[1]));
+        run_pair((&s1_ctx, s1), (&s2_ctx, s2), uploads)
+    }
+
+    /// Test privilege: decrypts both servers' sums with the owners' keys
+    /// and recombines the shares.
+    fn recombine(keys: &SessionKeys, s1: &SurvivorAggregate, s2: &SurvivorAggregate) -> Vec<i128> {
+        let (s1_ctx, s2_ctx) = (keys.server1(), keys.server2());
+        let open = |owner: &ServerContext, c: &Ciphertext| {
+            owner.own_codec().decode_i128(&owner.own_private().decrypt(c).unwrap()).unwrap()
+        };
+        s1.sums[0]
+            .iter()
+            .zip(&s2.sums[0])
+            .map(|(a, b)| open(&s2_ctx, a) + open(&s1_ctx, b))
+            .collect()
+    }
 
     /// Full secure-sum round: three users split signed vectors, both
     /// servers aggregate; decrypting with the *peer's* private key (test
@@ -438,69 +366,25 @@ mod tests {
     #[test]
     fn end_to_end_sum_reconstructs() {
         let mut rng = StdRng::seed_from_u64(10);
-        let keys = SessionKeys::generate(SessionConfig::test(3, 4), &mut rng);
+        let keys = SessionKeys::generate(SessionConfig::test(3, 4), &mut rng)
+            .with_parallelism(Parallelism::new(2));
         let user_ctx = keys.user();
         let domain = user_ctx.domain();
 
         let votes: [Vec<i128>; 3] = [vec![1, 0, 0, 0], vec![0, 0, 1, 0], vec![1, -2, 300, 0]];
         let expected: Vec<i128> = (0..4).map(|k| votes.iter().map(|v| v[k]).sum()).collect();
 
-        let mut net = Network::new(3);
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let mut s2 = net.take_endpoint(PartyId::Server2);
-
-        let mut a_total = vec![0i128; 4];
-        let mut b_total = vec![0i128; 4];
+        let mut uploads = Vec::new();
         for (u, vote) in votes.iter().enumerate() {
-            let endpoint = net.take_endpoint(PartyId::User(u));
             let (a, b) = domain.split_vec(vote, &mut rng);
-            for k in 0..4 {
-                a_total[k] += a[k];
-                b_total[k] += b[k];
-            }
-            send_share_to_server1(&endpoint, &user_ctx, Step::SecureSumVotes, &a, &mut rng)
-                .unwrap();
-            send_share_to_server2(&endpoint, &user_ctx, Step::SecureSumVotes, &b, &mut rng)
-                .unwrap();
+            uploads.push(upload(u, PartyId::Server1, &a, user_ctx.pk2(), &mut rng));
+            uploads.push(upload(u, PartyId::Server2, &b, user_ctx.pk1(), &mut rng));
         }
-
-        let enc_a = aggregate_user_vectors(
-            &mut s1,
-            Step::SecureSumVotes,
-            3,
-            4,
-            keys.server1().peer_public(),
-            &Parallelism::new(2),
-        )
-        .unwrap();
-        let enc_b = aggregate_user_vectors(
-            &mut s2,
-            Step::SecureSumVotes,
-            3,
-            4,
-            keys.server2().peer_public(),
-            &Parallelism::new(2),
-        )
-        .unwrap();
-
-        // Test privilege: decrypt with the owners' keys to check sums.
-        let s2_ctx = keys.server2();
-        let codec2 = s2_ctx.own_codec();
-        let a_sum: Vec<i128> = enc_a
-            .iter()
-            .map(|c| codec2.decode_i128(&s2_ctx.own_private().decrypt(c).unwrap()).unwrap())
-            .collect();
-        let s1_ctx = keys.server1();
-        let codec1 = s1_ctx.own_codec();
-        let b_sum: Vec<i128> = enc_b
-            .iter()
-            .map(|c| codec1.decode_i128(&s1_ctx.own_private().decrypt(c).unwrap()).unwrap())
-            .collect();
-
-        assert_eq!(a_sum, a_total);
-        assert_eq!(b_sum, b_total);
-        let total: Vec<i128> = a_sum.iter().zip(&b_sum).map(|(a, b)| a + b).collect();
-        assert_eq!(total, expected);
+        let run = collect(&keys, &[0, 1, 2], [None, None], uploads).unwrap();
+        assert!(run.transcript.is_empty(), "strict collection exchanges nothing");
+        let (s1, s2) = run.outputs;
+        assert_eq!(s1.survivors, vec![0, 1, 2]);
+        assert_eq!(recombine(&keys, &s1, &s2), expected);
     }
 
     #[test]
@@ -508,20 +392,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let keys = SessionKeys::generate(SessionConfig::test(1, 3), &mut rng);
         let user_ctx = keys.user();
-        let mut net = Network::new(1);
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let user = net.take_endpoint(PartyId::User(0));
         // Send only 2 entries when 3 classes are expected.
-        send_share_to_server1(&user, &user_ctx, Step::SecureSumVotes, &[1, 2], &mut rng).unwrap();
-        let err = aggregate_user_vectors(
-            &mut s1,
-            Step::SecureSumVotes,
-            1,
-            3,
-            keys.server1().peer_public(),
-            &Parallelism::sequential(),
-        )
-        .unwrap_err();
+        let short = upload(0, PartyId::Server1, &[1, 2], user_ctx.pk2(), &mut rng);
+        let err = collect(&keys, &[0], [None, None], vec![short]).unwrap_err();
         assert!(matches!(err, SmcError::LengthMismatch { expected: 3, got: 2 }));
     }
 
@@ -533,77 +406,25 @@ mod tests {
         let keys = SessionKeys::generate(SessionConfig::test(3, 2), &mut rng);
         let user_ctx = keys.user();
         let domain = user_ctx.domain();
-        let mut net = transport::Network::builder(3)
-            .timeout(transport::TimeoutPolicy::new(std::time::Duration::from_millis(50)))
-            .build();
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let mut s2 = net.take_endpoint(PartyId::Server2);
 
         let votes: [Vec<i128>; 3] = [vec![1, 0], vec![0, 1], vec![5, 7]];
         let mut expected = vec![0i128; 2];
+        let mut uploads = Vec::new();
         for (u, vote) in votes.iter().enumerate() {
-            let endpoint = net.take_endpoint(PartyId::User(u));
             let (a, b) = domain.split_vec(vote, &mut rng);
-            send_share_to_server1(&endpoint, &user_ctx, Step::SecureSumVotes, &a, &mut rng)
-                .unwrap();
+            uploads.push(upload(u, PartyId::Server1, &a, user_ctx.pk2(), &mut rng));
             if u != 1 {
-                send_share_to_server2(&endpoint, &user_ctx, Step::SecureSumVotes, &b, &mut rng)
-                    .unwrap();
+                uploads.push(upload(u, PartyId::Server2, &b, user_ctx.pk1(), &mut rng));
                 for k in 0..2 {
                     expected[k] += vote[k];
                 }
             }
         }
 
-        let (r1, r2) = std::thread::scope(|scope| {
-            let h1 = scope.spawn(|| {
-                aggregate_surviving_vectors(
-                    &mut s1,
-                    Step::SecureSumVotes,
-                    &[0, 1, 2],
-                    2,
-                    1,
-                    keys.server1().peer_public(),
-                    PartyId::Server2,
-                    1,
-                    &Parallelism::sequential(),
-                )
-            });
-            let h2 = scope.spawn(|| {
-                aggregate_surviving_vectors(
-                    &mut s2,
-                    Step::SecureSumVotes,
-                    &[0, 1, 2],
-                    2,
-                    1,
-                    keys.server2().peer_public(),
-                    PartyId::Server1,
-                    1,
-                    &Parallelism::sequential(),
-                )
-            });
-            (h1.join().unwrap().unwrap(), h2.join().unwrap().unwrap())
-        });
+        let (r1, r2) = collect(&keys, &[0, 1, 2], [Some(1), Some(1)], uploads).unwrap().outputs;
         assert_eq!(r1.survivors, vec![0, 2]);
         assert_eq!(r2.survivors, vec![0, 2]);
-
-        // Test privilege: decrypt both halves and recombine.
-        let s2_ctx = keys.server2();
-        let codec2 = s2_ctx.own_codec();
-        let s1_ctx = keys.server1();
-        let codec1 = s1_ctx.own_codec();
-        let total: Vec<i128> = (0..2)
-            .map(|k| {
-                let a = codec2
-                    .decode_i128(&s2_ctx.own_private().decrypt(&r1.sums[0][k]).unwrap())
-                    .unwrap();
-                let b = codec1
-                    .decode_i128(&s1_ctx.own_private().decrypt(&r2.sums[0][k]).unwrap())
-                    .unwrap();
-                a + b
-            })
-            .collect();
-        assert_eq!(total, expected);
+        assert_eq!(recombine(&keys, &r1, &r2), expected);
     }
 
     #[test]
@@ -615,53 +436,21 @@ mod tests {
         let keys = SessionKeys::generate(SessionConfig::test(2, 2), &mut rng);
         let user_ctx = keys.user();
         let domain = user_ctx.domain();
-        let mut net = transport::Network::builder(2)
-            .timeout(transport::TimeoutPolicy::new(std::time::Duration::from_millis(50)))
-            .build();
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let mut s2 = net.take_endpoint(PartyId::Server2);
 
-        let good = net.take_endpoint(PartyId::User(0));
         let (a, b) = domain.split_vec(&[1, 0], &mut rng);
-        send_share_to_server1(&good, &user_ctx, Step::SecureSumVotes, &a, &mut rng).unwrap();
-        send_share_to_server2(&good, &user_ctx, Step::SecureSumVotes, &b, &mut rng).unwrap();
-        let evil = net.take_endpoint(PartyId::User(1));
-        let zeros = vec![paillier::Ciphertext::from_raw(bigint::Ubig::from(0u64)); 2];
-        evil.send(PartyId::Server1, Step::SecureSumVotes, &zeros).unwrap();
-        evil.send(PartyId::Server2, Step::SecureSumVotes, &zeros).unwrap();
+        let zeros = vec![paillier::Ciphertext::from_raw(bigint::Ubig::from(0u64)); 2].to_bytes();
+        let evil = |to| Frame { from: PartyId::User(1), to, step: STEP, payload: zeros.clone() };
+        let uploads = vec![
+            upload(0, PartyId::Server1, &a, user_ctx.pk2(), &mut rng),
+            upload(0, PartyId::Server2, &b, user_ctx.pk1(), &mut rng),
+            evil(PartyId::Server1),
+            evil(PartyId::Server2),
+        ];
 
-        let (r1, r2) = std::thread::scope(|scope| {
-            let h1 = scope.spawn(|| {
-                aggregate_surviving_vectors(
-                    &mut s1,
-                    Step::SecureSumVotes,
-                    &[0, 1],
-                    2,
-                    1,
-                    keys.server1().peer_public(),
-                    PartyId::Server2,
-                    1,
-                    &Parallelism::sequential(),
-                )
-            });
-            let h2 = scope.spawn(|| {
-                aggregate_surviving_vectors(
-                    &mut s2,
-                    Step::SecureSumVotes,
-                    &[0, 1],
-                    2,
-                    1,
-                    keys.server2().peer_public(),
-                    PartyId::Server1,
-                    1,
-                    &Parallelism::sequential(),
-                )
-            });
-            (h1.join().unwrap().unwrap(), h2.join().unwrap().unwrap())
-        });
-        assert_eq!(r1.survivors, vec![0]);
-        assert_eq!(r2.survivors, vec![0]);
-        assert_eq!(net.meter().fault_stats().rejected_ciphertexts, 2);
+        let run = collect(&keys, &[0, 1], [Some(1), Some(1)], uploads).unwrap();
+        assert_eq!(run.outputs.0.survivors, vec![0]);
+        assert_eq!(run.outputs.1.survivors, vec![0]);
+        assert_eq!(run.events, [FaultEvent::RejectedCiphertext; 2]);
     }
 
     #[test]
@@ -670,48 +459,16 @@ mod tests {
         let keys = SessionKeys::generate(SessionConfig::test(2, 2), &mut rng);
         let user_ctx = keys.user();
         let domain = user_ctx.domain();
-        let mut net = transport::Network::builder(2)
-            .timeout(transport::TimeoutPolicy::new(std::time::Duration::from_millis(50)))
-            .build();
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let mut s2 = net.take_endpoint(PartyId::Server2);
-        // Only user 0 uploads; the quorum requires both users.
-        let endpoint = net.take_endpoint(PartyId::User(0));
+        // Only user 0 uploads; the quorum requires both users. A run ends
+        // at its first error, so each server's verdict is read from a run
+        // in which only that server enforces the quorum.
         let (a, b) = domain.split_vec(&[1, 0], &mut rng);
-        send_share_to_server1(&endpoint, &user_ctx, Step::SecureSumVotes, &a, &mut rng).unwrap();
-        send_share_to_server2(&endpoint, &user_ctx, Step::SecureSumVotes, &b, &mut rng).unwrap();
-
-        let (r1, r2) = std::thread::scope(|scope| {
-            let h1 = scope.spawn(|| {
-                aggregate_surviving_vectors(
-                    &mut s1,
-                    Step::SecureSumVotes,
-                    &[0, 1],
-                    2,
-                    1,
-                    keys.server1().peer_public(),
-                    PartyId::Server2,
-                    2,
-                    &Parallelism::sequential(),
-                )
-            });
-            let h2 = scope.spawn(|| {
-                aggregate_surviving_vectors(
-                    &mut s2,
-                    Step::SecureSumVotes,
-                    &[0, 1],
-                    2,
-                    1,
-                    keys.server2().peer_public(),
-                    PartyId::Server1,
-                    2,
-                    &Parallelism::sequential(),
-                )
-            });
-            (h1.join().unwrap(), h2.join().unwrap())
-        });
-        for r in [r1, r2] {
-            match r {
+        for quorum in [[Some(2), Some(1)], [Some(1), Some(2)]] {
+            let uploads = vec![
+                upload(0, PartyId::Server1, &a, user_ctx.pk2(), &mut rng),
+                upload(0, PartyId::Server2, &b, user_ctx.pk1(), &mut rng),
+            ];
+            match collect(&keys, &[0, 1], quorum, uploads) {
                 Err(SmcError::QuorumLost { step, survivors, required }) => {
                     assert_eq!(step, Step::SecureSumVotes);
                     assert_eq!(survivors, 1);
@@ -720,27 +477,5 @@ mod tests {
                 other => panic!("expected QuorumLost, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn aggregation_bytes_are_metered() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let keys = SessionKeys::generate(SessionConfig::test(1, 2), &mut rng);
-        let user_ctx = keys.user();
-        let mut net = Network::new(1);
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let user = net.take_endpoint(PartyId::User(0));
-        send_share_to_server1(&user, &user_ctx, Step::SecureSumVotes, &[1, 2], &mut rng).unwrap();
-        let _ = aggregate_user_vectors(
-            &mut s1,
-            Step::SecureSumVotes,
-            1,
-            2,
-            keys.server1().peer_public(),
-            &Parallelism::sequential(),
-        )
-        .unwrap();
-        let report = net.meter().report();
-        assert!(report.step_bytes(Step::SecureSumVotes) > 0);
     }
 }

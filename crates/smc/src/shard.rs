@@ -193,7 +193,7 @@ pub const STREAM_CHUNK: usize = 32;
 /// addition is a canonical modular multiplication, the running products
 /// are bit-identical to the buffered fold they replace, for every chunk
 /// size and thread count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardAccumulator {
     sums: Vec<Vec<Ciphertext>>,
     members: Vec<usize>,

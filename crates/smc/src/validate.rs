@@ -21,15 +21,15 @@
 //!    side so a hostile value is refused at the door of the server that
 //!    cannot decrypt it.
 //!
-//! Every rejection increments the matching [`transport::FaultEvent`]
-//! counter on the round's [`Meter`], so chaos runs and operators can see
-//! exactly what was refused and why.
+//! Every rejection emits the matching [`transport::FaultEvent`], which
+//! the round's driver counts on its meter, so chaos runs and operators
+//! can see exactly what was refused and why.
 
 use std::collections::HashMap;
 
 use bigint::gcd::gcd;
 use paillier::{Ciphertext, PublicKey};
-use transport::{FaultEvent, Meter, PartyId, Step};
+use transport::{FaultEvent, PartyId, Step};
 
 use crate::error::SmcError;
 
@@ -78,10 +78,10 @@ impl UploadValidator {
         self.seen.len()
     }
 
-    /// Validates one received upload. On failure, records the matching
-    /// rejection counter on `meter` and returns the typed error; the
-    /// caller decides whether that is fatal (strict collection) or a
-    /// dropout (resilient collection).
+    /// Validates one received upload. On failure, pushes the matching
+    /// rejection onto `events` and returns the typed error; the caller
+    /// decides whether that is fatal (strict collection) or a dropout
+    /// (resilient collection).
     ///
     /// # Errors
     ///
@@ -89,7 +89,7 @@ impl UploadValidator {
     /// or [`SmcError::InvalidCiphertext`], checked in that order.
     pub fn check(
         &mut self,
-        meter: &Meter,
+        events: &mut Vec<FaultEvent>,
         from: PartyId,
         step: Step,
         seq: u64,
@@ -98,12 +98,12 @@ impl UploadValidator {
     ) -> Result<(), SmcError> {
         let window = self.seen.entry(from).or_default();
         if window.contains(&(step, seq)) {
-            meter.record_fault(FaultEvent::RejectedDuplicate);
+            events.push(FaultEvent::RejectedDuplicate);
             return Err(SmcError::DuplicateSubmission { from, step, seq });
         }
         window.push((step, seq));
         if shares.len() != self.num_classes {
-            meter.record_fault(FaultEvent::RejectedArity);
+            events.push(FaultEvent::RejectedArity);
             return Err(SmcError::LengthMismatch { expected: self.num_classes, got: shares.len() });
         }
         let n = key.modulus();
@@ -111,7 +111,7 @@ impl UploadValidator {
         for (index, share) in shares.iter().enumerate() {
             let raw = share.as_raw();
             if raw.is_zero() || raw >= n2 || !gcd(raw, n).is_one() {
-                meter.record_fault(FaultEvent::RejectedCiphertext);
+                events.push(FaultEvent::RejectedCiphertext);
                 return Err(SmcError::InvalidCiphertext { from, index });
             }
         }
@@ -140,24 +140,22 @@ mod tests {
     fn well_formed_upload_passes() {
         let (key, good) = setup();
         let key = &key;
-        let meter = Meter::new();
+        let mut events = Vec::new();
         let mut v = UploadValidator::new(2);
-        v.check(&meter, PartyId::User(0), Step::SecureSumVotes, 1, &good, key).unwrap();
-        let stats = meter.fault_stats();
-        assert_eq!(stats.rejected_ciphertexts, 0);
-        assert_eq!(stats.rejected_arity, 0);
-        assert_eq!(stats.rejected_duplicates, 0);
+        v.check(&mut events, PartyId::User(0), Step::SecureSumVotes, 1, &good, key).unwrap();
+        assert!(events.is_empty());
     }
 
     #[test]
     fn replayed_sequence_number_is_rejected() {
         let (key, good) = setup();
         let key = &key;
-        let meter = Meter::new();
+        let mut events = Vec::new();
         let mut v = UploadValidator::new(2);
-        v.check(&meter, PartyId::User(0), Step::SecureSumVotes, 1, &good, key).unwrap();
-        let err =
-            v.check(&meter, PartyId::User(0), Step::SecureSumVotes, 1, &good, key).unwrap_err();
+        v.check(&mut events, PartyId::User(0), Step::SecureSumVotes, 1, &good, key).unwrap();
+        let err = v
+            .check(&mut events, PartyId::User(0), Step::SecureSumVotes, 1, &good, key)
+            .unwrap_err();
         assert!(matches!(
             err,
             SmcError::DuplicateSubmission {
@@ -166,21 +164,21 @@ mod tests {
                 seq: 1
             }
         ));
-        assert_eq!(meter.fault_stats().rejected_duplicates, 1);
+        assert_eq!(events, [FaultEvent::RejectedDuplicate]);
         // Same seq from a different sender or step is fine.
-        v.check(&meter, PartyId::User(1), Step::SecureSumVotes, 1, &good, key).unwrap();
-        v.check(&meter, PartyId::User(0), Step::SecureSumNoisy, 1, &good, key).unwrap();
+        v.check(&mut events, PartyId::User(1), Step::SecureSumVotes, 1, &good, key).unwrap();
+        v.check(&mut events, PartyId::User(0), Step::SecureSumNoisy, 1, &good, key).unwrap();
     }
 
     #[test]
     fn retired_senders_free_their_state() {
         let (key, good) = setup();
         let key = &key;
-        let meter = Meter::new();
+        let mut events = Vec::new();
         let mut v = UploadValidator::new(2);
         for u in 0..8 {
-            v.check(&meter, PartyId::User(u), Step::SecureSumVotes, 1, &good, key).unwrap();
-            v.check(&meter, PartyId::User(u), Step::SecureSumVotes, 2, &good, key).unwrap();
+            v.check(&mut events, PartyId::User(u), Step::SecureSumVotes, 1, &good, key).unwrap();
+            v.check(&mut events, PartyId::User(u), Step::SecureSumVotes, 2, &good, key).unwrap();
         }
         assert_eq!(v.live_senders(), 8);
         // Streaming fold retires each user once its upload is absorbed:
@@ -191,7 +189,7 @@ mod tests {
         assert_eq!(v.live_senders(), 0);
         // Retiring is idempotent and does not disturb later senders.
         v.retire(PartyId::User(3));
-        v.check(&meter, PartyId::User(9), Step::SecureSumVotes, 1, &good, key).unwrap();
+        v.check(&mut events, PartyId::User(9), Step::SecureSumVotes, 1, &good, key).unwrap();
         assert_eq!(v.live_senders(), 1);
     }
 
@@ -199,19 +197,20 @@ mod tests {
     fn wrong_arity_is_rejected_and_counted() {
         let (key, good) = setup();
         let key = &key;
-        let meter = Meter::new();
+        let mut events = Vec::new();
         let mut v = UploadValidator::new(3);
-        let err =
-            v.check(&meter, PartyId::User(0), Step::SecureSumVotes, 1, &good, key).unwrap_err();
+        let err = v
+            .check(&mut events, PartyId::User(0), Step::SecureSumVotes, 1, &good, key)
+            .unwrap_err();
         assert!(matches!(err, SmcError::LengthMismatch { expected: 3, got: 2 }));
-        assert_eq!(meter.fault_stats().rejected_arity, 1);
+        assert_eq!(events, [FaultEvent::RejectedArity]);
     }
 
     #[test]
     fn hostile_ciphertexts_are_rejected_and_counted() {
         let (key, good) = setup();
         let key = &key;
-        let meter = Meter::new();
+        let mut events = Vec::new();
         let zero = Ciphertext::from_raw(Ubig::from(0u64));
         let unreduced = Ciphertext::from_raw(key.modulus_squared().clone());
         // A multiple of n shares a factor with n, so it is not a unit.
@@ -221,13 +220,20 @@ mod tests {
             shares[1] = bad;
             let mut v = UploadValidator::new(2);
             let err = v
-                .check(&meter, PartyId::User(0), Step::SecureSumVotes, seq as u64, &shares, key)
+                .check(
+                    &mut events,
+                    PartyId::User(0),
+                    Step::SecureSumVotes,
+                    seq as u64,
+                    &shares,
+                    key,
+                )
                 .unwrap_err();
             assert!(
                 matches!(err, SmcError::InvalidCiphertext { from: PartyId::User(0), index: 1 }),
                 "seq {seq}: {err:?}"
             );
         }
-        assert_eq!(meter.fault_stats().rejected_ciphertexts, 3);
+        assert_eq!(events, [FaultEvent::RejectedCiphertext; 3]);
     }
 }

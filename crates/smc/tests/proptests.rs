@@ -4,22 +4,21 @@
 
 use dgk::comparison::{BlindedWitnesses, EvaluatorBits};
 use dgk::DgkParams;
-use paillier::{Ciphertext, Keypair};
+use paillier::{Ciphertext, PublicKey};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smc::audit::{commit_seed, fnv1a, fnv1a_start};
-use smc::blind_permute::{server1_blind_permute, server2_blind_permute, BlindPermuteOutput};
-use smc::bracket::{server1_argmax, server2_argmax};
-use smc::secure_sum::{
-    aggregate_user_vectors, aggregate_user_vectors_sharded, send_encrypted_vector,
-};
+use smc::blind_permute::{BlindPermute, BlindPermuteOutput};
+use smc::bracket::Argmax;
+use smc::machine::{Next, Outbox};
+use smc::secure_sum::{encrypt_share_vector, Collect};
 use smc::shard::intersect_sorted;
 use smc::{
-    AuditTap, Parallelism, Permutation, SessionConfig, SessionKeys, ShardConfig, ShardPlan,
-    ShareDomain,
+    run_pair, Machine, Parallelism, Permutation, SessionConfig, SessionKeys, ShardConfig,
+    ShardPlan, ShareDomain,
 };
-use transport::{LinkKind, Network, PartyId, Step};
+use transport::{PartyId, Step, Wire};
 
 proptest! {
     #[test]
@@ -193,64 +192,54 @@ proptest! {
     }
 }
 
-/// One shared Paillier keypair for the aggregation invariance property.
-fn agg_keypair() -> &'static Keypair {
+/// One shared session for the aggregation invariance property; uploads
+/// are S1-bound, so they are encrypted under [`agg_key`].
+fn agg_keys() -> &'static SessionKeys {
     use std::sync::OnceLock;
-    static KP: OnceLock<Keypair> = OnceLock::new();
-    KP.get_or_init(|| Keypair::generate(&mut StdRng::seed_from_u64(417), 64))
+    static KEYS: OnceLock<SessionKeys> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        SessionKeys::generate(SessionConfig::test(1, 1), &mut StdRng::seed_from_u64(417))
+    })
 }
 
-/// Receives `num_users` uploads over a fresh network and aggregates them
-/// with the given parallelism. Uploads are re-sent per call so both the
-/// sequential and the parallel run see identical ciphertexts.
-fn aggregate_uploads(uploads: &[Vec<Ciphertext>], par: &Parallelism) -> Vec<Ciphertext> {
-    let num_users = uploads.len();
-    let num_classes = uploads[0].len();
-    let mut net = Network::new(num_users);
-    let mut server = net.take_endpoint(PartyId::Server1);
-    for (u, vec) in uploads.iter().enumerate() {
-        let ep = net.take_endpoint(PartyId::User(u));
-        ep.send(PartyId::Server1, Step::SecureSumVotes, vec).unwrap();
-    }
-    aggregate_user_vectors(
-        &mut server,
-        Step::SecureSumVotes,
-        num_users,
-        num_classes,
-        agg_keypair().public_key(),
-        par,
-    )
-    .unwrap()
+fn agg_key() -> &'static PublicKey {
+    use std::sync::OnceLock;
+    static KEY: OnceLock<PublicKey> = OnceLock::new();
+    KEY.get_or_init(|| agg_keys().user().pk2().clone())
 }
 
-/// Like [`aggregate_uploads`], but drains the same uploads through the
-/// sharded streaming path under the given plan.
+/// Feeds S1's strict collection machine one upload per user of `plan`
+/// and returns the aggregate, folded at the given parallelism.
 fn aggregate_uploads_sharded(
     uploads: &[Vec<Ciphertext>],
     plan: &ShardPlan,
     par: &Parallelism,
 ) -> Vec<Ciphertext> {
-    let num_users = uploads.len();
+    let ctx = agg_keys().clone().with_parallelism(*par).server1();
     let num_classes = uploads[0].len();
-    let mut net = Network::new(num_users);
-    let mut server = net.take_endpoint(PartyId::Server1);
-    for (u, vec) in uploads.iter().enumerate() {
-        let ep = net.take_endpoint(PartyId::User(u));
-        ep.send(PartyId::Server1, Step::SecureSumVotes, vec).unwrap();
+    let mut machine = Collect::new(&ctx, Step::SecureSumVotes, plan.clone(), num_classes, 1, None);
+    let mut answer = None;
+    loop {
+        match machine.resume(&ctx, answer.take(), &mut Outbox::default()).unwrap() {
+            Next::Recv(recv) => {
+                let PartyId::User(u) = recv.from else {
+                    panic!("strict collection asks users only")
+                };
+                answer = Some(Ok((1, uploads[u].to_bytes())));
+            }
+            Next::Done(mut aggregate) => return aggregate.sums.pop().unwrap(),
+        }
     }
-    aggregate_user_vectors_sharded(
-        &mut server,
-        Step::SecureSumVotes,
-        plan,
-        num_classes,
-        agg_keypair().public_key(),
-        par,
-    )
-    .unwrap()
 }
 
-/// Runs a batched blind-and-permute over real channels with the given
-/// per-server parallelism, deterministically in every RNG stream.
+/// [`aggregate_uploads_sharded`] over the flat single-shard plan.
+fn aggregate_uploads(uploads: &[Vec<Ciphertext>], par: &Parallelism) -> Vec<Ciphertext> {
+    let roster: Vec<usize> = (0..uploads.len()).collect();
+    aggregate_uploads_sharded(uploads, &ShardPlan::flat(&roster), par)
+}
+
+/// Runs a batched blind-and-permute in memory with the given per-server
+/// parallelism, deterministically in every RNG stream.
 fn run_blind_permute(
     seed: u64,
     a_vec: &[i128],
@@ -260,65 +249,18 @@ fn run_blind_permute(
     let k = a_vec.len();
     let mut rng = StdRng::seed_from_u64(seed);
     let keys = SessionKeys::generate(SessionConfig::test(1, k), &mut rng).with_parallelism(par);
-    let s1_ctx = keys.server1();
-    let s2_ctx = keys.server2();
-    let user_ctx = keys.user();
+    let (s1_ctx, s2_ctx, user_ctx) = (keys.server1(), keys.server2(), keys.user());
 
-    let mut net = Network::new(1);
-    let mut s1 = net.take_endpoint(PartyId::Server1);
-    let mut s2 = net.take_endpoint(PartyId::Server2);
-    let user = net.take_endpoint(PartyId::User(0));
+    let user_par = user_ctx.parallelism();
+    let enc_a = encrypt_share_vector(a_vec, user_ctx.pk2(), user_par, &mut rng).unwrap();
+    let enc_b = encrypt_share_vector(b_vec, user_ctx.pk1(), user_par, &mut rng).unwrap();
 
-    send_encrypted_vector(
-        &user,
-        PartyId::Server1,
-        Step::Setup,
-        a_vec,
-        user_ctx.pk2(),
-        user_ctx.parallelism(),
-        &mut rng,
-    )
-    .unwrap();
-    send_encrypted_vector(
-        &user,
-        PartyId::Server2,
-        Step::Setup,
-        b_vec,
-        user_ctx.pk1(),
-        user_ctx.parallelism(),
-        &mut rng,
-    )
-    .unwrap();
-
-    std::thread::scope(|scope| {
-        let h1 = scope.spawn(move || {
-            let enc_a: Vec<Ciphertext> = s1.recv(PartyId::User(0), Step::Setup).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
-            server1_blind_permute(
-                &mut s1,
-                &s1_ctx,
-                &[enc_a],
-                Step::BlindPermute1,
-                &mut rng,
-                &mut AuditTap::disabled(),
-            )
-            .unwrap()
-        });
-        let h2 = scope.spawn(move || {
-            let enc_b: Vec<Ciphertext> = s2.recv(PartyId::User(0), Step::Setup).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
-            server2_blind_permute(
-                &mut s2,
-                &s2_ctx,
-                &[enc_b],
-                Step::BlindPermute1,
-                &mut rng,
-                &mut AuditTap::disabled(),
-            )
-            .unwrap()
-        });
-        (h1.join().unwrap(), h2.join().unwrap())
-    })
+    let half = |enc, seed| {
+        BlindPermute::new(vec![enc], Step::BlindPermute1, StdRng::seed_from_u64(seed), None)
+    };
+    let s1 = half(enc_a, seed.wrapping_add(1));
+    let s2 = half(enc_b, seed.wrapping_add(2));
+    run_pair((&s1_ctx, s1), (&s2_ctx, s2), Vec::new()).unwrap().outputs
 }
 
 proptest! {
@@ -334,7 +276,7 @@ proptest! {
         // |U| = 1 and K = 1 degenerates are in range, as are class counts
         // below the min-batch split threshold.
         let num_classes = votes[0].len();
-        let pk = agg_keypair().public_key();
+        let pk = agg_key();
         let mut rng = StdRng::seed_from_u64(seed);
         let uploads: Vec<Vec<Ciphertext>> = votes
             .iter()
@@ -364,7 +306,7 @@ proptest! {
         // fold bit for bit — Paillier addition is a canonical modular
         // multiplication, so grouping cannot change the product.
         let num_classes = votes[0].len();
-        let pk = agg_keypair().public_key();
+        let pk = agg_key();
         let mut rng = StdRng::seed_from_u64(seed);
         let uploads: Vec<Vec<Ciphertext>> = votes
             .iter()
@@ -455,10 +397,9 @@ fn bracket_keys() -> &'static SessionKeys {
 /// encryptions, S2's witness sets and S1's outcome bits.
 type RankTranscript = Vec<(Vec<EvaluatorBits>, Vec<BlindedWitnesses>, Vec<bool>)>;
 
-/// Runs `server1_argmax` and `server2_argmax` on two separate networks
-/// with the test relaying (and recording) every frame between them.
-/// Returns both winners, the transcript, and the S1↔S2 message count the
-/// S1-side meter saw.
+/// Runs both servers' [`Argmax`] in memory and reads every frame back off
+/// the transcript. Returns both winners, the transcript, and the S1↔S2
+/// message count.
 fn run_bracket(
     xs: &[i128],
     ys: &[i128],
@@ -468,39 +409,25 @@ fn run_bracket(
     let keys = bracket_keys().clone().with_parallelism(par);
     let (s1_ctx, s2_ctx) = (keys.server1(), keys.server2());
     let step = Step::CompareRank;
-    let rounds = xs.len().next_power_of_two().trailing_zeros();
+    let s1 = Argmax::new(xs.to_vec(), step, StdRng::seed_from_u64(seed));
+    let s2 = Argmax::new(ys.to_vec(), step, StdRng::seed_from_u64(seed ^ 0x5EED));
+    let run = run_pair((&s1_ctx, s1), (&s2_ctx, s2), Vec::new()).unwrap();
 
-    let (mut net_a, mut net_b) = (Network::new(0), Network::new(0));
-    let meter = std::sync::Arc::clone(net_a.meter());
-    let mut s1 = net_a.take_endpoint(PartyId::Server1);
-    let mut to_s1 = net_a.take_endpoint(PartyId::Server2);
-    let mut to_s2 = net_b.take_endpoint(PartyId::Server1);
-    let mut s2 = net_b.take_endpoint(PartyId::Server2);
-
-    let (w1, w2, transcript) = std::thread::scope(|scope| {
-        let h1 = scope.spawn(move || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            server1_argmax(&mut s1, &s1_ctx, xs, step, &mut rng).unwrap()
-        });
-        let h2 = scope.spawn(move || {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-            server2_argmax(&mut s2, &s2_ctx, ys, step, &mut rng).unwrap()
-        });
-        let transcript: RankTranscript = (0..rounds)
-            .map(|_| {
-                let bits: Vec<EvaluatorBits> = to_s1.recv(PartyId::Server1, step).unwrap();
-                to_s2.send(PartyId::Server2, step, &bits).unwrap();
-                let witnesses: Vec<BlindedWitnesses> = to_s2.recv(PartyId::Server2, step).unwrap();
-                to_s1.send(PartyId::Server1, step, &witnesses).unwrap();
-                let outcomes: Vec<bool> = to_s1.recv(PartyId::Server1, step).unwrap();
-                to_s2.send(PartyId::Server2, step, &outcomes).unwrap();
-                (bits, witnesses, outcomes)
-            })
-            .collect();
-        (h1.join().unwrap(), h2.join().unwrap(), transcript)
-    });
-    let messages = meter.report().link_stats(step, LinkKind::ServerToServer).messages;
-    (w1, w2, transcript, messages)
+    let messages = run.transcript.len() as u64;
+    let transcript: RankTranscript = run
+        .transcript
+        .chunks_exact(3)
+        .map(|round| {
+            let senders: Vec<PartyId> = round.iter().map(|f| f.from).collect();
+            assert_eq!(senders, [PartyId::Server1, PartyId::Server2, PartyId::Server1]);
+            (
+                Vec::from_bytes(round[0].payload.clone()).unwrap(),
+                Vec::from_bytes(round[1].payload.clone()).unwrap(),
+                Vec::from_bytes(round[2].payload.clone()).unwrap(),
+            )
+        })
+        .collect();
+    (run.outputs.0, run.outputs.1, transcript, messages)
 }
 
 /// One permuted slot: S1's share and the hidden total. S1 shares span

@@ -53,12 +53,10 @@
 pub mod checkpoint;
 pub mod faults;
 pub mod journal;
-pub mod latency;
 mod link;
 pub mod metrics;
 pub mod network;
 pub mod proxy;
-pub mod segment;
 pub mod session;
 pub mod tcp;
 pub mod wire;
@@ -69,11 +67,9 @@ pub use checkpoint::{
 };
 pub use faults::{ByzantineAction, FaultDecision, FaultPlan, SocketFault};
 pub use journal::{AppendJournal, JournalRecord};
-pub use latency::{LinkProfile, NetworkProfile};
 pub use metrics::{FaultEvent, FaultStats, LinkKind, Meter, MeterReport, Step};
 pub use network::{
-    Endpoint, Network, NetworkBuilder, PartyId, RecvEachError, TimeoutPolicy, TransportBackend,
-    TransportError,
+    Endpoint, Network, NetworkBuilder, PartyId, TimeoutPolicy, TransportBackend, TransportError,
 };
 pub use proxy::ChaosProxy;
 pub use session::{

@@ -224,45 +224,6 @@ fn classify_delay(env: &Envelope, window_end: Instant, final_deadline: Instant) 
     }
 }
 
-/// Everything that arrived during a partial [`Endpoint::recv_each`],
-/// alongside who failed and how.
-///
-/// Unlike a bare [`TransportError`], this keeps the successfully received
-/// values so a dropout-tolerant caller can continue with the surviving
-/// subset.
-pub struct RecvEachError<T> {
-    /// Values that did arrive, labelled by sender.
-    pub received: Vec<(PartyId, T)>,
-    /// Senders whose receive failed, with the root error each.
-    pub missing: Vec<(PartyId, TransportError)>,
-}
-
-impl<T> fmt::Debug for RecvEachError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RecvEachError")
-            .field("received", &self.received.iter().map(|(p, _)| *p).collect::<Vec<_>>())
-            .field("missing", &self.missing)
-            .finish()
-    }
-}
-
-impl<T> fmt::Display for RecvEachError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} of {} senders failed:",
-            self.missing.len(),
-            self.received.len() + self.missing.len()
-        )?;
-        for (p, e) in &self.missing {
-            write!(f, " {p}: {e};")?;
-        }
-        Ok(())
-    }
-}
-
-impl<T> Error for RecvEachError<T> {}
-
 /// A party's handle on the network: typed send/receive plus the shared
 /// meter.
 pub struct Endpoint {
@@ -325,7 +286,17 @@ impl Endpoint {
         self.liveness.as_ref().map_or(0, |l| l.expired_count(self.session))
     }
 
-    /// Sends `value` to `to`, tagged with `step`.
+    /// Sends `value` to `to`, tagged with `step` — [`Self::send_frame`]
+    /// of its [`Wire`] encoding.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::send_frame`].
+    pub fn send<T: Wire>(&self, to: PartyId, step: Step, value: &T) -> Result<(), TransportError> {
+        self.send_frame(to, step, value.to_bytes())
+    }
+
+    /// Sends an already-encoded `payload` to `to`, tagged with `step`.
     ///
     /// If a [`FaultPlan`] is attached, the message may be silently
     /// dropped, delayed, duplicated or corrupted here (each recorded on
@@ -336,7 +307,12 @@ impl Endpoint {
     /// Returns [`TransportError::UnknownParty`] for destinations outside
     /// the network and [`TransportError::Disconnected`] if the peer's
     /// endpoint was dropped.
-    pub fn send<T: Wire>(&self, to: PartyId, step: Step, value: &T) -> Result<(), TransportError> {
+    pub fn send_frame(
+        &self,
+        to: PartyId,
+        step: Step,
+        payload: Bytes,
+    ) -> Result<(), TransportError> {
         if let Some(plan) = &self.faults {
             if plan.is_crashed(self.id, step) {
                 // The dead party doesn't know it is dead: the send
@@ -345,7 +321,6 @@ impl Endpoint {
                 return Ok(());
             }
         }
-        let payload = value.to_bytes();
         self.meter.record_message(step, self.id.link_to(to), payload.len());
         let sender = self.outgoing.get(&to).ok_or(TransportError::UnknownParty(to))?;
         let seq = {
@@ -399,41 +374,26 @@ impl Endpoint {
     /// checksum, [`TransportError::Disconnected`] if all senders are
     /// gone, or [`TransportError::Codec`] if the payload fails to decode.
     pub fn recv<T: Wire>(&mut self, from: PartyId, step: Step) -> Result<T, TransportError> {
-        self.recv_with_timeout(from, step, self.timeout)
+        let (_, payload) = self.recv_frame(from, step, self.timeout)?;
+        T::from_bytes(payload).map_err(Into::into)
     }
 
-    /// [`Self::recv`], additionally returning the frame's per-link
-    /// sequence number so application-layer validation can reject
-    /// duplicate `(sender, step, seq)` submissions and recovery replay
-    /// can stay idempotent.
+    /// The undecoded form of [`Self::recv`] under an explicit `policy`:
+    /// the frame's per-link sequence number (so application-layer
+    /// validation can reject duplicate `(sender, step, seq)` submissions)
+    /// and its payload bytes.
     ///
     /// # Errors
     ///
-    /// See [`Self::recv`].
-    pub fn recv_tagged<T: Wire>(
-        &mut self,
-        from: PartyId,
-        step: Step,
-    ) -> Result<(u64, T), TransportError> {
-        let env = self.recv_envelope(from, step, self.timeout)?;
-        let seq = env.seq;
-        let value = T::from_bytes(env.payload)?;
-        Ok((seq, value))
-    }
-
-    /// [`Self::recv`] with an explicit per-call timeout policy.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::recv`].
-    pub fn recv_with_timeout<T: Wire>(
+    /// See [`Self::recv`] ([`TransportError::Codec`] excepted).
+    pub fn recv_frame(
         &mut self,
         from: PartyId,
         step: Step,
         policy: TimeoutPolicy,
-    ) -> Result<T, TransportError> {
+    ) -> Result<(u64, Bytes), TransportError> {
         let env = self.recv_envelope(from, step, policy)?;
-        T::from_bytes(env.payload).map_err(Into::into)
+        Ok((env.seq, env.payload))
     }
 
     /// The blocking matcher behind every receive: returns the next
@@ -557,34 +517,6 @@ impl Endpoint {
             return Err(TransportError::Corrupt(env.from));
         }
         Ok(env)
-    }
-
-    /// Receives one message from each of `froms`, in the given order,
-    /// continuing past per-sender failures.
-    ///
-    /// # Errors
-    ///
-    /// If any sender fails, returns a [`RecvEachError`] carrying every
-    /// value that *did* arrive plus the per-sender root errors — callers
-    /// tolerating dropouts can proceed with the survivors.
-    pub fn recv_each<T: Wire>(
-        &mut self,
-        froms: impl IntoIterator<Item = PartyId>,
-        step: Step,
-    ) -> Result<Vec<T>, RecvEachError<T>> {
-        let mut received = Vec::new();
-        let mut missing = Vec::new();
-        for from in froms {
-            match self.recv(from, step) {
-                Ok(value) => received.push((from, value)),
-                Err(e) => missing.push((from, e)),
-            }
-        }
-        if missing.is_empty() {
-            Ok(received.into_iter().map(|(_, v)| v).collect())
-        } else {
-            Err(RecvEachError { received, missing })
-        }
     }
 }
 
@@ -911,18 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_each_collects_in_order() {
-        let mut net = Network::new(3);
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let users: Vec<_> = (0..3).map(|i| net.take_endpoint(PartyId::User(i))).collect();
-        for (i, u) in users.iter().enumerate() {
-            u.send(PartyId::Server1, Step::SecureSumVotes, &(i as u64 * 100)).unwrap();
-        }
-        let got: Vec<u64> = s1.recv_each((0..3).map(PartyId::User), Step::SecureSumVotes).unwrap();
-        assert_eq!(got, vec![0, 100, 200]);
-    }
-
-    #[test]
     fn party_display_and_link_kind() {
         assert_eq!(PartyId::User(3).to_string(), "user3");
         assert_eq!(PartyId::Server1.link_to(PartyId::Server2), LinkKind::ServerToServer);
@@ -935,25 +855,6 @@ mod tests {
     /// A short policy so fault tests fail fast instead of waiting 120 s.
     fn quick() -> TimeoutPolicy {
         TimeoutPolicy::new(Duration::from_millis(50))
-    }
-
-    #[test]
-    fn recv_each_partial_failure_keeps_received_values() {
-        let mut net = Network::builder(3).timeout(quick()).build();
-        let mut s1 = net.take_endpoint(PartyId::Server1);
-        let u0 = net.take_endpoint(PartyId::User(0));
-        let u2 = net.take_endpoint(PartyId::User(2));
-        // user1 never sends (and never disconnects: its endpoint stays in
-        // the network), so its slot times out.
-        u0.send(PartyId::Server1, Step::SecureSumVotes, &5u64).unwrap();
-        u2.send(PartyId::Server1, Step::SecureSumVotes, &7u64).unwrap();
-        let err = s1.recv_each::<u64>((0..3).map(PartyId::User), Step::SecureSumVotes).unwrap_err();
-        assert_eq!(err.received, vec![(PartyId::User(0), 5), (PartyId::User(2), 7)]);
-        assert_eq!(err.missing.len(), 1);
-        assert_eq!(err.missing[0].0, PartyId::User(1));
-        assert_eq!(err.missing[0].1, TransportError::Timeout(PartyId::User(1)));
-        let stats = net.meter().fault_stats();
-        assert_eq!(stats.timeouts, 1);
     }
 
     #[test]
@@ -996,7 +897,7 @@ mod tests {
         let mut s1 = net.take_endpoint(PartyId::Server1);
         let start = Instant::now();
         let err = s1
-            .recv_with_timeout::<u64>(
+            .recv_frame(
                 PartyId::User(0),
                 Step::SecureSumVotes,
                 TimeoutPolicy::new(Duration::from_millis(20)),
@@ -1128,17 +1029,16 @@ mod tests {
     }
 
     #[test]
-    fn recv_tagged_exposes_per_link_sequence_numbers() {
+    fn recv_frame_exposes_per_link_sequence_numbers() {
         let mut net = Network::new(1);
         let u = net.take_endpoint(PartyId::User(0));
         let mut s1 = net.take_endpoint(PartyId::Server1);
         u.send(PartyId::Server1, Step::SecureSumVotes, &7u64).unwrap();
         u.send(PartyId::Server1, Step::SecureSumVotes, &8u64).unwrap();
-        let (seq_a, a): (u64, u64) =
-            s1.recv_tagged(PartyId::User(0), Step::SecureSumVotes).unwrap();
-        let (seq_b, b): (u64, u64) =
-            s1.recv_tagged(PartyId::User(0), Step::SecureSumVotes).unwrap();
-        assert_eq!((a, b), (7, 8));
+        let policy = s1.timeout_policy();
+        let (seq_a, a) = s1.recv_frame(PartyId::User(0), Step::SecureSumVotes, policy).unwrap();
+        let (seq_b, b) = s1.recv_frame(PartyId::User(0), Step::SecureSumVotes, policy).unwrap();
+        assert_eq!((u64::from_bytes(a).unwrap(), u64::from_bytes(b).unwrap()), (7, 8));
         assert_eq!((seq_a, seq_b), (1, 2), "per-link seq starts at 1 and increments");
     }
 
@@ -1215,14 +1115,14 @@ mod tests {
             // Let the producer hit the bound before consuming anything.
             std::thread::sleep(Duration::from_millis(50));
             for i in 0..40u64 {
-                let v: u64 = s1
-                    .recv_with_timeout(
+                let (_, v) = s1
+                    .recv_frame(
                         PartyId::User(0),
                         Step::SecureSumVotes,
                         TimeoutPolicy::new(Duration::from_secs(2)),
                     )
                     .unwrap();
-                assert_eq!(v, i);
+                assert_eq!(u64::from_bytes(v).unwrap(), i);
             }
         });
         let stats = net.meter().fault_stats();

@@ -157,21 +157,23 @@ fn main() {
     let key = keys.server1().peer_public().clone();
     let good: Vec<Ciphertext> =
         (0..classes).map(|_| key.encrypt(&Ubig::from(1u64), &mut rng).expect("encrypt")).collect();
-    let meter = Meter::new();
+    let mut rejections = Vec::new();
     let mut validator = UploadValidator::new(classes);
+    let step = Step::SecureSumVotes;
     validator
-        .check(&meter, PartyId::User(0), Step::SecureSumVotes, 1, &good, &key)
+        .check(&mut rejections, PartyId::User(0), step, 1, &good, &key)
         .expect("a well-formed upload passes");
-    let replay = validator.check(&meter, PartyId::User(0), Step::SecureSumVotes, 1, &good, &key);
+    let replay = validator.check(&mut rejections, PartyId::User(0), step, 1, &good, &key);
     println!("replayed sequence:    {}", replay.unwrap_err());
-    let arity =
-        validator.check(&meter, PartyId::User(1), Step::SecureSumVotes, 1, &good[..1], &key);
+    let arity = validator.check(&mut rejections, PartyId::User(1), step, 1, &good[..1], &key);
     println!("truncated vector:     {}", arity.unwrap_err());
     let mut hostile = good.clone();
     hostile[0] = Ciphertext::from_raw(Ubig::from(0u64));
-    let malformed =
-        validator.check(&meter, PartyId::User(2), Step::SecureSumVotes, 2, &hostile, &key);
+    let malformed = validator.check(&mut rejections, PartyId::User(2), step, 2, &hostile, &key);
     println!("malformed ciphertext: {}", malformed.unwrap_err());
+    // A round's driver counts what the validator emits on its meter.
+    let meter = Meter::new();
+    rejections.into_iter().for_each(|event| meter.record_fault(event));
     print!("\n{}", meter.report().render_fault_summary());
 
     // The same story over real loopback sockets: a chaos proxy severs

@@ -2,7 +2,8 @@
 # The repository's CI gate, for machines with crates.io access:
 #
 #   1. cargo fmt --check          — formatting (rustfmt.toml at the root)
-#   2. cargo clippy -D warnings   — lints, all targets
+#   2. cargo clippy -D warnings   — lints, all targets; plus two greps:
+#      smc and core spawn no thread, and smc names no Endpoint
 #   3. cargo build --release      — the tier-1 build
 #   4. cargo test                 — the tier-1 test suite
 #   5. the smoke suites, the bench harness gate and the repo benchmark's
@@ -21,6 +22,10 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> one round, one driver (no thread in smc/core, no endpoint inside smc)"
+if grep -rnE 'thread::(scope|spawn)' crates/smc/src crates/core/src; then exit 1; fi
+if grep -rn 'Endpoint' crates/smc/src; then exit 1; fi
 
 echo "==> cargo build --release"
 cargo build --release

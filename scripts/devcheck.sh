@@ -31,6 +31,9 @@ case "$cmd" in
     # instead — identical lints, patches intact.
     RUSTC_WORKSPACE_WRAPPER="$(command -v clippy-driver)" CLIPPY_ARGS="-Dwarnings" \
       cargo "${config[@]}" check --workspace --all-targets --offline "$@"
+    # One round, one driver: smc and core spawn no thread, smc names no Endpoint.
+    if grep -rnE 'thread::(scope|spawn)' "${repo}"/crates/{smc,core}/src; then exit 1; fi
+    if grep -rn 'Endpoint' "${repo}/crates/smc/src"; then exit 1; fi
     ;;
   fmt)
     cargo fmt --all -- --check
