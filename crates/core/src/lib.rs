@@ -23,9 +23,9 @@
 //!   checkpoints, a resuming round supervisor, and exactly-once RDP
 //!   accounting across resumptions;
 //! * [`reactor`] — the multi-session consensus reactor: each round as a
-//!   pollable state machine over session-tagged frames, a fair
-//!   round-robin scheduler with admission control, deadline watchdogs
-//!   and overload shedding, with per-session fault isolation;
+//!   state machine fed session-tagged frames it checks one by one, a
+//!   fair round-robin scheduler with admission control, deadline
+//!   watchdogs and overload shedding, with per-session fault isolation;
 //! * [`campaign`] — budget-gated labeling campaigns, from the in-memory
 //!   clear-path [`Campaign`] to the durable [`CampaignRunner`] daemon
 //!   with its crash-safe RDP ledger, roster churn, and per-round cost
@@ -66,8 +66,7 @@ pub use campaign::{
 pub use config::{ConsensusConfig, VoteKind};
 pub use pipeline::{ExperimentOutcome, LabelingMode};
 pub use reactor::{
-    Reactor, ReactorConfig, RejectReason, SessionMachine, SessionPoll, SessionRejected,
-    SessionResult,
+    Reactor, ReactorConfig, RejectReason, SessionMachine, SessionRejected, SessionResult,
 };
 pub use recovery::{RdpLedger, RoundSupervisor};
 pub use secure::{ConsensusFingerprint, RoundHealth, SecureEngine, SecureOutcome, SecureWitness};

@@ -8,13 +8,12 @@
 //! module turns the server side of a round into an explicit non-blocking
 //! state machine and drives hundreds of them from one scheduler loop:
 //!
-//! * [`SessionMachine`] — one round as a pollable state machine, seeded
-//!   by the serializable [`smc::RoundState`] the crash-recovery layer already
-//!   checkpoints. `poll(incoming_frame)` ingests at most one
-//!   session-tagged frame and performs one bounded unit of work — either
-//!   buffering an upload or advancing both servers exactly one pipeline
-//!   step — and reports [`SessionPoll::NeedMore`], `Emit`, `Done`, or
-//!   `Failed`.
+//! * [`SessionMachine`] — one round, seeded by the serializable
+//!   [`smc::RoundState`] the crash-recovery layer already checkpoints. It
+//!   holds one slot per upload frame it expects (six per roster user),
+//!   indexed by the frame's canonical `seq`; once every slot is full the
+//!   round launches, and from then on one poll advances both servers
+//!   exactly one pipeline step.
 //! * [`Reactor`] — the session table and scheduler: admission control
 //!   against a hard session cap and an optional RDP budget (typed
 //!   [`SessionRejected`], never a panic), fair round-robin servicing,
@@ -22,26 +21,42 @@
 //!   `sessions_{admitted,rejected,evicted}` counters on the shared
 //!   [`Meter`].
 //!
+//! # The network-facing edge
+//!
+//! [`Reactor::ingest`] is where bytes off the network meet a session, so
+//! nothing it is handed is trusted. A frame is looked up by session id
+//! (typed [`SessionError::UnknownSession`]) and stored — once, with no
+//! queue in front of it — in the slot its `seq` names, and only if its
+//! `(from, to, step)` is exactly what the roster puts at that index:
+//! a forged sender, a user off the roster, a wrong destination or step,
+//! or a renumbered `seq` is a typed [`SessionError::UnexpectedFrame`] that
+//! touches no other session. A frame for an occupied slot — before or
+//! after the round launched — is a redelivery and is ignored, so arrival
+//! order and duplication never matter. The reactor emits no frames: a
+//! session's only output is its [`SessionResult`].
+//!
 //! # Fault isolation
 //!
-//! Each session runs over its own private micro-network (fresh bounded
-//! links, sequence numbers restarting at 1), so a crashed, equivocating,
-//! or quorum-losing session is torn down without touching any neighbor:
-//! every other session's
+//! Each session runs over its own private micro-network (two fresh
+//! bounded inboxes, sequence numbers restarting at 1), so a crashed,
+//! equivocating, or quorum-losing session is torn down without touching
+//! any neighbor: every other session's
 //! [`ConsensusFingerprint`](crate::ConsensusFingerprint) stays
 //! bit-identical to a solo run of the same round. A running session is
 //! the engine's own round loop (`secure::Servers`) taken one step at a
-//! time — the loop `run_round` runs to the end — so the reactor cannot
-//! drift from the blocking path.
+//! time — the loop `run_round` runs to the end, launched through the same
+//! `SecureEngine::launch` — so the reactor cannot drift from the blocking
+//! path.
 //!
 //! # Scheduling model
 //!
 //! One poll advances both servers by one protocol step on the calling
 //! thread: the steps are interactive, but strictly alternating, so one
 //! loop resumes whichever server's machine can run. No poll creates a
-//! thread. Work per poll is bounded by the most expensive single step,
-//! which is what makes round-robin servicing fair: no session can hold
-//! the scheduler for a whole round.
+//! thread. Work per poll is bounded by the most expensive single step
+//! (the first poll also launches the round: it injects the stored
+//! payloads, which copies no ciphertext), which is what makes round-robin
+//! servicing fair: no session can hold the scheduler for a whole round.
 //!
 //! # Exactly-once accounting
 //!
@@ -62,50 +77,32 @@ use dp::rdp::LinearRdp;
 use rand::Rng;
 use smc::machine::Frame;
 use smc::SmcError;
-use transport::{FaultEvent, FaultStats, Meter, PartyId, SessionDemux, SessionError, SessionFrame};
+use transport::{FaultEvent, FaultStats, Meter, SessionError, SessionFrame, Wire};
 
 use crate::recovery::RdpLedger;
 use crate::secure::{PreparedRound, SecureEngine, SecureOutcome, Servers, FROM_START};
 
-/// What one [`SessionMachine::poll`] call produced.
-#[derive(Debug)]
-pub enum SessionPoll {
-    /// The machine is blocked on frames that have not arrived yet.
-    NeedMore,
-    /// One pipeline step completed; the frames are outbound progress
-    /// beacons for the session's gateway.
-    Emit(Vec<SessionFrame>),
-    /// The round reached its terminal state and cross-checked cleanly.
-    Done(Box<SecureOutcome>),
-    /// The round failed; the machine is dead and must not be polled
-    /// again.
-    Failed(SmcError),
-}
-
-/// Internal lifecycle of a session machine.
-enum Phase {
-    /// Waiting for the client upload frames (6 per roster user).
-    Collecting { buffered: Vec<SessionFrame>, expected: usize },
-    /// Both servers live over the session's private micro-network.
-    Running(Box<Servers>),
-    /// Done, failed, or poisoned mid-transition.
-    Finished,
-}
-
-/// One consensus round as a pollable, non-blocking state machine.
+/// One consensus round as a non-blocking state machine.
 ///
 /// Construction prepares the round (user shares, noise, encrypted
 /// payloads) and returns the session-tagged upload frames a client-side
-/// gateway would put on the wire; the machine then consumes those frames
-/// back through [`SessionMachine::poll`] and advances the two server
-/// pipelines one step per poll. See the [module docs](self).
+/// gateway would put on the wire; the machine then takes those frames
+/// back through [`Reactor::ingest`] and, once it holds them all, advances
+/// the two server pipelines one step per poll. See the
+/// [module docs](self).
 pub struct SessionMachine {
     session: u64,
     engine: Arc<SecureEngine>,
     meter: Arc<Meter>,
     prepared: PreparedRound,
     fault_stats_before: FaultStats,
-    phase: Phase,
+    /// One slot per expected upload frame, indexed by canonical `seq`;
+    /// emptied into the round when it launches.
+    slots: Vec<Option<Bytes>>,
+    /// Slots still empty. Stays 0 after the launch.
+    missing: usize,
+    /// Both servers, once the round launched.
+    servers: Option<Box<Servers>>,
 }
 
 impl fmt::Debug for SessionMachine {
@@ -117,7 +114,8 @@ impl fmt::Debug for SessionMachine {
 impl SessionMachine {
     /// Prepares one round for `session` and returns the machine plus the
     /// client upload frames (six per roster user, in the canonical
-    /// per-user order, sequence-numbered so arrival order never matters).
+    /// per-user order, each numbered with its index so arrival order
+    /// never matters).
     ///
     /// # Errors
     ///
@@ -148,7 +146,6 @@ impl SessionMachine {
                 payload,
             })
             .collect();
-        let expected = frames.len();
         let fault_stats_before = meter.fault_stats();
         let machine = SessionMachine {
             session,
@@ -156,7 +153,9 @@ impl SessionMachine {
             meter,
             prepared,
             fault_stats_before,
-            phase: Phase::Collecting { buffered: Vec::new(), expected },
+            slots: vec![None; frames.len()],
+            missing: frames.len(),
+            servers: None,
         };
         Ok((machine, frames))
     }
@@ -166,107 +165,68 @@ impl SessionMachine {
         self.session
     }
 
-    /// True while the machine is still waiting for upload frames (and
-    /// therefore cannot progress without one).
-    pub fn is_collecting(&self) -> bool {
-        matches!(self.phase, Phase::Collecting { .. })
-    }
-
-    /// Ingests at most one frame and performs one bounded unit of work.
-    ///
-    /// While collecting, the frame is buffered; once all uploads are
-    /// present the private network is built and the payloads injected
-    /// (the heavy transition — still one poll). While running, both
-    /// servers advance exactly one pipeline step; the poll returns
-    /// [`SessionPoll::Emit`] with a progress beacon, or
-    /// [`SessionPoll::Done`]/[`SessionPoll::Failed`] on termination.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after the machine reported `Done` or `Failed` —
-    /// a scheduler bug, not a protocol condition.
-    pub fn poll(&mut self, incoming: Option<SessionFrame>) -> SessionPoll {
-        match &mut self.phase {
-            Phase::Collecting { buffered, expected } => {
-                if let Some(frame) = incoming {
-                    debug_assert_eq!(frame.session, self.session, "demux routed a foreign frame");
-                    // Duplicate-tolerant: redelivered frames are keyed out
-                    // by their sequence number.
-                    if buffered.iter().all(|f| f.seq != frame.seq) {
-                        buffered.push(frame);
-                    }
-                }
-                if buffered.len() < *expected {
-                    return SessionPoll::NeedMore;
-                }
-                let mut frames = std::mem::take(buffered);
-                frames.sort_by_key(|f| f.seq);
-                // Poisoned until the transition succeeds: a failed start
-                // must not leave a half-built Running phase behind.
-                self.phase = Phase::Finished;
-                match self.start_round(frames) {
-                    Ok(run) => {
-                        self.phase = Phase::Running(run);
-                        SessionPoll::NeedMore
-                    }
-                    Err(e) => SessionPoll::Failed(e),
-                }
+    /// Stores `frame` in the slot its `seq` names, if its header is the
+    /// one that slot expects. Returns whether the slot was empty — a
+    /// frame for an occupied slot (every slot, once the round launched)
+    /// is a redelivery and changes nothing.
+    fn accept(&mut self, frame: SessionFrame) -> Result<bool, SessionError> {
+        let header = Some((frame.from, frame.to, frame.step));
+        let index = usize::try_from(frame.seq)
+            .ok()
+            .filter(|&index| self.prepared.upload_header(index) == header)
+            .ok_or(SessionError::UnexpectedFrame { session: self.session, seq: frame.seq })?;
+        match self.slots.get_mut(index) {
+            Some(slot @ None) => {
+                *slot = Some(frame.payload);
+                self.missing -= 1;
+                Ok(true)
             }
-            Phase::Running(servers) => {
-                debug_assert!(incoming.is_none(), "running sessions consume no further frames");
-                if let Err(e) = servers.step(&mut ()) {
-                    self.phase = Phase::Finished;
-                    return SessionPoll::Failed(e);
-                }
-                if !servers.is_terminal() {
-                    let step = servers.completed_step();
-                    let beacon = SessionFrame {
-                        session: self.session,
-                        from: PartyId::Server1,
-                        to: PartyId::User(self.prepared.roster[0]),
-                        step,
-                        seq: u64::from(step.ordinal()),
-                        payload: Bytes::new(),
-                    };
-                    return SessionPoll::Emit(vec![beacon]);
-                }
-                let (done1, done2) = servers.states();
-                self.phase = Phase::Finished;
-                let outcome = self.engine.finalize_round(
-                    &self.prepared,
-                    done1,
-                    done2,
-                    &self.meter,
-                    self.fault_stats_before,
-                    0,
-                    Vec::new(),
-                );
-                SessionPoll::Done(Box::new(outcome))
-            }
-            Phase::Finished => panic!("poll on a terminal session machine"),
+            _ => Ok(false),
         }
     }
 
-    /// Builds the session's private micro-network and injects the
-    /// collected upload payloads — per user, in canonical slot order, so
-    /// each fresh link's sequence numbers reproduce the solo run's and
-    /// any fault decisions keyed on `(from, to, step, seq)` fire
-    /// identically.
-    fn start_round(&self, frames: Vec<SessionFrame>) -> Result<Box<Servers>, SmcError> {
-        let servers = self.engine.launch(
+    /// Advances both servers exactly one pipeline step — launching the
+    /// round first if this is the first poll: the session's private
+    /// micro-network is built and the stored payloads injected per user,
+    /// in canonical slot order, so each fresh link's sequence numbers
+    /// reproduce the solo run's and any fault decisions keyed on
+    /// `(from, to, step, seq)` fire identically. Returns the outcome once
+    /// the round is terminal and cross-checked; after an error the machine
+    /// is dead. The scheduler polls only machines with every slot full.
+    fn poll(&mut self) -> Result<Option<Box<SecureOutcome>>, SmcError> {
+        if self.servers.is_none() {
+            let payloads = std::mem::take(&mut self.slots).into_iter().enumerate();
+            let uploads = payloads.map(|(seq, payload)| {
+                let (from, to, step) =
+                    self.prepared.upload_header(seq).expect("one slot per upload");
+                Frame { from, to, step, payload: payload.expect("polled with every slot full") }
+            });
+            let servers = self.engine.launch(
+                &self.prepared,
+                uploads,
+                &self.meter,
+                self.engine.fault_plan().cloned(),
+                FROM_START,
+                self.engine.next_audit_round(),
+            )?;
+            self.servers = Some(Box::new(servers));
+        }
+        let servers = self.servers.as_mut().expect("launched above");
+        servers.step(&mut ())?;
+        if !servers.is_terminal() {
+            return Ok(None);
+        }
+        let (done1, done2) = servers.states();
+        let outcome = self.engine.finalize_round(
             &self.prepared,
-            frames.into_iter().map(|f| Frame {
-                from: f.from,
-                to: f.to,
-                step: f.step,
-                payload: f.payload,
-            }),
+            done1,
+            done2,
             &self.meter,
-            self.engine.fault_plan().cloned(),
-            FROM_START,
-            self.engine.next_audit_round(),
-        )?;
-        Ok(Box::new(servers))
+            self.fault_stats_before,
+            0,
+            Vec::new(),
+        );
+        Ok(Some(Box::new(outcome)))
     }
 }
 
@@ -368,12 +328,10 @@ struct SessionEntry {
 pub struct Reactor {
     config: ReactorConfig,
     meter: Arc<Meter>,
-    demux: SessionDemux,
     sessions: HashMap<u64, SessionEntry>,
     run_queue: VecDeque<u64>,
     results: HashMap<u64, SessionResult>,
     latencies: Vec<(u64, Duration)>,
-    outbox: Vec<SessionFrame>,
     budget: Option<BudgetGate>,
 }
 
@@ -389,12 +347,10 @@ impl Reactor {
         Reactor {
             config,
             meter,
-            demux: SessionDemux::new(),
             sessions: HashMap::new(),
             run_queue: VecDeque::new(),
             results: HashMap::new(),
             latencies: Vec::new(),
-            outbox: Vec::new(),
             budget: None,
         }
     }
@@ -467,7 +423,6 @@ impl Reactor {
                 );
             }
         }
-        self.demux.register(session);
         let now = Instant::now();
         self.sessions
             .insert(session, SessionEntry { machine, admitted_at: now, last_progress: now });
@@ -476,74 +431,77 @@ impl Reactor {
         Ok(session)
     }
 
-    /// Routes one session-tagged frame toward its session's queue.
+    /// Hands one session-tagged frame to its session, which stores it in
+    /// the slot its `seq` names (see the [module docs](self)). A
+    /// redelivered frame is accepted and ignored.
     ///
     /// # Errors
     ///
     /// [`SessionError::UnknownSession`] for a session never admitted or
-    /// already finished — typed, never a panic.
+    /// already finished; [`SessionError::UnexpectedFrame`] when `seq` is
+    /// out of range or the header is not the one the session expects
+    /// there. Typed, never a panic, and no other session is touched.
     pub fn ingest(&mut self, frame: SessionFrame) -> Result<(), SessionError> {
-        self.demux.route(frame)
+        let entry = self
+            .sessions
+            .get_mut(&frame.session)
+            .ok_or(SessionError::UnknownSession(frame.session))?;
+        if entry.machine.accept(frame)? {
+            entry.last_progress = Instant::now();
+        }
+        Ok(())
     }
 
-    /// Decodes raw bytes off a shared link and routes the frame.
+    /// Decodes raw bytes off a shared link and ingests the frame.
     ///
     /// # Errors
     ///
     /// [`SessionError::Codec`] on malformed bytes, otherwise as
     /// [`Reactor::ingest`].
     pub fn ingest_encoded(&mut self, bytes: Bytes) -> Result<u64, SessionError> {
-        self.demux.decode_and_route(bytes)
+        let frame = SessionFrame::from_bytes(bytes)?;
+        let session = frame.session;
+        self.ingest(frame)?;
+        Ok(session)
     }
 
     /// Drives every live session until all are terminal, servicing them
-    /// round-robin with one poll per session per sweep. Sessions blocked
-    /// on frames that never arrive are evicted once their progress
-    /// deadline lapses, so the call always returns. Returns the number
-    /// of machine polls performed.
+    /// round-robin with one poll — one pipeline step — per session per
+    /// sweep. Sessions blocked on frames that never arrive are evicted
+    /// once their progress deadline lapses, so the call always returns.
+    /// Returns the number of machine polls performed.
     pub fn run_until_idle(&mut self) -> usize {
         let mut polls = 0;
         loop {
             let mut progressed = false;
             for _ in 0..self.run_queue.len() {
                 let Some(sid) = self.run_queue.pop_front() else { break };
-                let Some(entry) = self.sessions.get(&sid) else { continue };
+                let Some(entry) = self.sessions.get_mut(&sid) else { continue };
                 // Watchdog: evict before polling, without touching any
                 // neighbor session.
                 let stalled_for = entry.last_progress.elapsed();
                 if stalled_for > self.config.deadline {
                     self.sessions.remove(&sid);
-                    self.demux.retire(sid);
                     self.meter.record_fault(FaultEvent::SessionEvicted);
                     self.results.insert(sid, SessionResult::Evicted { stalled_for });
                     progressed = true;
                     continue;
                 }
-                let frame = self.demux.next_frame(sid);
-                let had_frame = frame.is_some();
-                let entry = self.sessions.get_mut(&sid).expect("entry checked above");
-                if !had_frame && entry.machine.is_collecting() {
-                    // Blocked: nothing to feed it. Stays queued for the
+                if entry.machine.missing > 0 {
+                    // Blocked: uploads outstanding. Stays queued for the
                     // next sweep (or the watchdog).
                     self.run_queue.push_back(sid);
                     continue;
                 }
                 polls += 1;
-                match entry.machine.poll(frame) {
-                    SessionPoll::NeedMore => {
+                progressed = true;
+                match entry.machine.poll() {
+                    Ok(None) => {
                         entry.last_progress = Instant::now();
-                        progressed = true;
                         self.run_queue.push_back(sid);
                     }
-                    SessionPoll::Emit(frames) => {
-                        entry.last_progress = Instant::now();
-                        self.outbox.extend(frames);
-                        progressed = true;
-                        self.run_queue.push_back(sid);
-                    }
-                    SessionPoll::Done(outcome) => {
+                    Ok(Some(outcome)) => {
                         let entry = self.sessions.remove(&sid).expect("entry live");
-                        self.demux.retire(sid);
                         if let Some(gate) = &mut self.budget {
                             // Exactly once per session id, by construction
                             // of the ledger.
@@ -551,13 +509,10 @@ impl Reactor {
                         }
                         self.latencies.push((sid, entry.admitted_at.elapsed()));
                         self.results.insert(sid, SessionResult::Done(outcome));
-                        progressed = true;
                     }
-                    SessionPoll::Failed(e) => {
+                    Err(e) => {
                         self.sessions.remove(&sid);
-                        self.demux.retire(sid);
                         self.results.insert(sid, SessionResult::Failed(e));
-                        progressed = true;
                     }
                 }
             }
@@ -596,11 +551,6 @@ impl Reactor {
     pub fn latencies(&self) -> &[(u64, Duration)] {
         &self.latencies
     }
-
-    /// Drains the outbound progress beacons emitted since the last call.
-    pub fn drain_outbox(&mut self) -> Vec<SessionFrame> {
-        std::mem::take(&mut self.outbox)
-    }
 }
 
 #[cfg(test)]
@@ -626,5 +576,55 @@ mod tests {
         let cfg = ReactorConfig::default();
         assert!(cfg.max_sessions > 0);
         assert!(cfg.deadline > Duration::ZERO);
+    }
+
+    #[test]
+    fn a_frame_redelivered_to_a_running_round_is_ignored() {
+        use crate::config::ConsensusConfig;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use smc::SessionConfig;
+
+        let mut rng = StdRng::seed_from_u64(41);
+        let engine = SecureEngine::new(
+            SessionConfig::test(3, 2),
+            ConsensusConfig::paper_default(1e-6, 1e-6),
+            &mut rng,
+        );
+        let votes = vec![vec![0.0, 1.0]; 3];
+        let meter = Meter::new();
+        let (machine, frames) = SessionMachine::new(
+            5,
+            Arc::new(engine),
+            &votes,
+            &[0, 1, 2],
+            Arc::clone(&meter),
+            &mut rng,
+        )
+        .unwrap();
+        let mut reactor = Reactor::new(ReactorConfig::default(), meter);
+        reactor.admit(machine).unwrap();
+        for frame in &frames {
+            reactor.ingest(frame.clone()).unwrap();
+        }
+        // One poll: the round launches (its slots are spent) and step 2 runs.
+        let running = &mut reactor.sessions.get_mut(&5).unwrap().machine;
+        assert!(running.poll().unwrap().is_none());
+        assert!(running.servers.is_some() && running.slots.is_empty());
+        for frame in &frames {
+            reactor.ingest(frame.clone()).expect("a redelivery, not an error");
+        }
+        // A forgery still is one.
+        let forged = SessionFrame { from: transport::PartyId::Server2, ..frames[0].clone() };
+        assert_eq!(
+            reactor.ingest(forged).unwrap_err(),
+            SessionError::UnexpectedFrame { session: 5, seq: 0 }
+        );
+        // The first poll launched and ran step 2; steps 3–9 remain.
+        assert_eq!(reactor.run_until_idle(), 7);
+        match reactor.take_result(5) {
+            Some(SessionResult::Done(out)) => assert_eq!(out.label, Some(1)),
+            other => panic!("the round must complete, got {other:?}"),
+        }
     }
 }

@@ -267,6 +267,17 @@ pub(crate) struct PreparedRound {
     pub(crate) shard_seed: u64,
 }
 
+/// Where and under which step each of a user's six uploads goes, in the
+/// canonical per-user order.
+pub(crate) const UPLOAD_SLOTS: [(PartyId, Step); 6] = [
+    (PartyId::Server1, Step::SecureSumVotes),
+    (PartyId::Server1, Step::SecureSumVotes),
+    (PartyId::Server1, Step::SecureSumNoisy),
+    (PartyId::Server2, Step::SecureSumVotes),
+    (PartyId::Server2, Step::SecureSumVotes),
+    (PartyId::Server2, Step::SecureSumNoisy),
+];
+
 impl PreparedRound {
     /// Every user's six upload frames, in the canonical per-user,
     /// per-link order — fresh networks restart each link's sequence
@@ -274,21 +285,29 @@ impl PreparedRound {
     /// reproduce identically per attempt.
     pub(crate) fn upload_frames(&self) -> impl Iterator<Item = Frame> + '_ {
         self.uploads.iter().flat_map(|up| {
-            [
-                (PartyId::Server1, Step::SecureSumVotes, &up.s1_votes),
-                (PartyId::Server1, Step::SecureSumVotes, &up.s1_thresh),
-                (PartyId::Server1, Step::SecureSumNoisy, &up.s1_noisy),
-                (PartyId::Server2, Step::SecureSumVotes, &up.s2_votes),
-                (PartyId::Server2, Step::SecureSumVotes, &up.s2_thresh),
-                (PartyId::Server2, Step::SecureSumNoisy, &up.s2_noisy),
-            ]
-            .map(|(to, step, vector)| Frame {
+            let vectors = [
+                &up.s1_votes,
+                &up.s1_thresh,
+                &up.s1_noisy,
+                &up.s2_votes,
+                &up.s2_thresh,
+                &up.s2_noisy,
+            ];
+            std::iter::zip(UPLOAD_SLOTS, vectors).map(move |((to, step), vector)| Frame {
                 from: PartyId::User(up.user),
                 to,
                 step,
                 payload: vector.to_bytes(),
             })
         })
+    }
+
+    /// The `(from, to, step)` of the upload frame at canonical index
+    /// `seq`, or `None` past the end of the round's upload.
+    pub(crate) fn upload_header(&self, seq: usize) -> Option<(PartyId, PartyId, Step)> {
+        let user = *self.roster.get(seq / UPLOAD_SLOTS.len())?;
+        let (to, step) = UPLOAD_SLOTS[seq % UPLOAD_SLOTS.len()];
+        Some((PartyId::User(user), to, step))
     }
 }
 
@@ -705,7 +724,6 @@ impl SecureEngine {
             seat(ServerRole::Server2, prepared.seed2, seat2),
         ];
         Ok(Servers {
-            _net: net,
             ctx: [self.keys.server1(), self.keys.server2()],
             rounds,
             endpoints,
@@ -811,9 +829,6 @@ impl SecureEngine {
 /// metering, timeouts and the TCP backend apply exactly as they do to any
 /// other endpoint user.
 pub(crate) struct Servers {
-    /// Kept alive so non-roster endpoints do not drop their links (a
-    /// dropped link reads as a disconnect, not a timeout).
-    _net: Network,
     ctx: [ServerContext; 2],
     rounds: [ServerRound; 2],
     endpoints: [Endpoint; 2],
@@ -841,11 +856,6 @@ impl Servers {
     /// Whether both servers hold a terminal state.
     pub(crate) fn is_terminal(&self) -> bool {
         self.rounds.iter().all(|round| round.state().is_terminal())
-    }
-
-    /// The step both servers completed last.
-    pub(crate) fn completed_step(&self) -> Step {
-        self.rounds[0].state().completed_step()
     }
 
     /// Both servers' states.
@@ -1174,6 +1184,24 @@ mod tests {
         let out = engine.run_instance(&votes, Meter::new(), &mut rng).unwrap();
         assert_eq!(out.label, Some(0));
         assert_eq!(out.health.survivors.len(), 1366);
+    }
+
+    #[test]
+    fn upload_header_names_every_upload_frame_and_nothing_past_them() {
+        let engine = SecureEngine::with_keys(
+            SessionKeys::generate(SessionConfig::test(4, 3), &mut StdRng::seed_from_u64(2024)),
+            ConsensusConfig::paper_default(1e-6, 1e-6).with_min_users(2),
+        );
+        let votes: Vec<Vec<f64>> = (0..3).map(|_| onehot(0)).collect();
+        let prepared =
+            engine.prepare_round(&votes, &[0, 2, 3], &mut StdRng::seed_from_u64(10)).unwrap();
+        let frames: Vec<Frame> = prepared.upload_frames().collect();
+        assert_eq!(frames.len(), 18);
+        for (seq, frame) in frames.iter().enumerate() {
+            assert_eq!(prepared.upload_header(seq), Some((frame.from, frame.to, frame.step)));
+        }
+        assert_eq!(prepared.upload_header(18), None);
+        assert_eq!(prepared.upload_header(usize::MAX), None);
     }
 
     #[test]

@@ -213,9 +213,7 @@ pub fn blinder_build_witnesses<R: Rng + ?Sized>(
 /// `par`, each chunk reusing one exponentiation scratch and stopping at
 /// its first zero; the chunk verdicts are then scanned in index order, so
 /// a zero at index `i` shadows any malformed ciphertext at index `> i` at
-/// every thread count. (This is why it cannot delegate to
-/// [`DgkPrivateKey::is_zero_batch_par`], which always surfaces the
-/// lowest-index error.)
+/// every thread count.
 ///
 /// # Errors
 ///

@@ -20,7 +20,6 @@ use bigint::modular::{crt_pair, modmul, modpow};
 use bigint::montgomery::{CachedComb, CachedContext, FixedBaseComb, MontgomeryContext, PowScratch};
 use bigint::prime::{gen_prime, gen_prime_with_divisor, next_prime};
 use bigint::{random, Ubig};
-use parallel::Parallelism;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -472,8 +471,7 @@ impl DgkPrivateKey {
 
     /// Batched zero test: one scratch-reusing half-size exponentiation
     /// per ciphertext (the CRT form — each test runs mod `p` only, never
-    /// mod `n`). Sequential; for a parallel fan-out see
-    /// [`DgkPrivateKey::is_zero_batch_par`].
+    /// mod `n`).
     ///
     /// # Errors
     ///
@@ -483,33 +481,8 @@ impl DgkPrivateKey {
         cs.iter().map(|c| self.is_zero_scratch(c, &mut ws)).collect()
     }
 
-    /// [`DgkPrivateKey::is_zero_batch`] fanned out according to `par`:
-    /// the batch splits into per-worker chunks, each chunk reusing one
-    /// scratch. Results (and the error, if any) are identical to the
-    /// sequential form at every thread count — chunking is
-    /// contiguous and the lowest-index failure wins.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DgkPrivateKey::is_zero_batch`].
-    pub fn is_zero_batch_par(
-        &self,
-        cs: &[DgkCiphertext],
-        par: &Parallelism,
-    ) -> Result<Vec<bool>, DgkError> {
-        let par = par.with_item_cost_ns(self.zero_test_cost_ns());
-        let workers = par.workers_for(cs.len());
-        if workers <= 1 {
-            return self.is_zero_batch(cs);
-        }
-        let chunk = cs.len().div_ceil(workers);
-        let chunks: Vec<&[DgkCiphertext]> = cs.chunks(chunk).collect();
-        let per_chunk = par.try_map(&chunks, |_, slice| self.is_zero_batch(slice))?;
-        Ok(per_chunk.into_iter().flatten().collect())
-    }
-
     /// Rough wall-clock model (ns) for one zero test (`v_p`-bit exponent
-    /// mod `p`), used to hint [`Parallelism`] splitting.
+    /// mod `p`), used to hint [`parallel::Parallelism`] splitting.
     pub(crate) fn zero_test_cost_ns(&self) -> u64 {
         bigint::montgomery::modpow_cost_ns(self.p.bits(), self.v_p.bits())
     }
@@ -654,15 +627,6 @@ mod tests {
             [0u64, 3, 0, 1, 17, 0, 8].iter().map(|&m| pk.encrypt_u64(m, &mut rng)).collect();
         let expect: Vec<bool> = cs.iter().map(|c| kp.private_key().is_zero(c).unwrap()).collect();
         assert_eq!(kp.private_key().is_zero_batch(&cs).unwrap(), expect);
-        // The parallel fan-out must agree at every thread count.
-        for threads in [1usize, 2, 4] {
-            let par = Parallelism::new(threads).with_min_batch(1);
-            assert_eq!(
-                kp.private_key().is_zero_batch_par(&cs, &par).unwrap(),
-                expect,
-                "threads {threads}"
-            );
-        }
     }
 
     #[test]
@@ -674,11 +638,6 @@ mod tests {
             (0..6u64).map(|m| pk.encrypt_u64(m % 3, &mut rng)).collect();
         cs.insert(3, DgkCiphertext::from_raw(Ubig::zero()));
         assert_eq!(kp.private_key().is_zero_batch(&cs), Err(DgkError::MalformedCiphertext));
-        let par = Parallelism::new(4).with_min_batch(1);
-        assert_eq!(
-            kp.private_key().is_zero_batch_par(&cs, &par),
-            Err(DgkError::MalformedCiphertext)
-        );
     }
 
     #[test]

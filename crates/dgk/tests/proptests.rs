@@ -58,13 +58,12 @@ proptest! {
         prop_assert_eq!(d_par, y > x);
     }
 
-    /// The batched zero test (one exponentiation scratch per worker, CRT
+    /// The batched zero test (one reused exponentiation scratch, CRT
     /// form) agrees with the per-item [`DgkPrivateKey::is_zero`] on every
-    /// input, and its parallel fan-out is thread-count invariant.
+    /// input.
     #[test]
     fn batched_zero_test_matches_per_item(
         raw in proptest::collection::vec(any::<u64>(), 0..24),
-        threads in 1usize..9,
         seed in any::<u64>(),
     ) {
         let kp = keypair();
@@ -79,8 +78,6 @@ proptest! {
             .map(|&m| pk.encrypt_u64(if m % 3 == 0 { 0 } else { m % u }, &mut rng))
             .collect();
         let expect: Vec<bool> = cs.iter().map(|c| sk.is_zero(c).unwrap()).collect();
-        prop_assert_eq!(sk.is_zero_batch(&cs).unwrap(), expect.clone());
-        let par = Parallelism::new(threads).with_min_batch(1);
-        prop_assert_eq!(sk.is_zero_batch_par(&cs, &par).unwrap(), expect);
+        prop_assert_eq!(sk.is_zero_batch(&cs).unwrap(), expect);
     }
 }

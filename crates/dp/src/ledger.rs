@@ -17,14 +17,6 @@
 //! campaign idempotent — the restarted daemon replays the journal,
 //! resumes at the exact epsilon spent, and [`DurableRdpLedger::admits`]
 //! refuses any round whose worst-case spend would cross the budget.
-//!
-//! When several concurrent sessions share one ledger (the multi-session
-//! reactor in `core::reactor`), each session numbers its own rounds
-//! from zero, so a bare round id is ambiguous. Use
-//! [`DurableRdpLedger::charge_scoped`], which namespaces the journal
-//! key with [`transport::session_scoped_round`]: session 7's round 0
-//! and session 9's round 0 become distinct, collision-free entries,
-//! while exactly-once semantics still hold per `(session, round)`.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -181,40 +173,9 @@ impl DurableRdpLedger {
         Ok(true)
     }
 
-    /// Records `cost` against `round` *of `session`*, exactly once.
-    ///
-    /// The journal key is [`transport::session_scoped_round`]`(session,
-    /// round)`, so interleaved sessions that each number their rounds
-    /// from zero never collide in a shared ledger. `session` 0 keeps
-    /// the bare round id, making single-session ledgers written through
-    /// [`DurableRdpLedger::charge`] replayable through this path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` or `round` exceeds `u32::MAX` (the packing
-    /// precondition of [`transport::session_scoped_round`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableRdpLedger::charge`].
-    pub fn charge_scoped(
-        &self,
-        session: u64,
-        round: u64,
-        cost: LinearRdp,
-    ) -> Result<bool, LedgerError> {
-        self.charge(transport::session_scoped_round(session, round), cost)
-    }
-
     /// True if `round` already has a persisted charge.
     pub fn charged(&self, round: u64) -> bool {
         self.inner.lock().expect("ledger lock").charges.contains_key(&round)
-    }
-
-    /// True if `round` of `session` already has a persisted charge
-    /// (the [`DurableRdpLedger::charge_scoped`] key space).
-    pub fn charged_scoped(&self, session: u64, round: u64) -> bool {
-        self.charged(transport::session_scoped_round(session, round))
     }
 
     /// Number of rounds charged so far.
@@ -341,42 +302,6 @@ mod tests {
         assert!(ledger.charged(1) && !ledger.charged(2));
         // The duplicate's coefficient must not have leaked into round 1.
         assert!((ledger.total().coeff() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn interleaved_sessions_never_collide_in_a_shared_ledger() {
-        let tmp = TempDir::new("sessions");
-        let (spent, key_a, key_b) = {
-            let ledger = DurableRdpLedger::open(&tmp.0, 100.0, 1e-6).unwrap();
-            // Two concurrent sessions, both charging *their own* round 0
-            // and round 1, interleaved. Without session scoping the
-            // second session's round 0 would be swallowed as a duplicate.
-            assert!(ledger.charge_scoped(7, 0, LinearRdp::from_coeff(0.01)).unwrap());
-            assert!(ledger.charge_scoped(9, 0, LinearRdp::from_coeff(0.02)).unwrap());
-            assert!(ledger.charge_scoped(7, 1, LinearRdp::from_coeff(0.01)).unwrap());
-            assert!(ledger.charge_scoped(9, 1, LinearRdp::from_coeff(0.02)).unwrap());
-            assert_eq!(ledger.charges(), 4, "four distinct (session, round) charges");
-            // Exactly-once still holds per (session, round).
-            assert!(!ledger.charge_scoped(9, 0, LinearRdp::from_coeff(0.5)).unwrap());
-            assert!(ledger.charged_scoped(7, 0) && ledger.charged_scoped(9, 1));
-            assert!(!ledger.charged_scoped(8, 0));
-            assert!((ledger.total().coeff() - 0.06).abs() < 1e-12);
-            (
-                ledger.epsilon_spent(),
-                transport::session_scoped_round(7, 0),
-                transport::session_scoped_round(9, 0),
-            )
-        };
-        // Scoped keys survive reopen and replay into the same key space.
-        let ledger = DurableRdpLedger::open(&tmp.0, 100.0, 1e-6).unwrap();
-        assert_eq!(ledger.charges(), 4);
-        assert_eq!(ledger.epsilon_spent(), spent);
-        assert!(ledger.charged(key_a) && ledger.charged(key_b));
-        assert!(!ledger.charge_scoped(7, 0, LinearRdp::from_coeff(0.9)).unwrap());
-        // Session 0 is the identity packing: plain charge() written keys
-        // read back through the scoped view.
-        assert!(ledger.charge(2, LinearRdp::from_coeff(0.01)).unwrap());
-        assert!(ledger.charged_scoped(0, 2));
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!    non-zero, fully reduced, and coprime with `n`. This mirrors the
 //!    check `PrivateKey::decrypt` performs, but runs it on the *public*
 //!    side so a hostile value is refused at the door of the server that
-//!    cannot decrypt it.
+//!    cannot decrypt it. Coprimality costs one gcd per *vector*: a
+//!    product is a unit of `Z_n` iff every factor is, so `gcd(∏ c_k mod
+//!    n, n) = 1` accepts exactly the vectors whose entries all pass.
 //!
 //! Every rejection emits the matching [`transport::FaultEvent`], which
 //! the round's driver counts on its meter, so chaos runs and operators
@@ -28,6 +30,8 @@
 use std::collections::HashMap;
 
 use bigint::gcd::gcd;
+use bigint::modular::modmul;
+use bigint::Ubig;
 use paillier::{Ciphertext, PublicKey};
 use transport::{FaultEvent, PartyId, Step};
 
@@ -36,8 +40,8 @@ use crate::error::SmcError;
 /// Stateful validator for one server's inbound uploads within a round.
 ///
 /// Keep one instance per collection phase (its replay window is the set
-/// of tuples it has seen); it is cheap — the per-ciphertext gcd is the
-/// only non-trivial work, and it runs once per upload element.
+/// of tuples it has seen); it is cheap — the gcd is the only non-trivial
+/// work, and it runs once per uploaded vector.
 ///
 /// The replay window is keyed per sender so the streaming aggregation
 /// paths can [`UploadValidator::retire`] a user the moment its upload is
@@ -108,12 +112,24 @@ impl UploadValidator {
         }
         let n = key.modulus();
         let n2 = key.modulus_squared();
-        for (index, share) in shares.iter().enumerate() {
-            let raw = share.as_raw();
-            if raw.is_zero() || raw >= n2 || !gcd(raw, n).is_one() {
-                events.push(FaultEvent::RejectedCiphertext);
-                return Err(SmcError::InvalidCiphertext { from, index });
-            }
+        // The entries before the first one out of range, cleared by one
+        // gcd over their product; the per-entry gcds run only to name the
+        // index of a vector that is rejected anyway.
+        let in_range =
+            shares.iter().take_while(|c| !c.as_raw().is_zero() && c.as_raw() < n2).count();
+        let prefix = &shares[..in_range];
+        let product = prefix.iter().fold(Ubig::one(), |acc, c| modmul(&acc, &(c.as_raw() % n), n));
+        let index = if gcd(&product, n).is_one() {
+            in_range
+        } else {
+            prefix
+                .iter()
+                .position(|c| !gcd(c.as_raw(), n).is_one())
+                .expect("a product sharing a factor with n has a factor that does")
+        };
+        if index < shares.len() {
+            events.push(FaultEvent::RejectedCiphertext);
+            return Err(SmcError::InvalidCiphertext { from, index });
         }
         Ok(())
     }
@@ -123,7 +139,9 @@ impl UploadValidator {
 mod tests {
     use super::*;
     use crate::session::{SessionConfig, SessionKeys};
-    use bigint::Ubig;
+    use bigint::prime::gen_prime;
+    use bigint::random::{gen_below, gen_coprime};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -235,5 +253,70 @@ mod tests {
             );
         }
         assert_eq!(events, [FaultEvent::RejectedCiphertext; 3]);
+    }
+
+    /// A key over `n = p·q` with both primes in hand, so a test can build
+    /// non-units of every kind.
+    fn factored_key() -> (PublicKey, Ubig, Ubig) {
+        let mut rng = StdRng::seed_from_u64(78);
+        let p = gen_prime(&mut rng, 24);
+        let q = std::iter::repeat_with(|| gen_prime(&mut rng, 24)).find(|q| *q != p).unwrap();
+        let n = &p * &q;
+        let hs = &n + &Ubig::one();
+        (PublicKey::from_parts(n, hs).unwrap(), p, q)
+    }
+
+    proptest! {
+        /// Up to two hostile entries — ≡ 0 mod n, a multiple of p or of q,
+        /// zero, unreduced — anywhere in a vector of units: the verdict and
+        /// the index named are the per-entry loop's.
+        #[test]
+        fn one_gcd_per_vector_gives_the_per_entry_verdict_and_index(
+            len in 1usize..7,
+            hostile in proptest::collection::vec((0usize..7, 0usize..5, 1u64..1000), 0..3),
+            seed in any::<u64>(),
+        ) {
+            let (key, p, q) = factored_key();
+            let (n, n2) = (key.modulus(), key.modulus_squared());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut raws: Vec<Ubig> = (0..len)
+                .map(|_| &gen_coprime(&mut rng, n) + &(n * &gen_below(&mut rng, n)))
+                .collect();
+            for (at, kind, m) in hostile {
+                let m = Ubig::from(m);
+                raws[at % len] = match kind {
+                    0 => n * &m,
+                    1 => &p * &m,
+                    2 => &q * &m,
+                    3 => Ubig::zero(),
+                    _ => n2 + &m,
+                };
+            }
+            let per_entry =
+                raws.iter().position(|c| c.is_zero() || c >= n2 || !gcd(c, n).is_one());
+
+            let shares: Vec<Ciphertext> = raws.into_iter().map(Ciphertext::from_raw).collect();
+            let mut events = Vec::new();
+            let got = UploadValidator::new(len).check(
+                &mut events,
+                PartyId::User(0),
+                Step::SecureSumVotes,
+                1,
+                &shares,
+                &key,
+            );
+            match per_entry {
+                None => prop_assert!(got.is_ok() && events.is_empty(), "{got:?}"),
+                Some(index) => {
+                    let named = matches!(
+                        got,
+                        Err(SmcError::InvalidCiphertext { from: PartyId::User(0), index: i })
+                            if i == index
+                    );
+                    prop_assert!(named, "expected index {index}, got {got:?}");
+                    prop_assert_eq!(&events, &[FaultEvent::RejectedCiphertext]);
+                }
+            }
+        }
     }
 }

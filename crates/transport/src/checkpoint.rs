@@ -31,7 +31,6 @@ use std::sync::Mutex;
 use crate::journal::{AppendJournal, TOMBSTONE};
 use crate::metrics::Step;
 use crate::network::PartyId;
-use crate::session::session_scoped_round;
 
 /// Errors surfaced by a [`CheckpointStore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -314,103 +313,6 @@ impl CheckpointStore for FileCheckpointStore {
     }
 }
 
-/// Shared ownership delegates: sessions scoping one common store hold
-/// `Arc`s to it.
-impl<S: CheckpointStore + ?Sized> CheckpointStore for std::sync::Arc<S> {
-    fn save(
-        &self,
-        round: u64,
-        party: PartyId,
-        step: Step,
-        payload: &[u8],
-    ) -> Result<(), CheckpointError> {
-        (**self).save(round, party, step, payload)
-    }
-
-    fn load_latest(
-        &self,
-        round: u64,
-        party: PartyId,
-    ) -> Result<Option<Checkpoint>, CheckpointError> {
-        (**self).load_latest(round, party)
-    }
-
-    fn load_at(
-        &self,
-        round: u64,
-        party: PartyId,
-        step: Step,
-    ) -> Result<Option<Checkpoint>, CheckpointError> {
-        (**self).load_at(round, party, step)
-    }
-
-    fn clear_round(&self, round: u64) -> Result<(), CheckpointError> {
-        (**self).clear_round(round)
-    }
-}
-
-/// Namespaces every round key of an inner [`CheckpointStore`] by a
-/// session id (via [`session_scoped_round`]), so concurrent sessions
-/// sharing one store directory can never collide on each other's
-/// checkpoint records even when they use the same per-session round
-/// numbering. Session 0 is the identity mapping, so existing
-/// single-session journals stay readable.
-#[derive(Debug)]
-pub struct SessionScopedStore<S> {
-    session: u64,
-    inner: S,
-}
-
-impl<S: CheckpointStore> SessionScopedStore<S> {
-    /// Wraps `inner`, scoping every round key to `session`.
-    pub fn new(session: u64, inner: S) -> SessionScopedStore<S> {
-        SessionScopedStore { session, inner }
-    }
-
-    /// The session every round key is scoped to.
-    pub fn session(&self) -> u64 {
-        self.session
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: CheckpointStore> CheckpointStore for SessionScopedStore<S> {
-    fn save(
-        &self,
-        round: u64,
-        party: PartyId,
-        step: Step,
-        payload: &[u8],
-    ) -> Result<(), CheckpointError> {
-        self.inner.save(session_scoped_round(self.session, round), party, step, payload)
-    }
-
-    fn load_latest(
-        &self,
-        round: u64,
-        party: PartyId,
-    ) -> Result<Option<Checkpoint>, CheckpointError> {
-        self.inner.load_latest(session_scoped_round(self.session, round), party)
-    }
-
-    fn load_at(
-        &self,
-        round: u64,
-        party: PartyId,
-        step: Step,
-    ) -> Result<Option<Checkpoint>, CheckpointError> {
-        self.inner.load_at(session_scoped_round(self.session, round), party, step)
-    }
-
-    fn clear_round(&self, round: u64) -> Result<(), CheckpointError> {
-        self.inner.clear_round(session_scoped_round(self.session, round))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,43 +478,6 @@ mod tests {
         let store = FileCheckpointStore::open(&tmp.0).unwrap();
         let latest = store.load_latest(9, PartyId::Server1).unwrap().unwrap();
         assert_eq!(latest.payload, b"charged");
-    }
-
-    /// Regression for multi-session stores: two sessions interleaving
-    /// saves against one shared directory, both using round id 0, must
-    /// never read or clear each other's records.
-    #[test]
-    fn interleaved_sessions_sharing_a_directory_never_collide() {
-        let tmp = TempDir::new("sessions");
-        let shared = Arc::new(FileCheckpointStore::open(&tmp.0).unwrap());
-        let a = SessionScopedStore::new(1, Arc::clone(&shared));
-        let b = SessionScopedStore::new(2, Arc::clone(&shared));
-
-        // Interleaved writes at identical (round, party, step) coords.
-        a.save(0, PartyId::Server1, Step::SecureSumVotes, b"a@2").unwrap();
-        b.save(0, PartyId::Server1, Step::SecureSumVotes, b"b@2").unwrap();
-        a.save(0, PartyId::Server1, Step::BlindPermute1, b"a@3").unwrap();
-        b.save(0, PartyId::Server2, Step::SecureSumVotes, b"b-s2@2").unwrap();
-
-        let got_a = a.load_latest(0, PartyId::Server1).unwrap().unwrap();
-        assert_eq!((got_a.step, got_a.payload.as_slice()), (Step::BlindPermute1, &b"a@3"[..]));
-        let got_b = b.load_latest(0, PartyId::Server1).unwrap().unwrap();
-        assert_eq!((got_b.step, got_b.payload.as_slice()), (Step::SecureSumVotes, &b"b@2"[..]));
-        assert_eq!(a.load_latest(0, PartyId::Server2).unwrap(), None, "b's record leaked into a");
-
-        // Clearing a's round must not touch b's records for the same id.
-        a.clear_round(0).unwrap();
-        assert_eq!(a.load_latest(0, PartyId::Server1).unwrap(), None);
-        assert!(b.load_latest(0, PartyId::Server1).unwrap().is_some());
-
-        // The scoping survives reopen: the keys really are namespaced on
-        // disk, not just in the in-memory index.
-        drop((a, b, shared));
-        let reopened = FileCheckpointStore::open(&tmp.0).unwrap();
-        let b2 = SessionScopedStore::new(2, reopened);
-        assert_eq!(b2.load_latest(0, PartyId::Server1).unwrap().unwrap().payload, b"b@2");
-        assert_eq!(b2.session(), 2);
-        assert!(b2.inner().path().ends_with("journal.ckpt"));
     }
 
     #[test]

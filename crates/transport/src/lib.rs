@@ -8,16 +8,17 @@
 //! * [`wire`] — a compact length-prefixed binary codec for every message
 //!   type the protocol exchanges (big integers, ciphertexts, share
 //!   vectors, comparison rounds);
-//! * [`network`] — a network of parties (N users + two servers) with
-//!   blocking typed send/receive over one of two interchangeable
-//!   backends ([`TransportBackend`]): bounded in-process channels, or
-//!   real loopback TCP sockets;
+//! * [`network`] — the paper's star (N users who only send, two servers
+//!   who also receive) with blocking typed send/receive over one of two
+//!   interchangeable backends ([`TransportBackend`]): bounded in-process
+//!   channels, or real loopback TCP sockets. Building one costs the same
+//!   at any N: two inboxes, and a user's send-only endpoint on demand;
 //! * [`tcp`] — the TCP backend: length-prefixed framing, a versioned
 //!   session handshake, heartbeats with a liveness deadline, and
 //!   reconnect-and-resume from the last acknowledged sequence number;
-//! * [`session`] — session-tagged frames and per-session demultiplexing,
-//!   so one link can carry many concurrent consensus rounds (see
-//!   `core::reactor`);
+//! * [`session`] — session-tagged frames and the typed errors that
+//!   answer the ones a session will not take, so one link can carry many
+//!   concurrent consensus rounds (see `core::reactor`);
 //! * [`proxy`] — a socket-level chaos proxy (mid-frame severs, stalled
 //!   reads, fragmented writes) driven by [`FaultPlan`] socket faults;
 //! * [`metrics`] — per-protocol-step counters of bytes, messages and wall
@@ -35,7 +36,7 @@
 //! use transport::metrics::Step;
 //!
 //! let mut net = Network::new(1); // one user + two servers
-//! let mut user = net.take_endpoint(PartyId::User(0));
+//! let user = net.take_endpoint(PartyId::User(0));
 //! let mut s1 = net.take_endpoint(PartyId::Server1);
 //!
 //! std::thread::scope(|scope| {
@@ -63,7 +64,6 @@ pub mod wire;
 
 pub use checkpoint::{
     Checkpoint, CheckpointError, CheckpointStore, FileCheckpointStore, MemoryCheckpointStore,
-    SessionScopedStore,
 };
 pub use faults::{ByzantineAction, FaultDecision, FaultPlan, SocketFault};
 pub use journal::{AppendJournal, JournalRecord};
@@ -72,9 +72,6 @@ pub use network::{
     Endpoint, Network, NetworkBuilder, PartyId, TimeoutPolicy, TransportBackend, TransportError,
 };
 pub use proxy::ChaosProxy;
-pub use session::{
-    read_session_frame, session_scoped_round, write_session_frame, SessionDemux, SessionError,
-    SessionFrame,
-};
+pub use session::{SessionError, SessionFrame};
 pub use tcp::TcpConfig;
 pub use wire::{Wire, WireError};

@@ -1,14 +1,18 @@
 //! Network of parties and endpoints with typed, metered send/receive.
 //!
-//! A [`Network`] wires `N` users and two servers into a full mesh of
-//! *bounded* links over one of two interchangeable backends
-//! ([`TransportBackend`]): the in-proc channel mesh, or real loopback
-//! TCP sockets (see [`crate::tcp`]). Each party takes its [`Endpoint`]
-//! and can then be moved onto its own thread; `send`/`recv` are typed
-//! through the [`Wire`] codec and metered per [`Step`]. Everything above
-//! the link — sequence numbers, checksums, dedup, stashing, timeouts,
-//! fault injection — is backend-agnostic, so protocol code runs
-//! unmodified over either backend and produces identical transcripts.
+//! A [`Network`] wires `N` users and two servers into the paper's *star*
+//! (Alg. 5 steps 2/6): every user sends to S1 and S2 and never receives a
+//! frame, and the two servers talk to each other. Only the servers have
+//! an inbox — two *bounded* queues over one of two interchangeable
+//! backends ([`TransportBackend`]): in-proc channels, or real loopback
+//! TCP sockets (see [`crate::tcp`]) — so building a network costs the same
+//! for five users as for a million; a user's send-only [`Endpoint`] is
+//! made when it is taken. Each party takes its endpoint and can then be
+//! moved onto its own thread; `send`/`recv` are typed through the
+//! [`Wire`] codec and metered per [`Step`]. Everything above the link —
+//! sequence numbers, checksums, dedup, stashing, timeouts, fault
+//! injection — is backend-agnostic, so protocol code runs unmodified
+//! over either backend and produces identical transcripts.
 //!
 //! Reliability: every frame carries a sequence number and checksum, so
 //! duplicated frames are suppressed and corrupted frames are detected on
@@ -21,7 +25,7 @@
 //! liveness deadline additionally converts a dead peer into a prompt
 //! [`TransportError::Timeout`] (the existing dropout path).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,13 +33,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
-use parking_lot::Mutex;
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::faults::FaultPlan;
 use crate::link::{corrupt_payload, frame_checksum, Envelope, LinkSender, DEFAULT_CAPACITY};
 use crate::metrics::{FaultEvent, LinkKind, Meter, Step};
-use crate::tcp::{build_mesh, Liveness, TcpConfig, TcpFabric};
+use crate::tcp::{build_star, Liveness, TcpConfig, TcpFabric};
 use crate::wire::{Wire, WireError};
 
 /// Identifies a protocol party.
@@ -224,32 +227,34 @@ fn classify_delay(env: &Envelope, window_end: Instant, final_deadline: Instant) 
     }
 }
 
+/// One directed link out of an endpoint.
+struct Uplink {
+    to: PartyId,
+    sender: LinkSender,
+    /// Frames sent on this link so far: the last sequence number issued
+    /// (atomic because `send` takes `&self`, so one party can fan out
+    /// from shared references).
+    sent: AtomicU64,
+}
+
 /// A party's handle on the network: typed send/receive plus the shared
 /// meter.
 pub struct Endpoint {
     id: PartyId,
-    outgoing: HashMap<PartyId, LinkSender>,
-    incoming: Receiver<Envelope>,
+    /// A server's link to its peer; a user's links to S1 and S2.
+    outgoing: Vec<Uplink>,
+    /// `None` on a user's endpoint: nobody can send a user a frame.
+    incoming: Option<Receiver<Envelope>>,
     /// Messages received from other parties while waiting for a specific
     /// sender; replayed on later receives.
     stashed: HashMap<PartyId, VecDeque<Envelope>>,
-    /// Per-destination sequence counters (a `Mutex` because `send` takes
-    /// `&self` so one party can fan out from shared references).
-    send_seq: Mutex<HashMap<PartyId, u64>>,
     /// Highest sequence number accepted per sender (duplicate dedup).
     seen_seq: HashMap<PartyId, u64>,
     timeout: TimeoutPolicy,
     faults: Option<Arc<FaultPlan>>,
     meter: Arc<Meter>,
-    /// The network's session id: liveness records on a shared link are
-    /// keyed per `(peer, session)` so one stale session never fast-fails
-    /// a healthy neighbor session.
-    session: u64,
     /// TCP backend only: when each connected peer was last heard from.
     liveness: Option<Arc<Liveness>>,
-    /// TCP backend only: keeps the socket fabric alive for as long as any
-    /// endpoint is.
-    _fabric: Option<Arc<TcpFabric>>,
 }
 
 impl fmt::Debug for Endpoint {
@@ -274,18 +279,6 @@ impl Endpoint {
         self.timeout
     }
 
-    /// The session id this endpoint's network was assembled with.
-    pub fn session(&self) -> u64 {
-        self.session
-    }
-
-    /// How many receives on this endpoint have failed over to the
-    /// dropout path because a peer's per-session liveness deadline
-    /// lapsed (TCP backend only; always 0 in-process).
-    pub fn liveness_expired_count(&self) -> u64 {
-        self.liveness.as_ref().map_or(0, |l| l.expired_count(self.session))
-    }
-
     /// Sends `value` to `to`, tagged with `step` — [`Self::send_frame`]
     /// of its [`Wire`] encoding.
     ///
@@ -304,15 +297,18 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`TransportError::UnknownParty`] for destinations outside
-    /// the network and [`TransportError::Disconnected`] if the peer's
-    /// endpoint was dropped.
+    /// Returns [`TransportError::UnknownParty`] for a destination this
+    /// endpoint has no link to — any user, or a party outside the network
+    /// — before anything is metered, and [`TransportError::Disconnected`]
+    /// if the peer's endpoint was dropped.
     pub fn send_frame(
         &self,
         to: PartyId,
         step: Step,
         payload: Bytes,
     ) -> Result<(), TransportError> {
+        let link =
+            self.outgoing.iter().find(|l| l.to == to).ok_or(TransportError::UnknownParty(to))?;
         if let Some(plan) = &self.faults {
             if plan.is_crashed(self.id, step) {
                 // The dead party doesn't know it is dead: the send
@@ -322,13 +318,7 @@ impl Endpoint {
             }
         }
         self.meter.record_message(step, self.id.link_to(to), payload.len());
-        let sender = self.outgoing.get(&to).ok_or(TransportError::UnknownParty(to))?;
-        let seq = {
-            let mut counters = self.send_seq.lock();
-            let counter = counters.entry(to).or_insert(0);
-            *counter += 1;
-            *counter
-        };
+        let seq = link.sent.fetch_add(1, Ordering::SeqCst) + 1;
         let decision = match &self.faults {
             Some(plan) => plan.decide(self.id, to, step, seq),
             None => crate::faults::FaultDecision::clean(),
@@ -353,9 +343,9 @@ impl Endpoint {
             self.meter.record_fault(FaultEvent::DuplicateInjected);
             // A failed duplicate enqueue is indistinguishable from the
             // duplicate being lost — ignore it.
-            let _ = sender.send(env.clone(), to, &self.meter);
+            let _ = link.sender.send(env.clone(), to, &self.meter);
         }
-        sender.send(env, to, &self.meter)
+        link.sender.send(env, to, &self.meter)
     }
 
     /// Receives the next message *from a specific sender tagged with a
@@ -372,7 +362,8 @@ impl Endpoint {
     /// Returns [`TransportError::Timeout`] when every wait window is
     /// exhausted, [`TransportError::Corrupt`] if the frame fails its
     /// checksum, [`TransportError::Disconnected`] if all senders are
-    /// gone, or [`TransportError::Codec`] if the payload fails to decode.
+    /// gone (always, on a user's endpoint: it has no inbox), or
+    /// [`TransportError::Codec`] if the payload fails to decode.
     pub fn recv<T: Wire>(&mut self, from: PartyId, step: Step) -> Result<T, TransportError> {
         let (_, payload) = self.recv_frame(from, step, self.timeout)?;
         T::from_bytes(payload).map_err(Into::into)
@@ -446,7 +437,11 @@ impl Endpoint {
                 // noticed at the liveness deadline, not the policy one.
                 wait = wait.min(live.poll_interval());
             }
-            match self.incoming.recv_timeout(wait) {
+            let pulled = match &self.incoming {
+                Some(inbox) => inbox.recv_timeout(wait),
+                None => Err(RecvTimeoutError::Disconnected),
+            };
+            match pulled {
                 Ok(env) => {
                     let Some(env) = self.intake(env) else { continue };
                     if env.from == from && env.step == step && !stream_blocked {
@@ -466,15 +461,10 @@ impl Endpoint {
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    if self.liveness.as_ref().is_some_and(|l| l.expired(from, self.session)) {
+                    if self.liveness.as_ref().is_some_and(|l| l.expired(from)) {
                         // The peer connected and then went silent past the
-                        // heartbeat deadline in *this* session: declare it
-                        // dead here instead of waiting out the full
-                        // receive budget. Sessions sharing the link keep
-                        // their own deadlines.
-                        if let Some(live) = &self.liveness {
-                            live.note_expired(self.session);
-                        }
+                        // heartbeat deadline: declare it dead here instead
+                        // of waiting out the full receive budget.
                         self.meter.record_fault(FaultEvent::LivenessExpired);
                         self.meter.record_fault(FaultEvent::Timeout);
                         return Err(TransportError::Timeout(from));
@@ -536,8 +526,8 @@ pub enum TransportBackend {
     Tcp(TcpConfig),
 }
 
-/// Source of default session ids: every network gets a fresh one so a
-/// stray TCP connection from an earlier round fails the handshake.
+/// Source of default session ids: every TCP network gets a fresh one so a
+/// stray connection from an earlier round fails the handshake.
 static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
 
 /// Configures a [`Network`] before construction.
@@ -609,20 +599,36 @@ impl NetworkBuilder {
         self
     }
 
-    /// Wires the mesh.
+    /// Wires the star.
     pub fn build(self) -> Network {
         Network::assemble(self)
     }
 }
 
+/// The two parties with an inbox, in inbox order.
+const SERVERS: [PartyId; 2] = [PartyId::Server1, PartyId::Server2];
+
+/// How a link to a server's inbox is made, per backend.
+enum Wiring {
+    /// The sending halves of the two bounded inbox queues.
+    InProc([Sender<Envelope>; 2]),
+    /// The socket fabric holding the two listeners.
+    Tcp(Arc<TcpFabric>),
+}
+
 /// A network of `num_users` users plus the two servers over one
 /// [`TransportBackend`].
 pub struct Network {
-    endpoints: HashMap<PartyId, Endpoint>,
+    /// S1's and S2's endpoints until taken.
+    servers: [Option<Endpoint>; 2],
+    /// Users whose endpoint was handed out: a second take is a harness
+    /// bug, and the record costs nothing until a user is taken.
+    taken_users: HashSet<usize>,
+    wiring: Wiring,
     meter: Arc<Meter>,
     num_users: usize,
+    timeout: TimeoutPolicy,
     faults: Option<Arc<FaultPlan>>,
-    fabric: Option<Arc<TcpFabric>>,
 }
 
 impl fmt::Debug for Network {
@@ -632,7 +638,7 @@ impl fmt::Debug for Network {
 }
 
 impl Network {
-    /// Builds a full mesh over `num_users` users and both servers, sharing
+    /// Builds the star over `num_users` users and both servers, sharing
     /// one [`Meter`], with the default [`TimeoutPolicy`] and no faults.
     pub fn new(num_users: usize) -> Network {
         Self::builder(num_users).build()
@@ -661,73 +667,79 @@ impl Network {
             builder;
         let meter = meter.unwrap_or_default();
         let faults = faults.map(Arc::new);
-        let session = session.unwrap_or_else(|| NEXT_SESSION.fetch_add(1, Ordering::Relaxed));
-        let parties: Vec<PartyId> =
-            (0..num_users).map(PartyId::User).chain([PartyId::Server1, PartyId::Server2]).collect();
 
-        let (mut incoming, mut outgoing, liveness, fabric) = match backend {
+        let (wiring, inboxes) = match backend {
             TransportBackend::InProc => {
-                let mut senders: HashMap<PartyId, crossbeam::channel::Sender<Envelope>> =
-                    HashMap::new();
-                let mut receivers: HashMap<PartyId, Receiver<Envelope>> = HashMap::new();
-                for &p in &parties {
-                    let (tx, rx) = bounded(capacity);
-                    senders.insert(p, tx);
-                    receivers.insert(p, rx);
-                }
-                // No self-sender: a party never messages itself, and keeping
-                // one alive would stop channel disconnection from propagating
-                // when a peer's endpoint is dropped mid-protocol.
-                let outgoing = parties
-                    .iter()
-                    .map(|&p| {
-                        let links = parties
-                            .iter()
-                            .filter(|&&q| q != p)
-                            .map(|&q| (q, LinkSender::Channel(senders[&q].clone())))
-                            .collect::<HashMap<_, _>>();
-                        (p, links)
-                    })
-                    .collect::<HashMap<_, _>>();
-                (receivers, outgoing, HashMap::new(), None)
+                let (tx1, rx1) = bounded(capacity);
+                let (tx2, rx2) = bounded(capacity);
+                (Wiring::InProc([tx1, tx2]), [(rx1, None), (rx2, None)])
             }
             TransportBackend::Tcp(cfg) => {
-                let mesh = build_mesh(&parties, session, cfg, capacity, &meter, faults.as_deref());
-                (mesh.incoming, mesh.outgoing, mesh.liveness, Some(mesh.fabric))
+                let session =
+                    session.unwrap_or_else(|| NEXT_SESSION.fetch_add(1, Ordering::Relaxed));
+                let (fabric, inboxes) =
+                    build_star(SERVERS, session, cfg, capacity, &meter, faults.as_deref());
+                (Wiring::Tcp(fabric), inboxes.map(|(rx, live)| (rx, Some(live))))
             }
         };
+        let mut net = Network {
+            servers: [None, None],
+            taken_users: HashSet::new(),
+            wiring,
+            meter,
+            num_users,
+            timeout,
+            faults,
+        };
+        // No self-link: a party never messages itself, and a sender kept
+        // on one's own inbox would stop its disconnection from showing
+        // once every peer is gone.
+        let [(inbox1, live1), (inbox2, live2)] = inboxes;
+        net.servers = [
+            Some(net.endpoint(PartyId::Server1, &[PartyId::Server2], Some(inbox1), live1)),
+            Some(net.endpoint(PartyId::Server2, &[PartyId::Server1], Some(inbox2), live2)),
+        ];
+        net
+    }
 
-        let endpoints = parties
+    /// Makes `id`'s endpoint: a link to each of `peers` (all servers — only
+    /// they can be sent to) and, for a server, its inbox and (over TCP) the
+    /// liveness record its readers keep.
+    fn endpoint(
+        &self,
+        id: PartyId,
+        peers: &[PartyId],
+        incoming: Option<Receiver<Envelope>>,
+        liveness: Option<Arc<Liveness>>,
+    ) -> Endpoint {
+        let outgoing = peers
             .iter()
-            .map(|&p| {
-                let endpoint = Endpoint {
-                    id: p,
-                    outgoing: outgoing.remove(&p).expect("each party has links"),
-                    incoming: incoming.remove(&p).expect("each party has a receiver"),
-                    stashed: HashMap::new(),
-                    send_seq: Mutex::new(HashMap::new()),
-                    seen_seq: HashMap::new(),
-                    timeout,
-                    faults: faults.clone(),
-                    meter: Arc::clone(&meter),
-                    session,
-                    liveness: liveness.get(&p).cloned(),
-                    _fabric: fabric.clone(),
+            .map(|&to| {
+                let sender = match &self.wiring {
+                    Wiring::InProc([to_s1, to_s2]) => LinkSender::Channel(
+                        if to == PartyId::Server1 { to_s1 } else { to_s2 }.clone(),
+                    ),
+                    Wiring::Tcp(fabric) => LinkSender::Tcp(fabric.link(id, to)),
                 };
-                (p, endpoint)
+                Uplink { to, sender, sent: AtomicU64::new(0) }
             })
             .collect();
-        Network { endpoints, meter, num_users, faults, fabric }
+        Endpoint {
+            id,
+            outgoing,
+            incoming,
+            stashed: HashMap::new(),
+            seen_seq: HashMap::new(),
+            timeout: self.timeout,
+            faults: self.faults.clone(),
+            meter: Arc::clone(&self.meter),
+            liveness,
+        }
     }
 
-    /// Number of users in the mesh.
+    /// Number of users in the network.
     pub fn num_users(&self) -> usize {
         self.num_users
-    }
-
-    /// All user ids, in order.
-    pub fn user_ids(&self) -> Vec<PartyId> {
-        (0..self.num_users).map(PartyId::User).collect()
     }
 
     /// The shared meter.
@@ -740,24 +752,33 @@ impl Network {
         self.faults.as_deref()
     }
 
-    /// Loopback listener address of each party when built with the TCP
-    /// backend (`None` in-proc) — for diagnostics and for tests that poke
-    /// the fabric with raw sockets.
+    /// Loopback listener address of each server when built with the TCP
+    /// backend (`None` in-proc; users have no listener) — for diagnostics
+    /// and for tests that poke the fabric with raw sockets.
     pub fn listener_addrs(&self) -> Option<&HashMap<PartyId, std::net::SocketAddr>> {
-        self.fabric.as_ref().map(|f| &f.addrs)
+        match &self.wiring {
+            Wiring::InProc(_) => None,
+            Wiring::Tcp(fabric) => Some(&fabric.addrs),
+        }
     }
 
     /// Removes and returns a party's endpoint so it can be moved to a
-    /// thread.
+    /// thread. A server's endpoint was made with the network; a user's
+    /// send-only endpoint — links to S1 and S2, sequence numbers starting
+    /// at 1 — is made here.
     ///
     /// # Panics
     ///
     /// Panics if the endpoint was already taken or never existed — that is
     /// always a harness bug.
     pub fn take_endpoint(&mut self, id: PartyId) -> Endpoint {
-        self.endpoints
-            .remove(&id)
-            .unwrap_or_else(|| panic!("endpoint {id} already taken or unknown"))
+        let endpoint = match id {
+            PartyId::Server1 => self.servers[0].take(),
+            PartyId::Server2 => self.servers[1].take(),
+            PartyId::User(u) => (u < self.num_users && self.taken_users.insert(u))
+                .then(|| self.endpoint(id, &SERVERS, None, None)),
+        };
+        endpoint.unwrap_or_else(|| panic!("endpoint {id} already taken or unknown"))
     }
 }
 
@@ -824,6 +845,55 @@ mod tests {
         let s1 = net.take_endpoint(PartyId::Server1);
         let err = s1.send(PartyId::User(9), Step::Setup, &0u64).unwrap_err();
         assert_eq!(err, TransportError::UnknownParty(PartyId::User(9)));
+        // A send that went nowhere is not in Table II.
+        let report = net.meter().report();
+        assert_eq!(report.link_stats(Step::Setup, LinkKind::ServerToUser).messages, 0);
+    }
+
+    #[test]
+    fn an_inbox_disconnects_once_the_network_and_every_sender_are_gone() {
+        // The network can still hand out senders, so a silent inbox reads
+        // as a timeout while it lives and as a disconnect after.
+        let mut net =
+            Network::builder(1).timeout(TimeoutPolicy::new(Duration::from_millis(20))).build();
+        let mut s1 = net.take_endpoint(PartyId::Server1);
+        let s2 = net.take_endpoint(PartyId::Server2);
+        let u = net.take_endpoint(PartyId::User(0));
+        drop((s2, u));
+        let err = s1.recv::<u64>(PartyId::User(0), Step::SecureSumVotes).unwrap_err();
+        assert_eq!(err, TransportError::Timeout(PartyId::User(0)));
+        drop(net);
+        let err = s1.recv::<u64>(PartyId::User(0), Step::SecureSumVotes).unwrap_err();
+        assert_eq!(err, TransportError::Disconnected(PartyId::User(0)));
+    }
+
+    #[test]
+    fn building_does_not_depend_on_the_number_of_users() {
+        let started = Instant::now();
+        let mut net = Network::builder(1_000_000).build();
+        let mut s1 = net.take_endpoint(PartyId::Server1);
+        let mut s2 = net.take_endpoint(PartyId::Server2);
+        let mut last = net.take_endpoint(PartyId::User(999_999));
+        last.send(PartyId::Server1, Step::SecureSumVotes, &7u64).unwrap();
+        assert_eq!(s1.recv::<u64>(PartyId::User(999_999), Step::SecureSumVotes).unwrap(), 7);
+        s1.send(PartyId::Server2, Step::BlindPermute1, &8u64).unwrap();
+        assert_eq!(s2.recv::<u64>(PartyId::Server1, Step::BlindPermute1).unwrap(), 8);
+        // The star: nobody — server or user — can send a user a frame, and
+        // a user's endpoint has no inbox to wait on.
+        for sender in [&s1, &s2, &last] {
+            let err = sender.send(PartyId::User(3), Step::Restoration, &0u64).unwrap_err();
+            assert_eq!(err, TransportError::UnknownParty(PartyId::User(3)));
+        }
+        let err = last.recv::<u64>(PartyId::Server1, Step::Restoration).unwrap_err();
+        assert_eq!(err, TransportError::Disconnected(PartyId::Server1));
+        // Taking a user twice, or one past the end, is still a harness bug.
+        for bad in [PartyId::User(999_999), PartyId::User(1_000_000), PartyId::Server1] {
+            let taken = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                net.take_endpoint(bad);
+            }));
+            assert!(taken.is_err(), "{bad} must not be handed out");
+        }
+        assert!(started.elapsed() < Duration::from_secs(1), "{:?}", started.elapsed());
     }
 
     #[test]

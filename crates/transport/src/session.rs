@@ -1,4 +1,4 @@
-//! Session-tagged frames and demultiplexing for multi-round links.
+//! Session-tagged frames for multi-round links.
 //!
 //! One transport link historically carried exactly one consensus round.
 //! The multi-session reactor (`core::reactor`) multiplexes *many*
@@ -7,26 +7,19 @@
 //!
 //! * [`SessionFrame`] — one protocol message tagged with the session it
 //!   belongs to, the claimed `(from, to)` identities, the protocol
-//!   [`Step`] and a per-stream sequence number. The payload is an opaque
-//!   already-wire-encoded protocol message.
-//! * [`write_session_frame`] / [`read_session_frame`] — the same
-//!   `[u32 LE length]`-prefixed framing the TCP backend uses, so session
-//!   frames can ride any byte stream. Declared lengths are capped, torn
-//!   tails surface as typed errors, never panics.
-//! * [`SessionDemux`] — routes incoming frames to per-session queues.
-//!   A frame naming a session that was never registered (or already
-//!   retired) is a *typed* [`SessionError::UnknownSession`], not a
-//!   panic and not a silent drop the caller can't observe.
-//!
-//! Checkpoint stores and durable RDP ledgers key their records by a bare
-//! round id; [`session_scoped_round`] packs a session id into the high
-//! bits so concurrent sessions sharing one directory can never collide
-//! on each other's records (see [`crate::checkpoint::SessionScopedStore`]).
+//!   [`Step`] and its canonical index within the session's upload. The
+//!   payload is an opaque already-wire-encoded protocol message. The
+//!   [`Wire`] codec caps declared lengths, and torn tails surface as
+//!   typed errors, never panics.
+//! * [`SessionError`] — what the reactor answers a frame it will not
+//!   take: a session it does not know, bytes that do not decode, or a
+//!   header that is not the one the session expects at that index.
+//!   Always typed, never a panic, and never a silent drop the caller
+//!   can't observe. The reactor keeps no queue in front of a session: a
+//!   frame goes straight into the slot its index names.
 
-use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::io::{Read, Write};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -55,7 +48,9 @@ pub struct SessionFrame {
     pub to: PartyId,
     /// The protocol step the payload belongs to.
     pub step: Step,
-    /// Per-(session, from, to) stream sequence number.
+    /// Canonical index of this upload within its session: user-major in
+    /// roster order, six frames per user (S1-bound votes, threshold,
+    /// noisy shares, then the S2-bound three). Not a per-link counter.
     pub seq: u64,
     /// The wire-encoded protocol message.
     pub payload: Bytes,
@@ -96,51 +91,23 @@ impl Wire for SessionFrame {
     }
 }
 
-/// Writes one `[u32 LE length]`-prefixed session frame.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_session_frame(w: &mut impl Write, frame: &SessionFrame) -> std::io::Result<()> {
-    let body = frame.to_bytes();
-    debug_assert!(body.len() as u64 <= u64::from(MAX_FRAME));
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
-    w.flush()
-}
-
-/// Reads one length-prefixed session frame. A torn tail (EOF mid-frame)
-/// surfaces as the underlying `UnexpectedEof`; a garbage prefix or
-/// undecodable body as `InvalidData`. Declared lengths past the sanity
-/// cap are rejected before any allocation.
-///
-/// # Errors
-///
-/// See above — every malformed input is a typed `std::io::Error`.
-pub fn read_session_frame(r: &mut impl Read) -> std::io::Result<SessionFrame> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("declared session frame length {len} exceeds bounds"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    SessionFrame::from_bytes(Bytes::from(body))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
 /// Errors surfaced by the session layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
-    /// A frame named a session id that was never registered with the
-    /// demux (or was already retired).
+    /// A frame named a session id that was never admitted (or already
+    /// finished).
     UnknownSession(u64),
     /// A frame failed to decode.
     Codec(WireError),
+    /// A frame's `seq` is past the session's upload, or its
+    /// `(from, to, step)` is not what the session expects at that index —
+    /// a forged sender, a user off the roster, a renumbered frame.
+    UnexpectedFrame {
+        /// The session the frame named.
+        session: u64,
+        /// The index it claimed.
+        seq: u64,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -148,6 +115,9 @@ impl fmt::Display for SessionError {
         match self {
             SessionError::UnknownSession(id) => write!(f, "unknown session id {id}"),
             SessionError::Codec(e) => write!(f, "session frame codec error: {e}"),
+            SessionError::UnexpectedFrame { session, seq } => {
+                write!(f, "session {session} expects a different frame at index {seq}")
+            }
         }
     }
 }
@@ -167,103 +137,6 @@ impl From<WireError> for SessionError {
     }
 }
 
-/// Routes session-tagged frames into per-session FIFO queues.
-///
-/// The demux is deliberately dumb: sessions register, frames route or
-/// fail with a typed error, and the scheduler drains each session's
-/// queue when it services that session. Retiring a session drops its
-/// queued frames — later frames for it are [`SessionError::UnknownSession`].
-#[derive(Debug, Default)]
-pub struct SessionDemux {
-    queues: HashMap<u64, VecDeque<SessionFrame>>,
-}
-
-impl SessionDemux {
-    /// An empty demux with no registered sessions.
-    pub fn new() -> SessionDemux {
-        SessionDemux::default()
-    }
-
-    /// Registers `session` so frames for it route instead of erroring.
-    /// Idempotent: re-registering keeps any queued frames.
-    pub fn register(&mut self, session: u64) {
-        self.queues.entry(session).or_default();
-    }
-
-    /// Retires `session`, returning any frames still queued for it.
-    pub fn retire(&mut self, session: u64) -> Vec<SessionFrame> {
-        self.queues.remove(&session).map(Vec::from).unwrap_or_default()
-    }
-
-    /// True when `session` is registered.
-    pub fn is_registered(&self, session: u64) -> bool {
-        self.queues.contains_key(&session)
-    }
-
-    /// Number of registered sessions.
-    pub fn sessions(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Routes a frame to its session's queue.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::UnknownSession`] when the frame's session was
-    /// never registered (or was retired) — typed, never a panic.
-    pub fn route(&mut self, frame: SessionFrame) -> Result<(), SessionError> {
-        match self.queues.get_mut(&frame.session) {
-            Some(q) => {
-                q.push_back(frame);
-                Ok(())
-            }
-            None => Err(SessionError::UnknownSession(frame.session)),
-        }
-    }
-
-    /// Decodes raw bytes into a frame and routes it.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Codec`] on malformed bytes,
-    /// [`SessionError::UnknownSession`] on an unregistered session id.
-    pub fn decode_and_route(&mut self, bytes: Bytes) -> Result<u64, SessionError> {
-        let frame = SessionFrame::from_bytes(bytes)?;
-        let session = frame.session;
-        self.route(frame)?;
-        Ok(session)
-    }
-
-    /// Pops the oldest queued frame for `session`, if any.
-    pub fn next_frame(&mut self, session: u64) -> Option<SessionFrame> {
-        self.queues.get_mut(&session).and_then(VecDeque::pop_front)
-    }
-
-    /// Frames currently queued for `session`.
-    pub fn queued(&self, session: u64) -> usize {
-        self.queues.get(&session).map_or(0, VecDeque::len)
-    }
-}
-
-/// Packs a session id and a per-session round id into the single `u64`
-/// round key that [`crate::CheckpointStore`] implementations and the
-/// durable RDP ledger index their records by: the session occupies the
-/// high 32 bits, the round the low 32. Session 0 is the identity mapping
-/// (`session_scoped_round(0, r) == r`), so single-session callers keep
-/// their existing on-disk keys.
-///
-/// # Panics
-///
-/// Panics if either id does not fit in 32 bits — a reactor cycling
-/// through four billion sessions (or a session running four billion
-/// rounds) against one shared store directory is a harness bug, not a
-/// supported configuration.
-pub fn session_scoped_round(session: u64, round: u64) -> u64 {
-    assert!(session <= u64::from(u32::MAX), "session id {session} exceeds 32 bits");
-    assert!(round <= u64::from(u32::MAX), "round id {round} exceeds 32 bits");
-    (session << 32) | round
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,7 +154,7 @@ mod tests {
     }
 
     #[test]
-    fn session_frames_roundtrip_through_length_prefixed_wire() {
+    fn session_frames_roundtrip_through_the_wire_codec() {
         for f in [
             frame(0, 1, vec![]),
             frame(7, 42, vec![1, 2, 3]),
@@ -294,78 +167,26 @@ mod tests {
                 payload: Bytes::from(vec![0u8; 64]),
             },
         ] {
-            let mut wire = Vec::new();
-            write_session_frame(&mut wire, &f).unwrap();
-            let back = read_session_frame(&mut std::io::Cursor::new(&wire[..])).unwrap();
-            assert_eq!(back, f);
+            assert_eq!(SessionFrame::from_bytes(f.to_bytes()).unwrap(), f);
         }
     }
 
     #[test]
-    fn unknown_session_routes_to_typed_error_not_a_panic() {
-        let mut demux = SessionDemux::new();
-        demux.register(1);
-        assert_eq!(demux.route(frame(1, 1, vec![9])), Ok(()));
-        let err = demux.route(frame(2, 1, vec![9])).unwrap_err();
-        assert_eq!(err, SessionError::UnknownSession(2));
-        // Retired sessions become unknown again, dropping their queue.
-        let leftovers = demux.retire(1);
-        assert_eq!(leftovers.len(), 1);
-        assert_eq!(demux.route(frame(1, 2, vec![])), Err(SessionError::UnknownSession(1)));
+    fn garbage_payload_length_is_rejected_without_allocating() {
+        let mut wire = frame(1, 2, vec![]).to_bytes().to_vec();
+        let at = wire.len() - 4;
+        wire[at..].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        let err = SessionFrame::from_bytes(Bytes::from(wire)).unwrap_err();
+        assert_eq!(err, WireError::LengthOverflow(u64::from(MAX_FRAME) + 1));
     }
 
     #[test]
-    fn demux_queues_are_fifo_per_session() {
-        let mut demux = SessionDemux::new();
-        demux.register(5);
-        demux.register(6);
-        demux.route(frame(5, 1, vec![1])).unwrap();
-        demux.route(frame(6, 1, vec![2])).unwrap();
-        demux.route(frame(5, 2, vec![3])).unwrap();
-        assert_eq!(demux.queued(5), 2);
-        assert_eq!(demux.next_frame(5).unwrap().seq, 1);
-        assert_eq!(demux.next_frame(5).unwrap().seq, 2);
-        assert_eq!(demux.next_frame(5), None);
-        assert_eq!(demux.next_frame(6).unwrap().payload.as_ref(), &[2]);
-    }
-
-    #[test]
-    fn decode_and_route_surfaces_both_error_kinds() {
-        let mut demux = SessionDemux::new();
-        demux.register(9);
-        let ok = demux.decode_and_route(frame(9, 1, vec![7]).to_bytes()).unwrap();
-        assert_eq!(ok, 9);
-        assert_eq!(
-            demux.decode_and_route(frame(10, 1, vec![7]).to_bytes()),
-            Err(SessionError::UnknownSession(10))
-        );
-        assert!(matches!(
-            demux.decode_and_route(Bytes::from(vec![0xFFu8, 0, 1])),
-            Err(SessionError::Codec(WireError::InvalidTag(0xFF)))
-        ));
-    }
-
-    #[test]
-    fn garbage_length_prefix_is_rejected_without_allocating() {
-        let mut wire = (MAX_FRAME + 1).to_le_bytes().to_vec();
-        wire.extend_from_slice(&[0u8; 8]);
-        let err = read_session_frame(&mut std::io::Cursor::new(&wire[..])).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn session_scoped_round_packs_and_preserves_identity() {
-        assert_eq!(session_scoped_round(0, 7), 7);
-        assert_eq!(session_scoped_round(1, 0), 1 << 32);
-        assert_eq!(session_scoped_round(3, 5), (3 << 32) | 5);
-        // Distinct (session, round) pairs never collide.
-        assert_ne!(session_scoped_round(1, 2), session_scoped_round(2, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds 32 bits")]
-    fn session_scoped_round_rejects_oversized_ids() {
-        session_scoped_round(u64::from(u32::MAX) + 1, 0);
+    fn session_errors_render() {
+        assert!(SessionError::UnknownSession(4).to_string().contains("unknown session id 4"));
+        let forged = SessionError::UnexpectedFrame { session: 4, seq: 31 };
+        assert!(forged.to_string().contains("index 31"));
+        let codec = SessionError::from(WireError::Truncated);
+        assert!(codec.source().is_some());
     }
 
     proptest! {
@@ -385,10 +206,7 @@ mod tests {
                 seq,
                 payload: Bytes::from(payload),
             };
-            let mut wire = Vec::new();
-            write_session_frame(&mut wire, &f).unwrap();
-            let back = read_session_frame(&mut std::io::Cursor::new(&wire[..])).unwrap();
-            prop_assert_eq!(back, f);
+            prop_assert_eq!(SessionFrame::from_bytes(f.to_bytes()).unwrap(), f);
         }
 
         #[test]
@@ -396,18 +214,7 @@ mod tests {
             session in any::<u64>(),
             payload in proptest::collection::vec(any::<u8>(), 0..32),
         ) {
-            let f = frame(session, 11, payload);
-            // Framed stream cuts: every strict prefix fails typed.
-            let mut wire = Vec::new();
-            write_session_frame(&mut wire, &f).unwrap();
-            for cut in 0..wire.len() {
-                prop_assert!(
-                    read_session_frame(&mut std::io::Cursor::new(&wire[..cut])).is_err(),
-                    "prefix of {}/{} bytes must not parse", cut, wire.len()
-                );
-            }
-            // Bare codec cuts: typed WireError, never a panic.
-            let body = f.to_bytes();
+            let body = frame(session, 11, payload).to_bytes();
             for cut in 0..body.len() {
                 let got = SessionFrame::from_bytes(body.slice(0..cut));
                 prop_assert!(
@@ -415,16 +222,6 @@ mod tests {
                     "cut {} of {} gave {:?}", cut, body.len(), got
                 );
             }
-        }
-
-        #[test]
-        fn session_scoped_rounds_are_injective(
-            s1 in 0u64..=u32::MAX as u64, r1 in 0u64..=u32::MAX as u64,
-            s2 in 0u64..=u32::MAX as u64, r2 in 0u64..=u32::MAX as u64,
-        ) {
-            let a = session_scoped_round(s1, r1);
-            let b = session_scoped_round(s2, r2);
-            prop_assert_eq!(a == b, (s1, r1) == (s2, r2));
         }
     }
 }

@@ -2,21 +2,21 @@
 //! reconnect-and-resume and acknowledged delivery.
 //!
 //! Built on `std::net` only (thread-per-connection, no async runtime),
-//! so it runs in offline sandboxes. Each party binds one loopback
-//! listener; a directed link `A → B` is a TCP connection dialed lazily by
-//! `A` on its first send. On the wire every frame is `[u32 LE length]`
-//! followed by a [`Wire`]-encoded [`Frame`] body:
+//! so it runs in offline sandboxes. Each *server* binds one loopback
+//! listener — two listeners and two acceptor threads per network, however
+//! many users it has: a user only ever dials. A directed link `A → B` is
+//! a TCP connection dialed lazily by `A` on its first send. On the wire
+//! every frame is `[u32 LE length]` followed by a [`Wire`]-encoded
+//! [`Frame`] body:
 //!
 //! * **Hello / HelloAck** — a versioned session handshake. `Hello`
 //!   carries a magic tag, the protocol version, the network's session id
 //!   and the claimed `(from, to)` identities; the receiver rejects
 //!   mismatches by dropping the connection. `HelloAck` answers with the
 //!   highest sequence number the receiver has already accepted on this
-//!   link, which is where resume starts. A link is *not* tied to a
-//!   single round: the session id identifies a network instance, and the
-//!   multi-session reactor (`core::reactor`) multiplexes many concurrent
-//!   rounds over shared infrastructure via session-tagged frames
-//!   ([`crate::session`]).
+//!   link, which is where resume starts. The session id identifies a
+//!   network instance, so a stray connection from an earlier round's
+//!   network fails the handshake.
 //! * **Data** — one [`Envelope`]: step, per-link sequence number, the
 //!   sender-side frame checksum, any injected delivery delay (encoded as
 //!   remaining nanoseconds) and the payload. The receiver answers each
@@ -24,12 +24,11 @@
 //!   retransmit buffer.
 //! * **Heartbeat** — emitted by an idle link writer every
 //!   [`TcpConfig::heartbeat`]; any inbound frame refreshes the sender's
-//!   liveness record. Liveness is tracked per *(peer, session)*, not per
-//!   connection: on a multiplexed link one idle session going stale
-//!   never fast-fails a healthy neighbor session's receives. A peer
-//!   silent past [`TcpConfig::liveness`] in a session is declared dead
-//!   there and that session's pending receive fails over to the
-//!   existing dropout path ([`crate::TransportError::Timeout`]).
+//!   liveness record. Liveness is tracked per peer, not per connection:
+//!   a reconnect keeps the record. A peer silent past
+//!   [`TcpConfig::liveness`] is declared dead and the pending receive
+//!   fails over to the existing dropout path
+//!   ([`crate::TransportError::Timeout`]).
 //!
 //! **Reconnect-and-resume**: a link writer that loses its connection
 //! (write failure, severed socket, torn frame) redials with exponential
@@ -57,7 +56,7 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::faults::FaultPlan;
-use crate::link::{send_bounded, Envelope, LinkSender};
+use crate::link::{send_bounded, Envelope};
 use crate::metrics::{FaultEvent, Meter, Step};
 use crate::network::{PartyId, TransportError};
 use crate::proxy::ChaosProxy;
@@ -235,21 +234,13 @@ pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<Frame> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
-/// Per-endpoint record of when each connected peer was last heard from
+/// Per-inbox record of when each connected peer was last heard from
 /// (any frame counts, heartbeats included). Consulted by the receive
 /// loop to convert a silent peer into a timely dropout.
-///
-/// Records are keyed per *(peer, session)*, not per connection: one
-/// physical link may multiplex several sessions, and an idle session
-/// whose deadline lapses must not fast-fail the receives of a healthy
-/// neighbor session sharing the socket.
 pub(crate) struct Liveness {
     deadline: Duration,
     poll: Duration,
-    last: Mutex<HashMap<(PartyId, u64), Instant>>,
-    /// How many receives each session has failed over to the dropout
-    /// path on a lapsed liveness deadline.
-    expirations: Mutex<HashMap<u64, u64>>,
+    last: Mutex<HashMap<PartyId, Instant>>,
 }
 
 impl Liveness {
@@ -258,30 +249,18 @@ impl Liveness {
             deadline: cfg.liveness,
             poll: cfg.heartbeat.clamp(Duration::from_millis(1), Duration::from_millis(25)),
             last: Mutex::new(HashMap::new()),
-            expirations: Mutex::new(HashMap::new()),
         }
     }
 
-    fn touch(&self, from: PartyId, session: u64) {
-        self.last.lock().insert((from, session), Instant::now());
+    fn touch(&self, from: PartyId) {
+        self.last.lock().insert(from, Instant::now());
     }
 
-    /// True when `from` once connected in `session` and has now been
-    /// silent past the deadline there. A peer that never connected is
-    /// governed by the receive policy alone, and a peer stale in one
-    /// session stays live in every other.
-    pub(crate) fn expired(&self, from: PartyId, session: u64) -> bool {
-        self.last.lock().get(&(from, session)).is_some_and(|at| at.elapsed() > self.deadline)
-    }
-
-    /// Records one liveness-expiry failover for `session`.
-    pub(crate) fn note_expired(&self, session: u64) {
-        *self.expirations.lock().entry(session).or_insert(0) += 1;
-    }
-
-    /// Liveness-expiry failovers recorded for `session`.
-    pub(crate) fn expired_count(&self, session: u64) -> u64 {
-        self.expirations.lock().get(&session).copied().unwrap_or(0)
+    /// True when `from` once connected and has now been silent past the
+    /// deadline. A peer that never connected is governed by the receive
+    /// policy alone.
+    pub(crate) fn expired(&self, from: PartyId) -> bool {
+        self.last.lock().get(&from).is_some_and(|at| at.elapsed() > self.deadline)
     }
 
     /// How often a blocking receive should wake to re-check liveness.
@@ -306,16 +285,44 @@ impl FabricShared {
     }
 }
 
-/// The socket fabric of one network: listener addresses, chaos proxies
-/// and the shutdown handle. Dropping the last owner (the [`crate::Network`]
-/// and every taken endpoint) severs all connections and winds the
-/// fabric's threads down.
+/// The socket fabric of one network: the servers' listener addresses,
+/// chaos proxies, what a new link is dialed with, and the shutdown
+/// handle. Dropping the last owner (the [`crate::Network`] and every link
+/// of every taken endpoint) severs all connections and winds the fabric's
+/// threads down.
 pub(crate) struct TcpFabric {
     shared: Arc<FabricShared>,
-    /// Real listener address of each party (dialers may be pointed at a
+    /// Real listener address of each server (dialers may be pointed at a
     /// chaos proxy instead — see [`ChaosProxy`]).
     pub(crate) addrs: HashMap<PartyId, SocketAddr>,
+    /// Links the fault plan targets dial a proxy in front of the listener.
+    dial: HashMap<(PartyId, PartyId), SocketAddr>,
     _proxies: Vec<ChaosProxy>,
+    session: u64,
+    cfg: TcpConfig,
+    capacity: usize,
+    meter: Arc<Meter>,
+}
+
+impl TcpFabric {
+    /// The sending half of the directed link `from → to`; its connection
+    /// is dialed on the first send.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` has no listener — only the servers do.
+    pub(crate) fn link(self: &Arc<Self>, from: PartyId, to: PartyId) -> TcpLink {
+        let ctx = LinkCtx {
+            from,
+            to,
+            dial: self.dial.get(&(from, to)).copied().unwrap_or(self.addrs[&to]),
+            session: self.session,
+            cfg: self.cfg,
+            meter: Arc::clone(&self.meter),
+            shared: Arc::clone(&self.shared),
+        };
+        TcpLink { ctx, capacity: self.capacity, queue: Mutex::new(None), _fabric: Arc::clone(self) }
+    }
 }
 
 impl Drop for TcpFabric {
@@ -345,6 +352,9 @@ pub(crate) struct TcpLink {
     ctx: LinkCtx,
     capacity: usize,
     queue: Mutex<Option<Sender<Envelope>>>,
+    /// Keeps the fabric — the listeners' threads, the proxy this link may
+    /// dial — alive for as long as any endpoint holds a link.
+    _fabric: Arc<TcpFabric>,
 }
 
 impl TcpLink {
@@ -616,11 +626,11 @@ fn run_reader(stream: TcpStream, inbox: Arc<Inbox>) {
     if stream.set_read_timeout(None).is_err() {
         return;
     }
-    inbox.liveness.touch(from, inbox.session);
+    inbox.liveness.touch(from);
     loop {
         match read_frame(&mut (&stream)) {
             Ok(Frame::Data { step, seq, checksum, delay_nanos, payload }) => {
-                inbox.liveness.touch(from, inbox.session);
+                inbox.liveness.touch(from);
                 let deliver_after =
                     (delay_nanos > 0).then(|| Instant::now() + Duration::from_nanos(delay_nanos));
                 let env = Envelope { from, step, seq, checksum, deliver_after, payload };
@@ -638,7 +648,7 @@ fn run_reader(stream: TcpStream, inbox: Arc<Inbox>) {
                     break;
                 }
             }
-            Ok(Frame::Heartbeat) => inbox.liveness.touch(from, inbox.session),
+            Ok(Frame::Heartbeat) => inbox.liveness.touch(from),
             Ok(_) => {} // stray handshake frames: ignore
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                 // Garbage length prefix or undecodable body: the stream
@@ -653,40 +663,34 @@ fn run_reader(stream: TcpStream, inbox: Arc<Inbox>) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// The assembled socket fabric of one network, keyed by party.
-pub(crate) struct TcpMesh {
-    pub(crate) incoming: HashMap<PartyId, Receiver<Envelope>>,
-    pub(crate) outgoing: HashMap<PartyId, HashMap<PartyId, LinkSender>>,
-    pub(crate) liveness: HashMap<PartyId, Arc<Liveness>>,
-    pub(crate) fabric: Arc<TcpFabric>,
-}
+/// A server's inbox on the TCP backend: the queue its readers feed, and
+/// when each connected peer was last heard from.
+pub(crate) type TcpInbox = (Receiver<Envelope>, Arc<Liveness>);
 
-/// Binds one loopback listener per party, inserts chaos proxies on links
-/// the fault plan targets, and wires lazy TCP link senders for every
-/// directed pair.
+/// Binds one loopback listener per server and puts a chaos proxy in
+/// front of each link the fault plan targets. Links are made one at a
+/// time by [`TcpFabric::link`], so nothing here depends on how many
+/// users the network has.
 ///
 /// # Panics
 ///
 /// Panics if a loopback listener cannot be bound — the harness cannot
 /// run without sockets.
-pub(crate) fn build_mesh(
-    parties: &[PartyId],
+pub(crate) fn build_star(
+    servers: [PartyId; 2],
     session: u64,
     cfg: TcpConfig,
     capacity: usize,
     meter: &Arc<Meter>,
     faults: Option<&FaultPlan>,
-) -> TcpMesh {
+) -> (Arc<TcpFabric>, [TcpInbox; 2]) {
     let shared =
         Arc::new(FabricShared { shutdown: AtomicBool::new(false), conns: Mutex::new(Vec::new()) });
 
     let mut addrs = HashMap::new();
-    let mut incoming = HashMap::new();
-    let mut liveness = HashMap::new();
-    for &p in parties {
+    let inboxes = servers.map(|p| {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-        let addr = listener.local_addr().expect("listener address");
-        addrs.insert(p, addr);
+        addrs.insert(p, listener.local_addr().expect("listener address"));
         let (tx, rx) = bounded(capacity);
         let live = Arc::new(Liveness::new(&cfg));
         let inbox = Arc::new(Inbox {
@@ -702,50 +706,32 @@ pub(crate) fn build_mesh(
             .name(format!("tcp-accept-{p}"))
             .spawn(move || run_acceptor(listener, inbox))
             .expect("spawn tcp acceptor thread");
-        incoming.insert(p, rx);
-        liveness.insert(p, live);
-    }
+        (rx, live)
+    });
 
     // Chaos proxies: links the fault plan targets dial a proxy that
     // forwards to the real listener while injecting socket-level faults.
     let mut proxies = Vec::new();
-    let mut dial: HashMap<(PartyId, PartyId), SocketAddr> = HashMap::new();
-    if let Some(plan) = faults {
-        for (&(from, to), &fault) in plan.socket_faults() {
-            if let Some(&target) = addrs.get(&to) {
-                let proxy = ChaosProxy::spawn(target, fault).expect("spawn chaos proxy");
-                dial.insert((from, to), proxy.addr());
-                proxies.push(proxy);
-            }
+    let mut dial = HashMap::new();
+    for (&(from, to), &fault) in faults.into_iter().flat_map(FaultPlan::socket_faults) {
+        if let Some(&target) = addrs.get(&to) {
+            let proxy = ChaosProxy::spawn(target, fault).expect("spawn chaos proxy");
+            dial.insert((from, to), proxy.addr());
+            proxies.push(proxy);
         }
     }
 
     let fabric = Arc::new(TcpFabric {
-        shared: Arc::clone(&shared),
-        addrs: addrs.clone(),
+        shared,
+        addrs,
+        dial,
         _proxies: proxies,
+        session,
+        cfg,
+        capacity,
+        meter: Arc::clone(meter),
     });
-    let mut outgoing = HashMap::new();
-    for &p in parties {
-        let mut links = HashMap::new();
-        for &q in parties {
-            if q == p {
-                continue;
-            }
-            let ctx = LinkCtx {
-                from: p,
-                to: q,
-                dial: dial.get(&(p, q)).copied().unwrap_or(addrs[&q]),
-                session,
-                cfg,
-                meter: Arc::clone(meter),
-                shared: Arc::clone(&shared),
-            };
-            links.insert(q, LinkSender::Tcp(TcpLink { ctx, capacity, queue: Mutex::new(None) }));
-        }
-        outgoing.insert(p, links);
-    }
-    TcpMesh { incoming, outgoing, liveness, fabric }
+    (fabric, inboxes)
 }
 
 #[cfg(test)]
@@ -981,26 +967,19 @@ mod tests {
     }
 
     #[test]
-    fn liveness_is_tracked_per_session_not_per_connection() {
+    fn liveness_is_tracked_per_peer() {
         let cfg = TcpConfig { liveness: Duration::from_millis(40), ..TcpConfig::fast_local() };
         let live = Liveness::new(&cfg);
-        let peer = PartyId::User(0);
-        // The same peer is active in two sessions sharing the link; only
-        // session 1 goes idle.
-        live.touch(peer, 1);
-        live.touch(peer, 2);
+        // Two peers connected; only user 0 goes idle.
+        live.touch(PartyId::User(0));
+        live.touch(PartyId::Server2);
         std::thread::sleep(Duration::from_millis(60));
-        live.touch(peer, 2);
-        assert!(live.expired(peer, 1), "idle session must expire");
-        assert!(!live.expired(peer, 2), "a fresh neighbor session must stay live");
-        // A session the peer never connected in is governed by the
-        // receive policy alone.
-        assert!(!live.expired(peer, 3));
-        // Per-session expiry counting.
-        live.note_expired(1);
-        live.note_expired(1);
-        assert_eq!(live.expired_count(1), 2);
-        assert_eq!(live.expired_count(2), 0);
+        live.touch(PartyId::Server2);
+        assert!(live.expired(PartyId::User(0)), "an idle peer must expire");
+        assert!(!live.expired(PartyId::Server2), "a fresh neighbor must stay live");
+        // A peer that never connected is governed by the receive policy
+        // alone.
+        assert!(!live.expired(PartyId::User(1)));
     }
 
     #[test]
@@ -1024,5 +1003,32 @@ mod tests {
         }
         let stats = net.meter().fault_stats();
         assert!(stats.reconnects >= 1, "the sever must force a reconnect: {stats:?}");
+    }
+
+    #[test]
+    fn a_star_has_two_listeners_and_user_uplinks_take_socket_faults() {
+        // 64 users, two listeners: a user only dials. The chaos proxy on
+        // user 63's uplink fragments every write and delivery still holds.
+        let plan = FaultPlan::new(0).partial_writes(PartyId::User(63), PartyId::Server1);
+        let mut net = Network::builder(64)
+            .tcp(TcpConfig::fast_local())
+            .faults(plan)
+            .timeout(TimeoutPolicy::with_retries(Duration::from_millis(400), 2, 2.0))
+            .build();
+        let addrs = net.listener_addrs().expect("tcp backend");
+        assert_eq!(addrs.len(), 2);
+        assert!(addrs.contains_key(&PartyId::Server1) && addrs.contains_key(&PartyId::Server2));
+        let mut s1 = net.take_endpoint(PartyId::Server1);
+        let mut s2 = net.take_endpoint(PartyId::Server2);
+        let u = net.take_endpoint(PartyId::User(63));
+        for i in 0..10u64 {
+            u.send(PartyId::Server1, Step::SecureSumVotes, &(i * 17)).unwrap();
+        }
+        u.send(PartyId::Server2, Step::SecureSumVotes, &99u64).unwrap();
+        for i in 0..10u64 {
+            let v: u64 = s1.recv(PartyId::User(63), Step::SecureSumVotes).unwrap();
+            assert_eq!(v, i * 17);
+        }
+        assert_eq!(s2.recv::<u64>(PartyId::User(63), Step::SecureSumVotes).unwrap(), 99);
     }
 }

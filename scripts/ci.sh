@@ -8,6 +8,9 @@
 #   4. cargo test                 — the tier-1 test suite
 #   5. the smoke suites, the bench harness gate and the repo benchmark's
 #      --smoke pass (a kernel that is fast but wrong fails here)
+#   6. scripts/devcheck.sh overflow-bench and loc: the benchmark's two
+#      deployable-key workloads under -C overflow-checks=on, and the
+#      core + transport line count
 #
 # In offline sandboxes where the third-party crates cannot be fetched,
 # use scripts/devcheck.sh instead — same checks, pointed at the
@@ -57,5 +60,11 @@ bash scripts/bench.sh --smoke --threads 2 --batch --scale
 
 echo "==> repo benchmark smoke (crates/benchmark/run.sh --smoke: every op checked against the clear-text oracle)"
 bash crates/benchmark/run.sh --smoke
+
+echo "==> release-shaped limb kernel under overflow checks (deploy2048 + paper1024)"
+bash scripts/devcheck.sh overflow-bench
+
+echo "==> core + transport size"
+bash scripts/devcheck.sh loc
 
 echo "CI checks passed."

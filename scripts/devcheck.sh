@@ -5,7 +5,7 @@
 # --config patches, leaving the real manifests untouched. On a networked
 # machine just use scripts/ci.sh instead.
 #
-# Usage: scripts/devcheck.sh [check|test|clippy|fmt|bench-smoke] [extra args...]
+# Usage: scripts/devcheck.sh [check|test|clippy|fmt|bench-smoke|overflow-bench|loc] [extra args...]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -44,8 +44,33 @@ case "$cmd" in
     # detects the offline sandbox and applies the same patches itself.
     bash "${repo}/crates/benchmark/run.sh" --smoke "$@"
     ;;
+  overflow-bench)
+    # The limb kernel's carry invariants are enforced by debug-profile
+    # overflow panics only; a release build wraps silently. Run the two
+    # deployable-key workloads (32- and 64-limb kernels) once in the
+    # release profile with the checks compiled in: every op must still
+    # verify against the clear-text oracle. Its own target directory, so
+    # the flag never leaks into (or rebuilds) the ordinary release build.
+    for workload in deploy2048 paper1024; do
+      line="$(RUSTFLAGS="-C overflow-checks=on" \
+        CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-${repo}/target}/overflow-checks" \
+        bash "${repo}/crates/benchmark/run.sh" --workload "$workload" --seconds 5 --trace 0 "$@" | tail -n 1)" || true
+      echo "$workload: $line"
+      case "$line" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *) echo "overflow-bench: $workload is not correct with failed 0" >&2; exit 1 ;;
+      esac
+    done
+    ;;
+  loc)
+    # Lines before the first #[cfg(test)] in core + transport: the
+    # trajectory ROADMAP's line target is read from (7 858 after PR 17).
+    awk 'FNR == 1 { counting = 1 } /#\[cfg\(test\)\]/ { counting = 0 } counting { n++ }
+         END { print "core + transport, non-test lines: " n }' \
+      "${repo}"/crates/core/src/*.rs "${repo}"/crates/transport/src/*.rs
+    ;;
   *)
-    echo "usage: $0 [check|test|clippy|fmt|bench-smoke] [extra args...]" >&2
+    echo "usage: $0 [check|test|clippy|fmt|bench-smoke|overflow-bench|loc] [extra args...]" >&2
     exit 2
     ;;
 esac

@@ -499,3 +499,123 @@ fn unknown_and_malformed_frames_are_typed_errors() {
         SessionError::Codec(_)
     ));
 }
+
+/// Admits clean sessions `0..n` and returns their upload frames.
+fn admit_clean(reactor: &mut Reactor, meter: &Arc<Meter>, n: usize) -> Vec<Vec<SessionFrame>> {
+    (0..n)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(1000 + i as u64);
+            let (machine, frames) = SessionMachine::new(
+                i as u64,
+                Arc::new(engine(3)),
+                &votes_for(i),
+                &full_roster(),
+                Arc::clone(meter),
+                &mut rng,
+            )
+            .expect("prepare clean session");
+            reactor.admit(machine).expect("admit clean session");
+            frames
+        })
+        .collect()
+}
+
+/// Every session `0..n` finished `Done`, bit-identical to its solo run.
+fn assert_all_match_solo(reactor: &mut Reactor, n: usize) {
+    for i in 0..n {
+        match reactor.take_result(i as u64) {
+            Some(SessionResult::Done(out)) => assert_eq!(
+                out.consensus_fingerprint(),
+                solo_outcome(i).consensus_fingerprint(),
+                "session {i} diverged from its solo run"
+            ),
+            other => panic!("session {i} must complete, got {other:?}"),
+        }
+    }
+}
+
+/// Frames a peer could forge — another party's name on them, a user off
+/// the roster, the wrong destination or step, a renumbered or
+/// out-of-range `seq` — are one typed error each, raw off the wire or
+/// pre-decoded, and neither the session they name nor its neighbours
+/// notice: all three fingerprints equal their solo runs.
+#[test]
+fn forged_and_renumbered_frames_are_typed_errors_that_touch_no_session() {
+    let meter = Meter::new();
+    let mut reactor = Reactor::new(
+        ReactorConfig { max_sessions: 8, deadline: Duration::from_secs(120) },
+        Arc::clone(&meter),
+    );
+    let frame_sets = admit_clean(&mut reactor, &meter, 3);
+    // User 1's threshold vector for S1 in session 1.
+    let good = frame_sets[1][7].clone();
+    assert_eq!(
+        (good.from, good.to, good.step),
+        (PartyId::User(1), PartyId::Server1, Step::SecureSumVotes)
+    );
+
+    let uploads = (6 * USERS) as u64;
+    let hostile = [
+        ("a server's name", SessionFrame { from: PartyId::Server1, ..good.clone() }),
+        ("another roster user's name", SessionFrame { from: PartyId::User(0), ..good.clone() }),
+        ("a user off the roster", SessionFrame { from: PartyId::User(USERS), ..good.clone() }),
+        ("the other server", SessionFrame { to: PartyId::Server2, ..good.clone() }),
+        ("a user as destination", SessionFrame { to: PartyId::User(1), ..good.clone() }),
+        ("the wrong step", SessionFrame { step: Step::SecureSumNoisy, ..good.clone() }),
+        ("a server-to-server step", SessionFrame { step: Step::BlindPermute1, ..good.clone() }),
+        ("the next user's index", SessionFrame { seq: good.seq + 6, ..good.clone() }),
+        ("its own noisy-share index", SessionFrame { seq: good.seq + 1, ..good.clone() }),
+        ("one past the upload", SessionFrame { seq: uploads, ..good.clone() }),
+        ("an index no table has", SessionFrame { seq: u64::MAX, ..good.clone() }),
+    ];
+    for (what, frame) in hostile {
+        let refused = SessionError::UnexpectedFrame { session: 1, seq: frame.seq };
+        assert_eq!(reactor.ingest_encoded(frame.to_bytes()).unwrap_err(), refused, "{what}");
+        assert_eq!(reactor.ingest(frame).unwrap_err(), refused, "{what}");
+    }
+
+    ingest_interleaved(&mut reactor, frame_sets);
+    reactor.run_until_idle();
+    assert_all_match_solo(&mut reactor, 3);
+    let stats = meter.fault_stats();
+    assert_eq!(
+        (stats.sessions_admitted, stats.sessions_rejected, stats.sessions_evicted),
+        (3, 0, 0)
+    );
+}
+
+/// The same frame twice is a no-op — while its session is still
+/// collecting, and again once every slot is full and the round is ready
+/// to launch (where a queued extra frame used to trip a debug assertion
+/// in the running machine). The first copy wins: a redelivery carrying
+/// different bytes changes nothing.
+#[test]
+fn redelivered_frames_are_ignored_before_and_after_the_table_fills() {
+    let meter = Meter::new();
+    let mut reactor = Reactor::new(
+        ReactorConfig { max_sessions: 8, deadline: Duration::from_secs(120) },
+        Arc::clone(&meter),
+    );
+    let frame_sets = admit_clean(&mut reactor, &meter, 2);
+    let first = frame_sets[0][0].clone();
+    let last = frame_sets[0].last().expect("uploads").clone();
+    let emptied =
+        |frame: &SessionFrame| SessionFrame { payload: bytes::Bytes::new(), ..frame.clone() };
+
+    reactor.ingest(first.clone()).expect("first copy");
+    reactor.ingest(first.clone()).expect("second copy is a no-op");
+    reactor.ingest(emptied(&first)).expect("so is one with other bytes");
+    // Delivers `first` once more, and everything else once.
+    ingest_interleaved(&mut reactor, frame_sets);
+    for frame in [&first, &last] {
+        assert_eq!(reactor.ingest_encoded(frame.to_bytes()), Ok(0));
+        reactor.ingest(emptied(frame)).expect("a full table ignores redeliveries");
+    }
+
+    reactor.run_until_idle();
+    assert_all_match_solo(&mut reactor, 2);
+    let stats = meter.fault_stats();
+    assert_eq!((stats.sessions_admitted, stats.sessions_evicted), (2, 0));
+    // Finished sessions are unknown again, duplicates included.
+    assert_eq!(reactor.ingest(first).unwrap_err(), SessionError::UnknownSession(0));
+}
