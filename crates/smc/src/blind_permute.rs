@@ -21,11 +21,20 @@
 //! own — is the one [`paillier::PublicKey::encrypt`]: a fixed-base comb
 //! power of the key's randomizer base.
 //!
+//! The three frames whose receiver *decrypts* — `E_pk2[a + r1]`,
+//! `E_pk1[π2(b+r1+r2)+r3]` and the final `E_pk2[π(b+r1+r2)]` — travel
+//! slot-packed ([`crate::pack`]): the sender permutes, then folds the
+//! whole batch into `⌈mK / slots⌉` ciphertexts, and the receiver decrypts
+//! that many instead of `mK`. `E_pk1[r1]` and `E_pk2[−r3]` stay one
+//! ciphertext per entry, because their receiver still has to add them to,
+//! or permute them among, individual entries.
+//!
 //! The batch form runs several vectors through one protocol instance with
 //! the *same* `π1, π2` but independent masks — exactly what Alg. 5 step 3
 //! needs (the vote sums and the noisy threshold sequence must share a
 //! permutation).
 
+use bigint::Ubig;
 use paillier::Ciphertext;
 use rand::rngs::StdRng;
 use transport::{ByzantineAction, Step};
@@ -35,6 +44,7 @@ use crate::error::SmcError;
 use crate::machine::{
     decode, expect_len, from_peer, peer_of, Attest, Inbound, Machine, Next, Outbox,
 };
+use crate::pack::Packer;
 use crate::permutation::Permutation;
 use crate::session::{ServerContext, ServerRole};
 
@@ -57,20 +67,20 @@ enum Stage {
     PermutedA {
         pi1: Permutation,
         r1: Vec<i128>,
-        stale: Option<Vec<Vec<Ciphertext>>>,
+        stale: Option<Vec<Ciphertext>>,
     },
     /// S1 sent `E_pk1[r1]`, waits for `E_pk1[π2(b+r1+r2)+r3]` …
     MaskedB {
         pi1: Permutation,
         sequences: Vec<Vec<i128>>,
-        stale: Option<Vec<Vec<Ciphertext>>>,
+        stale: Option<Vec<Ciphertext>>,
     },
     /// … and then for `E_pk2[−r3]`.
     NegR3 {
         pi1: Permutation,
         sequences: Vec<Vec<i128>>,
-        stale: Option<Vec<Vec<Ciphertext>>>,
-        masked_b: Vec<Vec<Ciphertext>>,
+        stale: Option<Vec<Ciphertext>>,
+        masked_b: Vec<Ciphertext>,
     },
     /// S2 waits for `E_pk2[a + r1]`.
     MaskedA {
@@ -153,33 +163,32 @@ impl Machine for BlindPermute {
         let m = self.enc.len();
         let domain = ctx.domain();
         let (own, own_pk, peer_pk) = (ctx.own_codec(), ctx.own_public(), ctx.peer_public());
-        let (peer_codec, sk) = (ctx.peer_codec(), ctx.own_private());
-        let par = ctx.parallelism();
-        let encrypt_par = |pk| par.with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(pk));
-        let decrypt_par = par.with_item_cost_ns(crate::costs::paillier_decrypt_cost_ns(own_pk));
-        let add_par = par.with_item_cost_ns(crate::costs::paillier_add_cost_ns(peer_pk));
+        let sk = ctx.own_private();
+        // A frame its receiver decrypts is packed under the receiver's
+        // key: what this server sends under the peer's, what it opens
+        // under its own.
+        let to_peer = Packer::new(ctx.config(), peer_pk)?;
+        let to_own = Packer::new(ctx.config(), own_pk)?;
+        let encrypt_par =
+            |pk| ctx.parallelism().with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(pk));
         let (peer, step) = (peer_of(ctx.role()), self.step);
         match std::mem::replace(&mut self.stage, Stage::Finished) {
             Stage::Start if ctx.role() == ServerRole::Server1 => {
                 let (pi1, r1) = self.draw(ctx, out);
-                // Step 1: send E_pk2[a + r1] to S2. The per-entry mask
-                // additions are RNG-free homomorphic ops, fanned out
-                // across the K labels.
-                let masked_a: Vec<Vec<Ciphertext>> = self
-                    .enc
-                    .iter()
-                    .zip(&r1)
-                    .map(|(vec, &mask)| {
-                        expect_len(k, vec.len())?;
-                        let mask_enc = peer_codec.encode_i128(mask)?;
-                        Ok(add_par.map(vec, |_, c| peer_pk.add_plain(c, &mask_enc)))
-                    })
-                    .collect::<Result<_, SmcError>>()?;
+                // Step 1: send E_pk2[a + r1] to S2, the whole batch packed
+                // row after row; each row's scalar mask rides in with the
+                // slot offsets.
+                for vec in &self.enc {
+                    expect_len(k, vec.len())?;
+                }
+                let masks: Vec<i128> =
+                    r1.iter().flat_map(|&mask| std::iter::repeat_n(mask, k)).collect();
+                let masked_a = to_peer.fold_masked(&self.enc.concat(), &masks)?;
                 if self.byzantine == Some(ByzantineAction::Equivocate) {
                     // Attest to the honest frame, put a different one on
-                    // the wire.
+                    // the wire: slot 0 is one off.
                     let mut forged = masked_a.clone();
-                    forged[0][0] = peer_pk.add_plain(&forged[0][0], &peer_codec.encode_i128(1)?);
+                    forged[0] = peer_pk.add_plain(&forged[0], &Ubig::one());
                     out.send_forged(peer, step, &masked_a, &forged);
                 } else {
                     out.send(peer, step, &masked_a);
@@ -212,37 +221,35 @@ impl Machine for BlindPermute {
                 self.stage = Stage::MaskedB { pi1, sequences, stale };
             }
             Stage::MaskedB { pi1, sequences, stale } => {
-                // Step 4 happened on S2: E_pk1[π2(b+r1+r2)+r3] …
-                let masked_b: Vec<Vec<Ciphertext>> = decode(answer)?;
-                expect_len(m, masked_b.len())?;
+                // Step 4 happened on S2: E_pk1[π2(b+r1+r2)+r3], packed …
+                let masked_b: Vec<Ciphertext> = decode(answer)?;
+                expect_len(to_own.frame_len(m * k), masked_b.len())?;
                 self.stage = Stage::NegR3 { pi1, sequences, stale, masked_b };
             }
             Stage::NegR3 { pi1, sequences, stale, masked_b } => {
-                // … and E_pk2[−r3].
+                // … and E_pk2[−r3], entry by entry: S1 has to permute them.
                 let neg_r3: Vec<Vec<Ciphertext>> = decode(answer)?;
                 expect_len(m, neg_r3.len())?;
-                // Step 5: decrypt under sk1, re-encrypt under pk2, strip
-                // r3 homomorphically, permute with π1, return to S2. Each
-                // entry pays a decrypt + encrypt, so the K labels fan
-                // out; only the re-encryption draws randomness, one
-                // seed-derived stream per entry.
-                let both = par.with_item_cost_ns(
-                    crate::costs::paillier_decrypt_cost_ns(own_pk)
-                        + crate::costs::paillier_encrypt_cost_ns(peer_pk),
-                );
-                let mut reencrypted: Vec<Vec<Ciphertext>> = Vec::with_capacity(m);
-                for (vec, negs) in masked_b.iter().zip(&neg_r3) {
-                    expect_len(k, vec.len())?;
-                    expect_len(k, negs.len())?;
-                    let row: Vec<Ciphertext> =
-                        both.try_map_seeded(vec, &mut self.rng, |i, c, item_rng| {
-                            let value = own.decode_i128(&sk.decrypt_crt(c)?)?;
-                            let reenc =
-                                peer_pk.encrypt(&peer_codec.encode_i128(value)?, item_rng)?;
-                            Ok::<_, SmcError>(peer_pk.add(&reenc, &negs[i]))
-                        })?;
-                    reencrypted.push(pi1.apply(&row));
+                // Step 5: decrypt under sk1, permute with π1 in the clear,
+                // re-encrypt the packed rows under pk2, strip r3 with the
+                // π1-permuted −r3 entries folded into the same slots, and
+                // return to S2. Only the re-encryption draws randomness,
+                // one seed-derived stream per packed plaintext.
+                let masked = to_own.open(sk, &masked_b, m * k)?;
+                let (mut permuted, mut negs) = (Vec::new(), Vec::new());
+                for (row, neg_row) in masked.chunks(k).zip(&neg_r3) {
+                    expect_len(k, neg_row.len())?;
+                    permuted.extend(pi1.apply(row));
+                    negs.extend(pi1.apply(neg_row));
                 }
+                let reencrypted: Vec<Ciphertext> = encrypt_par(peer_pk)
+                    .try_map_seeded(&to_peer.pack(&permuted)?, &mut self.rng, |_, plain, rng| {
+                        Ok::<_, SmcError>(peer_pk.encrypt(plain, rng)?)
+                    })?
+                    .iter()
+                    .zip(&to_peer.fold(&negs))
+                    .map(|(reenc, neg)| peer_pk.add(reenc, neg))
+                    .collect();
                 match stale {
                     // Resend the step-1 frame in place of the
                     // re-encryption; it has the same shape and decrypts
@@ -257,19 +264,16 @@ impl Machine for BlindPermute {
                 self.stage = Stage::MaskedA { pi2, r2 };
             }
             Stage::MaskedA { pi2, r2 } => {
-                // Step 2: receive E_pk2[a + r1]; decrypt (RNG-free, fanned
-                // out across the K labels), add r2, permute by π2, send
-                // the plaintext sequences back.
-                let masked_a: Vec<Vec<Ciphertext>> = decode(answer)?;
-                expect_len(m, masked_a.len())?;
-                let mut permuted_a: Vec<Vec<i128>> = Vec::with_capacity(m);
-                for (vec, &mask2) in masked_a.iter().zip(&r2) {
-                    expect_len(k, vec.len())?;
-                    let plain: Vec<i128> = decrypt_par.try_map(vec, |_, c| {
-                        Ok::<_, SmcError>(own.decode_i128(&sk.decrypt_crt(c)?)? + mask2)
-                    })?;
-                    permuted_a.push(pi2.apply(&plain));
-                }
+                // Step 2: receive E_pk2[a + r1]; decrypt, add r2, permute
+                // by π2, send the plaintext sequences back.
+                let masked_a = to_own.open(sk, &decode::<Vec<Ciphertext>>(answer)?, m * k)?;
+                let permuted_a: Vec<Vec<i128>> = masked_a
+                    .chunks(k)
+                    .zip(&r2)
+                    .map(|(row, &mask2)| {
+                        pi2.apply(&row.iter().map(|v| v + mask2).collect::<Vec<i128>>())
+                    })
+                    .collect();
                 if self.byzantine == Some(ByzantineAction::Equivocate) {
                     let mut forged = permuted_a.clone();
                     forged[0][0] += 1;
@@ -284,24 +288,19 @@ impl Machine for BlindPermute {
                 // and E_pk2[−r3].
                 let enc_r1: Vec<Ciphertext> = decode(answer)?;
                 expect_len(m, enc_r1.len())?;
-                let mut masked_b: Vec<Vec<Ciphertext>> = Vec::with_capacity(m);
+                let (mut permuted_b, mut masks) = (Vec::new(), Vec::new());
                 let mut neg_r3: Vec<Vec<Ciphertext>> = Vec::with_capacity(m);
                 for ((vec, enc_mask1), &mask2) in self.enc.iter().zip(&enc_r1).zip(&r2) {
                     expect_len(k, vec.len())?;
-                    let mask2_enc = peer_codec.encode_i128(mask2)?;
-                    // Bias additions are RNG-free homomorphic ops: fan
-                    // out per label.
-                    let biased: Vec<Ciphertext> = add_par
-                        .map(vec, |_, c| peer_pk.add_plain(&peer_pk.add(c, enc_mask1), &mask2_enc));
-                    let permuted = pi2.apply(&biased);
-                    // Per-entry r3, applied after the permutation. The
-                    // mask draws stay on the step's RNG (cheap); the
-                    // homomorphic additions and the −r3 encryptions fan
-                    // out.
+                    // r1 is only known encrypted, so it joins each entry
+                    // before the permutation and the fold; r2 and the
+                    // per-entry r3 (drawn after the permutation) go in
+                    // with the slot offsets.
+                    let biased: Vec<Ciphertext> =
+                        vec.iter().map(|c| peer_pk.add(c, enc_mask1)).collect();
+                    permuted_b.extend(pi2.apply(&biased));
                     let r3: Vec<i128> = (0..k).map(|_| domain.random_mask(&mut self.rng)).collect();
-                    masked_b.push(add_par.try_map(&permuted, |i, c| {
-                        Ok::<_, SmcError>(peer_pk.add_plain(c, &peer_codec.encode_i128(r3[i])?))
-                    })?);
+                    masks.extend(r3.iter().map(|&mask3| mask2 + mask3));
                     neg_r3.push(encrypt_par(own_pk).try_map_seeded(
                         &r3,
                         &mut self.rng,
@@ -310,11 +309,15 @@ impl Machine for BlindPermute {
                         },
                     )?);
                 }
+                let masked_b = to_peer.fold_masked(&permuted_b, &masks)?;
                 out.send(peer, step, &masked_b);
                 if self.byzantine == Some(ByzantineAction::ReplayStaleFrame) {
-                    // Resend the masked-b frame in place of −r3; same
-                    // shape, stale content.
-                    out.send_forged(peer, step, &neg_r3, &masked_b);
+                    // Resend the masked-b ciphertexts in place of −r3,
+                    // cycled to the honest frame's shape; stale content.
+                    let mut replay = masked_b.iter().cycle().cloned();
+                    let stale: Vec<Vec<Ciphertext>> =
+                        (0..m).map(|_| replay.by_ref().take(k).collect()).collect();
+                    out.send_forged(peer, step, &neg_r3, &stale);
                 } else {
                     out.send(peer, step, &neg_r3);
                 }
@@ -323,17 +326,8 @@ impl Machine for BlindPermute {
             Stage::Final { pi2 } => {
                 // Step 6: receive E_pk2[π(b + r1 + r2)] and decrypt —
                 // S2's output.
-                let final_enc: Vec<Vec<Ciphertext>> = decode(answer)?;
-                expect_len(m, final_enc.len())?;
-                let sequences: Vec<Vec<i128>> = final_enc
-                    .iter()
-                    .map(|vec| {
-                        expect_len(k, vec.len())?;
-                        decrypt_par.try_map(vec, |_, c| {
-                            Ok::<_, SmcError>(own.decode_i128(&sk.decrypt_crt(c)?)?)
-                        })
-                    })
-                    .collect::<Result<_, SmcError>>()?;
+                let plain = to_own.open(sk, &decode::<Vec<Ciphertext>>(answer)?, m * k)?;
+                let sequences = plain.chunks(k).map(<[i128]>::to_vec).collect();
                 return Ok(Next::Done(BlindPermuteOutput { sequences, own_permutation: pi2 }));
             }
             Stage::Finished => panic!("blind-and-permute resumed after it ended"),

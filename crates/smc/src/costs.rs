@@ -16,7 +16,7 @@
 //! [`bigint::montgomery::mont_cost_ns`], the one model fitted to the limb
 //! kernel.
 
-use bigint::montgomery::{comb_cost_ns, modpow_cost_ns, mont_cost_ns};
+use bigint::montgomery::{comb_cost_ns, mont_cost_ns};
 use dgk::DgkPublicKey;
 use paillier::PublicKey;
 
@@ -24,13 +24,6 @@ use paillier::PublicKey;
 /// evaluation mod `n²` over the key's randomizer exponent.
 pub(crate) fn paillier_encrypt_cost_ns(pk: &PublicKey) -> u64 {
     comb_cost_ns(pk.modulus_squared().bits(), pk.randomizer_bits())
-}
-
-/// One CRT Paillier decryption: a `|p|`-bit exponentiation under each of
-/// the half-width `p²`/`q²` contexts.
-pub(crate) fn paillier_decrypt_cost_ns(pk: &PublicKey) -> u64 {
-    let (n_bits, p_bits) = (pk.modulus().bits(), pk.modulus().bits() / 2);
-    2 * modpow_cost_ns(n_bits, p_bits)
 }
 
 /// One RNG-free homomorphic step (`add` / `add_plain`): a handful of

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::domain::SharesOutOfRange;
+use crate::pack::PackError;
 
 /// Errors surfaced while executing a secure sub-protocol.
 #[derive(Debug)]
@@ -16,6 +17,9 @@ pub enum SmcError {
     Dgk(dgk::DgkError),
     /// A value escaped the configured share domain.
     Domain(SharesOutOfRange),
+    /// A slot layout or a packed plaintext was refused (see
+    /// [`crate::pack`]).
+    Packing(PackError),
     /// The two parties' vector lengths disagree.
     LengthMismatch {
         /// Expected element count.
@@ -78,6 +82,7 @@ impl fmt::Display for SmcError {
             SmcError::Paillier(e) => write!(f, "paillier failure: {e}"),
             SmcError::Dgk(e) => write!(f, "dgk failure: {e}"),
             SmcError::Domain(e) => write!(f, "domain violation: {e}"),
+            SmcError::Packing(e) => write!(f, "slot packing: {e}"),
             SmcError::LengthMismatch { expected, got } => {
                 write!(f, "vector length mismatch: expected {expected}, got {got}")
             }
@@ -104,6 +109,7 @@ impl Error for SmcError {
             SmcError::Paillier(e) => Some(e),
             SmcError::Dgk(e) => Some(e),
             SmcError::Domain(e) => Some(e),
+            SmcError::Packing(e) => Some(e),
             SmcError::LengthMismatch { .. }
             | SmcError::InvalidCiphertext { .. }
             | SmcError::DuplicateSubmission { .. }
@@ -134,6 +140,12 @@ impl From<dgk::DgkError> for SmcError {
 impl From<SharesOutOfRange> for SmcError {
     fn from(e: SharesOutOfRange) -> Self {
         SmcError::Domain(e)
+    }
+}
+
+impl From<PackError> for SmcError {
+    fn from(e: PackError) -> Self {
+        SmcError::Packing(e)
     }
 }
 

@@ -20,6 +20,9 @@
 //!   deterministic shard plan, running partial-sum accumulators, and the
 //!   sorted-merge survivor intersection that keep server memory bounded
 //!   by shard geometry instead of |U|;
+//! * [`pack`] — the slot layout that lets one Paillier plaintext carry a
+//!   whole masked vector, so each decrypting leg of Alg. 2 and Alg. 3 is
+//!   one decryption;
 //! * [`blind_permute`] — Alg. 2, the Blind-and-Permute protocol;
 //! * [`compare`] — the DGK comparison of §III-B run over channels between
 //!   the servers: any number of matches per three-message round, the
@@ -49,6 +52,7 @@ mod costs;
 pub mod domain;
 mod error;
 pub mod machine;
+pub mod pack;
 pub mod permutation;
 pub mod restoration;
 pub mod round;
@@ -62,6 +66,7 @@ pub use audit::{AuditCheckpoint, AuditContext, AuditEvidence, AuditPolicy, Audit
 pub use domain::{ShareDomain, SharesOutOfRange};
 pub use error::SmcError;
 pub use machine::{run_pair, Machine};
+pub use pack::PackError;
 pub use parallel::Parallelism;
 pub use permutation::Permutation;
 pub use round::ServerRound;

@@ -18,6 +18,11 @@
 //! 5. S2 applies `π2⁻¹` and adds `r2` → `E_pk1[e + r2]`;
 //! 6. S1 decrypts and returns the plaintext `e + r2`;
 //! 7. S2 strips `r2`, reads off the winner index, and announces it.
+//!
+//! The frames of legs 2 and 5 are decrypted by their receiver, so they
+//! travel slot-packed ([`crate::pack`]): `⌈K / slots⌉` ciphertexts and as
+//! many decryptions. Legs 1 and 4 stay one ciphertext per entry — their
+//! receiver permutes them.
 
 use paillier::Ciphertext;
 use rand::rngs::StdRng;
@@ -28,6 +33,7 @@ use crate::error::SmcError;
 use crate::machine::{
     decode, expect_len, from_peer, peer_of, Attest, Inbound, Machine, Next, Outbox,
 };
+use crate::pack::Packer;
 use crate::permutation::Permutation;
 use crate::session::{ServerContext, ServerRole};
 
@@ -46,13 +52,9 @@ enum Stage {
     /// S1 sent the plaintext `e + r2`, waits for the announcement.
     Winner,
     /// S2 sent `E_pk2[π(e)]`, waits for `E_pk2[π2(e) + r1]`.
-    Masked {
-        enc_indicator: Vec<Ciphertext>,
-    },
+    Masked,
     /// S2 sent the plaintext `π2(e) + r1`, waits for `E_pk1[π2(e)]`.
-    EncPi2E {
-        enc_indicator: Vec<Ciphertext>,
-    },
+    EncPi2E,
     /// S2 sent `E_pk1[e + r2]`, waits for the plaintext `e + r2`.
     PlainE {
         r2: Vec<i128>,
@@ -118,11 +120,13 @@ impl Machine for Restoration {
     ) -> Result<Next<usize>, SmcError> {
         let k = ctx.config().num_classes;
         let (own, own_pk, peer_pk) = (ctx.own_codec(), ctx.own_public(), ctx.peer_public());
-        let (peer_codec, sk) = (ctx.peer_codec(), ctx.own_private());
-        let par = ctx.parallelism();
-        let encrypt_par = par.with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(own_pk));
-        let decrypt_par = par.with_item_cost_ns(crate::costs::paillier_decrypt_cost_ns(own_pk));
-        let add_par = par.with_item_cost_ns(crate::costs::paillier_add_cost_ns(peer_pk));
+        let sk = ctx.own_private();
+        // As in Blind-and-Permute: a frame its receiver decrypts is
+        // packed under the receiver's key.
+        let to_peer = Packer::new(ctx.config(), peer_pk)?;
+        let to_own = Packer::new(ctx.config(), own_pk)?;
+        let encrypt_par =
+            ctx.parallelism().with_item_cost_ns(crate::costs::paillier_encrypt_cost_ns(own_pk));
         let (peer, step) = (peer_of(ctx.role()), self.step);
         let decode_k = |answer| -> Result<Vec<Ciphertext>, SmcError> {
             let vec: Vec<Ciphertext> = decode(answer)?;
@@ -154,18 +158,15 @@ impl Machine for Restoration {
                         },
                     )?;
                     out.send(peer, step, &enc_indicator);
-                    self.stage = Stage::Masked { enc_indicator };
+                    self.stage = Stage::Masked;
                 }
             }
             Stage::Indicator => {
-                // Step 1 output from S2: E_pk2[π(e)]. Step 2: revert π1
-                // and add per-entry mask r1.
+                // Step 1 output from S2: E_pk2[π(e)]. Step 2: revert π1,
+                // add per-entry mask r1 and pack for S2's one decryption.
                 let reverted = self.permutation.inverse().apply(&decode_k(answer)?);
                 let r1 = self.draw_masks(ctx, out);
-                let masked: Vec<Ciphertext> = add_par.try_map(&reverted, |i, c| {
-                    Ok::<_, SmcError>(peer_pk.add_plain(c, &peer_codec.encode_i128(r1[i])?))
-                })?;
-                out.send(peer, step, &masked);
+                out.send(peer, step, &to_peer.fold_masked(&reverted, &r1)?);
                 self.stage = Stage::PlainMasked { r1 };
             }
             Stage::PlainMasked { r1 } => {
@@ -187,9 +188,7 @@ impl Machine for Restoration {
             Stage::MaskedE => {
                 // Step 5 output from S2: E_pk1[e + r2]; step 6: decrypt
                 // and return.
-                let plain: Vec<i128> = decrypt_par.try_map(&decode_k(answer)?, |_, c| {
-                    Ok::<_, SmcError>(own.decode_i128(&sk.decrypt_crt(c)?)?)
-                })?;
+                let plain = to_own.open(sk, &decode::<Vec<Ciphertext>>(answer)?, k)?;
                 if self.byzantine == Some(ByzantineAction::Equivocate) {
                     let mut forged = plain.clone();
                     forged[0] += 1;
@@ -204,12 +203,10 @@ impl Machine for Restoration {
                 let winner: u64 = decode(answer)?;
                 return Ok(Next::Done(winner as usize));
             }
-            Stage::Masked { enc_indicator } => {
+            Stage::Masked => {
                 // Step 3: decrypt S1's masked, π1-reverted vector and
                 // bounce it back in plaintext.
-                let plain_masked: Vec<i128> = decrypt_par.try_map(&decode_k(answer)?, |_, c| {
-                    Ok::<_, SmcError>(own.decode_i128(&sk.decrypt_crt(c)?)?)
-                })?;
+                let plain_masked = to_own.open(sk, &decode::<Vec<Ciphertext>>(answer)?, k)?;
                 if self.byzantine == Some(ByzantineAction::Equivocate) {
                     let mut forged = plain_masked.clone();
                     forged[0] += 1;
@@ -217,19 +214,21 @@ impl Machine for Restoration {
                 } else {
                     out.send(peer, step, &plain_masked);
                 }
-                self.stage = Stage::EncPi2E { enc_indicator };
+                self.stage = Stage::EncPi2E;
             }
-            Stage::EncPi2E { enc_indicator } => {
-                // Step 5: revert π2 on the re-encrypted vector and add r2.
-                let reverted = self.permutation.inverse().apply(&decode_k(answer)?);
+            Stage::EncPi2E => {
+                // Step 5: revert π2 on the re-encrypted vector, add r2 and
+                // pack for S1's one decryption.
+                let enc_pi2_e = decode_k(answer)?;
+                let reverted = self.permutation.inverse().apply(&enc_pi2_e);
                 let r2 = self.draw_masks(ctx, out);
-                let masked_e: Vec<Ciphertext> = add_par.try_map(&reverted, |i, c| {
-                    Ok::<_, SmcError>(peer_pk.add_plain(c, &peer_codec.encode_i128(r2[i])?))
-                })?;
+                let masked_e = to_peer.fold_masked(&reverted, &r2)?;
                 if self.byzantine == Some(ByzantineAction::ReplayStaleFrame) {
-                    // Resend the step-1 indicator frame in place of the
-                    // masked one; same shape, stale content.
-                    out.send_forged(peer, step, &masked_e, &enc_indicator);
+                    // Echo the head of S1's own step-4 frame in place of
+                    // the masked one: same shape, decrypts cleanly under
+                    // sk1, stale content.
+                    let stale = enc_pi2_e[..masked_e.len()].to_vec();
+                    out.send_forged(peer, step, &masked_e, &stale);
                 } else {
                     out.send(peer, step, &masked_e);
                 }

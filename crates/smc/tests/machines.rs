@@ -9,18 +9,20 @@
 
 use std::sync::OnceLock;
 
-use paillier::PublicKey;
+use bigint::Ubig;
+use paillier::{Ciphertext, PublicKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smc::blind_permute::BlindPermute;
 use smc::bracket::Argmax;
 use smc::compare::CompareRound;
-use smc::machine::{run_pair, run_pair_lossy, Frame, Machine, PairRun};
+use smc::machine::{run_pair, run_pair_lossy, Frame, Machine, Next, Outbox, PairRun};
+use smc::pack::Packer;
 use smc::restoration::Restoration;
 use smc::secure_sum::{encrypt_share_vector, Collect};
 use smc::{
-    AuditContext, AuditEvidence, AuditPolicy, Parallelism, Permutation, RoundState, ServerRole,
-    ServerRound, SessionConfig, SessionKeys, ShardPlan, SmcError,
+    AuditContext, AuditEvidence, AuditPolicy, PackError, Parallelism, Permutation, RoundState,
+    ServerRole, ServerRound, SessionConfig, SessionKeys, ShardPlan, SmcError,
 };
 use transport::{PartyId, Step, TransportError, Wire};
 
@@ -261,4 +263,136 @@ fn a_round_survives_or_fails_typed_on_any_lost_frame() {
         },
     );
     assert!(degraded.get() > 0 && degraded.get() < losses);
+}
+
+/// S2's half of Alg. 2 over one vector under `keys`, resumed up to its
+/// wait for S1's packed `E_pk2[a + r1]` and answered with `frame`.
+fn answer_blind_permute(keys: &SessionKeys, frame: &[Ciphertext]) -> Result<(), SmcError> {
+    let enc_b = encrypt(&[10, 7, -50], keys.user().pk1(), &mut rng(5));
+    let mut s2 = BlindPermute::new(vec![enc_b], Step::BlindPermute1, rng(7), None);
+    let (ctx, mut out) = (keys.server2(), Outbox::default());
+    assert!(matches!(s2.resume(&ctx, None, &mut out)?, Next::Recv(_)));
+    s2.resume(&ctx, Some(Ok((1, frame.to_vec().to_bytes()))), &mut out).map(|_| ())
+}
+
+/// S2's half of Alg. 3, resumed past its indicator frame and answered
+/// with `frame` where S1's packed `E_pk2[π2(e) + r1]` is due.
+fn answer_restoration(keys: &SessionKeys, frame: &[Ciphertext]) -> Result<(), SmcError> {
+    let pi2 = Permutation::random(CLASSES, &mut rng(9));
+    let mut s2 = Restoration::new(pi2, 1, Step::Restoration, rng(11), None);
+    let (ctx, mut out) = (keys.server2(), Outbox::default());
+    assert!(matches!(s2.resume(&ctx, None, &mut out)?, Next::Recv(_)));
+    s2.resume(&ctx, Some(Ok((1, frame.to_vec().to_bytes()))), &mut out).map(|_| ())
+}
+
+#[test]
+fn a_hostile_packed_frame_is_a_typed_error() {
+    let pk2 = keys().user().pk2().clone();
+    let packer = Packer::new(keys().config(), &pk2).unwrap();
+    // Three values in 27-bit slots, two to a 64-bit key's plaintext: a
+    // full ciphertext and a short one.
+    assert_eq!((packer.slot_bits(), packer.slots(), packer.frame_len(CLASSES)), (27, 2, 2));
+    let encrypt_raw = |plain: &Ubig| pk2.encrypt(plain, &mut rng(15)).unwrap();
+    let honest: Vec<Ciphertext> =
+        packer.pack(&[1, -2, 3]).unwrap().iter().map(encrypt_raw).collect();
+
+    for answer in [answer_blind_permute, answer_restoration] {
+        answer(keys(), &honest).expect("the honest shape is accepted");
+        // The wrong number of packed ciphertexts — the unpacked frame's
+        // K among them.
+        for len in [0, 1, 3] {
+            let frame: Vec<Ciphertext> = honest.iter().cycle().take(len).cloned().collect();
+            let run = answer(keys(), &frame);
+            assert!(
+                matches!(run, Err(SmcError::LengthMismatch { expected: 2, got }) if got == len),
+                "{run:?}"
+            );
+        }
+        // A plaintext with a bit above its last slot: the full one, and
+        // the short one, where that bit would be the neighbour's lowest.
+        for (at, limit) in [(0, 54u64), (1, 27)] {
+            let mut frame = honest.clone();
+            frame[at] = encrypt_raw(&(Ubig::one() << limit as u32));
+            let run = answer(keys(), &frame);
+            assert!(
+                matches!(
+                    run,
+                    Err(SmcError::Packing(PackError::Overflow { bits, limit: l }))
+                        if l == limit && bits == limit + 1
+                ),
+                "{run:?}"
+            );
+        }
+    }
+
+    // A session whose slot does not fit one plaintext fails before it
+    // sends or opens anything.
+    let crowded = SessionKeys::generate(SessionConfig::test(1 << 44, CLASSES), &mut rng(16));
+    for answer in [answer_blind_permute, answer_restoration] {
+        let run = answer(&crowded, &honest);
+        assert!(matches!(run, Err(SmcError::Packing(PackError::SlotTooWide { .. }))), "{run:?}");
+    }
+}
+
+/// K = 100 under 256-bit keys: 9 slots to a plaintext, so every packed
+/// frame of the m = 2 batch is 23 ciphertexts and Restoration's are 12.
+#[test]
+fn frames_spanning_many_packed_ciphertexts_match_the_clear_oracle() {
+    const K: usize = 100;
+    let config = SessionConfig { paillier_bits: 256, ..SessionConfig::test(1, K) };
+    let keys = SessionKeys::generate(config, &mut rng(17));
+    let (s1_ctx, s2_ctx, user) = (keys.server1(), keys.server2(), keys.user());
+    let packer = Packer::new(keys.config(), user.pk2()).unwrap();
+    assert!(packer.slots() > 2 && packer.frame_len(2 * K) > 2 && packer.frame_len(K) > 2);
+
+    // Signed shares of both signs; class 37 carries the largest total.
+    let mut r = rng(18);
+    let a: Vec<Vec<i128>> =
+        (0..2).map(|v| (0..K as i128).map(|i| (i * 7919 + v) % 1000 - 500).collect()).collect();
+    let b: Vec<Vec<i128>> = (0..2)
+        .map(|v| (0..K as i128).map(|i| 90_000 * i128::from(i == 37) - i * v).collect())
+        .collect();
+    let enc = |vectors: &[Vec<i128>], key, r: &mut StdRng| -> Vec<Vec<Ciphertext>> {
+        vectors.iter().map(|v| encrypt(v, key, r)).collect()
+    };
+    let step = Step::BlindPermute1;
+    let run = run_pair(
+        (&s1_ctx, BlindPermute::new(enc(&a, user.pk2(), &mut r), step, rng(19), None)),
+        (&s2_ctx, BlindPermute::new(enc(&b, user.pk1(), &mut r), step, rng(20), None)),
+        Vec::new(),
+    )
+    .unwrap();
+    let packed: Vec<usize> = [0, 3, 5]
+        .iter()
+        .map(|&at| Vec::<Ciphertext>::from_bytes(run.transcript[at].payload.clone()).unwrap().len())
+        .collect();
+    assert_eq!(packed, [packer.frame_len(2 * K); 3]);
+
+    // Oracle: the two outputs sum to π(a + b) plus one common bias per
+    // vector, π = π1∘π2.
+    let (out1, out2) = run.outputs;
+    let (pi1, pi2) = (out1.own_permutation, out2.own_permutation);
+    for v in 0..2 {
+        let totals: Vec<i128> = a[v].iter().zip(&b[v]).map(|(a, b)| a + b).collect();
+        let expected = pi1.apply(&pi2.apply(&totals));
+        let masked: Vec<i128> =
+            out1.sequences[v].iter().zip(&out2.sequences[v]).map(|(x, y)| x + y).collect();
+        let bias = masked[0] - expected[0];
+        assert!(bias >= 0);
+        assert_eq!(masked, expected.iter().map(|t| t + bias).collect::<Vec<i128>>(), "vector {v}");
+    }
+
+    let slot = pi1.compose(&pi2).apply_index(37);
+    let step = Step::Restoration;
+    let run = run_pair(
+        (&s1_ctx, Restoration::new(pi1, slot, step, rng(21), None)),
+        (&s2_ctx, Restoration::new(pi2, slot, step, rng(22), None)),
+        Vec::new(),
+    )
+    .unwrap();
+    assert_eq!(run.outputs, (37, 37));
+    for at in [1, 4] {
+        let frame = Vec::<Ciphertext>::from_bytes(run.transcript[at].payload.clone()).unwrap();
+        assert_eq!(frame.len(), packer.frame_len(K));
+    }
 }

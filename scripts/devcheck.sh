@@ -51,14 +51,18 @@ case "$cmd" in
     # release profile with the checks compiled in: every op must still
     # verify against the clear-text oracle. Its own target directory, so
     # the flag never leaks into (or rebuilds) the ordinary release build.
-    for workload in deploy2048 paper1024; do
+    # The slot packing's shift/split arithmetic runs under the same
+    # checks, and a re-shaped frame is where a message would sneak in:
+    # server_link_msgs (bound 0) must read exactly its pinned count.
+    for pinned in deploy2048:34 paper1024:46; do
+      workload="${pinned%:*}"
       line="$(RUSTFLAGS="-C overflow-checks=on" \
         CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-${repo}/target}/overflow-checks" \
         bash "${repo}/crates/benchmark/run.sh" --workload "$workload" --seconds 5 --trace 0 "$@" | tail -n 1)" || true
       echo "$workload: $line"
       case "$line" in
-        *'"correct": true'*'"failed": 0,'*) ;;
-        *) echo "overflow-bench: $workload is not correct with failed 0" >&2; exit 1 ;;
+        *'"correct": true'*'"failed": 0,'*'"server_link_msgs": {"value": '"${pinned#*:}"','*) ;;
+        *) echo "overflow-bench: $workload is not correct with failed 0 and server_link_msgs ${pinned#*:}" >&2; exit 1 ;;
       esac
     done
     ;;

@@ -8,7 +8,8 @@ use consensus_core::secure::SecureEngine;
 use dp::rdp::{consensus_epsilon, LinearRdp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use smc::SessionConfig;
+use smc::pack::Packer;
+use smc::{SessionConfig, SessionKeys};
 use transport::{LinkKind, Meter, Step};
 
 /// Theorem 5's closed form, the RDP-curve composition, and the
@@ -110,4 +111,44 @@ fn rejection_short_circuits_protocol() {
     assert_eq!(report.step_bytes(Step::CompareNoisyRank), 0);
     assert_eq!(report.step_bytes(Step::Restoration), 0);
     assert!(report.step_bytes(Step::ThresholdCheck) > 0);
+}
+
+/// Slot packing's wire shape, read off the meter: Blind-and-Permute over
+/// `m` vectors ships `3⌈mK/slots⌉ + mK + m` Paillier ciphertexts (three
+/// packed frames, the per-entry `E[−r3]`, the `m` encrypted `r1`) and
+/// Restoration `2⌈K/slots⌉ + 2K` (two packed frames, two per-entry).
+#[test]
+fn packed_steps_ship_the_derived_ciphertext_counts() {
+    let (users, k) = (3, 5);
+    let keys = SessionKeys::generate(SessionConfig::test(users, k), &mut StdRng::seed_from_u64(79));
+    let engine = SecureEngine::with_keys(keys.clone(), ConsensusConfig::paper_default(0.3, 0.3));
+    let votes = vec![vec![0.0, 0.0, 1.0, 0.0, 0.0]; users];
+    let meter = Meter::new();
+    let out = engine.run_instance(&votes, Arc::clone(&meter), &mut StdRng::seed_from_u64(80));
+    assert_eq!(out.unwrap().label, Some(2));
+    let report = meter.report();
+
+    // A 64-bit key's plaintext holds two of the test domain's slots, and
+    // a ciphertext is 16 bytes behind a 4-byte length.
+    let user = keys.user();
+    for pk in [user.pk1(), user.pk2()] {
+        assert_eq!(Packer::new(keys.config(), pk).unwrap().slots(), 2);
+        assert_eq!(pk.modulus_squared().bits().div_ceil(8), 16);
+    }
+    // Everything on the link that is not a ciphertext: one 4-byte count
+    // per vector, 16 bytes per plaintext value, Restoration's 8-byte
+    // announcement. What is left is ciphertexts, an occasional one a
+    // leading zero byte short — hence the rounding up.
+    let ciphertexts = |step, fixed: usize| {
+        let link = report.link_stats(step, LinkKind::ServerToServer);
+        (link.messages, (link.bytes as usize - fixed).div_ceil(4 + 16))
+    };
+    let blind_permute = |step, m: usize| {
+        let fixed = 4 + (4 + m * (4 + 16 * k)) + 4 + 4 + (4 + 4 * m) + 4;
+        assert_eq!(ciphertexts(step, fixed), (6, 3 * (m * k).div_ceil(2) + m * k + m), "{step}");
+    };
+    blind_permute(Step::BlindPermute1, 2);
+    blind_permute(Step::BlindPermute2, 1);
+    let fixed = 4 + 4 + (4 + 16 * k) + 4 + 4 + (4 + 16 * k) + 8;
+    assert_eq!(ciphertexts(Step::Restoration, fixed), (7, 2 * k.div_ceil(2) + 2 * k));
 }

@@ -290,3 +290,93 @@ fn audit_smoke_two_seeds() {
         );
     }
 }
+
+/// How a deviation ends when nobody audits (DESIGN.md §11 carries this
+/// table).
+enum Unaudited {
+    /// The round fails with a typed error, every time.
+    TypedError,
+    /// The round releases a label decided by tampered data: wrong or, by
+    /// luck, right.
+    WrongLabel,
+    /// The round releases the honest label with the honest fingerprint.
+    Unnoticed,
+}
+
+fn unaudited(action: ByzantineAction, party: PartyId, step: Step) -> Unaudited {
+    use ByzantineAction::*;
+    match (action, party, step) {
+        // Restoration's one-hot check refuses a nudged or stale
+        // indicator, and S2's stale Blind-and-Permute frame comes back to
+        // it as a plaintext that overruns its slots.
+        (Equivocate, _, Step::Restoration) | (ReplayStaleFrame, PartyId::Server2, _) => {
+            Unaudited::TypedError
+        }
+        // A wrong inverse walks the indicator to another class; S1's
+        // stale frame hands S2 well-formed sequences of the wrong values.
+        (TamperPermutation, _, Step::Restoration) | (ReplayStaleFrame, PartyId::Server1, _) => {
+            Unaudited::WrongLabel
+        }
+        // One fixed-point unit in one slot, another permutation as
+        // uniform as the committed one, a mask that only hid something.
+        _ => Unaudited::Unnoticed,
+    }
+}
+
+/// ROADMAP "hostile inputs" (5): the same matrix with the audit off.
+/// Nothing panics and nothing hangs; what a deviation costs is typed,
+/// a label, or nothing the servers can see.
+#[test]
+fn without_an_audit_every_byzantine_cell_ends_as_documented() {
+    const SEEDS: std::ops::Range<u64> = 30..36;
+    let honest: Vec<_> = SEEDS
+        .map(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            engine(FaultPlan::new(1)).run_instance(&votes(), Meter::new(), &mut rng).unwrap()
+        })
+        .collect();
+    for action in ACTIONS {
+        for party in [PartyId::Server1, PartyId::Server2] {
+            for step in AUDITED_STEPS.into_iter().filter(|&step| applicable(action, party, step)) {
+                let cell = format!("{action:?} by {party:?} at {step:?}");
+                let runs: Vec<_> = SEEDS
+                    .map(|seed| {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        engine(byzantine_plan(action, party, step)).run_instance(
+                            &votes(),
+                            Meter::new(),
+                            &mut rng,
+                        )
+                    })
+                    .collect();
+                match unaudited(action, party, step) {
+                    Unaudited::TypedError => {
+                        for run in &runs {
+                            assert!(
+                                matches!(
+                                    run,
+                                    Err(SmcError::LengthMismatch { .. } | SmcError::Packing(_))
+                                ),
+                                "{cell}: {run:?}"
+                            );
+                        }
+                    }
+                    Unaudited::WrongLabel => {
+                        let released = runs.into_iter().map(|run| run.expect(&cell).label);
+                        assert!(released.ne(honest.iter().map(|out| out.label)), "{cell}");
+                    }
+                    Unaudited::Unnoticed => {
+                        for (run, honest) in runs.iter().zip(&honest) {
+                            let out = run.as_ref().expect(&cell);
+                            assert_eq!(
+                                out.consensus_fingerprint(),
+                                honest.consensus_fingerprint(),
+                                "{cell}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
