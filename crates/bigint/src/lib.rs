@@ -35,7 +35,6 @@ mod fmt;
 mod ibig;
 mod kernel;
 mod mul;
-mod serde_impl;
 mod shift;
 mod ubig;
 

@@ -4,7 +4,7 @@
 //! All functions take operands that are *not* required to be reduced; they
 //! reduce internally. Moduli must be non-zero.
 
-use crate::gcd::{extended_gcd, modinv};
+use crate::gcd::extended_gcd;
 use crate::{Ibig, Ubig};
 
 /// `(a + b) mod m`.
@@ -115,12 +115,6 @@ pub fn modpow_basic(base: &Ubig, exp: &Ubig, m: &Ubig) -> Ubig {
         }
     }
     result
-}
-
-/// Modular inverse; see [`crate::gcd::modinv`]. Re-exported here so modular
-/// arithmetic callers find the whole toolkit in one module.
-pub fn modinverse(a: &Ubig, m: &Ubig) -> Option<Ubig> {
-    modinv(a, m)
 }
 
 /// Chinese Remainder Theorem for two coprime moduli: the unique `x` in

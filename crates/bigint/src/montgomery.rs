@@ -24,7 +24,7 @@
 //!   never change (the Paillier randomizer base `hs`, DGK `g`, `h`): a
 //!   tenth of the ladder's kernel operations at deployable widths;
 //! * [`CachedContext`] / [`CachedComb`] — lazily initialized,
-//!   clone-cheap, serde-skippable cells that key types embed so every
+//!   clone-cheap cells that key types embed so every
 //!   operation on the same key reuses one context/comb.
 //!
 //! Only odd moduli are supported (always true for RSA-like `n`, `n²` and
@@ -676,8 +676,6 @@ impl FixedBaseComb {
 /// The cell is:
 ///
 /// * cheap to clone once resolved (the context lives behind an [`Arc`]);
-/// * transparent to serialization (`#[serde(skip)]` + [`Default`]
-///   rebuilds lazily after deserialize);
 /// * identity-free: cells always compare equal, so derived
 ///   `PartialEq`/`Eq` on key types keeps its meaning.
 ///
@@ -740,7 +738,7 @@ impl PartialEq for CachedContext {
 impl Eq for CachedContext {}
 
 /// A lazily built, shareable [`FixedBaseComb`] cell; the fixed-base
-/// companion of [`CachedContext`] with the same clone/serde/equality
+/// companion of [`CachedContext`] with the same clone/equality
 /// behaviour.
 #[derive(Debug, Clone, Default)]
 pub struct CachedComb {

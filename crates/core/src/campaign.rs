@@ -1,24 +1,17 @@
-//! Budget-gated labeling campaigns — from the in-memory clear-path
-//! [`Campaign`] to the durable [`CampaignRunner`] daemon that drives the
-//! *secure* engine across process restarts.
+//! Budget-gated labeling campaigns: the durable [`CampaignRunner`] daemon
+//! that drives the *secure* engine across process restarts.
 //!
 //! The experiment pipeline answers a fixed number of queries and reports
 //! the privacy spent; a *deployment* works the other way around — it is
 //! given an `(ε, δ)` budget and must stop querying before exceeding it.
-//! Two runtimes implement that contract:
-//!
-//! * [`Campaign`] wraps the clear-path engine with a
-//!   [`dp::PrivacyLedger`] so every threshold decision is recorded and
-//!   the next query is issued only if it still fits the budget. It lives
-//!   entirely in memory — one process, one sitting.
-//! * [`CampaignRunner`] is the long-running form over the full secure
-//!   pipeline: rounds run through [`RoundSupervisor`] with durable
-//!   checkpoints, every realized RDP charge lands in a crash-safe
-//!   [`DurableRdpLedger`] *before* the next round is admitted, and a
-//!   restarted daemon replays its instance queue deterministically — the
-//!   ledger deduplicates charges by round id, so epsilon resumes at the
-//!   exact value spent and the released-label sequence is bit-identical
-//!   to an uninterrupted run.
+//! [`CampaignRunner`] implements that contract over the full secure
+//! pipeline: rounds run through [`RoundSupervisor`] with durable
+//! checkpoints, every realized RDP charge lands in a crash-safe
+//! [`DurableRdpLedger`] *before* the next round is admitted, and a
+//! restarted daemon replays its instance queue deterministically — the
+//! ledger deduplicates charges by round id, so epsilon resumes at the
+//! exact value spent and the released-label sequence is bit-identical
+//! to an uninterrupted run.
 //!
 //! The runner also models a living deployment: a standing roster with
 //! join/leave/crash events between rounds (session keys are rebuilt only
@@ -36,9 +29,8 @@ use std::time::{Duration, Instant};
 
 use dp::ledger::{DurableRdpLedger, LedgerError};
 use dp::rdp::LinearRdp;
-use dp::PrivacyLedger;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use smc::shard::recalibrate_sigma;
 use smc::{SessionConfig, SessionKeys, ShardConfig, SmcError};
 use transport::{
@@ -46,7 +38,6 @@ use transport::{
     MeterReport, TimeoutPolicy,
 };
 
-use crate::clear::ClearEngine;
 use crate::config::ConsensusConfig;
 use crate::recovery::RoundSupervisor;
 
@@ -157,7 +148,7 @@ impl From<CheckpointError> for CampaignError {
     }
 }
 
-/// Validates the `(σ₁, σ₂, ε, δ)` quadruple every campaign needs.
+/// Validates the `(σ₁, σ₂, ε, δ)` quadruple a campaign needs.
 fn validate_budget_params(
     config: &ConsensusConfig,
     budget_epsilon: f64,
@@ -174,129 +165,6 @@ fn validate_budget_params(
         return Err(CampaignError::InvalidDelta(delta));
     }
     Ok(())
-}
-
-/// Why a campaign stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// All provided instances were queried.
-    InstancesExhausted,
-    /// The next query would exceed the ε budget.
-    BudgetExhausted,
-}
-
-/// Outcome of a budget-gated campaign.
-#[derive(Debug, Clone)]
-pub struct CampaignOutcome {
-    /// `(instance index, released label)` pairs, in query order.
-    pub released: Vec<(usize, usize)>,
-    /// Number of queries issued (answered + aborted).
-    pub queried: usize,
-    /// Why the campaign stopped.
-    pub stop_reason: StopReason,
-    /// Final privacy spend.
-    pub epsilon_spent: f64,
-}
-
-/// A consensus labeling campaign under a hard `(ε, δ)` budget.
-#[derive(Debug, Clone)]
-pub struct Campaign {
-    engine: ClearEngine,
-    ledger: PrivacyLedger,
-    budget_epsilon: f64,
-}
-
-impl Campaign {
-    /// Creates a campaign for `num_users` voters over `num_classes`
-    /// classes with the given budget.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::ZeroNoiseScale`] when a noise scale is zero,
-    /// negative, or non-finite (infinite spend),
-    /// [`CampaignError::NonPositiveBudget`] when the budget is not a
-    /// positive finite number, and [`CampaignError::InvalidDelta`] when
-    /// `delta` is outside `(0, 1)`.
-    pub fn new(
-        config: ConsensusConfig,
-        num_users: usize,
-        num_classes: usize,
-        budget_epsilon: f64,
-        delta: f64,
-    ) -> Result<Self, CampaignError> {
-        validate_budget_params(&config, budget_epsilon, delta)?;
-        Ok(Campaign {
-            engine: ClearEngine::new(config, num_users, num_classes),
-            ledger: PrivacyLedger::new(config.sigma1, config.sigma2, delta),
-            budget_epsilon,
-        })
-    }
-
-    /// The ε spent so far.
-    pub fn epsilon_spent(&self) -> f64 {
-        self.ledger.epsilon()
-    }
-
-    /// Whether another query fits the budget.
-    pub fn can_query(&self) -> bool {
-        self.ledger.can_afford(self.budget_epsilon)
-    }
-
-    /// Runs one query if the budget allows. Returns `None` if the budget
-    /// is exhausted, `Some(None)` for a threshold rejection, and
-    /// `Some(Some(label))` for a release.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vote matrix shape disagrees with the engine.
-    pub fn query<R: Rng + ?Sized>(
-        &mut self,
-        votes: &[Vec<f64>],
-        rng: &mut R,
-    ) -> Option<Option<usize>> {
-        if !self.can_query() {
-            return None;
-        }
-        let outcome = self.engine.decide(votes, rng);
-        match outcome.label {
-            Some(label) => {
-                self.ledger.record_answered();
-                Some(Some(label))
-            }
-            None => {
-                // Conservative convention (paper): aborts charge full cost.
-                self.ledger.record_answered();
-                Some(None)
-            }
-        }
-    }
-
-    /// Queries a whole instance list (each entry: per-user vote vectors),
-    /// stopping at budget exhaustion.
-    pub fn run<R: Rng + ?Sized>(
-        &mut self,
-        instances: &[Vec<Vec<f64>>],
-        rng: &mut R,
-    ) -> CampaignOutcome {
-        let mut released = Vec::new();
-        let mut queried = 0;
-        let mut stop_reason = StopReason::InstancesExhausted;
-        for (idx, votes) in instances.iter().enumerate() {
-            match self.query(votes, rng) {
-                None => {
-                    stop_reason = StopReason::BudgetExhausted;
-                    break;
-                }
-                Some(answer) => {
-                    queried += 1;
-                    if let Some(label) = answer {
-                        released.push((idx, label));
-                    }
-                }
-            }
-        }
-        CampaignOutcome { released, queried, stop_reason, epsilon_spent: self.ledger.epsilon() }
-    }
 }
 
 /// A membership change applied to the standing roster between rounds.
@@ -900,78 +768,17 @@ impl std::fmt::Debug for CampaignRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn onehot(k: usize, classes: usize) -> Vec<f64> {
-        let mut v = vec![0.0; classes];
-        v[k] = 1.0;
-        v
-    }
-
-    fn unanimous_instances(n: usize, users: usize, classes: usize) -> Vec<Vec<Vec<f64>>> {
-        (0..n).map(|i| (0..users).map(|_| onehot(i % classes, classes)).collect()).collect()
-    }
-
-    #[test]
-    fn campaign_stops_at_budget() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let config = ConsensusConfig::paper_default(20.0, 20.0);
-        let mut campaign = Campaign::new(config, 10, 3, 2.0, 1e-6).expect("valid campaign");
-        let instances = unanimous_instances(2000, 10, 3);
-        let outcome = campaign.run(&instances, &mut rng);
-        assert_eq!(outcome.stop_reason, StopReason::BudgetExhausted);
-        assert!(outcome.epsilon_spent <= 2.0, "spent {}", outcome.epsilon_spent);
-        assert!(outcome.queried > 0);
-        assert!(outcome.queried < instances.len());
-        assert!(!campaign.can_query());
-    }
-
-    #[test]
-    fn campaign_exhausts_instances_under_big_budget() {
-        let mut rng = StdRng::seed_from_u64(2);
-        // With σ = 20 strong consensus (10/10 votes vs T=6) nearly always
-        // passes; all 10 instances fit a generous budget.
-        let config = ConsensusConfig::paper_default(20.0, 20.0);
-        let mut campaign = Campaign::new(config, 10, 3, 100.0, 1e-6).expect("valid campaign");
-        let instances = unanimous_instances(10, 10, 3);
-        let outcome = campaign.run(&instances, &mut rng);
-        assert_eq!(outcome.stop_reason, StopReason::InstancesExhausted);
-        assert_eq!(outcome.queried, 10);
-    }
-
-    #[test]
-    fn released_labels_reference_instances() {
-        let mut rng = StdRng::seed_from_u64(3);
-        // σ = 0.5: unanimous 10-vote majorities clear T = 6 by 8σ, and the
-        // noisy argmax never flips a 10-vote margin.
-        let config = ConsensusConfig::paper_default(0.5, 0.5);
-        let mut campaign = Campaign::new(config, 10, 3, 1e6, 1e-6).expect("valid campaign");
-        let instances = unanimous_instances(9, 10, 3);
-        let outcome = campaign.run(&instances, &mut rng);
-        // Negligible noise: every unanimous instance releases its class.
-        assert_eq!(outcome.released.len(), 9);
-        for &(idx, label) in &outcome.released {
-            assert_eq!(label, idx % 3);
-        }
-    }
-
-    #[test]
-    fn rejections_still_spend_budget() {
-        let mut rng = StdRng::seed_from_u64(4);
-        // 3-vote max vs T = 5.4 is 4.8σ below at σ = 0.5: always rejected.
-        let config = ConsensusConfig::paper_default(0.5, 0.5);
-        let mut campaign = Campaign::new(config, 9, 3, 1e6, 1e-6).expect("valid campaign");
-        // Perfect 3-way split: always rejected, but ε must still grow.
-        let split: Vec<Vec<f64>> = (0..9).map(|u| onehot(u % 3, 3)).collect();
-        assert_eq!(campaign.query(&split, &mut rng), Some(None));
-        assert!(campaign.epsilon_spent() > 0.0);
+    /// Validation runs before the campaign directory is touched.
+    fn open(consensus: ConsensusConfig, budget: f64, delta: f64) -> Result<(), CampaignError> {
+        let dir = std::env::temp_dir().join("campaign-config-errors-never-created");
+        CampaignRunner::open(dir, CampaignConfig::new(consensus, 10, 3, budget, delta)).map(|_| ())
     }
 
     #[test]
     fn zero_noise_scale_is_a_typed_error() {
         let config = ConsensusConfig::paper_default(0.0, 20.0);
-        match Campaign::new(config, 10, 3, 2.0, 1e-6) {
+        match open(config, 2.0, 1e-6) {
             Err(CampaignError::ZeroNoiseScale { sigma1, .. }) => assert_eq!(sigma1, 0.0),
             other => panic!("expected ZeroNoiseScale, got {other:?}"),
         }
@@ -982,10 +789,7 @@ mod tests {
         let config = ConsensusConfig::paper_default(20.0, 20.0);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(
-                matches!(
-                    Campaign::new(config, 10, 3, bad, 1e-6),
-                    Err(CampaignError::NonPositiveBudget(_))
-                ),
+                matches!(open(config, bad, 1e-6), Err(CampaignError::NonPositiveBudget(_))),
                 "budget {bad} must be refused"
             );
         }
@@ -996,10 +800,7 @@ mod tests {
         let config = ConsensusConfig::paper_default(20.0, 20.0);
         for bad in [0.0, 1.0, -0.5, f64::NAN] {
             assert!(
-                matches!(
-                    Campaign::new(config, 10, 3, 2.0, bad),
-                    Err(CampaignError::InvalidDelta(_))
-                ),
+                matches!(open(config, 2.0, bad), Err(CampaignError::InvalidDelta(_))),
                 "delta {bad} must be refused"
             );
         }

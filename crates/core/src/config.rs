@@ -1,13 +1,11 @@
 //! Protocol configuration and fixed-point scaling.
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed-point scale for votes and noise: `2^16`, matching the paper's
 /// Eqn. 8 precision.
 pub const VOTE_SCALE: f64 = 65536.0;
 
 /// What each teacher submits per query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VoteKind {
     /// A one-hot indicator of the predicted class (the paper's default).
     OneHot,
@@ -16,7 +14,7 @@ pub enum VoteKind {
 }
 
 /// Configuration of one consensus deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsensusConfig {
     /// Threshold as a fraction of the user count (the paper's default is
     /// 60%: consensus requires > 0.6·|U| votes).

@@ -26,10 +26,9 @@
 //!   state machine fed session-tagged frames it checks one by one, a
 //!   fair round-robin scheduler with admission control, deadline
 //!   watchdogs and overload shedding, with per-session fault isolation;
-//! * [`campaign`] — budget-gated labeling campaigns, from the in-memory
-//!   clear-path [`Campaign`] to the durable [`CampaignRunner`] daemon
-//!   with its crash-safe RDP ledger, roster churn, and per-round cost
-//!   telemetry;
+//! * [`campaign`] — budget-gated labeling campaigns: the durable
+//!   [`CampaignRunner`] daemon with its crash-safe RDP ledger, roster
+//!   churn, and per-round cost telemetry;
 //! * [`pipeline`] — end-to-end experiment drivers (teachers → consensus
 //!   labeling → student) for the single-label and multi-label workloads.
 //!
@@ -60,8 +59,8 @@ pub mod recovery;
 pub mod secure;
 
 pub use campaign::{
-    Campaign, CampaignConfig, CampaignError, CampaignOutcome, CampaignReport, CampaignRunner,
-    CampaignStall, CampaignStop, RosterChange, RosterEvent, RoundCost, StopReason,
+    CampaignConfig, CampaignError, CampaignReport, CampaignRunner, CampaignStall, CampaignStop,
+    RosterChange, RosterEvent, RoundCost,
 };
 pub use config::{ConsensusConfig, VoteKind};
 pub use pipeline::{ExperimentOutcome, LabelingMode};

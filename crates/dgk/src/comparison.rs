@@ -24,14 +24,13 @@ use bigint::montgomery::PowScratch;
 use bigint::{random, Ubig};
 use parallel::Parallelism;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::DgkError;
 use crate::keys::{DgkCiphertext, DgkKeypair, DgkPrivateKey, DgkPublicKey};
 
 /// Round-1 message: the evaluator's encrypted bits, least significant
 /// first.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvaluatorBits {
     /// `E(b_0), …, E(b_{ℓ−1})`.
     pub encrypted_bits: Vec<DgkCiphertext>,
@@ -39,7 +38,7 @@ pub struct EvaluatorBits {
 
 /// Round-2 message: the blinder's blinded, shuffled per-position
 /// witnesses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlindedWitnesses {
     /// Blinded `E(r_i · c_i)` in random order.
     pub witnesses: Vec<DgkCiphertext>,

@@ -21,12 +21,11 @@ use bigint::montgomery::{CachedComb, CachedContext, FixedBaseComb, MontgomeryCon
 use bigint::prime::{gen_prime, gen_prime_with_divisor, next_prime};
 use bigint::{random, Ubig};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::DgkError;
 
 /// Size parameters for DGK key generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DgkParams {
     /// Bits of the RSA-like modulus `n`.
     pub modulus_bits: u64,
@@ -73,9 +72,9 @@ impl Default for DgkParams {
 /// `h`, which never change over the key's lifetime. Encryption is then
 /// two comb evaluations joined in Montgomery form (`g^m · h^r`) — the
 /// multi-x win the comparison-heavy protocol steps (Alg. 2, SVT) ride
-/// on. The caches are skipped by serde, ignored by equality and shared by
-/// every clone taken after they are built; [`DgkKeypair::generate`]
-/// builds them, and [`DgkPublicKey::precompute`] does so on a loaded key:
+/// on. The caches are ignored by equality and shared by every clone
+/// taken after they are built; [`DgkKeypair::generate`] builds them, and
+/// [`DgkPublicKey::precompute`] is idempotent:
 ///
 /// ```
 /// use dgk::{DgkKeypair, DgkParams};
@@ -85,7 +84,7 @@ impl Default for DgkParams {
 /// let c = pk.encrypt_u64(3, &mut rand::thread_rng());
 /// assert_eq!(keys.private_key().decrypt(&c).unwrap(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DgkPublicKey {
     n: Ubig,
     g: Ubig,
@@ -96,13 +95,10 @@ pub struct DgkPublicKey {
     /// Comparison input width carried with the key so both parties agree.
     compare_bits: u32,
     /// Montgomery context for `Z_n`, built once per key on first use.
-    #[serde(skip)]
     ctx_n: CachedContext,
     /// Comb for `g` (exponents `< u`, i.e. `u.bits()` wide).
-    #[serde(skip)]
     comb_g: CachedComb,
     /// Comb for `h` (exponents `blind_bits` wide).
-    #[serde(skip)]
     comb_h: CachedComb,
 }
 
@@ -130,7 +126,7 @@ pub struct DgkKeypair {
 }
 
 /// A DGK ciphertext: an element of `Z_n^*`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DgkCiphertext(Ubig);
 
 impl DgkCiphertext {
@@ -303,11 +299,6 @@ impl DgkPublicKey {
     /// The message generator `g` (order `u·v_p·v_q`).
     pub fn generator_g(&self) -> &Ubig {
         &self.g
-    }
-
-    /// The blinding generator `h` (order `v_p·v_q`).
-    pub fn generator_h(&self) -> &Ubig {
-        &self.h
     }
 
     /// The bit length of the blinding exponent `r` in `h^r`.

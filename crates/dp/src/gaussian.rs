@@ -1,7 +1,6 @@
 //! Gaussian sampling and distributed noise generation.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Gaussian distribution `N(mean, std²)` sampled by the Box–Muller
 /// transform (polar form).
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let x = g.sample(&mut rand::thread_rng());
 /// assert!(x.is_finite());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gaussian {
     mean: f64,
     std: f64,
@@ -94,7 +93,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// let (z_a, z_b) = dist.user_share_pair(&mut rand::thread_rng());
 /// assert!(z_a.is_finite() && z_b.is_finite());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistributedNoise {
     sigma: f64,
     num_users: usize,

@@ -3,10 +3,9 @@
 //! A labeling campaign's primary durable invariant is its privacy
 //! budget: no matter how often the daemon crashes and restarts, the
 //! total `(ε, δ)` spend must be accounted exactly once per answered
-//! round and must never exceed the configured target. The in-memory
-//! ledgers in this crate ([`crate::PrivacyLedger`]) and in the core
-//! supervisor die with the process; [`DurableRdpLedger`] is the
-//! persistent replacement.
+//! round and must never exceed the configured target. A running total
+//! kept in memory dies with the process; [`DurableRdpLedger`] is the
+//! persistent one.
 //!
 //! Every charge is one fsynced record in an append-only journal,
 //! framed and crash-recovered by [`transport::journal`] — the same

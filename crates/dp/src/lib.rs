@@ -32,13 +32,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod curves;
 pub mod gaussian;
 pub mod ledger;
 pub mod mechanisms;
 pub mod rdp;
 
-pub use curves::GridRdp;
 pub use gaussian::{DistributedNoise, Gaussian};
 pub use ledger::{DurableRdpLedger, LedgerError};
-pub use rdp::{consensus_epsilon, LinearRdp, PrivacyLedger};
+pub use rdp::{consensus_epsilon, LinearRdp};

@@ -14,7 +14,6 @@
 //! optimum is `α* = 1 + sqrt(log(1/δ)/c)` giving
 //! `ε = c + 2·sqrt(c·log(1/δ))` — exactly the closed form of Theorem 5.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An RDP guarantee of the form `(α, c·α)-RDP for all α > 1`.
@@ -30,7 +29,7 @@ use std::fmt;
 /// let eps = total.to_epsilon(1e-6);
 /// assert!(eps > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearRdp {
     /// The slope `c` in `ε(α) = c·α`.
     coeff: f64,
@@ -210,90 +209,6 @@ pub fn sigma_for_epsilon(target_epsilon: f64, delta: f64, k: u64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// A running ledger of privacy spent across released labels.
-///
-/// Each *answered* query (threshold passed, label released) spends one
-/// SVT + one Report Noisy Max. Queries aborted at the threshold spend one
-/// SVT only — the paper's analysis conservatively charges both per query;
-/// the ledger exposes both conventions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PrivacyLedger {
-    sigma1: f64,
-    sigma2: f64,
-    delta: f64,
-    answered: u64,
-    aborted: u64,
-    /// When true (default, matching the paper), aborted queries are
-    /// charged the full SVT+RNM cost too.
-    conservative: bool,
-}
-
-impl PrivacyLedger {
-    /// Creates a ledger for noise scales `(σ₁, σ₂)` at failure
-    /// probability `delta`, using the paper's conservative convention.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive sigmas or `delta` outside `(0, 1)`.
-    pub fn new(sigma1: f64, sigma2: f64, delta: f64) -> Self {
-        assert!(sigma1 > 0.0 && sigma2 > 0.0, "noise scales must be positive");
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
-        PrivacyLedger { sigma1, sigma2, delta, answered: 0, aborted: 0, conservative: true }
-    }
-
-    /// Switches to charging aborted queries only the SVT cost.
-    #[must_use]
-    pub fn with_lenient_aborts(mut self) -> Self {
-        self.conservative = false;
-        self
-    }
-
-    /// Records a query whose threshold test passed and label was released.
-    pub fn record_answered(&mut self) {
-        self.answered += 1;
-    }
-
-    /// Records a query aborted at the threshold test.
-    pub fn record_aborted(&mut self) {
-        self.aborted += 1;
-    }
-
-    /// Number of answered queries so far.
-    pub fn answered(&self) -> u64 {
-        self.answered
-    }
-
-    /// Number of aborted queries so far.
-    pub fn aborted(&self) -> u64 {
-        self.aborted
-    }
-
-    /// The composed RDP curve of everything recorded so far.
-    pub fn rdp(&self) -> LinearRdp {
-        let svt = LinearRdp::sparse_vector(self.sigma1);
-        let rnm = LinearRdp::report_noisy_max(self.sigma2);
-        let full = svt.compose(&rnm);
-        if self.conservative {
-            full.repeat(self.answered + self.aborted)
-        } else {
-            full.repeat(self.answered).compose(&svt.repeat(self.aborted))
-        }
-    }
-
-    /// The `(ε, δ)` guarantee of everything recorded so far.
-    pub fn epsilon(&self) -> f64 {
-        self.rdp().to_epsilon(self.delta)
-    }
-
-    /// Whether answering one more query would stay within
-    /// `budget_epsilon`.
-    pub fn can_afford(&self, budget_epsilon: f64) -> bool {
-        let mut next = self.clone();
-        next.record_answered();
-        next.epsilon() <= budget_epsilon
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,43 +293,6 @@ mod tests {
                 .to_epsilon(1e-6);
             assert!((achieved - target).abs() < 1e-3, "target {target}: achieved {achieved}");
         }
-    }
-
-    #[test]
-    fn ledger_tracks_spending() {
-        let mut ledger = PrivacyLedger::new(40.0, 40.0, 1e-6);
-        assert_eq!(ledger.epsilon(), 0.0);
-        ledger.record_answered();
-        let one = ledger.epsilon();
-        assert!(one > 0.0);
-        ledger.record_answered();
-        assert!(ledger.epsilon() > one);
-        assert_eq!(ledger.answered(), 2);
-    }
-
-    #[test]
-    fn lenient_aborts_cost_less() {
-        let mut conservative = PrivacyLedger::new(40.0, 40.0, 1e-6);
-        let mut lenient = PrivacyLedger::new(40.0, 40.0, 1e-6).with_lenient_aborts();
-        for _ in 0..10 {
-            conservative.record_aborted();
-            lenient.record_aborted();
-        }
-        assert!(lenient.epsilon() < conservative.epsilon());
-    }
-
-    #[test]
-    fn budget_gate() {
-        let mut ledger = PrivacyLedger::new(40.0, 40.0, 1e-6);
-        let budget = 1.0;
-        let mut answered = 0;
-        while ledger.can_afford(budget) {
-            ledger.record_answered();
-            answered += 1;
-            assert!(answered < 100_000, "budget gate must engage");
-        }
-        assert!(ledger.epsilon() <= budget);
-        assert!(answered > 0);
     }
 
     #[test]

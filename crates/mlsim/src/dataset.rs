@@ -1,10 +1,8 @@
 //! Dataset containers.
 
-use serde::{Deserialize, Serialize};
-
 /// A single-label classification dataset: dense feature vectors and one
 /// class label per instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Feature matrix, row per instance.
     pub features: Vec<Vec<f64>>,
@@ -92,7 +90,7 @@ impl Dataset {
 
 /// A multi-label dataset: each instance carries a vector of binary
 /// attributes (the CelebA-like family).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiLabelDataset {
     /// Feature matrix, row per instance.
     pub features: Vec<Vec<f64>>,

@@ -7,8 +7,6 @@
 //! consensus rates) are properties of the *vote distribution*, not of the
 //! SGD training loop.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::Dataset;
 use crate::model::SoftmaxRegression;
 
@@ -69,7 +67,7 @@ impl Classifier for SoftmaxRegression {
 }
 
 /// A k-nearest-neighbour classifier over the training shard (L2 metric).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnnClassifier {
     k: usize,
     features: Vec<Vec<f64>>,

@@ -3,12 +3,11 @@
 //! (CelebA-like) family.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, MultiLabelDataset};
 
 /// SGD hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Passes over the data.
     pub epochs: usize,
@@ -25,7 +24,7 @@ impl Default for TrainConfig {
 }
 
 /// Multinomial logistic regression (`K` classes, dense weights + bias).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxRegression {
     /// `weights[k]` is class `k`'s weight vector.
     weights: Vec<Vec<f64>>,
@@ -136,7 +135,7 @@ impl SoftmaxRegression {
 
 /// A bank of independent binary logistic regressions — one per attribute
 /// of a multi-label dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticBank {
     weights: Vec<Vec<f64>>,
     bias: Vec<f64>,

@@ -6,14 +6,13 @@
 //! the remaining 80% in large shards.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, MultiLabelDataset};
 
 /// An uneven division `data_percent`–`user_percent` in the paper's
 /// naming: `data_percent·10%` of the data goes to `user_percent·10%` of
 /// the users... expressed here as fractions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Division {
     /// Fraction of the data shared by the majority user group.
     pub minority_data_fraction: f64,

@@ -7,7 +7,6 @@
 //! CelebA consensus-loss effect of Fig. 6).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, MultiLabelDataset};
 
@@ -26,7 +25,7 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Spec for a Gaussian-mixture classification dataset: one isotropic
 /// Gaussian cluster per class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussianMixtureSpec {
     /// Number of classes `K`.
     pub num_classes: usize,
@@ -118,7 +117,7 @@ impl GaussianMixtureSpec {
 /// positives are rare ([`MultiLabelDataset::positive_rate`] ≈
 /// `positive_rate`). Features are a noisy linear expansion of the latent,
 /// so attributes are learnable but not trivially.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseAttributeSpec {
     /// Number of binary attributes.
     pub num_attributes: usize,

@@ -1,14 +1,13 @@
 //! The Paillier ciphertext newtype.
 
 use bigint::Ubig;
-use serde::{Deserialize, Serialize};
 
 /// An element of `Z_{n²}` produced by Paillier encryption.
 ///
 /// The newtype prevents ciphertexts from being confused with plaintext
 /// big integers in protocol code. All homomorphic operations live on
 /// [`crate::PublicKey`]; a ciphertext by itself is inert.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Ciphertext(Ubig);
 
 impl Ciphertext {

@@ -12,8 +12,6 @@ pub enum PaillierError {
     MalformedCiphertext,
     /// A signed value does not fit the signed message window `(-n/2, n/2)`.
     SignedOverflow,
-    /// A float is outside the fixed-point range `[-2^15, 2^15)` of Eqn. 8.
-    FixedPointOutOfRange(f64),
     /// Keys from different keypairs were mixed in one operation.
     KeyMismatch,
     /// A public key failed the checks of [`crate::PublicKey::from_parts`].
@@ -27,9 +25,6 @@ impl fmt::Display for PaillierError {
             PaillierError::MalformedCiphertext => write!(f, "ciphertext not a unit of Z_n^2"),
             PaillierError::SignedOverflow => {
                 write!(f, "signed value outside the (-n/2, n/2) window")
-            }
-            PaillierError::FixedPointOutOfRange(v) => {
-                write!(f, "float {v} outside fixed-point range [-2^15, 2^15)")
             }
             PaillierError::KeyMismatch => write!(f, "operation mixed keys of different keypairs"),
             PaillierError::MalformedKey => {
@@ -48,7 +43,7 @@ mod tests {
     #[test]
     fn messages_are_lowercase_and_informative() {
         assert!(PaillierError::MessageOutOfRange.to_string().contains("Z_n"));
-        assert!(PaillierError::FixedPointOutOfRange(7e9).to_string().contains("7000000000"));
+        assert!(PaillierError::SignedOverflow.to_string().contains("(-n/2, n/2)"));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Key generation and the encrypt/decrypt core of the Paillier scheme.
 
-use std::fmt;
 use std::sync::Arc;
 
 use bigint::gcd::{gcd, lcm, modinv};
@@ -9,8 +8,6 @@ use bigint::montgomery::{CachedComb, CachedContext, FixedBaseComb};
 use bigint::prime::gen_prime_3mod4;
 use bigint::{random, Ubig};
 use rand::Rng;
-use serde::de::{self, Visitor};
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::ciphertext::Ciphertext;
 use crate::error::PaillierError;
@@ -30,10 +27,10 @@ use crate::error::PaillierError;
 ///
 /// The key embeds lazily built caches — the Montgomery context for `n²`
 /// and the comb for `hs` — that every operation under the key reuses.
-/// They are transparent: skipped by serialization (rebuilt on first use
-/// after loading), ignored by equality, and shared by every clone taken
-/// after they are built. [`Keypair::generate`] builds them; call
-/// [`PublicKey::precompute`] on a loaded key to pay for them eagerly:
+/// They are transparent: ignored by equality, and shared by every clone
+/// taken after they are built. [`Keypair::generate`] builds them; call
+/// [`PublicKey::precompute`] on a key built by [`PublicKey::from_parts`]
+/// to pay for them eagerly:
 ///
 /// ```
 /// use paillier::Keypair;
@@ -44,9 +41,9 @@ use crate::error::PaillierError;
 /// assert_eq!(kp.private_key().decrypt_u64(&c), 7);
 /// ```
 ///
-/// Serialized as the pair `(n, hs)`; loading recomputes `n²` and goes
-/// through [`PublicKey::from_parts`], so a malformed key is an error,
-/// not silent garbage.
+/// A key has no decoder: the one way to build it from untrusted parts is
+/// [`PublicKey::from_parts`], so a malformed key is an error, not silent
+/// garbage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicKey {
     n: Ubig,
@@ -62,7 +59,7 @@ pub struct PublicKey {
 /// Paillier private key: the factorization-derived trapdoor
 /// `λ = lcm(p−1, q−1)` and `μ = λ⁻¹ mod n`, plus the prime factors and
 /// precomputed constants for CRT-accelerated decryption.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrivateKey {
     public: PublicKey,
     lambda: Ubig,
@@ -85,15 +82,13 @@ pub struct PrivateKey {
     /// extended GCD.
     p_inv_q: Ubig,
     /// Montgomery context for `Z_{p²}` (CRT decryption), built lazily.
-    #[serde(skip)]
     ctx_p2: CachedContext,
     /// Montgomery context for `Z_{q²}`, built lazily.
-    #[serde(skip)]
     ctx_q2: CachedContext,
 }
 
 /// A freshly generated public/private keypair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Keypair {
     /// The public half.
     public: PublicKey,
@@ -224,7 +219,7 @@ fn pow_n_crt(
 }
 
 impl PublicKey {
-    /// Builds a key from its serialized parts, recomputing `n²`.
+    /// Builds a key from the pair `(n, hs)`, recomputing `n²`.
     ///
     /// # Errors
     ///
@@ -240,12 +235,6 @@ impl PublicKey {
             return Err(PaillierError::MalformedKey);
         }
         Ok(PublicKey { n, n_squared, hs, ctx_n2: CachedContext::new(), comb_hs: CachedComb::new() })
-    }
-
-    /// The serialized form, `"<n>:<hs>"` in hex; `n²` and the caches are
-    /// derived data.
-    fn to_hex_pair(&self) -> String {
-        format!("{}:{}", self.n.to_str_radix(16), self.hs.to_str_radix(16))
     }
 
     /// The modulus `n`; plaintexts live in `Z_n`.
@@ -403,35 +392,6 @@ impl PublicKey {
     pub fn add_vec(&self, a: &[Ciphertext], b: &[Ciphertext]) -> Vec<Ciphertext> {
         assert_eq!(a.len(), b.len(), "vector length mismatch");
         a.iter().zip(b).map(|(x, y)| self.add(x, y)).collect()
-    }
-}
-
-impl Serialize for PublicKey {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_hex_pair())
-    }
-}
-
-struct PublicKeyVisitor;
-
-impl Visitor<'_> for PublicKeyVisitor {
-    type Value = PublicKey;
-
-    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("a Paillier public key as \"<n>:<hs>\" in hex")
-    }
-
-    fn visit_str<E: de::Error>(self, v: &str) -> Result<PublicKey, E> {
-        let (n, hs) = v.split_once(':').ok_or_else(|| E::custom("missing ':' between n and hs"))?;
-        let n = Ubig::from_str_radix(n, 16).map_err(E::custom)?;
-        let hs = Ubig::from_str_radix(hs, 16).map_err(E::custom)?;
-        PublicKey::from_parts(n, hs).map_err(E::custom)
-    }
-}
-
-impl<'de> Deserialize<'de> for PublicKey {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_any(PublicKeyVisitor)
     }
 }
 
@@ -721,7 +681,11 @@ mod tests {
         let kp = keypair(64);
         let pk = kp.public_key();
         let (n, hs, n2) = (pk.modulus(), pk.randomizer_base(), pk.modulus_squared());
-        assert_eq!(PublicKey::from_parts(n.clone(), hs.clone()).as_ref(), Ok(pk));
+        let built = PublicKey::from_parts(n.clone(), hs.clone()).unwrap();
+        assert_eq!(&built, pk);
+        assert_eq!(built.modulus_squared(), &n.square(), "n² recomputed from n");
+        let c = built.encrypt_u64(77, &mut rng());
+        assert_eq!(kp.private_key().decrypt_u64(&c), 77);
         let p = kp.private_key().p.clone();
         for (bad_n, bad_hs) in [
             (n.clone(), Ubig::zero()),
@@ -738,41 +702,6 @@ mod tests {
                 Err(PaillierError::MalformedKey),
                 "n = {bad_n}, hs = {bad_hs}"
             );
-        }
-    }
-
-    #[test]
-    fn serialized_key_is_n_and_hs_and_loads_through_the_checks() {
-        use serde::de::value::{Error as ValueError, StrDeserializer};
-        use serde::de::IntoDeserializer;
-
-        let load = |text: &str| {
-            let de: StrDeserializer<'_, ValueError> = text.into_deserializer();
-            PublicKey::deserialize(de)
-        };
-
-        let kp = keypair(64);
-        let pk = kp.public_key();
-        let text = pk.to_hex_pair();
-        let (n_hex, hs_hex) = text.split_once(':').unwrap();
-        assert_eq!(Ubig::from_str_radix(n_hex, 16).unwrap(), *pk.modulus());
-        let loaded = load(&text).unwrap();
-        assert_eq!(&loaded, pk);
-        assert_eq!(loaded.modulus_squared(), &pk.modulus().square(), "n² recomputed on load");
-        let c = loaded.encrypt_u64(77, &mut rng());
-        assert_eq!(kp.private_key().decrypt_u64(&c), 77);
-
-        // hs = 1, hs = n², a missing field, bad hex: all errors.
-        let n2_hex = pk.modulus_squared().to_str_radix(16);
-        for bad in [
-            format!("{n_hex}:1"),
-            format!("{n_hex}:{n2_hex}"),
-            format!("{n_hex}:0"),
-            n_hex.to_owned(),
-            format!("{n_hex}:zz"),
-            format!("10:{hs_hex}"),
-        ] {
-            assert!(load(&bad).is_err(), "{bad}");
         }
     }
 

@@ -8,12 +8,9 @@
 //! * `E[m]^a = E[a * m]` — ciphertext power scales the plaintext.
 //!
 //! The paper's prototype uses a 64-bit modulus; key size is configurable via
-//! [`Keypair::generate`]. On top of the raw scheme this crate layers:
-//!
-//! * [`SignedCodec`] — two's-complement-style encoding of signed integers
-//!   into `Z_n`, needed because protocol shares are signed;
-//! * [`FixedCodec`] — the paper's Eqn. 8 fixed-point float encoding
-//!   (`R^I = R * 2^16 + 2^31`) used for softmax votes and noise shares.
+//! [`Keypair::generate`]. On top of the raw scheme this crate layers
+//! [`SignedCodec`] — two's-complement-style encoding of signed integers
+//! into `Z_n`, needed because protocol shares are signed.
 //!
 //! # Examples
 //!
@@ -35,13 +32,11 @@
 
 mod ciphertext;
 mod error;
-mod fixed;
 mod keys;
 mod signed;
 
 pub use ciphertext::Ciphertext;
 pub use error::PaillierError;
-pub use fixed::{FixedCodec, FIXED_FRACTION_BITS, FIXED_OFFSET_BITS};
 pub use keys::{Keypair, PrivateKey, PublicKey};
 pub use signed::SignedCodec;
 

@@ -5,7 +5,7 @@
 use bigint::modular::{modmul, modpow};
 use bigint::random;
 use bigint::Ubig;
-use paillier::{Ciphertext, FixedCodec, Keypair, SignedCodec};
+use paillier::{Ciphertext, Keypair, SignedCodec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,22 +66,6 @@ proptest! {
         let cy = pk.encrypt(&codec.encode_i64(y).unwrap(), &mut rng).unwrap();
         let diff = kp.private_key().decrypt(&pk.sub(&cx, &cy)).unwrap();
         prop_assert_eq!(codec.decode_i64(&diff).unwrap(), x - y);
-    }
-
-    #[test]
-    fn fixed_codec_roundtrip_bounded_error(v in -32768.0f64..32768.0) {
-        let c = FixedCodec::paper();
-        let enc = c.encode(v).unwrap();
-        let err = (c.decode(enc) - v).abs();
-        prop_assert!(err < c.resolution());
-    }
-
-    #[test]
-    fn fixed_scaled_sums_linear(vs in proptest::collection::vec(-100.0f64..100.0, 1..20)) {
-        let c = FixedCodec::paper();
-        let total_scaled: i64 = vs.iter().map(|&v| c.to_scaled_i64(v).unwrap()).sum();
-        let expect: f64 = vs.iter().map(|&v| (v * 65536.0).floor() / 65536.0).sum();
-        prop_assert!((c.from_scaled_i64(total_scaled) - expect).abs() < 1e-9);
     }
 
     #[test]

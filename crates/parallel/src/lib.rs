@@ -41,9 +41,6 @@ pub const DEFAULT_MIN_BATCH: usize = 4;
 /// auto-tuned replacement for hand-picking `min_batch` per call site.
 pub const SPLIT_MIN_WORK_NS: u64 = 100_000;
 
-/// Environment variable consulted by [`Parallelism::from_env`].
-pub const THREADS_ENV: &str = "CONSENSUS_THREADS";
-
 /// Degree of data parallelism for the crypto hot loops.
 ///
 /// `threads == 1` is the sequential fallback: no threads are spawned and
@@ -94,23 +91,6 @@ impl Parallelism {
     pub fn with_item_cost_ns(mut self, ns: u64) -> Self {
         self.item_cost_ns = if ns == 0 { None } else { Some(ns) };
         self
-    }
-
-    /// Read the thread count from `CONSENSUS_THREADS`.
-    ///
-    /// Unset or unparsable values mean sequential; `0` means "one worker per
-    /// available hardware thread".
-    pub fn from_env() -> Self {
-        match std::env::var(THREADS_ENV) {
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(0) => {
-                    Self::new(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-                }
-                Ok(n) => Self::new(n),
-                Err(_) => Self::sequential(),
-            },
-            Err(_) => Self::sequential(),
-        }
     }
 
     /// Configured worker-thread ceiling.

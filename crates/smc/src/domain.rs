@@ -16,7 +16,6 @@
 //!   offset-shifted comparison inputs fit `ℓ = 40` bits.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -39,7 +38,7 @@ impl fmt::Display for SharesOutOfRange {
 impl Error for SharesOutOfRange {}
 
 /// The share/mask/comparison bit-width configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShareDomain {
     /// Per-user additive shares are drawn from `[−2^share_bits, 2^share_bits)`.
     pub share_bits: u32,

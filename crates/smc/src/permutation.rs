@@ -1,7 +1,6 @@
 //! Uniformly random permutations and their algebra.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A permutation of `{0, …, K−1}`, stored as the image list: element at
@@ -20,7 +19,7 @@ use std::fmt;
 /// let inv = p.inverse();
 /// assert_eq!(inv.apply(&p.apply(&[10, 20, 30])), vec![10, 20, 30]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Permutation {
     /// `indices[j]` = the input position that lands at output slot `j`.
     indices: Vec<usize>,

@@ -22,9 +22,11 @@
 //! The frames of legs 2 and 5 are decrypted by their receiver, so they
 //! travel slot-packed ([`crate::pack`]): `⌈K / slots⌉` ciphertexts and as
 //! many decryptions. Legs 1 and 4 stay one ciphertext per entry — their
-//! receiver permutes them.
+//! receiver permutes them. What legs 2 and 5 fold is the *receiver's own*
+//! ciphertexts, so each packed ciphertext is re-randomized before it
+//! leaves.
 
-use paillier::Ciphertext;
+use paillier::{Ciphertext, PublicKey};
 use rand::rngs::StdRng;
 use transport::{ByzantineAction, Step};
 
@@ -109,6 +111,20 @@ impl Restoration {
     }
 }
 
+/// A leg-2 or leg-5 frame under fresh randomizers, one per packed
+/// ciphertext.
+///
+/// The entries of such a frame are ciphertexts its receiver made itself.
+/// Permuted, folded and plaintext-masked they still carry the randomizers
+/// it chose: dividing the plaintext it decrypts out of the frame, and the
+/// plaintexts it knows out of what it sent, leaves bare randomizers it
+/// can match to positions — the sender's inverse permutation, and with
+/// it the labels behind step 8's outcome bits. Drawn after the masks, so
+/// the audit replays the same draws as before.
+fn rerandomized(key: &PublicKey, frame: &[Ciphertext], rng: &mut StdRng) -> Vec<Ciphertext> {
+    frame.iter().map(|c| key.rerandomize(c, rng)).collect()
+}
+
 impl Machine for Restoration {
     type Output = usize;
 
@@ -166,7 +182,8 @@ impl Machine for Restoration {
                 // add per-entry mask r1 and pack for S2's one decryption.
                 let reverted = self.permutation.inverse().apply(&decode_k(answer)?);
                 let r1 = self.draw_masks(ctx, out);
-                out.send(peer, step, &to_peer.fold_masked(&reverted, &r1)?);
+                let masked = to_peer.fold_masked(&reverted, &r1)?;
+                out.send(peer, step, &rerandomized(peer_pk, &masked, &mut self.rng));
                 self.stage = Stage::PlainMasked { r1 };
             }
             Stage::PlainMasked { r1 } => {
@@ -222,7 +239,8 @@ impl Machine for Restoration {
                 let enc_pi2_e = decode_k(answer)?;
                 let reverted = self.permutation.inverse().apply(&enc_pi2_e);
                 let r2 = self.draw_masks(ctx, out);
-                let masked_e = to_peer.fold_masked(&reverted, &r2)?;
+                let masked_e =
+                    rerandomized(peer_pk, &to_peer.fold_masked(&reverted, &r2)?, &mut self.rng);
                 if self.byzantine == Some(ByzantineAction::ReplayStaleFrame) {
                     // Echo the head of S1's own step-4 frame in place of
                     // the masked one: same shape, decrypts cleanly under

@@ -14,12 +14,11 @@ use dgk::{DgkKeypair, DgkParams, DgkPublicKey};
 use paillier::{Keypair, PrivateKey, PublicKey, SignedCodec};
 use parallel::Parallelism;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::domain::ShareDomain;
 
 /// Which server a context belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerRole {
     /// Server S1 (Paillier key 1, DGK evaluator).
     Server1,
@@ -28,7 +27,7 @@ pub enum ServerRole {
 }
 
 /// Cryptographic and domain parameters of one session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// Number of participating users `|U|`.
     pub num_users: usize,
@@ -43,9 +42,7 @@ pub struct SessionConfig {
     pub domain: ShareDomain,
     /// How the roster is partitioned for streaming aggregation. Defaults
     /// to the flat single-shard path; every shard count produces the
-    /// identical consensus fingerprint (`serde(default)` keeps old
-    /// serialized configs valid).
-    #[serde(default)]
+    /// identical consensus fingerprint.
     pub shards: crate::shard::ShardConfig,
 }
 

@@ -34,7 +34,6 @@
 
 use paillier::{Ciphertext, PublicKey};
 use parallel::Parallelism;
-use serde::{Deserialize, Serialize};
 
 /// How a round's roster is partitioned into aggregation shards.
 ///
@@ -43,7 +42,7 @@ use serde::{Deserialize, Serialize};
 /// derivation — a shard is never empty *by construction* of the clamp,
 /// but hashed assignment may still leave some shards without members,
 /// which every consumer tolerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of shards the roster is hashed into (≥ 1).
     pub num_shards: usize,

@@ -291,7 +291,7 @@ pub struct CheckpointImage {
     /// The server's position in the pipeline.
     pub state: RoundState,
     /// Audit commitments and cross-step digests; `None` when auditing
-    /// is off (and for checkpoints written before the audit layer).
+    /// is off.
     pub audit: Option<crate::audit::AuditCheckpoint>,
 }
 
@@ -303,10 +303,7 @@ impl Wire for CheckpointImage {
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         let state = RoundState::decode(buf)?;
-        // Pre-audit checkpoints end right after the state; treat the
-        // missing trailer as "no audit material" rather than truncation.
-        let audit = if buf.has_remaining() { Option::decode(buf)? } else { None };
-        Ok(CheckpointImage { state, audit })
+        Ok(CheckpointImage { state, audit: Option::decode(buf)? })
     }
 }
 
@@ -442,16 +439,8 @@ mod tests {
                 let image = CheckpointImage { state: state.clone(), audit };
                 assert_eq!(CheckpointImage::from_bytes(image.to_bytes()).unwrap(), image);
             }
-        }
-    }
-
-    #[test]
-    fn pre_audit_checkpoint_bytes_decode_as_image() {
-        // A bare RoundState payload (what PR 4 checkpoints wrote) must
-        // decode as an image with no audit material.
-        for state in sample_states() {
-            let image = CheckpointImage::from_bytes(state.to_bytes()).unwrap();
-            assert_eq!(image, CheckpointImage { state, audit: None });
+            // An image cut right after the state is truncated, not "audit off".
+            assert_eq!(CheckpointImage::from_bytes(state.to_bytes()), Err(WireError::Truncated));
         }
     }
 

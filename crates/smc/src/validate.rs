@@ -76,12 +76,6 @@ impl UploadValidator {
         self.seen.remove(&from);
     }
 
-    /// Number of senders currently holding live freshness state — the
-    /// streaming paths keep this bounded by one shard, not |U|.
-    pub fn live_senders(&self) -> usize {
-        self.seen.len()
-    }
-
     /// Validates one received upload. On failure, pushes the matching
     /// rejection onto `events` and returns the typed error; the caller
     /// decides whether that is fatal (strict collection) or a dropout
@@ -198,17 +192,17 @@ mod tests {
             v.check(&mut events, PartyId::User(u), Step::SecureSumVotes, 1, &good, key).unwrap();
             v.check(&mut events, PartyId::User(u), Step::SecureSumVotes, 2, &good, key).unwrap();
         }
-        assert_eq!(v.live_senders(), 8);
+        assert_eq!(v.seen.len(), 8);
         // Streaming fold retires each user once its upload is absorbed:
         // the validator's window must shrink, not grow O(|U|).
         for u in 0..8 {
             v.retire(PartyId::User(u));
         }
-        assert_eq!(v.live_senders(), 0);
+        assert_eq!(v.seen.len(), 0);
         // Retiring is idempotent and does not disturb later senders.
         v.retire(PartyId::User(3));
         v.check(&mut events, PartyId::User(9), Step::SecureSumVotes, 1, &good, key).unwrap();
-        assert_eq!(v.live_senders(), 1);
+        assert_eq!(v.seen.len(), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::sync::OnceLock;
 
 use bigint::Ubig;
-use paillier::{Ciphertext, PublicKey};
+use paillier::{Ciphertext, PrivateKey, PublicKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smc::blind_permute::BlindPermute;
@@ -394,5 +394,68 @@ fn frames_spanning_many_packed_ciphertexts_match_the_clear_oracle() {
     for at in [1, 4] {
         let frame = Vec::<Ciphertext>::from_bytes(run.transcript[at].payload.clone()).unwrap();
         assert_eq!(frame.len(), packer.frame_len(K));
+    }
+}
+
+/// What a semi-honest receiver of an Alg. 3 leg-2 or leg-5 frame can try.
+/// It made the ciphertexts it `sent` and it decrypts the packed `frame`,
+/// so it strips every plaintext — `ρ_i = c_i·(1+n)^(−m_i)` and
+/// `R = P·(1+n)^(−M)` are bare randomizers — and looks for the orders in
+/// which its own randomizers fold to the frame's.
+fn orders_matching_own_randomizers(
+    packer: &Packer<'_>,
+    (pk, sk): (&PublicKey, &PrivateKey),
+    sent: &[Ciphertext],
+    frame: &[Ciphertext],
+) -> Vec<Permutation> {
+    let strip = |c: &Ciphertext| pk.add_plain(c, &(pk.modulus() - &sk.decrypt_crt(c).unwrap()));
+    let (own, target): (Vec<_>, Vec<_>) =
+        (sent.iter().map(strip).collect(), frame.iter().map(strip).collect());
+    let all_orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+    all_orders
+        .iter()
+        .map(|order| Permutation::from_indices(order.to_vec()).unwrap())
+        .filter(|order| packer.fold(&order.apply(&own)) == target)
+        .collect()
+}
+
+/// ROADMAP hostile-inputs (6). Legs 2 and 5 return the receiver's own
+/// ciphertexts, so a frame that is only permuted, folded and masked — as
+/// `fold_masked` alone builds it — gives the sender's inverse permutation
+/// away; the frames the machines send match no order at all.
+#[test]
+fn a_restoration_frame_does_not_betray_the_order_of_its_entries() {
+    let (s1_ctx, s2_ctx) = (keys().server1(), keys().server2());
+    for seed in 0..6u64 {
+        let pi1 = Permutation::random(CLASSES, &mut rng(30 + seed));
+        let pi2 = Permutation::random(CLASSES, &mut rng(40 + seed));
+        let (slot, step) = (seed as usize % CLASSES, Step::Restoration);
+        let transcript = run_pair(
+            (&s1_ctx, Restoration::new(pi1.clone(), slot, step, rng(50 + seed), None)),
+            (&s2_ctx, Restoration::new(pi2.clone(), slot, step, rng(60 + seed), None)),
+            Vec::new(),
+        )
+        .unwrap()
+        .transcript;
+        let frame = |at: usize| Vec::<Ciphertext>::from_bytes(transcript[at].payload.clone());
+        // (the receiver, the leg it receives, the permutation whose
+        // inverse the sender applied).
+        for (receiver, leg, pi) in [(&s2_ctx, 2, &pi1), (&s1_ctx, 5, &pi2)] {
+            let keypair = (receiver.own_public(), receiver.own_private());
+            let packer = Packer::new(keys().config(), keypair.0).unwrap();
+            // Leg n is transcript[n − 1]; it answers the leg before it.
+            let (sent, returned) = (frame(leg - 2).unwrap(), frame(leg - 1).unwrap());
+            let bare = packer.fold_masked(&pi.inverse().apply(&sent), &[5, -6, 7]).unwrap();
+            assert_eq!(
+                orders_matching_own_randomizers(&packer, keypair, &sent, &bare),
+                [pi.inverse()],
+                "seed {seed}: the attack reads an un-randomized frame"
+            );
+            assert_eq!(
+                orders_matching_own_randomizers(&packer, keypair, &sent, &returned),
+                [],
+                "seed {seed}: leg {leg} as the machine sends it"
+            );
+        }
     }
 }

@@ -441,6 +441,30 @@ fn slot_strategy() -> impl Strategy<Value = (i128, i128)> {
     (share, 0i128..=2)
 }
 
+/// Ranks `slots` and checks the winner against the clear oracle, the
+/// bracket's shape, and that threads leave every frame alone.
+fn assert_bracket_elects_the_lowest_index_maximum(slots: &[(i128, i128)], seed: u64) {
+    let k = slots.len();
+    let xs: Vec<i128> = slots.iter().map(|&(x, _)| x).collect();
+    let ys: Vec<i128> = slots.iter().map(|&(x, total)| total - x).collect();
+    let best = slots.iter().map(|&(_, total)| total).max().unwrap();
+    let expect = slots.iter().position(|&(_, total)| total == best).unwrap();
+
+    let (w1, w2, transcript, messages) = run_bracket(&xs, &ys, seed, Parallelism::sequential());
+    assert_eq!((w1, w2), (expect, expect));
+
+    // K−1 comparisons in ⌈log₂K⌉ three-message rounds (none for K = 1).
+    let rounds = k.next_power_of_two().trailing_zeros() as usize;
+    assert_eq!(messages, 3 * rounds as u64);
+    assert_eq!(transcript.len(), rounds);
+    let witness_sets: usize = transcript.iter().map(|(_, w, _)| w.len()).sum();
+    assert_eq!(witness_sets, k - 1);
+
+    // Same seeds, three worker threads: byte-identical frames.
+    let threaded = run_bracket(&xs, &ys, seed, Parallelism::new(3).with_min_batch(1));
+    assert_eq!(threaded, (w1, w2, transcript, messages));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -449,25 +473,16 @@ proptest! {
         slots in proptest::collection::vec(slot_strategy(), 1..18),
         seed in any::<u64>(),
     ) {
-        let k = slots.len();
-        let xs: Vec<i128> = slots.iter().map(|&(x, _)| x).collect();
-        let ys: Vec<i128> = slots.iter().map(|&(x, total)| total - x).collect();
-        let best = slots.iter().map(|&(_, total)| total).max().unwrap();
-        let expect = slots.iter().position(|&(_, total)| total == best).unwrap();
-
-        let (w1, w2, transcript, messages) =
-            run_bracket(&xs, &ys, seed, Parallelism::sequential());
-        prop_assert_eq!((w1, w2), (expect, expect));
-
-        // K−1 comparisons in ⌈log₂K⌉ three-message rounds (none for K = 1).
-        let rounds = k.next_power_of_two().trailing_zeros() as usize;
-        prop_assert_eq!(messages, 3 * rounds as u64);
-        prop_assert_eq!(transcript.len(), rounds);
-        let witness_sets: usize = transcript.iter().map(|(_, w, _)| w.len()).sum();
-        prop_assert_eq!(witness_sets, k - 1);
-
-        // Same seeds, three worker threads: byte-identical frames.
-        let threaded = run_bracket(&xs, &ys, seed, Parallelism::new(3).with_min_batch(1));
-        prop_assert_eq!(threaded, (w1, w2, transcript, messages));
+        assert_bracket_elects_the_lowest_index_maximum(&slots, seed);
     }
+}
+
+/// K = 100, the shape no benchmark workload has: 99 comparisons in
+/// 3·⌈log₂ 100⌉ = 21 messages, fourteen slots tied for the maximum.
+#[test]
+fn bracket_at_a_hundred_slots() {
+    let slots: Vec<(i128, i128)> =
+        (0..100).map(|i| ((i * 7919) % 1000 - 500, (i * 104_729) % 7)).collect();
+    assert_eq!(slots.iter().filter(|&&(_, total)| total == 6).count(), 14);
+    assert_bracket_elects_the_lowest_index_maximum(&slots, 100);
 }

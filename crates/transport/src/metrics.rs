@@ -19,11 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 /// The protocol step a message or timing belongs to, named and numbered as
 /// in Alg. 5 of the paper (and Tables I/II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Step {
     /// Key distribution and session setup (not in the paper's tables).
     Setup,
@@ -122,7 +120,7 @@ impl fmt::Display for Step {
 }
 
 /// Which kind of link carried a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LinkKind {
     /// A user sending to one of the servers.
     UserToServer,
@@ -158,7 +156,7 @@ impl fmt::Display for LinkKind {
 }
 
 /// Byte/message counters for one (step, link) pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Number of messages sent.
     pub messages: u64,

@@ -1,14 +1,13 @@
 //! Privacy accounting tour: how the Rényi-DP curves of the consensus
-//! protocol compose, what Theorem 5 guarantees per query, how a privacy
-//! ledger gates a labeling campaign against a fixed budget — and how
-//! the *durable* campaign daemon survives a kill -9 with its epsilon
-//! intact.
+//! protocol compose, what Theorem 5 guarantees per query, how many
+//! queries a fixed budget buys — and how the *durable* campaign daemon
+//! survives a kill -9 with its epsilon intact.
 //!
 //! Run: `cargo run --release -p consensus-core --example privacy_budget`
 
 use consensus_core::campaign::{CampaignConfig, CampaignRunner, CampaignStop};
 use consensus_core::config::ConsensusConfig;
-use dp::rdp::{consensus_epsilon, sigma_for_epsilon, LinearRdp, PrivacyLedger};
+use dp::rdp::{consensus_epsilon, sigma_for_epsilon, LinearRdp};
 use transport::Meter;
 
 fn main() {
@@ -34,17 +33,13 @@ fn main() {
         println!("target ε = {target:<6} over {k} queries  →  σ1 = σ2 = {s:.1} votes");
     }
 
-    println!("\n== Ledger with a hard budget ==");
-    let mut ledger = PrivacyLedger::new(40.0, 40.0, 1e-6);
+    println!("\n== Queries a hard budget buys ==");
     let budget = 4.0;
-    let mut answered = 0u64;
-    while ledger.can_afford(budget) {
-        ledger.record_answered();
-        answered += 1;
-    }
+    let spend = |k: u64| per_query.repeat(k).to_epsilon(1e-6);
+    let answered = (1..).take_while(|&k| spend(k) <= budget).count() as u64;
     println!(
         "budget ε ≤ {budget}: answered {answered} queries, final spend ε = {:.3}",
-        ledger.epsilon()
+        spend(answered)
     );
 
     println!("\n== Durable campaign daemon: kill -9, resume, budget refusal ==");

@@ -2,15 +2,16 @@
 # The repository's CI gate, for machines with crates.io access:
 #
 #   1. cargo fmt --check          — formatting (rustfmt.toml at the root)
-#   2. cargo clippy -D warnings   — lints, all targets; plus two greps:
-#      smc and core spawn no thread, and smc names no Endpoint
+#   2. cargo clippy -D warnings   — lints, all targets; plus three greps:
+#      smc and core spawn no thread, smc names no Endpoint, and no
+#      manifest names serde or criterion
 #   3. cargo build --release      — the tier-1 build
 #   4. cargo test                 — the tier-1 test suite
-#   5. the smoke suites, the bench harness gate and the repo benchmark's
-#      --smoke pass (a kernel that is fast but wrong fails here)
+#   5. the smoke suites and the repo benchmark's --smoke pass (a kernel
+#      that is fast but wrong fails here)
 #   6. scripts/devcheck.sh overflow-bench and loc: the benchmark's two
 #      deployable-key workloads under -C overflow-checks=on, and the
-#      core + transport line count
+#      non-test line counts
 #
 # In offline sandboxes where the third-party crates cannot be fetched,
 # use scripts/devcheck.sh instead — same checks, pointed at the
@@ -29,6 +30,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> one round, one driver (no thread in smc/core, no endpoint inside smc)"
 if grep -rnE 'thread::(scope|spawn)' crates/smc/src crates/core/src; then exit 1; fi
 if grep -rn 'Endpoint' crates/smc/src; then exit 1; fi
+
+echo "==> one byte format, one harness (no manifest names serde or criterion)"
+if grep -nE 'serde|criterion' Cargo.toml crates/*/Cargo.toml; then exit 1; fi
 
 echo "==> cargo build --release"
 cargo build --release
@@ -55,16 +59,13 @@ cargo test -q -p consensus-core --test campaign campaign_soak_smoke
 echo "==> multi-session reactor smoke (16 concurrent sessions, 2 seeds)"
 cargo test -q -p consensus-core --test reactor sixteen_session_smoke
 
-echo "==> bench harness smoke (scripts/bench.sh --smoke --batch --scale, 2 worker threads)"
-bash scripts/bench.sh --smoke --threads 2 --batch --scale
-
 echo "==> repo benchmark smoke (crates/benchmark/run.sh --smoke: every op checked against the clear-text oracle)"
 bash crates/benchmark/run.sh --smoke
 
 echo "==> release-shaped limb kernel under overflow checks (deploy2048 + paper1024)"
 bash scripts/devcheck.sh overflow-bench
 
-echo "==> core + transport size"
+echo "==> non-test lines: core + transport, and the workspace outside crates/benchmark"
 bash scripts/devcheck.sh loc
 
 echo "CI checks passed."

@@ -13,7 +13,7 @@ cmd="${1:-test}"
 shift || true
 
 config=()
-for dep in rand bytes crossbeam parking_lot serde proptest criterion; do
+for dep in rand bytes crossbeam parking_lot proptest; do
   config+=(--config "patch.crates-io.${dep}.path=\"${repo}/.localdeps/${dep}\"")
 done
 
@@ -34,6 +34,8 @@ case "$cmd" in
     # One round, one driver: smc and core spawn no thread, smc names no Endpoint.
     if grep -rnE 'thread::(scope|spawn)' "${repo}"/crates/{smc,core}/src; then exit 1; fi
     if grep -rn 'Endpoint' "${repo}/crates/smc/src"; then exit 1; fi
+    # One byte format (transport::Wire), one harness (crates/benchmark).
+    if grep -nE 'serde|criterion' "${repo}/Cargo.toml" "${repo}"/crates/*/Cargo.toml; then exit 1; fi
     ;;
   fmt)
     cargo fmt --all -- --check
@@ -67,11 +69,15 @@ case "$cmd" in
     done
     ;;
   loc)
-    # Lines before the first #[cfg(test)] in core + transport: the
-    # trajectory ROADMAP's line target is read from (7 858 after PR 17).
-    awk 'FNR == 1 { counting = 1 } /#\[cfg\(test\)\]/ { counting = 0 } counting { n++ }
-         END { print "core + transport, non-test lines: " n }' \
+    # Lines before the first #[cfg(test)]: core + transport is the
+    # trajectory ROADMAP's line target is read from (7 858 after PR 17);
+    # the second count is every src/ file outside crates/benchmark.
+    count='FNR == 1 { counting = 1 } /#\[cfg\(test\)\]/ { counting = 0 } counting { n++ }
+           END { print label ", non-test lines: " n }'
+    awk -v label="core + transport" "$count" \
       "${repo}"/crates/core/src/*.rs "${repo}"/crates/transport/src/*.rs
+    find "${repo}/crates" -path "${repo}/crates/benchmark" -prune -o -path '*/src/*' -name '*.rs' -print0 |
+      xargs -0 awk -v label="workspace outside crates/benchmark" "$count"
     ;;
   *)
     echo "usage: $0 [check|test|clippy|fmt|bench-smoke|overflow-bench|loc] [extra args...]" >&2

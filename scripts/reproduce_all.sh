@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure of the paper plus the ablations.
+# Regenerates every table and figure of the paper.
 # Results land in results/<name>.txt. Expect ~20-40 minutes total on a
 # laptop; pass extra flags through, e.g.  ./scripts/reproduce_all.sh --rounds 3
 set -euo pipefail
@@ -28,8 +28,5 @@ run fig5_threshold_sweep
 run fig5_uneven
 run fig6_celeba
 run table3_retention
-
-echo "== criterion ablation benches =="
-cargo bench -p benches | tee results/criterion.txt
 
 echo "All results written to results/."

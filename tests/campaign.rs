@@ -115,6 +115,11 @@ fn campaign_soak_kill_restart_30_rounds() {
         "the chaos plan must force a resumption every round"
     );
     assert!(reference.epsilon_spent <= budget, "budget never exceeded");
+    // The ledger only ever composes: the ε trajectory climbs with every
+    // charged round and ends at the campaign's spend.
+    let trajectory: Vec<f64> = reference.rounds.iter().map(|r| r.epsilon_total).collect();
+    assert!(trajectory[0] > 0.0 && trajectory.windows(2).all(|w| w[0] < w[1]), "{trajectory:?}");
+    assert_eq!(trajectory[ROUNDS - 1], reference.epsilon_spent);
 
     // Chaos lineage: kill after 9 rounds, again after 21, then finish.
     let dir = TempDir::new("soak-kill");

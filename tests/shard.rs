@@ -4,7 +4,8 @@
 //! per-shard partial sums, per-shard survivor reconciliation — but must
 //! never change *what* a round computes. These tests pin the
 //! [`ConsensusFingerprint`] across shard counts {1, 2, 7} and thread
-//! counts {1, 3}, in strict mode, under dropouts, and at quorum loss.
+//! counts {1, 3}, in strict mode, under dropouts, and at quorum loss —
+//! and the metered bytes of a sharded round to the flat round's.
 
 use std::time::Duration;
 
@@ -13,7 +14,7 @@ use consensus_core::secure::{ConsensusFingerprint, SecureEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smc::{Parallelism, SessionConfig, SessionKeys, ShardConfig, SmcError};
-use transport::{FaultPlan, Meter, PartyId, Step, TimeoutPolicy};
+use transport::{FaultPlan, LinkKind, Meter, PartyId, Step, TimeoutPolicy};
 
 const USERS: usize = 7;
 const CLASSES: usize = 3;
@@ -23,9 +24,13 @@ const KEY_SEED: u64 = 4242;
 /// `shards` field differs between configs, so every variant runs the
 /// identical cryptographic round.
 fn keys_with_shards(num_shards: usize) -> SessionKeys {
+    keys_for(USERS, num_shards)
+}
+
+fn keys_for(users: usize, num_shards: usize) -> SessionKeys {
     let mut rng = StdRng::seed_from_u64(KEY_SEED);
     SessionKeys::generate(
-        SessionConfig::test(USERS, CLASSES).with_shards(ShardConfig::new(num_shards)),
+        SessionConfig::test(users, CLASSES).with_shards(ShardConfig::new(num_shards)),
         &mut rng,
     )
 }
@@ -129,4 +134,37 @@ fn quorum_loss_is_identical_for_every_shard_count() {
             other => panic!("expected QuorumLost at shards={shards}, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn sharding_moves_no_upload_byte_and_under_five_percent_overall() {
+    // A resilient round at |U| = 64: the servers reconcile survivors once
+    // when flat and once per shard under 8 shards. That exchange is all
+    // sharding may add to the wire — every user uploads the same bytes,
+    // and the round's total per user stays within 5 % of the flat one.
+    const CROWD: usize = 64;
+    let votes: Vec<Vec<f64>> = (0..CROWD).map(|u| onehot(usize::from(u >= 16))).collect();
+    let metered = |shards: usize| {
+        let engine = SecureEngine::with_keys(
+            keys_for(CROWD, shards),
+            ConsensusConfig::paper_default(1e-6, 1e-6).with_min_users(2),
+        );
+        let meter = Meter::new();
+        let mut rng = StdRng::seed_from_u64(13);
+        let out = engine.run_instance(&votes, meter.clone(), &mut rng).unwrap();
+        assert_eq!(out.label, Some(1), "shards={shards}");
+        assert!(out.health.is_clean(), "shards={shards}");
+        let report = meter.report();
+        let uploads: u64 = report
+            .comm_rows()
+            .filter(|(_, link, _)| *link == LinkKind::UserToServer)
+            .map(|(_, _, stats)| stats.bytes)
+            .sum();
+        (uploads, report.total_bytes())
+    };
+    let (flat_uploads, flat_total) = metered(1);
+    let (sharded_uploads, sharded_total) = metered(8);
+    assert_eq!(sharded_uploads, flat_uploads);
+    assert!(sharded_total > flat_total, "eight survivor exchanges outweigh one");
+    assert!(sharded_total * 100 <= flat_total * 105, "{sharded_total} vs {flat_total} bytes");
 }
