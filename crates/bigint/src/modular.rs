@@ -4,8 +4,7 @@
 //! All functions take operands that are *not* required to be reduced; they
 //! reduce internally. Moduli must be non-zero.
 
-use crate::gcd::extended_gcd;
-use crate::{Ibig, Ubig};
+use crate::Ubig;
 
 /// `(a + b) mod m`.
 ///
@@ -117,28 +116,26 @@ pub fn modpow_basic(base: &Ubig, exp: &Ubig, m: &Ubig) -> Ubig {
     result
 }
 
-/// Chinese Remainder Theorem for two coprime moduli: the unique `x` in
-/// `[0, m1*m2)` with `x ≡ r1 (mod m1)` and `x ≡ r2 (mod m2)`, or `None` if
-/// `gcd(m1, m2) != 1`.
+/// Garner's recombination over two coprime moduli: the unique `x` in
+/// `[0, p·q)` with `x ≡ x_p (mod p)` and `x ≡ x_q (mod q)`, given
+/// `p_inv_q = p⁻¹ mod q` — `x = x_p + p·((x_q − x_p)·p⁻¹ mod q)`. The
+/// inverse is the caller's to compute once per `(p, q)`
+/// ([`crate::gcd::modinv`]); every CRT recombination in the workspace
+/// (DGK key generation, Paillier's CRT decryption and `hs`) is this one
+/// function. `x_p` must be reduced (`x_p < p`); `x_q` need not be.
 ///
 /// ```
-/// use bigint::{modular, Ubig};
+/// use bigint::{gcd::modinv, modular, Ubig};
 /// // x ≡ 2 (mod 3), x ≡ 3 (mod 5) => x = 8
-/// let x = modular::crt_pair(
-///     &Ubig::from(2u64), &Ubig::from(3u64),
-///     &Ubig::from(3u64), &Ubig::from(5u64),
-/// ).unwrap();
+/// let (p, q) = (Ubig::from(3u64), Ubig::from(5u64));
+/// let p_inv_q = modinv(&p, &q).unwrap();
+/// let x = modular::garner(&Ubig::from(2u64), &Ubig::from(3u64), &p, &q, &p_inv_q);
 /// assert_eq!(x, Ubig::from(8u64));
 /// ```
-pub fn crt_pair(r1: &Ubig, m1: &Ubig, r2: &Ubig, m2: &Ubig) -> Option<Ubig> {
-    let (g, p, _q) = extended_gcd(m1, m2);
-    if !g.is_one() {
-        return None;
-    }
-    // x = r1 + m1 * ((r2 - r1) * p mod m2)
-    let diff = &Ibig::from(r2.clone()) - &Ibig::from(r1.clone());
-    let coeff_mod = (&diff * &p).rem_euclid(m2);
-    Some(&(r1 % &(m1 * m2)) + &(m1 * &coeff_mod))
+pub fn garner(x_p: &Ubig, x_q: &Ubig, p: &Ubig, q: &Ubig, p_inv_q: &Ubig) -> Ubig {
+    debug_assert!(x_p < p, "x_p must be reduced");
+    let t = modmul(&modsub(x_q, x_p, q), p_inv_q, q);
+    x_p + &(p * &t)
 }
 
 /// The multiplicative order-checking helper: `a^k ≡ 1 (mod m)`.
@@ -214,20 +211,17 @@ mod tests {
     }
 
     #[test]
-    fn crt_reconstructs() {
-        let x =
-            crt_pair(&Ubig::from(6u64), &Ubig::from(7u64), &Ubig::from(4u64), &Ubig::from(11u64))
-                .unwrap();
-        assert_eq!(&x % &Ubig::from(7u64), Ubig::from(6u64));
-        assert_eq!(&x % &Ubig::from(11u64), Ubig::from(4u64));
-        let modulus = Ubig::from(77u64);
-        assert!(x < modulus);
-    }
-
-    #[test]
-    fn crt_rejects_common_factor() {
-        assert!(
-            crt_pair(&Ubig::one(), &Ubig::from(6u64), &Ubig::one(), &Ubig::from(9u64)).is_none()
-        );
+    fn garner_reconstructs() {
+        let (p, q) = (Ubig::from(7u64), Ubig::from(11u64));
+        let p_inv_q = crate::gcd::modinv(&p, &q).unwrap();
+        for (r_p, r_q) in [(6u64, 4u64), (0, 0), (0, 10), (6, 0), (3, 3)] {
+            let x = garner(&Ubig::from(r_p), &Ubig::from(r_q), &p, &q, &p_inv_q);
+            assert_eq!(&x % &p, Ubig::from(r_p));
+            assert_eq!(&x % &q, Ubig::from(r_q));
+            assert!(x < &p * &q);
+        }
+        // An unreduced x_q is reduced on the way in.
+        let x = garner(&Ubig::from(6u64), &Ubig::from(26u64), &p, &q, &p_inv_q);
+        assert_eq!(x, garner(&Ubig::from(6u64), &Ubig::from(4u64), &p, &q, &p_inv_q));
     }
 }

@@ -32,6 +32,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use crate::add_sub::add_assign_limbs;
 pub use crate::kernel::{modpow_cost_ns, mont_cost_ns};
 use crate::kernel::{mul_into, redc_into, sqr_into};
 use crate::{Limb, Ubig, LIMB_BITS};
@@ -106,6 +107,21 @@ fn window_digit_w(exp: &Ubig, w: usize, width: u32) -> usize {
     (d & ((1 << width) - 1)) as usize
 }
 
+/// Significant bits of a little-endian limb slice (high zero limbs
+/// allowed).
+fn limbs_bits(limbs: &[Limb]) -> u64 {
+    match limbs.iter().rposition(|&l| l != 0) {
+        None => 0,
+        Some(top) => (top as u64 + 1) * LIMB_BITS as u64 - limbs[top].leading_zeros() as u64,
+    }
+}
+
+/// Bit `i` of a little-endian limb slice; bits past the end read as 0.
+fn limbs_bit(limbs: &[Limb], i: u64) -> bool {
+    let limb = (i / LIMB_BITS as u64) as usize;
+    limbs.get(limb).is_some_and(|l| (l >> (i % LIMB_BITS as u64)) & 1 == 1)
+}
+
 impl MontgomeryContext {
     /// Builds a context for odd `n > 1`; returns `None` for even or
     /// trivial moduli. The modulus is only cloned once the checks pass,
@@ -170,11 +186,17 @@ impl MontgomeryContext {
     /// normalized [`Ubig`].
     #[allow(clippy::wrong_self_convention)] // converts the argument, not self
     fn from_mont_limbs(&self, a: &[Limb], scratch: &mut [Limb]) -> Ubig {
+        let mut out = vec![0; self.k];
+        self.redc_limbs(a, &mut out, scratch);
+        Ubig::from_limbs(out)
+    }
+
+    /// Takes a Montgomery value of at most `k` limbs out of Montgomery
+    /// form into `out` (`k` limbs), using `scratch` (`2k` limbs).
+    fn redc_limbs(&self, a: &[Limb], out: &mut [Limb], scratch: &mut [Limb]) {
         scratch[..a.len()].copy_from_slice(a);
         scratch[a.len()..].fill(0);
-        let mut out = vec![0; self.k];
-        redc_into(scratch, self.n.as_limbs(), self.n_prime, &mut out);
-        Ubig::from_limbs(out)
+        redc_into(scratch, self.n.as_limbs(), self.n_prime, out);
     }
 
     /// `one_mont` padded to the fixed `k`-limb width.
@@ -608,29 +630,55 @@ impl FixedBaseComb {
             return None;
         }
         let k = self.ctx.k;
-        let mut acc: Option<Vec<Limb>> = None;
-        let mut tmp = vec![0; k];
-        // Columns above the exponent's top bit are empty in every row.
-        for col in (0..self.cols.min(exp.bits())).rev() {
-            if let Some(a) = acc.as_mut() {
-                self.ctx.mont_sqr_limbs(a, &mut tmp, scratch);
-                std::mem::swap(a, &mut tmp);
-            }
+        let (mut acc, mut tmp) = (vec![0; k], vec![0; k]);
+        self.pow_mont_into(exp.as_limbs(), &mut acc, &mut tmp, scratch);
+        Some(acc)
+    }
+
+    /// The comb walk itself, allocation-free: leaves `base^exp` in
+    /// Montgomery form in `acc`. `exp` is little-endian limbs of at most
+    /// [`FixedBaseComb::max_exp_bits`] significant bits (high zero limbs
+    /// allowed); `acc` and `tmp` are `k` limbs, `scratch` is `2k`.
+    fn pow_mont_into(
+        &self,
+        exp: &[Limb],
+        acc: &mut [Limb],
+        tmp: &mut [Limb],
+        scratch: &mut [Limb],
+    ) {
+        let k = self.ctx.k;
+        let bits = limbs_bits(exp);
+        debug_assert!(bits <= self.max_exp_bits());
+        // The table entry a column selects: its bits, one per row.
+        let entry = |col: u64| {
             let m = (0..self.rows)
-                .fold(0usize, |m, i| m | usize::from(exp.bit(i * self.cols + col)) << i);
-            if m == 0 {
-                continue;
-            }
-            let entry = &self.table[(m - 1) * k..m * k];
-            match acc.as_mut() {
-                None => acc = Some(entry.to_vec()),
-                Some(a) => {
-                    self.ctx.mont_mul_limbs(a, entry, &mut tmp, scratch);
-                    std::mem::swap(a, &mut tmp);
-                }
+                .fold(0usize, |m, i| m | usize::from(limbs_bit(exp, i * self.cols + col)) << i);
+            (m != 0).then(|| &self.table[(m - 1) * k..m * k])
+        };
+        // Columns above the exponent's top bit are empty in every row;
+        // the first non-empty one seeds the accumulator.
+        let mut cols = (0..self.cols.min(bits)).rev();
+        let Some(first) = cols.by_ref().find_map(entry) else {
+            let one = self.ctx.one_mont.as_limbs();
+            acc[..one.len()].copy_from_slice(one);
+            acc[one.len()..].fill(0);
+            return;
+        };
+        acc.copy_from_slice(first);
+        // A product cannot land on its own input, so the running value
+        // alternates between the two buffers.
+        let (mut cur, mut other, mut in_acc) = (acc, tmp, true);
+        for col in cols {
+            self.ctx.mont_sqr_limbs(cur, other, scratch);
+            (cur, other, in_acc) = (other, cur, !in_acc);
+            if let Some(e) = entry(col) {
+                self.ctx.mont_mul_limbs(cur, e, other, scratch);
+                (cur, other, in_acc) = (other, cur, !in_acc);
             }
         }
-        Some(acc.unwrap_or_else(|| self.ctx.one_mont_limbs()))
+        if !in_acc {
+            other.copy_from_slice(cur);
+        }
     }
 
     /// `base^exp mod n`. Wide exponents (beyond the comb width) fall back
@@ -665,6 +713,218 @@ impl FixedBaseComb {
             }
             // Wide exponent: fall back to the context double-exp.
             _ => self.ctx.modpow2(&self.base, exp, &other.base, other_exp),
+        }
+    }
+}
+
+/// A residue modulo `n = p·q` held as its two halves, each in the
+/// Montgomery form of its prime — the shape [`CrtComb::pow_mul`]
+/// multiplies in without leaving limb arithmetic. Built by
+/// [`CrtComb::residue`].
+#[derive(Clone)]
+pub struct CrtResidue {
+    p: Vec<Limb>,
+    q: Vec<Limb>,
+}
+
+/// An exponent reduced modulo a base's order, without a heap allocation
+/// when the order is one limb.
+enum ReducedExp {
+    Limb([Limb; 1]),
+    Wide(Ubig),
+}
+
+impl ReducedExp {
+    fn new(exp: &Ubig, order: &Ubig) -> Self {
+        match order.as_limbs() {
+            [d] => ReducedExp::Limb([exp.rem_limb(*d)]),
+            _ => ReducedExp::Wide(exp % order),
+        }
+    }
+
+    fn as_limbs(&self) -> &[Limb] {
+        match self {
+            ReducedExp::Limb(l) => l,
+            ReducedExp::Wide(u) => u.as_limbs(),
+        }
+    }
+}
+
+/// Fixed-base exponentiation modulo `n = p·q` for the party that knows
+/// the factors and the order of the base in each prime field.
+///
+/// A stranger computes `base^e mod n` with one comb over `Z_n` and the
+/// full exponent. The holder of `p`, `q` can do the same group element
+/// in halves: `base^(e mod ord_p) mod p` and `base^(e mod ord_q) mod q`,
+/// each a comb at half the limb count — a quarter of the limb products
+/// per kernel operation — and, when the orders are shorter than `e`
+/// (DGK's `h` has order `v_p` mod `p` against a `2|v_p| + 16`-bit blinding
+/// exponent), proportionally fewer operations. The halves are recombined
+/// by Garner's formula ([`crate::modular::garner`]) in Montgomery limbs:
+/// the whole evaluation runs on one scratch buffer and allocates only
+/// that and its result, so it is no slower than the stranger's route at
+/// one-limb primes either. The result is the canonical residue in
+/// `[0, n)`, so it is bit-identical to the one-comb route's.
+///
+/// ```
+/// use std::sync::Arc;
+/// use bigint::{gcd::modinv, modular, montgomery::{CrtComb, MontgomeryContext}, Ubig};
+///
+/// // 3 has order 5 mod 11 (3^5 = 243 = 22·11 + 1) and order 3 mod 13.
+/// let (p, q) = (Ubig::from(11u64), Ubig::from(13u64));
+/// let base = Ubig::from(3u64);
+/// let comb = CrtComb::new(
+///     Arc::new(MontgomeryContext::new(&p).unwrap()),
+///     Arc::new(MontgomeryContext::new(&q).unwrap()),
+///     &modinv(&p, &q).unwrap(),
+///     &base,
+///     (&Ubig::from(5u64), &Ubig::from(3u64)),
+/// );
+/// let e = Ubig::from(1_000_003u64);
+/// assert_eq!(comb.pow(&e), modular::modpow(&base, &e, &(&p * &q)));
+/// ```
+#[derive(Clone)]
+pub struct CrtComb {
+    comb_p: FixedBaseComb,
+    comb_q: FixedBaseComb,
+    /// The order of the base modulo `p` / modulo `q` (or a multiple).
+    order_p: Ubig,
+    order_q: Ubig,
+    /// `p⁻¹ mod q` at `k_q` limbs, plain and in Montgomery form: a
+    /// Montgomery product with the first takes `x·R` to plain `x·p⁻¹`,
+    /// with the second it takes plain `x` to plain `x·p⁻¹`.
+    p_inv_q: Vec<Limb>,
+    p_inv_q_mont: Vec<Limb>,
+}
+
+impl std::fmt::Debug for CrtComb {
+    /// Opaque: every field is, or gives away, a factor of the modulus.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CrtComb(<redacted>)")
+    }
+}
+
+impl std::fmt::Debug for CrtResidue {
+    /// Opaque: the halves are taken modulo the secret factors.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CrtResidue(<redacted>)")
+    }
+}
+
+impl CrtComb {
+    /// Precomputes the two half-width combs for `base` under the
+    /// contexts of `p` and `q`. `orders` are (multiples of) the order of
+    /// `base` modulo `p` and modulo `q` — each comb covers exponents below
+    /// its order — and `p_inv_q` is `p⁻¹ mod q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` has more limbs than `q` (the recombination multiplies
+    /// a residue mod `p` under `q`'s context; equal-width primes, the RSA
+    /// shape, always qualify).
+    pub fn new(
+        ctx_p: Arc<MontgomeryContext>,
+        ctx_q: Arc<MontgomeryContext>,
+        p_inv_q: &Ubig,
+        base: &Ubig,
+        (order_p, order_q): (&Ubig, &Ubig),
+    ) -> Self {
+        assert!(ctx_p.k <= ctx_q.k, "CrtComb needs p no wider than q");
+        let reduced = p_inv_q % &ctx_q.n;
+        let p_inv_q_mont = ctx_q.to_mont_limbs(&reduced, &mut vec![0; ctx_q.scratch_len()]);
+        let mut p_inv_q = reduced.limbs;
+        p_inv_q.resize(ctx_q.k, 0);
+        CrtComb {
+            comb_p: FixedBaseComb::new(ctx_p, base, order_p.bits()),
+            comb_q: FixedBaseComb::new(ctx_q, base, order_q.bits()),
+            order_p: order_p.clone(),
+            order_q: order_q.clone(),
+            p_inv_q,
+            p_inv_q_mont,
+        }
+    }
+
+    /// `x mod p` and `x mod q` in Montgomery form, for
+    /// [`CrtComb::pow_mul`].
+    pub fn residue(&self, x: &Ubig) -> CrtResidue {
+        let (ctx_p, ctx_q) = (&self.comb_p.ctx, &self.comb_q.ctx);
+        let mut scratch = vec![0; ctx_q.scratch_len()];
+        CrtResidue {
+            p: ctx_p.to_mont_limbs(&(x % &ctx_p.n), &mut scratch[..ctx_p.scratch_len()]),
+            q: ctx_q.to_mont_limbs(&(x % &ctx_q.n), &mut scratch),
+        }
+    }
+
+    /// `base^exp mod p·q`; `exp` may be any width.
+    pub fn pow(&self, exp: &Ubig) -> Ubig {
+        self.pow_times(exp, None)
+    }
+
+    /// `base^exp · factor mod p·q`.
+    pub fn pow_mul(&self, exp: &Ubig, factor: &CrtResidue) -> Ubig {
+        self.pow_times(exp, Some(factor))
+    }
+
+    fn pow_times(&self, exp: &Ubig, factor: Option<&CrtResidue>) -> Ubig {
+        let (ctx_p, ctx_q) = (&*self.comb_p.ctx, &*self.comb_q.ctx);
+        let (kp, kq) = (ctx_p.k, ctx_q.k);
+        // The one buffer: a 2·k_q-limb product scratch and four k_q-limb
+        // values; the `Z_p` steps use the leading k_p limbs of each.
+        let mut buf = vec![0; 6 * kq];
+        let (scratch, rest) = buf.split_at_mut(2 * kq);
+        let (mut x_p, rest) = rest.split_at_mut(kq);
+        let (mut x_q, rest) = rest.split_at_mut(kq);
+        let (mut t_p, mut t_q) = rest.split_at_mut(kq);
+
+        let e_p = ReducedExp::new(exp, &self.order_p);
+        self.comb_p.pow_mont_into(
+            e_p.as_limbs(),
+            &mut x_p[..kp],
+            &mut t_p[..kp],
+            &mut scratch[..2 * kp],
+        );
+        let e_q = ReducedExp::new(exp, &self.order_q);
+        self.comb_q.pow_mont_into(e_q.as_limbs(), x_q, t_q, scratch);
+        if let Some(f) = factor {
+            ctx_p.mont_mul_limbs(&x_p[..kp], &f.p, &mut t_p[..kp], &mut scratch[..2 * kp]);
+            std::mem::swap(&mut x_p, &mut t_p);
+            ctx_q.mont_mul_limbs(x_q, &f.q, t_q, scratch);
+            std::mem::swap(&mut x_q, &mut t_q);
+        }
+
+        // Garner, with both halves still in Montgomery form:
+        // t = (x_q − x_p)·p⁻¹ mod q as the difference of two products
+        // (so x_p, which may exceed q, is never reduced on its own), then
+        // x = x_p + p·t.
+        ctx_p.redc_limbs(&x_p[..kp], &mut t_p[..kp], &mut scratch[..2 * kp]);
+        let x_p = &t_p[..kp];
+        ctx_q.mont_mul_limbs(x_q, &self.p_inv_q, t_q, scratch);
+        ctx_q.mont_mul_limbs(x_p, &self.p_inv_q_mont, x_q, scratch);
+        sub_mod_limbs(t_q, x_q, ctx_q.n.as_limbs());
+        let mut out = vec![0; kp + kq];
+        mul_into(ctx_p.n.as_limbs(), t_q, &mut out);
+        // x_p + p·t < p·q: the sum never outgrows the product's limbs.
+        add_assign_limbs(&mut out, x_p);
+        Ubig::from_limbs(out)
+    }
+}
+
+/// `a ← (a − b) mod n` over equal-length limb slices with `a, b < n`.
+fn sub_mod_limbs(a: &mut [Limb], b: &[Limb], n: &[Limb]) {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d, b1) = x.overflowing_sub(y);
+        let (d, b2) = d.overflowing_sub(borrow as Limb);
+        *x = d;
+        borrow = b1 | b2;
+    }
+    if borrow {
+        let mut carry = false;
+        for (x, &y) in a.iter_mut().zip(n) {
+            let (s, c1) = x.overflowing_add(y);
+            let (s, c2) = s.overflowing_add(carry as Limb);
+            *x = s;
+            carry = c1 | c2;
         }
     }
 }
@@ -980,6 +1240,66 @@ mod tests {
         let wide = random::gen_exact_bits(&mut rng, 90);
         let expect = modmul(&modpow_basic(&g, &wide, &n), &modpow_basic(&h, &wide, &n), &n);
         assert_eq!(tg.pow_mul(&wide, &th, &wide), expect);
+    }
+
+    /// A `CrtComb` for a random base under fresh `p_bits`/`q_bits`-bit
+    /// primes, with `p − 1` and `q − 1` standing in for the orders
+    /// (Fermat: a multiple of every element's order).
+    fn crt_comb(rng: &mut StdRng, p_bits: u64, q_bits: u64) -> (CrtComb, Ubig, Ubig, Ubig) {
+        let p = crate::prime::gen_prime(rng, p_bits);
+        let q = crate::prime::gen_prime(rng, q_bits);
+        let n = &p * &q;
+        let base = random::gen_range(rng, &Ubig::two(), &n);
+        let comb = CrtComb::new(
+            Arc::new(MontgomeryContext::new(&p).unwrap()),
+            Arc::new(MontgomeryContext::new(&q).unwrap()),
+            &crate::gcd::modinv(&p, &q).unwrap(),
+            &base,
+            (&(&p - &Ubig::one()), &(&q - &Ubig::one())),
+        );
+        (comb, base, p, n)
+    }
+
+    #[test]
+    fn crt_comb_matches_the_power_mod_n() {
+        let mut rng = StdRng::seed_from_u64(13);
+        // One-limb primes, unequal limb counts (k_p < k_q), a prime pair
+        // straddling a limb boundary, and a multi-limb pair.
+        for (p_bits, q_bits) in [(48u64, 64u64), (64, 128), (96, 100), (256, 256)] {
+            let (comb, base, p, n) = crt_comb(&mut rng, p_bits, q_bits);
+            let factor = random::gen_below(&mut rng, &n);
+            let residue = comb.residue(&factor);
+            let order_p = &p - &Ubig::one();
+            // Zero, tiny, the order itself (the `Z_p` comb sees exponent 0
+            // and returns its empty accumulator), and exponents narrower
+            // than, as wide as and twice as wide as the orders.
+            let mut exps = vec![Ubig::zero(), Ubig::one(), order_p.clone(), &order_p * &order_p];
+            for ebits in [17, p_bits, q_bits, 2 * q_bits + 16] {
+                exps.push(random::gen_exact_bits(&mut rng, ebits));
+            }
+            for e in &exps {
+                let expect = modpow_basic(&base, e, &n);
+                assert_eq!(comb.pow(e), expect, "{p_bits}/{q_bits} bits, e = {e}");
+                assert_eq!(
+                    comb.pow_mul(e, &residue),
+                    modmul(&expect, &factor, &n),
+                    "{p_bits}/{q_bits} bits, e = {e}, with a factor"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "p no wider than q")]
+    fn crt_comb_refuses_a_wider_p() {
+        crt_comb(&mut StdRng::seed_from_u64(14), 128, 64);
+    }
+
+    #[test]
+    fn crt_types_print_no_limb() {
+        let (comb, _, p, n) = crt_comb(&mut StdRng::seed_from_u64(15), 64, 64);
+        assert_eq!(format!("{comb:?}"), "CrtComb(<redacted>)");
+        assert_eq!(format!("{:?}", comb.residue(&(&n - &p))), "CrtResidue(<redacted>)");
     }
 
     #[test]

@@ -63,7 +63,10 @@ fn check_width(v: u64, pk: &DgkPublicKey) -> Result<(), DgkError> {
 }
 
 /// **Round 1** — run by the evaluator B: encrypt the bits of `b`, the `ℓ`
-/// bit encryptions fanned out according to `par`. Each bit draws its
+/// bit encryptions fanned out according to `par`. B is the key holder, so
+/// each one is a [`DgkPrivateKey::encrypt_bit`] — the ciphertext a
+/// stranger's [`DgkPublicKey::encrypt_bit`] would produce from the same
+/// draws, at about a quarter of the limb products. Each bit draws its
 /// randomness from its own seed-derived stream, so the message is
 /// bit-identical for every thread count.
 ///
@@ -72,17 +75,15 @@ fn check_width(v: u64, pk: &DgkPublicKey) -> Result<(), DgkError> {
 /// Returns [`DgkError::InputTooWide`] if `b` does not fit `ℓ` bits.
 pub fn evaluator_encrypt_bits<R: Rng + ?Sized>(
     b: u64,
-    pk: &DgkPublicKey,
+    sk: &DgkPrivateKey,
     par: &Parallelism,
     rng: &mut R,
 ) -> Result<EvaluatorBits, DgkError> {
+    let pk = sk.public_key();
     check_width(b, pk)?;
-    // One bit encryption = a fixed-base double exponentiation of
-    // ~(|u| + blind_bits)/4 comb squarings and products.
-    let par = par
-        .with_item_cost_ns(step_cost_ns(pk, (pk.plaintext_space().bits() + pk.blind_bits()) / 4));
+    let par = par.with_item_cost_ns(sk.encrypt_bit_cost_ns());
     let encrypted_bits = par.map_n_seeded(pk.compare_bits() as usize, rng, |i, item_rng| {
-        pk.encrypt_bit((b >> i) & 1 == 1, item_rng)
+        sk.encrypt_bit((b >> i) & 1 == 1, item_rng)
     });
     Ok(EvaluatorBits { encrypted_bits })
 }
@@ -275,7 +276,7 @@ pub fn compare_gt_plain<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<bool, DgkError> {
     let par = Parallelism::sequential();
-    let round1 = evaluator_encrypt_bits(b, keys.public_key(), &par, rng)?;
+    let round1 = evaluator_encrypt_bits(b, keys.private_key(), &par, rng)?;
     let round2 = blinder_build_witnesses(a, &round1, keys.public_key(), &par, rng)?;
     evaluator_decide(&round2, keys.private_key(), &par)
 }
@@ -343,7 +344,7 @@ mod tests {
             Err(DgkError::InputTooWide { .. })
         ));
         assert!(matches!(
-            evaluator_encrypt_bits(over, kp.public_key(), &seq(), &mut rng),
+            evaluator_encrypt_bits(over, kp.private_key(), &seq(), &mut rng),
             Err(DgkError::InputTooWide { .. })
         ));
     }
@@ -366,7 +367,7 @@ mod tests {
         // a typed error, never "a ≤ b".
         let kp = keys();
         let mut rng = StdRng::seed_from_u64(9);
-        let r1 = evaluator_encrypt_bits(4, kp.public_key(), &seq(), &mut rng).unwrap();
+        let r1 = evaluator_encrypt_bits(4, kp.private_key(), &seq(), &mut rng).unwrap();
         let full = blinder_build_witnesses(9, &r1, kp.public_key(), &seq(), &mut rng).unwrap();
         assert_eq!(evaluator_decide(&full, kp.private_key(), &seq()), Ok(true));
         for par in [seq(), Parallelism::new(4).with_min_batch(1)] {
@@ -394,7 +395,7 @@ mod tests {
         let kp = keys();
         let mut rng = StdRng::seed_from_u64(6);
         for (a, b) in [(9u64, 4u64), (255, 254), (37, 21)] {
-            let r1 = evaluator_encrypt_bits(b, kp.public_key(), &seq(), &mut rng).unwrap();
+            let r1 = evaluator_encrypt_bits(b, kp.private_key(), &seq(), &mut rng).unwrap();
             let r2 = blinder_build_witnesses(a, &r1, kp.public_key(), &seq(), &mut rng).unwrap();
             let zeros =
                 r2.witnesses.iter().filter(|w| kp.private_key().is_zero(w).unwrap()).count();
@@ -406,7 +407,7 @@ mod tests {
     fn witness_count_matches_width() {
         let kp = keys();
         let mut rng = StdRng::seed_from_u64(7);
-        let r1 = evaluator_encrypt_bits(5, kp.public_key(), &seq(), &mut rng).unwrap();
+        let r1 = evaluator_encrypt_bits(5, kp.private_key(), &seq(), &mut rng).unwrap();
         let r2 = blinder_build_witnesses(3, &r1, kp.public_key(), &seq(), &mut rng).unwrap();
         assert_eq!(r2.witnesses.len(), kp.public_key().compare_bits() as usize);
     }
@@ -420,7 +421,7 @@ mod tests {
                 .map(|threads| {
                     let par = Parallelism::new(threads).with_min_batch(1);
                     let mut rng = StdRng::seed_from_u64(40);
-                    let r1 = evaluator_encrypt_bits(b, kp.public_key(), &par, &mut rng).unwrap();
+                    let r1 = evaluator_encrypt_bits(b, kp.private_key(), &par, &mut rng).unwrap();
                     let r2 =
                         blinder_build_witnesses(a, &r1, kp.public_key(), &par, &mut rng).unwrap();
                     let gt = evaluator_decide(&r2, kp.private_key(), &par).unwrap();

@@ -13,11 +13,23 @@
 //! raising to `v_p` kills the `h` component mod `p` and leaves
 //! `(g^{v_p})^m`, which is 1 iff `u | m`. Full decryption walks a small
 //! lookup table of `(g^{v_p})^m mod p` for `m ∈ Z_u`.
+//!
+//! The same structure makes the holder's own bit encryptions cheap:
+//! `h` has order `v_p` modulo `p` and `v_q` modulo `q`, so
+//! [`DgkPrivateKey::encrypt_bit`] computes the very ciphertext
+//! [`DgkPublicKey::encrypt_bit`] would — same `r`, same bytes — as two
+//! half-width combs over `|v|`-bit exponents and a Garner step.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
-use bigint::modular::{crt_pair, modmul, modpow};
-use bigint::montgomery::{CachedComb, CachedContext, FixedBaseComb, MontgomeryContext, PowScratch};
+use bigint::gcd::modinv;
+use bigint::modular::{garner, modmul, modpow};
+use bigint::montgomery::{
+    comb_cost_ns, mont_cost_ns, CachedComb, CachedContext, CrtComb, CrtResidue, FixedBaseComb,
+    MontgomeryContext, PowScratch,
+};
 use bigint::prime::{gen_prime, gen_prime_with_divisor, next_prime};
 use bigint::{random, Ubig};
 use rand::Rng;
@@ -103,7 +115,9 @@ pub struct DgkPublicKey {
 }
 
 /// DGK private key: the factors, subgroup primes and decryption table.
-#[derive(Debug, Clone)]
+///
+/// `Debug` prints the public half only.
+#[derive(Clone)]
 pub struct DgkPrivateKey {
     public: DgkPublicKey,
     p: Ubig,
@@ -115,14 +129,39 @@ pub struct DgkPrivateKey {
     table: HashMap<Ubig, u64>,
     /// Montgomery context for `Z_p` — the zero test `c^{v_p} mod p` is
     /// DGK's signature operation and runs entirely under this context.
-    ctx_p: CachedContext,
+    ctx_p: Arc<MontgomeryContext>,
+    /// `h^r mod n` the key holder's way: `h` has order `v_p` mod `p` and
+    /// `v_q` mod `q`, so the blinding factor is two `|v|`-bit combs at
+    /// half the limb count and a Garner step. Carries the second prime's
+    /// half of the trapdoor (`q`, `v_q`, `p⁻¹ mod q`); shared by clones.
+    h_crt: Arc<CrtComb>,
+    /// `g mod p` and `g mod q`, the factor a 1-bit multiplies in.
+    g_crt: CrtResidue,
 }
 
-/// A DGK public/private keypair.
-#[derive(Debug, Clone)]
+impl fmt::Debug for DgkPrivateKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DgkPrivateKey")
+            .field("public", &self.public)
+            .field("secret", &format_args!("<redacted>"))
+            .finish()
+    }
+}
+
+/// A DGK public/private keypair. `Debug` prints the public half only.
+#[derive(Clone)]
 pub struct DgkKeypair {
     public: DgkPublicKey,
     private: DgkPrivateKey,
+}
+
+impl fmt::Debug for DgkKeypair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DgkKeypair")
+            .field("public", &self.public)
+            .field("private", &format_args!("<redacted>"))
+            .finish()
+    }
 }
 
 /// A DGK ciphertext: an element of `Z_n^*`.
@@ -219,19 +258,21 @@ impl DgkKeypair {
         let n = &p * &q;
 
         // One Montgomery context per prime serves every keygen
-        // exponentiation below (generator search, g_vp, table build).
-        let ctx_p = MontgomeryContext::new(&p).expect("p is an odd prime");
-        let ctx_q = MontgomeryContext::new(&q).expect("q is an odd prime");
+        // exponentiation below (generator search, g_vp, table build) and
+        // then moves into the private key.
+        let ctx_p = Arc::new(MontgomeryContext::new(&p).expect("p is an odd prime"));
+        let ctx_q = Arc::new(MontgomeryContext::new(&q).expect("q is an odd prime"));
+        let p_inv_q = modinv(&p, &q).expect("p, q distinct primes");
 
         // g: order u*v_p mod p and u*v_q mod q → order u*v_p*v_q mod n.
         let g_p = find_element_of_order(rng, &ctx_p, &(&u * &v_p), &[&u, &v_p]);
         let g_q = find_element_of_order(rng, &ctx_q, &(&u * &v_q), &[&u, &v_q]);
-        let g = crt_pair(&g_p, &p, &g_q, &q).expect("p, q distinct primes");
+        let g = garner(&g_p, &g_q, &p, &q, &p_inv_q);
 
         // h: order v_p mod p and v_q mod q → order v_p*v_q mod n.
         let h_p = find_element_of_order(rng, &ctx_p, &v_p, &[&v_p]);
         let h_q = find_element_of_order(rng, &ctx_q, &v_q, &[&v_q]);
-        let h = crt_pair(&h_p, &p, &h_q, &q).expect("p, q distinct primes");
+        let h = garner(&h_p, &h_q, &p, &q, &p_inv_q);
 
         let public = DgkPublicKey {
             n,
@@ -258,13 +299,17 @@ impl DgkKeypair {
             acc = modmul(&acc, &g_vp, &p);
         }
 
+        let h_crt = CrtComb::new(Arc::clone(&ctx_p), ctx_q, &p_inv_q, &public.h, (&v_p, &v_q));
+        let g_crt = h_crt.residue(&public.g);
         let private = DgkPrivateKey {
             public: public.clone(),
             p,
             v_p,
             g_vp,
             table,
-            ctx_p: CachedContext::new(),
+            ctx_p,
+            h_crt: Arc::new(h_crt),
+            g_crt,
         };
         DgkKeypair { public, private }
     }
@@ -421,25 +466,38 @@ impl DgkPrivateKey {
         &self.public
     }
 
-    /// Eagerly builds the decryption-side caches: the public key's
-    /// context/tables plus the `Z_p` context the zero test runs under.
+    /// Eagerly builds the public key's context and combs. The private
+    /// half has no lazy state: key generation hands it the `Z_p`/`Z_q`
+    /// contexts it already built.
     pub fn precompute(&self) {
         self.public.precompute();
-        let _ = self.ctx_p.context(&self.p);
+    }
+
+    /// Encrypts a single bit as the key holder: the same ciphertext
+    /// `g^b · h^r mod n` as [`DgkPublicKey::encrypt_bit`] from the same
+    /// `r`, drawn the same way from `rng` — equal byte for byte, and the
+    /// generator left in the same state — computed over `Z_p × Z_q` with
+    /// the exponent cut to `h`'s order in each (see
+    /// [`bigint::montgomery::CrtComb`]). This is the evaluator's route in
+    /// [`crate::comparison`]; the public route stays as the reference.
+    pub fn encrypt_bit<R: Rng + ?Sized>(&self, bit: bool, rng: &mut R) -> DgkCiphertext {
+        self.encrypt_bit_with(bit, &random::gen_bits(rng, self.public.blind_bits))
+    }
+
+    /// `g^bit · h^r mod n` over `Z_p × Z_q`.
+    fn encrypt_bit_with(&self, bit: bool, r: &Ubig) -> DgkCiphertext {
+        DgkCiphertext(if bit { self.h_crt.pow_mul(r, &self.g_crt) } else { self.h_crt.pow(r) })
     }
 
     /// The zero test: whether the ciphertext encrypts `0`, decided by
-    /// `c^{v_p} mod p == 1` under the key's cached `Z_p` context. This is
+    /// `c^{v_p} mod p == 1` under the key's `Z_p` context. This is
     /// DGK's cheap signature operation.
     ///
     /// # Errors
     ///
     /// Returns [`DgkError::MalformedCiphertext`] for values outside `Z_n`.
     pub fn is_zero(&self, c: &DgkCiphertext) -> Result<bool, DgkError> {
-        if c.0 >= self.public.n || c.0.is_zero() {
-            return Err(DgkError::MalformedCiphertext);
-        }
-        Ok(self.ctx_p.modpow(&(&c.0 % &self.p), &self.v_p, &self.p).is_one())
+        self.is_zero_scratch(c, &mut PowScratch::new())
     }
 
     /// [`DgkPrivateKey::is_zero`] with caller-owned working buffers, so a
@@ -453,11 +511,7 @@ impl DgkPrivateKey {
         if c.0 >= self.public.n || c.0.is_zero() {
             return Err(DgkError::MalformedCiphertext);
         }
-        let reduced = &c.0 % &self.p;
-        match self.ctx_p.context(&self.p) {
-            Some(ctx) => Ok(ctx.modpow_with_scratch(&reduced, &self.v_p, ws).is_one()),
-            None => Ok(modpow(&reduced, &self.v_p, &self.p).is_one()),
-        }
+        Ok(self.ctx_p.modpow_with_scratch(&c.0, &self.v_p, ws).is_one())
     }
 
     /// Batched zero test: one scratch-reusing half-size exponentiation
@@ -474,8 +528,17 @@ impl DgkPrivateKey {
 
     /// Rough wall-clock model (ns) for one zero test (`v_p`-bit exponent
     /// mod `p`), used to hint [`parallel::Parallelism`] splitting.
-    pub(crate) fn zero_test_cost_ns(&self) -> u64 {
+    pub fn zero_test_cost_ns(&self) -> u64 {
         bigint::montgomery::modpow_cost_ns(self.p.bits(), self.v_p.bits())
+    }
+
+    /// As [`DgkPrivateKey::zero_test_cost_ns`] for one
+    /// [`DgkPrivateKey::encrypt_bit`]: a `|v_p|`-bit comb under each
+    /// prime (`q` and `v_q` are as wide as `p` and `v_p`) and the
+    /// handful of half-width products of the `g` factor and Garner step.
+    pub fn encrypt_bit_cost_ns(&self) -> u64 {
+        let half = self.p.bits();
+        2 * comb_cost_ns(half, self.v_p.bits()) + mont_cost_ns(half, 0, 6)
     }
 
     /// Full decryption by table lookup over `Z_u`.
@@ -489,7 +552,7 @@ impl DgkPrivateKey {
         if c.0 >= self.public.n || c.0.is_zero() {
             return Err(DgkError::MalformedCiphertext);
         }
-        let reduced = self.ctx_p.modpow(&(&c.0 % &self.p), &self.v_p, &self.p);
+        let reduced = self.ctx_p.modpow(&c.0, &self.v_p);
         self.table.get(&reduced).copied().ok_or(DgkError::DecryptionFailed)
     }
 
@@ -637,6 +700,38 @@ mod tests {
         let params = DgkParams::insecure_test();
         let u = params.plaintext_prime(&mut rng).to_u64().unwrap();
         assert!(u > 3 * params.compare_bits as u64 + 5);
+    }
+
+    #[test]
+    fn key_holder_encrypt_bit_at_multiples_of_the_subgroup_order() {
+        // r ≡ 0 (mod v_p) leaves the `Z_p` comb nothing to multiply: its
+        // empty-accumulator path must still hand Garner a 1 (times g).
+        let kp = keys();
+        let (pk, sk) = (kp.public_key(), kp.private_key());
+        let top = Ubig::one() << (pk.blind_bits - sk.v_p.bits()) as u32;
+        let rs = [Ubig::zero(), sk.v_p.clone(), &sk.v_p * &(&top - &Ubig::one()), Ubig::one()];
+        for r in &rs {
+            assert!(r.bits() <= pk.blind_bits);
+            for bit in [false, true] {
+                let g_b = if bit { pk.g.clone() } else { Ubig::one() };
+                let expect = modmul(&g_b, &modpow(&pk.h, r, &pk.n), &pk.n);
+                assert_eq!(sk.encrypt_bit_with(bit, r).0, expect, "r = {r}, bit = {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn debug_prints_no_secret() {
+        let kp = keys();
+        let sk = kp.private_key();
+        let shown = format!("{kp:?} {sk:?}");
+        assert!(shown.contains(&format!("{:?}", kp.public_key())), "public half is shown");
+        assert!(shown.contains("<redacted>"));
+        for secret in [&sk.p, &sk.v_p, &(&sk.public.n / &sk.p), &sk.g_vp] {
+            for digits in [secret.to_string(), secret.to_str_radix(16)] {
+                assert!(!shown.contains(&digits), "{digits} leaked into {shown}");
+            }
+        }
     }
 
     #[test]

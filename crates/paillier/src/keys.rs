@@ -1,9 +1,10 @@
 //! Key generation and the encrypt/decrypt core of the Paillier scheme.
 
+use std::fmt;
 use std::sync::Arc;
 
 use bigint::gcd::{gcd, lcm, modinv};
-use bigint::modular::{modmul, modneg, modpow, modsub};
+use bigint::modular::{garner, modmul, modneg, modpow, modsub};
 use bigint::montgomery::{CachedComb, CachedContext, FixedBaseComb};
 use bigint::prime::gen_prime_3mod4;
 use bigint::{random, Ubig};
@@ -58,8 +59,9 @@ pub struct PublicKey {
 
 /// Paillier private key: the factorization-derived trapdoor
 /// `λ = lcm(p−1, q−1)` and `μ = λ⁻¹ mod n`, plus the prime factors and
-/// precomputed constants for CRT-accelerated decryption.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// precomputed constants for CRT-accelerated decryption. `Debug` prints
+/// the public half only.
+#[derive(Clone, PartialEq, Eq)]
 pub struct PrivateKey {
     public: PublicKey,
     lambda: Ubig,
@@ -87,13 +89,32 @@ pub struct PrivateKey {
     ctx_q2: CachedContext,
 }
 
-/// A freshly generated public/private keypair.
-#[derive(Debug, Clone, PartialEq, Eq)]
+impl fmt::Debug for PrivateKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PrivateKey")
+            .field("public", &self.public)
+            .field("secret", &format_args!("<redacted>"))
+            .finish()
+    }
+}
+
+/// A freshly generated public/private keypair. `Debug` prints the public
+/// half only.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Keypair {
     /// The public half.
     public: PublicKey,
     /// The private half.
     private: PrivateKey,
+}
+
+impl fmt::Debug for Keypair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Keypair")
+            .field("public", &self.public)
+            .field("private", &format_args!("<redacted>"))
+            .finish()
+    }
 }
 
 impl Keypair {
@@ -208,14 +229,12 @@ fn pow_n_crt(
     let one = Ubig::one();
     let x_p = modpow(&modpow(r, &(q % &(p - &one)), p), p, p_squared);
     let x_q = modpow(&modpow(r, &(p % &(q - &one)), q), q, q_squared);
-    // x = x_p + p²·((x_q − x_p)·(p²)⁻¹ mod q²). With u = p⁻¹ mod q, one
+    // Garner over (p², q²) needs (p²)⁻¹ mod q². With u = p⁻¹ mod q, one
     // Hensel step gives p⁻¹ mod q² = u·(2 − p·u), and its square is
     // (p²)⁻¹ mod q².
     let pu = modmul(p, p_inv_q, q_squared);
     let p_inv_q2 = modmul(p_inv_q, &modsub(&Ubig::two(), &pu, q_squared), q_squared);
-    let diff = modsub(&x_q, &x_p, q_squared);
-    let t = modmul(&modmul(&diff, &p_inv_q2, q_squared), &p_inv_q2, q_squared);
-    &x_p + &(p_squared * &t)
+    garner(&x_p, &x_q, p_squared, q_squared, &modmul(&p_inv_q2, &p_inv_q2, q_squared))
 }
 
 impl PublicKey {
@@ -458,12 +477,8 @@ impl PrivateKey {
         let xq = self.ctx_q2.modpow(&c_q, &self.q_minus_1, &self.q_squared);
         let lq = &(&xq - &Ubig::one()) / &self.q;
         let m_q = modmul(&lq, &self.h_q, &self.q);
-        // Garner recombination with the keygen-time `p⁻¹ mod q`:
-        // m = m_p + p·((m_q − m_p)·p⁻¹ mod q), the unique value in
-        // [0, n) — identical to a general CRT solve, minus its per-call
-        // extended GCD.
-        let t = modmul(&modsub(&m_q, &m_p, &self.q), &self.p_inv_q, &self.q);
-        Ok(&m_p + &(&self.p * &t))
+        // The unique value in [0, n), with the keygen-time `p⁻¹ mod q`.
+        Ok(garner(&m_p, &m_q, &self.p, &self.q, &self.p_inv_q))
     }
 
     /// Convenience wrapper: decrypt to `u64`.
@@ -673,6 +688,20 @@ mod tests {
             let r = Ubig::from(r) % pk.modulus();
             let by_crt = pow_n_crt(&r, (&sk.p, &sk.p_squared), (&sk.q, &sk.q_squared), &sk.p_inv_q);
             assert_eq!(by_crt, pk.pow_mod_n2(&r, pk.modulus()));
+        }
+    }
+
+    #[test]
+    fn debug_prints_no_secret() {
+        let kp = keypair(128);
+        let sk = kp.private_key();
+        let shown = format!("{kp:?} {sk:?}");
+        assert!(shown.contains(&format!("{:?}", kp.public_key())), "public half is shown");
+        assert!(shown.contains("<redacted>"));
+        for secret in [&sk.p, &sk.q, &sk.lambda, &sk.mu, &sk.p_inv_q, &sk.h_p, &sk.h_q] {
+            for digits in [secret.to_string(), secret.to_str_radix(16)] {
+                assert!(!shown.contains(&digits), "{digits} leaked into {shown}");
+            }
         }
     }
 

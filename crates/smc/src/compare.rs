@@ -51,7 +51,7 @@ use crate::Parallelism;
 fn fan_out(ctx: &ServerContext, matches: usize) -> (Parallelism, Parallelism) {
     let par = *ctx.parallelism();
     if matches > 1 {
-        let leg = costs::dgk_compare_leg_cost_ns(ctx.dgk_public());
+        let leg = costs::dgk_compare_leg_cost_ns(ctx);
         (par.with_item_cost_ns(leg), Parallelism::sequential())
     } else {
         (Parallelism::sequential(), par)
@@ -115,11 +115,11 @@ impl Machine for CompareRound {
         let (peer, step) = (peer_of(ctx.role()), self.step);
         match std::mem::replace(&mut self.stage, Stage::Finished) {
             Stage::Start if ctx.role() == ServerRole::Server1 => {
-                let pk = ctx.dgk_keys().public_key();
+                let sk = ctx.dgk_keys().private_key();
                 let round1: Vec<EvaluatorBits> =
                     across.try_map_seeded(&self.values, &mut self.rng, |_, &x, match_rng| {
                         let encoded = domain.encode_compare(x)?;
-                        Ok::<_, SmcError>(evaluator_encrypt_bits(encoded, pk, &within, match_rng)?)
+                        Ok::<_, SmcError>(evaluator_encrypt_bits(encoded, sk, &within, match_rng)?)
                     })?;
                 out.send(peer, step, &round1);
                 self.stage = Stage::Witnesses;
@@ -302,10 +302,11 @@ mod tests {
 
     #[test]
     fn s2_rejects_malformed_frames() {
-        let pk = keys().server2().dgk_public().clone();
+        let s1_ctx = keys().server1();
         let par = Parallelism::sequential();
         let mut rng = StdRng::seed_from_u64(60);
-        let bits = evaluator_encrypt_bits(3, &pk, &par, &mut rng).unwrap();
+        let bits =
+            evaluator_encrypt_bits(3, s1_ctx.dgk_keys().private_key(), &par, &mut rng).unwrap();
         let short = EvaluatorBits { encrypted_bits: bits.encrypted_bits[..1].to_vec() };
         let s2_ctx = keys().server2();
         // S2's machine over two matches, waiting for round 1.

@@ -17,8 +17,9 @@
 //! kernel.
 
 use bigint::montgomery::{comb_cost_ns, mont_cost_ns};
-use dgk::DgkPublicKey;
 use paillier::PublicKey;
+
+use crate::session::{ServerContext, ServerRole};
 
 /// One Paillier encryption: the `hs^x` randomizer dominates — one comb
 /// evaluation mod `n²` over the key's randomizer exponent.
@@ -33,12 +34,24 @@ pub(crate) fn paillier_add_cost_ns(pk: &PublicKey) -> u64 {
     mont_cost_ns(pk.modulus_squared().bits(), 0, 4)
 }
 
-/// One leg of an `ℓ`-bit DGK comparison: `ℓ` bit-encryptions, `ℓ`
-/// witness multi-exponentiations, or `ℓ` CRT zero tests. All three are
-/// within a small factor of `ℓ · blind_bits / 2` products over `Z_n`,
-/// which is accurate enough to decide whether a round of matches is worth
-/// splitting.
-pub(crate) fn dgk_compare_leg_cost_ns(pk: &DgkPublicKey) -> u64 {
+/// One server's share of an `ℓ`-bit DGK comparison, to decide whether a
+/// round of matches is worth splitting. S1, the key holder, pays `ℓ`
+/// key-holder bit encryptions and `ℓ` zero tests, all at half width; S2
+/// pays `ℓ` witnesses over `Z_n`, each a 3-base interleaved
+/// multi-exponentiation with `~2|u|`-bit exponents (one shared squaring
+/// chain, a product per set bit per base) and the `h^{r'}` comb.
+pub(crate) fn dgk_compare_leg_cost_ns(ctx: &ServerContext) -> u64 {
+    let pk = ctx.dgk_public();
     let ell = pk.compare_bits() as u64;
-    mont_cost_ns(pk.modulus().bits(), 0, (ell * pk.blind_bits() / 2).max(1))
+    let per_bit = match ctx.role() {
+        ServerRole::Server1 => {
+            let sk = ctx.dgk_keys().private_key();
+            sk.encrypt_bit_cost_ns() + sk.zero_test_cost_ns()
+        }
+        ServerRole::Server2 => {
+            let (n_bits, exp_bits) = (pk.modulus().bits(), 2 * pk.plaintext_space().bits());
+            mont_cost_ns(n_bits, exp_bits, 3 * exp_bits / 2) + comb_cost_ns(n_bits, pk.blind_bits())
+        }
+    };
+    ell * per_bit
 }
