@@ -21,8 +21,9 @@
 //!   [`MontgomeryContext::modpow_with_scratch`] to amortize even the
 //!   per-call buffer setup;
 //! * [`FixedBaseComb`] — Lim–Lee comb exponentiation for bases that
-//!   never change (the Paillier randomizer base `hs`, DGK `g`, `h`): a
-//!   tenth of the ladder's kernel operations at deployable widths;
+//!   never change (the Paillier randomizer base `hs`, DGK `g`, `h`):
+//!   blocks of rows on one squaring chain, a fourteenth of the ladder's
+//!   kernel operations at deployable widths;
 //! * [`CachedContext`] / [`CachedComb`] — lazily initialized,
 //!   clone-cheap cells that key types embed so every
 //!   operation on the same key reuses one context/comb.
@@ -516,41 +517,86 @@ impl PowScratch {
     }
 }
 
-/// Most comb rows ever built: `2^8 − 1 = 255` table entries.
+/// Most comb rows ever built: `2^8 − 1 = 255` table entries per block.
 const MAX_COMB_ROWS: u64 = 8;
 
-/// `(rows, cols)` of the comb for exponents of up to `max_exp_bits` bits:
-/// `⌊log₂ bits⌋` rows (at least 1, at most [`MAX_COMB_ROWS`]) and enough
-/// columns to cover the width.
-fn comb_geometry(max_exp_bits: u64) -> (u64, u64) {
+/// Most comb blocks ever tried — a bound on the search, not on the
+/// answer: under a fixed budget twice the blocks cost a row, which halves
+/// the squarings but adds `bits / (rows·(rows − 1))` products, and that
+/// pays only below `(rows − 1)·S / 2M ≈ 3` blocks. No width picks more
+/// than 4.
+const MAX_COMB_BLOCKS: u64 = 8;
+
+/// Relative weights of a Montgomery squaring and a Montgomery product in
+/// the comb walk, `S : M = 4 : 5`. Measured on the limb kernel
+/// (DESIGN.md §6, "Limb kernel"): 0.84 at 16 limbs, 0.76 at 32, 0.77 at
+/// 64.
+const COMB_SQUARING_WEIGHT: u64 = 4;
+const COMB_PRODUCT_WEIGHT: u64 = 5;
+
+/// Entries the comb for a `bits`-bit exponent may hold across all its
+/// blocks: twice the `2^rows − 1` of a one-block comb with
+/// `⌊log₂ bits⌋` rows (at least 1, at most [`MAX_COMB_ROWS`]).
+fn comb_table_budget(bits: u64) -> u64 {
+    2 * ((1 << u64::from(bits.ilog2()).clamp(1, MAX_COMB_ROWS)) - 1)
+}
+
+/// Modelled cost of one full-width walk over a `blocks`-block comb of
+/// `cols` columns: `cols − 1` squarings and a product per block per
+/// column.
+fn comb_walk_weight(blocks: u64, cols: u64) -> u64 {
+    (cols - 1) * COMB_SQUARING_WEIGHT + blocks * cols * COMB_PRODUCT_WEIGHT
+}
+
+/// `(rows, blocks, cols)` of the comb for exponents of up to
+/// `max_exp_bits` bits — a pure function of the width: the cheapest walk
+/// ([`comb_walk_weight`]) whose `blocks·(2^rows − 1)` entries fit
+/// [`comb_table_budget`], with enough columns to cover the width. Ties go
+/// to the smaller table, then to fewer blocks.
+fn comb_geometry(max_exp_bits: u64) -> (u64, u64, u64) {
     let bits = max_exp_bits.max(1);
-    let rows = u64::from(bits.ilog2()).clamp(1, MAX_COMB_ROWS);
-    (rows, bits.div_ceil(rows))
+    let budget = comb_table_budget(bits);
+    (1..=MAX_COMB_ROWS)
+        .flat_map(|rows| {
+            let entries = (1u64 << rows) - 1;
+            (1..=(budget / entries).min(MAX_COMB_BLOCKS)).map(move |blocks| {
+                let cols = bits.div_ceil(rows * blocks);
+                ((comb_walk_weight(blocks, cols), blocks * entries, blocks), (rows, blocks, cols))
+            })
+        })
+        .min()
+        .expect("one row, one block always fits the budget")
+        .1
 }
 
 /// [`mont_cost_ns`] of one [`FixedBaseComb::pow`] with a full-width
-/// `exp_bits`-bit exponent: `cols − 1` squarings and `cols` products.
+/// `exp_bits`-bit exponent: `cols − 1` squarings and `blocks·cols`
+/// products.
 pub fn comb_cost_ns(modulus_bits: u64, exp_bits: u64) -> u64 {
-    let (_, cols) = comb_geometry(exp_bits);
-    mont_cost_ns(modulus_bits, cols - 1, cols)
+    let (_, blocks, cols) = comb_geometry(exp_bits);
+    mont_cost_ns(modulus_bits, cols - 1, blocks * cols)
 }
 
 /// Lim–Lee fixed-base comb for a base that never changes (the Paillier
 /// randomizer base `hs`, the DGK generators `g` and `h`).
 ///
-/// An exponent of at most `rows·cols` bits is laid out as a
-/// `rows × cols` bit matrix (row `i` holds bits `i·cols ..
-/// (i+1)·cols`). The table stores, for every non-empty set `m` of rows,
-/// `∏_{i ∈ m} base^(2^(i·cols))` in Montgomery form, so one table product
-/// consumes a whole *column* of the matrix: [`FixedBaseComb::pow`] costs
-/// `cols − 1` squarings and at most `cols` products, against `bits`
-/// squarings plus `bits/4` products for the windowed ladder — ~255
-/// kernel operations instead of ~2560 for a 1024-bit exponent on 8 rows.
+/// An exponent of at most `rows·blocks·cols` bits is cut into
+/// `rows·blocks` strips of `cols` bits; strip `s = i·blocks + j` is row
+/// `i` of block `j`. Block `j`'s table stores, for every non-empty set `m`
+/// of rows, `∏_{i ∈ m} base^(2^((i·blocks + j)·cols))` in Montgomery form,
+/// so one table product consumes a whole *column* of a block and all
+/// blocks share one squaring chain: [`FixedBaseComb::pow`] costs
+/// `cols − 1` squarings and at most `blocks·cols` products, against `bits`
+/// squarings plus `bits/4` products for the windowed ladder — 184 kernel
+/// operations (7 rows, 4 blocks, 37 columns) instead of ~2560 for a
+/// 1024-bit exponent. One block is the plain `rows × cols` comb.
 ///
-/// The row count follows the exponent width (`⌊log₂ bits⌋`, at most 8),
-/// so the `2^rows − 1` products of the build never exceed the `bits`
-/// squarings it needs anyway and a 32-bit exponent gets a 31-entry table,
-/// not a 255-entry one. The table is one flat limb vector.
+/// The geometry follows the exponent width alone (`comb_geometry`): the
+/// cheapest walk whose tables hold at most twice the `2^rows − 1` entries
+/// of a one-block comb with `⌊log₂ bits⌋ ≤ 8` rows, so a 32-bit exponent
+/// gets 60 entries, not 510. The build keeps one squaring chain of
+/// `≈ bits` squarings, tapping a single-row entry every `cols`; the
+/// tables are one flat limb vector.
 ///
 /// # Examples
 ///
@@ -571,8 +617,10 @@ pub struct FixedBaseComb {
     /// The (reduced) base, kept for the wide-exponent fallback.
     base: Ubig,
     rows: u64,
+    blocks: u64,
     cols: u64,
-    /// Entry `m ∈ 1..2^rows` at limbs `(m−1)·k .. m·k`.
+    /// Entry `m ∈ 1..2^rows` of block `j` at limbs
+    /// `(j·(2^rows − 1) + m − 1)·k ..` for `k` limbs.
     table: Vec<Limb>,
 }
 
@@ -581,36 +629,59 @@ impl FixedBaseComb {
     /// (wider exponents transparently fall back to
     /// [`MontgomeryContext::modpow`]).
     pub fn new(ctx: Arc<MontgomeryContext>, base: &Ubig, max_exp_bits: u64) -> Self {
-        let (rows, cols) = comb_geometry(max_exp_bits);
+        Self::build(ctx, base, comb_geometry(max_exp_bits))
+    }
+
+    /// The comb with a forced `rows × blocks` layout covering
+    /// `max_exp_bits`, whatever [`comb_geometry`] would pick.
+    #[cfg(test)]
+    fn with_layout(
+        ctx: Arc<MontgomeryContext>,
+        base: &Ubig,
+        (rows, blocks): (u64, u64),
+        max_exp_bits: u64,
+    ) -> Self {
+        Self::build(ctx, base, (rows, blocks, max_exp_bits.max(1).div_ceil(rows * blocks)))
+    }
+
+    fn build(
+        ctx: Arc<MontgomeryContext>,
+        base: &Ubig,
+        (rows, blocks, cols): (u64, u64, u64),
+    ) -> Self {
         let k = ctx.k;
         let mut scratch = vec![0; ctx.scratch_len()];
         let base = base % &ctx.n;
-        let mut table = vec![0; ((1usize << rows) - 1) * k];
-        // Single-row entries: base^(2^(i·cols)), each `cols` squarings
-        // past the previous one.
+        let entries = (1usize << rows) - 1;
+        let mut table = vec![0; blocks as usize * entries * k];
+        // Single-row entries: strip s holds base^(2^(s·cols)), each `cols`
+        // squarings past the previous one on the one chain.
         let mut cur = ctx.to_mont_limbs(&base, &mut scratch);
         let mut tmp = vec![0; k];
-        for i in 0..rows {
-            let at = ((1usize << i) - 1) * k;
+        for s in 0..rows * blocks {
+            let (i, j) = (s / blocks, (s % blocks) as usize);
+            let at = (j * entries + (1usize << i) - 1) * k;
             table[at..at + k].copy_from_slice(&cur);
-            if i + 1 < rows {
+            if s + 1 < rows * blocks {
                 for _ in 0..cols {
                     ctx.mont_sqr_limbs(&cur, &mut tmp, &mut scratch);
                     std::mem::swap(&mut cur, &mut tmp);
                 }
             }
         }
-        // Every other entry is the entry without its lowest row times
-        // that row's entry; both sit at lower indices.
-        for m in 1usize..1 << rows {
-            let low = m & m.wrapping_neg();
-            if low != m {
-                let (done, rest) = table.split_at_mut((m - 1) * k);
-                let entry = |e: usize| &done[(e - 1) * k..e * k];
-                ctx.mont_mul_limbs(entry(m ^ low), entry(low), &mut rest[..k], &mut scratch);
+        // Within a block, every other entry is the entry without its
+        // lowest row times that row's entry; both sit at lower indices.
+        for block in table.chunks_exact_mut(entries * k) {
+            for m in 1usize..=entries {
+                let low = m & m.wrapping_neg();
+                if low != m {
+                    let (done, rest) = block.split_at_mut((m - 1) * k);
+                    let entry = |e: usize| &done[(e - 1) * k..e * k];
+                    ctx.mont_mul_limbs(entry(m ^ low), entry(low), &mut rest[..k], &mut scratch);
+                }
             }
         }
-        FixedBaseComb { ctx, base, rows, cols, table }
+        FixedBaseComb { ctx, base, rows, blocks, cols, table }
     }
 
     /// The (reduced) base the comb was built for.
@@ -620,7 +691,7 @@ impl FixedBaseComb {
 
     /// Largest exponent width the comb covers without falling back.
     pub fn max_exp_bits(&self) -> u64 {
-        self.rows * self.cols
+        self.rows * self.blocks * self.cols
     }
 
     /// `base^exp mod n` in `k`-limb Montgomery form, or `None` when the
@@ -649,34 +720,40 @@ impl FixedBaseComb {
         let k = self.ctx.k;
         let bits = limbs_bits(exp);
         debug_assert!(bits <= self.max_exp_bits());
-        // The table entry a column selects: its bits, one per row.
-        let entry = |col: u64| {
-            let m = (0..self.rows)
-                .fold(0usize, |m, i| m | usize::from(limbs_bit(exp, i * self.cols + col)) << i);
-            (m != 0).then(|| &self.table[(m - 1) * k..m * k])
+        let entries = (1usize << self.rows) - 1;
+        // The table entry a column selects in block j: its bits, one per
+        // row.
+        let entry = |j: u64, col: u64| {
+            let m = (0..self.rows).fold(0usize, |m, i| {
+                m | usize::from(limbs_bit(exp, (i * self.blocks + j) * self.cols + col)) << i
+            });
+            (m != 0).then(|| &self.table[(j as usize * entries + m - 1) * k..][..k])
         };
-        // Columns above the exponent's top bit are empty in every row;
-        // the first non-empty one seeds the accumulator.
-        let mut cols = (0..self.cols.min(bits)).rev();
-        let Some(first) = cols.by_ref().find_map(entry) else {
-            let one = self.ctx.one_mont.as_limbs();
-            acc[..one.len()].copy_from_slice(one);
-            acc[one.len()..].fill(0);
-            return;
-        };
-        acc.copy_from_slice(first);
         // A product cannot land on its own input, so the running value
-        // alternates between the two buffers.
-        let (mut cur, mut other, mut in_acc) = (acc, tmp, true);
-        for col in cols {
-            self.ctx.mont_sqr_limbs(cur, other, scratch);
-            (cur, other, in_acc) = (other, cur, !in_acc);
-            if let Some(e) = entry(col) {
-                self.ctx.mont_mul_limbs(cur, e, other, scratch);
+        // alternates between the two buffers. Columns above the
+        // exponent's top bit are empty in every strip; the first
+        // non-empty entry seeds the accumulator.
+        let (mut cur, mut other, mut in_acc, mut seeded) = (acc, tmp, true, false);
+        for col in (0..self.cols.min(bits)).rev() {
+            if seeded {
+                self.ctx.mont_sqr_limbs(cur, other, scratch);
                 (cur, other, in_acc) = (other, cur, !in_acc);
             }
+            for e in (0..self.blocks).filter_map(|j| entry(j, col)) {
+                if seeded {
+                    self.ctx.mont_mul_limbs(cur, e, other, scratch);
+                    (cur, other, in_acc) = (other, cur, !in_acc);
+                } else {
+                    cur.copy_from_slice(e);
+                    seeded = true;
+                }
+            }
         }
-        if !in_acc {
+        if !seeded {
+            let one = self.ctx.one_mont.as_limbs();
+            cur[..one.len()].copy_from_slice(one);
+            cur[one.len()..].fill(0);
+        } else if !in_acc {
             other.copy_from_slice(cur);
         }
     }
@@ -689,6 +766,32 @@ impl FixedBaseComb {
         match self.pow_mont(exp, &mut scratch) {
             Some(acc) => self.ctx.from_mont_limbs(&acc, &mut scratch),
             None => self.ctx.modpow(&self.base, exp),
+        }
+    }
+
+    /// `base^exp · factor mod n` for a plain (not Montgomery-form)
+    /// `factor`: the Montgomery product of the walk's `base^exp · R` with
+    /// `factor` *is* the canonical `base^exp · factor mod n`, so the last
+    /// product doubles as the conversion out of Montgomery form — no
+    /// double-width product, no division. Bit-exact with
+    /// `modmul(&self.pow(exp), factor, n)`.
+    pub fn pow_times(&self, exp: &Ubig, factor: &Ubig) -> Ubig {
+        let n = &self.ctx.n;
+        let reduced;
+        let factor = if factor < n {
+            factor
+        } else {
+            reduced = factor % n;
+            &reduced
+        };
+        let mut scratch = vec![0; self.ctx.scratch_len()];
+        match self.pow_mont(exp, &mut scratch) {
+            Some(acc) => {
+                let mut out = vec![0; self.ctx.k];
+                self.ctx.mont_mul_limbs(&acc, factor.as_limbs(), &mut out, &mut scratch);
+                Ubig::from_limbs(out)
+            }
+            None => crate::modular::modmul(&self.ctx.modpow(&self.base, exp), factor, n),
         }
     }
 
@@ -1194,17 +1297,129 @@ mod tests {
 
     #[test]
     fn comb_geometry_follows_exponent_width() {
+        for bits in 0u64..=2100 {
+            let (rows, blocks, cols) = comb_geometry(bits);
+            assert!(rows * blocks * cols >= bits, "bits {bits}: covers the width");
+            assert!((1..=MAX_COMB_ROWS).contains(&rows) && blocks >= 1 && cols >= 1);
+            let one_block_rows = u64::from(bits.max(1).ilog2()).clamp(1, MAX_COMB_ROWS);
+            assert!(
+                blocks * ((1 << rows) - 1) <= 2 * ((1 << one_block_rows) - 1),
+                "bits {bits}: {rows} rows x {blocks} blocks outgrow the budget"
+            );
+            assert!(
+                comb_walk_weight(blocks, cols)
+                    <= comb_walk_weight(1, bits.max(1).div_ceil(one_block_rows)),
+                "bits {bits}: dearer than the one-block comb"
+            );
+        }
+        // The deployed widths: DGK key-holder halves (160, 256), DGK `h`
+        // (336, 528) and the Paillier randomizer (512, 1024) at
+        // `paper1024` and `deploy2048`.
+        for (bits, geometry) in [
+            (160u64, (6u64, 4u64, 7u64)),
+            (256, (8, 2, 16)),
+            (336, (7, 4, 12)),
+            (512, (8, 2, 32)),
+            (528, (7, 4, 19)),
+            (1024, (7, 4, 37)),
+        ] {
+            assert_eq!(comb_geometry(bits), geometry, "bits {bits}");
+        }
         let ctx = Arc::new(MontgomeryContext::new(&Ubig::from(1_000_003u64)).unwrap());
-        let g = Ubig::from(42u64);
-        // (exponent bits, rows, cols): 2^rows ≤ bits up to 8 rows, and
-        // rows·cols covers the width.
-        for (bits, rows, cols) in
-            [(0u64, 1u64, 1u64), (1, 1, 1), (7, 2, 4), (32, 5, 7), (64, 6, 11), (528, 8, 66)]
+        let comb = FixedBaseComb::new(Arc::clone(&ctx), &Ubig::from(42u64), 528);
+        assert_eq!((comb.rows, comb.blocks, comb.cols), (7, 4, 19));
+        assert_eq!(comb.table.len(), 4 * 127, "one-limb entries");
+        assert_eq!(comb.max_exp_bits(), 532);
+    }
+
+    /// An odd `limbs`-limb modulus with its top bit set.
+    fn odd_modulus(rng: &mut StdRng, limbs: u64) -> Ubig {
+        let mut n = random::gen_exact_bits(rng, limbs * LIMB_BITS as u64);
+        n.set_bit(0, true);
+        n
+    }
+
+    #[test]
+    fn comb_matches_modpow_over_forced_layouts() {
+        let mut rng = StdRng::seed_from_u64(16);
+        // (modulus limbs, layouts tried): every block count at the small
+        // widths; at the kernel widths one block, the two shapes deployed
+        // keys get, and the most blocks the search tries.
+        let all: Vec<(u64, u64)> =
+            [1u64, 2, 3, 5].iter().flat_map(|&r| (1..=8).map(move |b| (r, b))).collect();
+        let deployed = vec![(8u64, 1u64), (8, 2), (7, 4), (3, 8)];
+        for (limbs, layouts) in
+            [(1u64, &all), (2, &all), (16, &deployed), (32, &deployed), (64, &deployed)]
         {
-            let comb = FixedBaseComb::new(Arc::clone(&ctx), &g, bits);
-            assert_eq!((comb.rows, comb.cols), (rows, cols), "bits {bits}");
-            assert_eq!(comb.table.len(), (1 << rows) - 1, "bits {bits}: one-limb entries");
-            assert!(comb.max_exp_bits() >= bits);
+            let n = odd_modulus(&mut rng, limbs);
+            let ctx = Arc::new(MontgomeryContext::new(&n).unwrap());
+            let (g, h) = (random::gen_below(&mut rng, &n), random::gen_below(&mut rng, &n));
+            let factor = random::gen_below(&mut rng, &n);
+            let max_bits = if limbs <= 2 { 61 } else { 100 };
+            let th = FixedBaseComb::new(Arc::clone(&ctx), &h, 32);
+            let f = random::gen_bits(&mut rng, 32);
+            let h_f = modpow_basic(&h, &f, &n);
+            for &(rows, blocks) in layouts {
+                let comb =
+                    FixedBaseComb::with_layout(Arc::clone(&ctx), &g, (rows, blocks), max_bits);
+                assert!(comb.max_exp_bits() >= max_bits);
+                let (width, cols) = (comb.max_exp_bits(), comb.cols);
+                let bit = |i: u64| Ubig::one() << i as u32;
+                let ones = |bits: u64| (Ubig::one() << bits as u32) - Ubig::one();
+                // 0, 1, one bit per strip, all-ones, a strip boundary ± 1,
+                // exactly the comb's width, and one bit wider (the `modpow`
+                // fallback).
+                let mut exps = vec![Ubig::zero(), Ubig::one(), ones(width), bit(width)];
+                exps.push(
+                    (0..rows * blocks).fold(Ubig::zero(), |e, s| e + bit(s * cols + s % cols)),
+                );
+                let boundary = cols * (rows * blocks).div_ceil(2);
+                exps.extend([ones(boundary), bit(boundary), bit(boundary) + Ubig::one()]);
+                exps.push(random::gen_exact_bits(&mut rng, width));
+                for e in &exps {
+                    let expect = modpow_basic(&g, e, &n);
+                    let at = format!("{limbs} limbs, {rows}x{blocks}x{cols}, e = {e}");
+                    assert_eq!(comb.pow(e), expect, "pow: {at}");
+                    assert_eq!(
+                        comb.pow_times(e, &factor),
+                        modmul(&expect, &factor, &n),
+                        "pow_times: {at}"
+                    );
+                    assert_eq!(
+                        comb.pow_mul(e, &th, &f),
+                        modmul(&expect, &h_f, &n),
+                        "pow_mul: {at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn comb_pow_times_is_the_product_with_a_plain_factor() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let n = odd_modulus(&mut rng, 3);
+        let ctx = Arc::new(MontgomeryContext::new(&n).unwrap());
+        let g = random::gen_below(&mut rng, &n);
+        let comb = FixedBaseComb::new(Arc::clone(&ctx), &g, 96);
+        // Factors 0, 1, n − 1, and unreduced ones (as wide as n, and wider).
+        let factors = [
+            Ubig::zero(),
+            Ubig::one(),
+            &n - &Ubig::one(),
+            n.clone(),
+            &n + &Ubig::from(5u64),
+            random::gen_exact_bits(&mut rng, 400),
+        ];
+        for ebits in [0u64, 1, 40, 96, 130] {
+            let e = random::gen_bits(&mut rng, ebits);
+            for y in &factors {
+                assert_eq!(
+                    comb.pow_times(&e, y),
+                    modmul(&comb.pow(&e), y, &n),
+                    "{ebits} bits, y = {y}"
+                );
+            }
         }
     }
 

@@ -163,39 +163,27 @@ pub fn blinder_build_witnesses<R: Rng + ?Sized>(
     // with ~2|u|-bit exponents plus a fixed-base h^{r'} power.
     let ctx = pk.ctx_n();
     let order: Vec<usize> = (0..ell).rev().collect();
-    let witness_par = par
-        .with_item_cost_ns(step_cost_ns(pk, 4 * pk.plaintext_space().bits() + pk.blind_bits() / 4));
+    let witness_par = par.with_item_cost_ns(pk.witness_cost_ns());
     let mut witnesses = witness_par.map_seeded(&order, rng, |_, &i, item_rng| {
         let a_i = (a >> i) & 1;
         // Plain part: a_i − 1 ∈ {−1, 0}, encoded mod u.
         let plain = if a_i == 1 { Ubig::zero() } else { u_minus_1.clone() };
-        if let Some(ctx) = ctx {
-            let r = random::gen_range(item_rng, &Ubig::one(), &u);
-            // Exponents folded by r. The g exponent must stay unreduced:
-            // g's order is u·v_p·v_q, so reducing plain·r mod u would
-            // change the group element.
-            let e_bit = &u_minus_1 * &r;
-            let e_plain = &plain * &r;
-            let e_suffix = &three * &r;
-            let mut pairs: Vec<(&Ubig, &Ubig)> =
-                vec![(round1.encrypted_bits[i].as_raw(), &e_bit), (pk.generator_g(), &e_plain)];
-            if let Some(suffix) = &suffixes[i] {
-                pairs.push((suffix.as_raw(), &e_suffix));
-            }
-            let blinded = DgkCiphertext::from_raw(ctx.modpow_multi(&pairs));
-            pk.rerandomize(&blinded, item_rng)
-        } else {
-            // No Montgomery context (even modulus — never a real DGK key):
-            // fall back to the step-by-step pipeline.
-            let mut c = pk.mul_plain(&round1.encrypted_bits[i], &u_minus_1);
-            c = pk.add_plain(&c, &plain);
-            if let Some(suffix) = &suffixes[i] {
-                c = pk.add(&c, &pk.mul_plain(suffix, &three));
-            }
-            let r = random::gen_range(item_rng, &Ubig::one(), &u);
-            c = pk.mul_plain(&c, &r);
-            pk.rerandomize(&c, item_rng)
+        let r = random::gen_range(item_rng, &Ubig::one(), &u);
+        // Exponents folded by r. The g exponent must stay unreduced: g's
+        // order is u·v_p·v_q, so reducing plain·r mod u would change the
+        // group element.
+        let e_bit = &u_minus_1 * &r;
+        let e_plain = &plain * &r;
+        let e_suffix = &three * &r;
+        let mut pairs: Vec<(&Ubig, &Ubig)> =
+            vec![(round1.encrypted_bits[i].as_raw(), &e_bit), (pk.generator_g(), &e_plain)];
+        if let Some(suffix) = &suffixes[i] {
+            pairs.push((suffix.as_raw(), &e_suffix));
         }
+        // The multi-exponentiation's result is the plain factor the
+        // h^{r'} comb multiplies in with its last product.
+        let blinded = DgkCiphertext::from_raw(ctx.modpow_multi(&pairs));
+        pk.rerandomize(&blinded, item_rng)
     });
 
     // Fisher–Yates shuffle so B cannot tell which position witnessed.

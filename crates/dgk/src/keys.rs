@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bigint::gcd::modinv;
-use bigint::modular::{garner, modmul, modpow};
+use bigint::modular::{garner, modmul};
 use bigint::montgomery::{
     comb_cost_ns, mont_cost_ns, CachedComb, CachedContext, CrtComb, CrtResidue, FixedBaseComb,
     MontgomeryContext, PowScratch,
@@ -365,23 +365,22 @@ impl DgkPublicKey {
 
     /// `base^exp mod n` through the per-key cached Montgomery context.
     pub(crate) fn pow_mod_n(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        self.ctx_n.modpow(base, exp, &self.n)
+        self.ctx_n().modpow(base, exp)
     }
 
-    /// The cached `Z_n` Montgomery context, for batch kernels
-    /// (`modpow_multi`) that need more than one exponentiation per call.
-    pub(crate) fn ctx_n(&self) -> Option<&std::sync::Arc<MontgomeryContext>> {
-        self.ctx_n.context(&self.n)
+    /// The cached `Z_n` Montgomery context, built on first use.
+    pub(crate) fn ctx_n(&self) -> &Arc<MontgomeryContext> {
+        self.ctx_n.context(&self.n).expect("n = p·q is odd: the only constructor multiplies primes")
     }
 
     /// The comb for `g` (exponents live in `Z_u`).
-    fn g_comb(&self) -> Option<&std::sync::Arc<FixedBaseComb>> {
-        self.ctx_n.context(&self.n).map(|ctx| self.comb_g.comb(ctx, &self.g, self.u.bits()))
+    fn g_comb(&self) -> &Arc<FixedBaseComb> {
+        self.comb_g.comb(self.ctx_n(), &self.g, self.u.bits())
     }
 
     /// The comb for `h` (exponents are `blind_bits` wide).
-    fn h_comb(&self) -> Option<&std::sync::Arc<FixedBaseComb>> {
-        self.ctx_n.context(&self.n).map(|ctx| self.comb_h.comb(ctx, &self.h, self.blind_bits))
+    fn h_comb(&self) -> &Arc<FixedBaseComb> {
+        self.comb_h.comb(self.ctx_n(), &self.h, self.blind_bits)
     }
 
     /// Encrypts `m ∈ Z_u`: `E(m) = g^m · h^r mod n`.
@@ -398,13 +397,9 @@ impl DgkPublicKey {
             return Err(DgkError::MessageOutOfRange);
         }
         let r = random::gen_bits(rng, self.blind_bits);
-        // One fixed-base double exponentiation over the two combs: about
-        // |r|/4 kernel operations, joined in Montgomery form.
-        let raw = match (self.g_comb(), self.h_comb()) {
-            (Some(tg), Some(th)) => tg.pow_mul(m, th, &r),
-            _ => modmul(&modpow(&self.g, m, &self.n), &modpow(&self.h, &r, &self.n), &self.n),
-        };
-        Ok(DgkCiphertext(raw))
+        // One fixed-base double exponentiation over the two combs, joined
+        // in Montgomery form.
+        Ok(DgkCiphertext(self.g_comb().pow_mul(m, self.h_comb(), &r)))
     }
 
     /// Encrypts a `u64` plaintext (reduced check against `u`).
@@ -429,12 +424,7 @@ impl DgkPublicKey {
     /// Homomorphic plaintext addition: multiplies by `g^k` (a comb
     /// evaluation).
     pub fn add_plain(&self, c: &DgkCiphertext, k: &Ubig) -> DgkCiphertext {
-        let k = k % &self.u;
-        let g_k = match self.g_comb() {
-            Some(tg) => tg.pow(&k),
-            None => modpow(&self.g, &k, &self.n),
-        };
-        DgkCiphertext(modmul(&c.0, &g_k, &self.n))
+        DgkCiphertext(self.g_comb().pow_times(&(k % &self.u), &c.0))
     }
 
     /// Homomorphic scalar multiplication: `E(a·m mod u) = E(m)^a mod n`
@@ -449,14 +439,21 @@ impl DgkPublicKey {
     }
 
     /// Rerandomizes a ciphertext by multiplying with a fresh `h^r` (a comb
-    /// evaluation).
+    /// evaluation whose last product takes the ciphertext in).
     pub fn rerandomize<R: Rng + ?Sized>(&self, c: &DgkCiphertext, rng: &mut R) -> DgkCiphertext {
         let r = random::gen_bits(rng, self.blind_bits);
-        let h_r = match self.h_comb() {
-            Some(th) => th.pow(&r),
-            None => modpow(&self.h, &r, &self.n),
-        };
-        DgkCiphertext(modmul(&c.0, &h_r, &self.n))
+        DgkCiphertext(self.h_comb().pow_times(&r, &c.0))
+    }
+
+    /// Rough wall-clock model (ns) for one blinded witness of the
+    /// comparison's round 2 (`crate::comparison::blinder_build_witnesses`),
+    /// used to hint [`parallel::Parallelism`] splitting: a 3-base
+    /// interleaved multi-exponentiation with `~2|u|`-bit exponents (one
+    /// shared squaring chain, a product per set bit per base) and the
+    /// `h^{r'}` comb, all over `Z_n`.
+    pub fn witness_cost_ns(&self) -> u64 {
+        let (n_bits, exp_bits) = (self.n.bits(), 2 * self.u.bits());
+        mont_cost_ns(n_bits, exp_bits, 3 * exp_bits / 2) + comb_cost_ns(n_bits, self.blind_bits)
     }
 }
 
@@ -565,6 +562,7 @@ impl DgkPrivateKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigint::modular::modpow;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::OnceLock;

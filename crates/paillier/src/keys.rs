@@ -291,10 +291,12 @@ impl PublicKey {
         self.comb_hs.comb(ctx, &self.hs, self.randomizer_bits())
     }
 
-    /// A fresh randomizer `hs^x mod n²`, `x` uniform over
-    /// [`PublicKey::randomizer_bits`] bits: a random encryption of zero.
-    fn randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> Ubig {
-        self.comb().pow(&random::gen_bits(rng, self.randomizer_bits()))
+    /// `c · hs^x mod n²` for a fresh `x` uniform over
+    /// [`PublicKey::randomizer_bits`] bits: `c` times a random encryption
+    /// of zero, the factor multiplied in as the comb's last product.
+    fn randomize<R: Rng + ?Sized>(&self, c: &Ubig, rng: &mut R) -> Ciphertext {
+        let x = random::gen_bits(rng, self.randomizer_bits());
+        Ciphertext::from_raw(self.comb().pow_times(&x, c))
     }
 
     /// `base^exp mod n²` through the per-key cached Montgomery context.
@@ -317,7 +319,7 @@ impl PublicKey {
         if m >= &self.n {
             return Err(PaillierError::MessageOutOfRange);
         }
-        Ok(self.combine(m, &self.randomizer(rng)))
+        Ok(self.randomize(&self.g_pow(m), rng))
     }
 
     /// The classical `E[m] = (1 + m·n) · r^n mod n²` with caller-chosen
@@ -328,16 +330,14 @@ impl PublicKey {
     ///
     /// Panics (debug) if `m >= n`.
     pub fn encrypt_with_randomness(&self, m: &Ubig, r: &Ubig) -> Ciphertext {
-        self.combine(m, &self.pow_mod_n2(r, &self.n))
+        let r_n = self.pow_mod_n2(r, &self.n);
+        Ciphertext::from_raw(modmul(&self.g_pow(m), &r_n, &self.n_squared))
     }
 
-    /// `(1 + m·n) · r_n mod n²`: the ciphertext of `m < n` blinded by
-    /// `r_n = r^n mod n²`, however that power was computed.
-    fn combine(&self, m: &Ubig, r_n: &Ubig) -> Ciphertext {
+    /// `g^m = (1 + n)^m = 1 + m·n mod n²` for `m < n` and `g = n + 1`.
+    fn g_pow(&self, m: &Ubig) -> Ubig {
         debug_assert!(m < &self.n, "message must be reduced mod n");
-        // g^m = (1+n)^m = 1 + m*n (mod n^2) for g = n+1.
-        let g_m = &(Ubig::one() + modmul(m, &self.n, &self.n_squared)) % &self.n_squared;
-        Ciphertext::from_raw(modmul(&g_m, r_n, &self.n_squared))
+        &(Ubig::one() + modmul(m, &self.n, &self.n_squared)) % &self.n_squared
     }
 
     /// Convenience wrapper: encrypt a `u64` (must be `< n`).
@@ -380,7 +380,7 @@ impl PublicKey {
     /// so it is unlinkable to its origin. Used when a server forwards
     /// ciphertexts it did not create.
     pub fn rerandomize<R: Rng + ?Sized>(&self, c: &Ciphertext, rng: &mut R) -> Ciphertext {
-        Ciphertext::from_raw(modmul(c.as_raw(), &self.randomizer(rng), &self.n_squared))
+        self.randomize(c.as_raw(), rng)
     }
 
     /// Encryption of zero with fixed randomness 1 — the homomorphic

@@ -37,9 +37,7 @@ pub(crate) fn paillier_add_cost_ns(pk: &PublicKey) -> u64 {
 /// One server's share of an `ℓ`-bit DGK comparison, to decide whether a
 /// round of matches is worth splitting. S1, the key holder, pays `ℓ`
 /// key-holder bit encryptions and `ℓ` zero tests, all at half width; S2
-/// pays `ℓ` witnesses over `Z_n`, each a 3-base interleaved
-/// multi-exponentiation with `~2|u|`-bit exponents (one shared squaring
-/// chain, a product per set bit per base) and the `h^{r'}` comb.
+/// pays `ℓ` witnesses over `Z_n` ([`dgk::DgkPublicKey::witness_cost_ns`]).
 pub(crate) fn dgk_compare_leg_cost_ns(ctx: &ServerContext) -> u64 {
     let pk = ctx.dgk_public();
     let ell = pk.compare_bits() as u64;
@@ -48,10 +46,7 @@ pub(crate) fn dgk_compare_leg_cost_ns(ctx: &ServerContext) -> u64 {
             let sk = ctx.dgk_keys().private_key();
             sk.encrypt_bit_cost_ns() + sk.zero_test_cost_ns()
         }
-        ServerRole::Server2 => {
-            let (n_bits, exp_bits) = (pk.modulus().bits(), 2 * pk.plaintext_space().bits());
-            mont_cost_ns(n_bits, exp_bits, 3 * exp_bits / 2) + comb_cost_ns(n_bits, pk.blind_bits())
-        }
+        ServerRole::Server2 => pk.witness_cost_ns(),
     };
     ell * per_bit
 }

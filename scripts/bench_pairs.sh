@@ -4,7 +4,10 @@
 # alternating order (choosing-metrics §8; the rule a claimed gain is
 # judged by).
 #
-#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs=10] [seconds=20] [first-seed=1]
+#   scripts/bench_pairs.sh <parent-rev> <workload|all> [pairs=10] [seconds=20] [first-seed=1]
+#
+# `all` runs every workload BENCHMARK.json declares, one after the other,
+# each through this same script with the same pairs, seconds and seeds.
 #
 # The parent is unpacked with `git archive` into
 # target/bench_pairs/<commit>/ — a plain directory with its own target/,
@@ -18,8 +21,10 @@
 # Prints, per end-to-end metric of BENCHMARK.json: each side's median and
 # quartiles, the change's wins and ties over the pairs, and the verdict of
 # the rule (wins ≥ 9/10 of the pairs and medians further apart than the
-# parent's inter-quartile distance). Before that, `correct` / `failed` of
-# every run. Exits non-zero if any run was not `correct` with `failed` 0.
+# parent's inter-quartile distance), and `REGRESSED` where the change's
+# median is worse than the parent's by more than the metric's `bound`.
+# Before that, `correct` / `failed` of every run. Exits non-zero if any
+# run was not `correct` with `failed` 0.
 #
 # In a sandbox without network access export CARGO_NET_OFFLINE=true first:
 # run.sh finds out whether it is offline by asking cargo for the registry.
@@ -32,6 +37,14 @@ fi
 rev="$1" workload="$2" pairs="${3:-10}" seconds="${4:-20}" first_seed="${5:-1}"
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
+if [ "$workload" = all ]; then
+  status=0
+  for name in $(sed -n '/"workloads"/,/\]/s/.*{"name": "\([^"]*\)".*/\1/p' "$repo/BENCHMARK.json"); do
+    "$0" "$rev" "$name" "$pairs" "$seconds" "$first_seed" || status=1
+    echo
+  done
+  exit "$status"
+fi
 commit="$(git -C "$repo" rev-parse --verify "${rev}^{commit}")"
 parent="$repo/target/bench_pairs/$commit"
 if [ ! -f "$parent/crates/benchmark/run.sh" ]; then
@@ -66,18 +79,18 @@ for ((i = 0; i < pairs; i++)); do
   done
 done
 
-# name:better for every end-to-end metric the benchmark declares.
-metrics="$(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([^"]*\)".*"better": "\([a-z]*\)".*/\1:\2/p' "$repo/BENCHMARK.json")"
+# name:better:bound for every end-to-end metric the benchmark declares.
+metrics="$(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([^"]*\)".*"better": "\([a-z]*\)", "bound": \([0-9.]*\).*/\1:\2:\3/p' "$repo/BENCHMARK.json")"
 
 echo
 echo "$workload, $pairs pairs x ${seconds}s, parent $(git -C "$repo" rev-parse --short "$commit"), seeds $first_seed..$((first_seed + pairs - 1))"
 printf '%-18s %-6s | %12s %12s %12s | %12s %12s %12s | %5s %4s | %8s  %s\n' \
-  metric better "parent q1" median q3 "change q1" median q3 wins ties "delta" "claimable gain"
+  metric better "parent q1" median q3 "change q1" median q3 wins ties "delta" "claimable gain / past bound"
 for entry in $metrics; do
-  name="${entry%:*}" better="${entry#*:}"
+  IFS=: read -r name better bound <<<"$entry"
   while read -r i side line; do
     echo "$i $side $(metric "$line" "$name")"
-  done <"$results" | awk -v name="$name" -v better="$better" -v pairs="$pairs" '
+  done <"$results" | awk -v name="$name" -v better="$better" -v bound="$bound" -v pairs="$pairs" '
     function quantile(v, n, p,    h, lo) {
       h = (n - 1) * p; lo = int(h)
       return lo + 1 >= n ? v[n] : v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1])
@@ -98,6 +111,7 @@ for entry in $metrics; do
       iqr = quantile(ps, pairs, 0.75) - quantile(ps, pairs, 0.25)
       gain = better == "lower" ? pm - cm : cm - pm
       verdict = (wins * 10 >= pairs * 9 && gain > iqr) ? "yes" : "no"
+      if (-gain > bound * pm) verdict = verdict "  REGRESSED (bound " 100 * bound "%)"
       printf "%-18s %-6s | %12.6g %12.6g %12.6g | %12.6g %12.6g %12.6g | %5d %4d | %+7.2f%%  %s\n", \
         name, better, quantile(ps, pairs, 0.25), pm, quantile(ps, pairs, 0.75), \
         quantile(cs, pairs, 0.25), cm, quantile(cs, pairs, 0.75), wins, ties, \
