@@ -23,19 +23,39 @@ pub trait RngCore {
             chunk.copy_from_slice(&bytes[..chunk.len()]);
         }
     }
-}
 
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
+    /// Fallible [`RngCore::fill_bytes`]; upstream generators backed by
+    /// the OS can fail here, the shim's never do.
+    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
+        self.fill_bytes(dest);
+        Ok(())
     }
 }
 
-impl<R: RngCore + ?Sized> RngCore for Box<R> {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
+/// Upstream's `rand::Error`, so a hand-written `RngCore` compiles against
+/// both. The shim never constructs one.
+#[derive(Debug)]
+pub struct Error;
+
+macro_rules! forward_rng_core {
+    ($($t:ty),*) => {$(
+        impl<R: RngCore + ?Sized> RngCore for $t {
+            fn next_u64(&mut self) -> u64 {
+                (**self).next_u64()
+            }
+            fn next_u32(&mut self) -> u32 {
+                (**self).next_u32()
+            }
+            fn fill_bytes(&mut self, dest: &mut [u8]) {
+                (**self).fill_bytes(dest);
+            }
+            fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
+                (**self).try_fill_bytes(dest)
+            }
+        }
+    )*};
 }
+forward_rng_core!(&mut R, Box<R>);
 
 /// Values producible from raw bits (the shim's stand-in for
 /// `Standard: Distribution<T>`).
@@ -163,6 +183,12 @@ impl<R: RngCore + ?Sized> Rng for R {}
 
 /// Seedable generators.
 pub trait SeedableRng: Sized {
+    /// The full-width seed (`[u8; 32]` for [`rngs::StdRng`], as upstream).
+    type Seed: Sized + Default + AsMut<[u8]>;
+
+    /// Builds a generator from a full-width seed.
+    fn from_seed(seed: Self::Seed) -> Self;
+
     /// Builds a generator from a 64-bit seed.
     fn seed_from_u64(seed: u64) -> Self;
 
@@ -198,6 +224,21 @@ pub mod rngs {
     }
 
     impl SeedableRng for StdRng {
+        type Seed = [u8; 32];
+
+        /// Folds the 256-bit seed into the shim's 64-bit test state, one
+        /// bijective mixing round per 64-bit word (seeds that differ in
+        /// one word always give different states). The crates.io `StdRng`
+        /// keys ChaCha12 with all 256 bits; that is what deployments get.
+        fn from_seed(seed: [u8; 32]) -> Self {
+            let mut rng = StdRng { state: 0x5851f42d4c957f2d };
+            for word in seed.chunks_exact(8) {
+                rng.state ^= u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+                rng.state = rng.next_u64();
+            }
+            rng
+        }
+
         fn seed_from_u64(seed: u64) -> Self {
             StdRng { state: seed.wrapping_mul(0x2545f4914f6cdd1d) ^ 0x5851f42d4c957f2d }
         }
@@ -238,6 +279,12 @@ mod tests {
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
         assert_eq!(a.next_u64(), b.next_u64());
+        let (mut x, mut y) = ([0u8; 32], [0u8; 32]);
+        a.fill_bytes(&mut x);
+        y.copy_from_slice(&x);
+        y[31] ^= 1;
+        assert_eq!(StdRng::from_seed(x).next_u64(), StdRng::from_seed(x).next_u64());
+        assert_ne!(StdRng::from_seed(x).next_u64(), StdRng::from_seed(y).next_u64());
         let mut counts = [0usize; 4];
         for _ in 0..4000 {
             counts[a.gen_range(0..4usize)] += 1;

@@ -91,7 +91,7 @@ pub enum CampaignError {
     /// The round checkpoint store failed to open.
     Checkpoint(CheckpointError),
     /// A round died with a failure retries cannot fix: a vote-shape or
-    /// protocol violation, a cryptographic failure, an audit conviction.
+    /// protocol violation, a cryptographic failure.
     /// Only the typed liveness aborts — [`SmcError::QuorumLost`] and its
     /// strict-path twin [`SmcError::Transport`] — burn retries and park;
     /// everything else surfaces here instead of masquerading as a stall.
@@ -685,7 +685,7 @@ impl CampaignRunner {
                     // attempt burns one retry, or falls through to park.
                     Err(SmcError::QuorumLost { .. } | SmcError::Transport(_)) => {}
                     // Everything else is deterministic (vote shapes,
-                    // crypto, audit convictions): retrying cannot fix it
+                    // crypto, a corrupted frame): retrying cannot fix it
                     // and parking would disguise it as a stall.
                     Err(source) => {
                         return Err(CampaignError::Round { instance: idx, source });

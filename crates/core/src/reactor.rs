@@ -207,7 +207,6 @@ impl SessionMachine {
                 &self.meter,
                 self.engine.fault_plan().cloned(),
                 FROM_START,
-                self.engine.next_audit_round(),
             )?;
             self.servers = Some(Box::new(servers));
         }
@@ -283,8 +282,8 @@ impl Error for SessionRejected {}
 pub enum SessionResult {
     /// Terminated cleanly with a cross-checked outcome.
     Done(Box<SecureOutcome>),
-    /// Failed with a protocol error (crash, audit conviction, quorum
-    /// loss, …) — isolated to this session.
+    /// Failed with a protocol error (crash, quorum loss, …) — isolated
+    /// to this session.
     Failed(SmcError),
     /// Evicted by the deadline watchdog after stalling without progress.
     Evicted {

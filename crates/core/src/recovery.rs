@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use dp::rdp::LinearRdp;
 use rand::Rng;
 use smc::machine::party_of;
-use smc::{CheckpointImage, ServerRound, SmcError};
+use smc::{RoundState, ServerRound, SmcError};
 use transport::{CheckpointStore, FaultEvent, Meter, PartyId, Step, Wire};
 
 use crate::secure::{RoundHook, Seats, SecureEngine, SecureOutcome, FROM_START};
@@ -219,19 +219,13 @@ impl<'e> RoundSupervisor<'e> {
             } else {
                 let seats = self.restore_pair(round, &meter);
                 resumptions += 1;
-                resumed_from.push(seats[0].0.next_step().unwrap_or(Step::Restoration));
+                resumed_from.push(seats[0].next_step().unwrap_or(Step::Restoration));
                 meter.record_fault(FaultEvent::RoundResumed);
                 seats
             };
 
-            let servers = self.engine.launch(
-                &prepared,
-                prepared.upload_frames(),
-                &meter,
-                plan,
-                seats,
-                round,
-            )?;
+            let servers =
+                self.engine.launch(&prepared, prepared.upload_frames(), &meter, plan, seats)?;
             let mut snapshots = Snapshots { store: self.store.as_ref(), round, meter: &meter };
             match servers.run(&mut snapshots) {
                 Ok((done1, done2)) => {
@@ -262,9 +256,7 @@ impl<'e> RoundSupervisor<'e> {
     /// states at `min(latest S1 step, latest S2 step)`. Snapshots are
     /// written in step order, so the slower side's latest step is held by
     /// both. Missing or undecodable snapshots degrade to a from-scratch
-    /// restart — never a panic, never a half-restored pair. Each side's
-    /// audit commitments ride in the same image so a resumed challenge
-    /// round re-verifies against the seeds committed before the crash.
+    /// restart — never a panic, never a half-restored pair.
     fn restore_pair(&self, round: u64, meter: &Meter) -> Seats {
         let latest = |party| self.store.load_latest(round, party).ok().flatten();
         let (Some(c1), Some(c2)) = (latest(PartyId::Server1), latest(PartyId::Server2)) else {
@@ -277,13 +269,13 @@ impl<'e> RoundSupervisor<'e> {
             } else {
                 self.store.load_at(round, party, step).ok().flatten().map(|c| c.payload)
             };
-            payload.and_then(|p| CheckpointImage::from_bytes(p.into()).ok())
+            payload.and_then(|p| RoundState::from_bytes(p.into()).ok())
         };
         match (at(PartyId::Server1, c1), at(PartyId::Server2, c2)) {
-            (Some(i1), Some(i2)) => {
+            (Some(state1), Some(state2)) => {
                 meter.record_fault(FaultEvent::CheckpointRestored);
                 meter.record_fault(FaultEvent::CheckpointRestored);
-                [(i1.state, i1.audit), (i2.state, i2.audit)]
+                [state1, state2]
             }
             _ => FROM_START,
         }
@@ -302,7 +294,7 @@ impl RoundHook for Snapshots<'_> {
     fn completed(&mut self, server: &ServerRound) {
         let (party, step) = (party_of(server.role()), server.state().completed_step());
         self.store
-            .save(self.round, party, step, &server.checkpoint().to_bytes())
+            .save(self.round, party, step, &server.state().to_bytes())
             .expect("checkpoint store failed while saving a snapshot");
         self.meter.record_fault(FaultEvent::CheckpointSaved);
     }

@@ -48,17 +48,16 @@
 //! server that fails locally reports at once, and nobody waits out a
 //! receive deadline the failure would have induced on its peer.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use paillier::Ciphertext;
 use rand::Rng;
-use smc::machine::{party_of, Frame, Next, Outbound, Outbox, Recv};
+use smc::machine::{Frame, Next, Outbound, Outbox, Recv};
 use smc::secure_sum::encrypt_share_vector;
 use smc::{
-    AuditCheckpoint, AuditContext, AuditPolicy, Parallelism, RoundState, ServerContext, ServerRole,
-    ServerRound, SessionConfig, SessionKeys, SmcError,
+    Parallelism, RoundState, ServerContext, ServerRole, ServerRound, SessionConfig, SessionKeys,
+    SmcError,
 };
 use transport::{
     Endpoint, FaultPlan, FaultStats, Meter, Network, PartyId, Step, TimeoutPolicy,
@@ -122,9 +121,6 @@ pub struct RoundHealth {
     /// For each resumption, the step the round re-entered the pipeline
     /// at after restoring the latest consistent S1/S2 snapshot pair.
     pub resumed_from: Vec<Step>,
-    /// Covert-security audit challenges verified during the round (0
-    /// when auditing is off or the round was not a challenge round).
-    pub audit_challenges: u64,
 }
 
 impl RoundHealth {
@@ -218,10 +214,6 @@ pub struct SecureEngine {
     timeout: TimeoutPolicy,
     faults: Option<FaultPlan>,
     transport: TransportBackend,
-    audit: Option<AuditPolicy>,
-    /// Monotonic round counter feeding the audit challenge schedule
-    /// (each [`SecureEngine::run_round`] call is one audited round id).
-    audit_rounds: AtomicU64,
 }
 
 impl std::fmt::Debug for SecureEngine {
@@ -259,11 +251,15 @@ pub(crate) struct PreparedRound {
     pub(crate) user_z2: Vec<Vec<i64>>,
     /// Exact integer split of T across 2|U| share slots.
     pub(crate) offsets: Vec<i64>,
-    pub(crate) seed1: u64,
-    pub(crate) seed2: u64,
+    /// S1's and S2's private root seeds: each is handed to its own
+    /// [`ServerRound`] and to nothing else.
+    pub(crate) seed1: [u8; 32],
+    pub(crate) seed2: [u8; 32],
     /// Round-shared seed for the shard plan — unlike the private per-server
     /// `seed1`/`seed2`, both servers derive the identical plan from it, so
-    /// their per-shard survivor exchanges pair up without coordination.
+    /// their per-shard survivor exchanges pair up without coordination. A
+    /// draw of its own: both servers see it, so it must say nothing about
+    /// either root seed.
     pub(crate) shard_seed: u64,
 }
 
@@ -311,12 +307,11 @@ impl PreparedRound {
     }
 }
 
-/// Where a round attempt seats its two servers: each one's state and,
-/// when restored from a checkpoint, its audit material.
-pub(crate) type Seats = [(RoundState, Option<AuditCheckpoint>); 2];
+/// Where a round attempt seats its two servers: S1's state and S2's.
+pub(crate) type Seats = [RoundState; 2];
 
 /// Both servers at the start of the pipeline.
-pub(crate) const FROM_START: Seats = [(RoundState::Start, None), (RoundState::Start, None)];
+pub(crate) const FROM_START: Seats = [RoundState::Start, RoundState::Start];
 
 /// Link-queue slots beyond the uploads: server↔server frames in flight
 /// (a server emits at most a handful before it needs its peer) and their
@@ -347,8 +342,6 @@ impl SecureEngine {
             timeout: TimeoutPolicy::default(),
             faults: None,
             transport: TransportBackend::default(),
-            audit: None,
-            audit_rounds: AtomicU64::new(0),
         }
     }
 
@@ -381,22 +374,6 @@ impl SecureEngine {
     /// The configured transport backend.
     pub fn transport(&self) -> TransportBackend {
         self.transport
-    }
-
-    /// Attaches a covert-security [`AuditPolicy`]: servers exchange
-    /// commitments to their per-step randomness before every audited
-    /// step, and a seeded `challenge_rate` fraction of rounds
-    /// cross-verify the opened transcripts, turning a deviating server
-    /// into a typed [`SmcError::AuditFailure`].
-    #[must_use]
-    pub fn with_audit(mut self, policy: AuditPolicy) -> Self {
-        self.audit = Some(policy);
-        self
-    }
-
-    /// The attached audit policy, if any.
-    pub fn audit(&self) -> Option<AuditPolicy> {
-        self.audit
     }
 
     /// Sets the data-parallelism config every party in every round uses
@@ -531,7 +508,6 @@ impl SecureEngine {
             &meter,
             self.faults.clone(),
             FROM_START,
-            self.next_audit_round(),
         )?;
         let (done1, done2) = servers.run(&mut ())?;
         Ok(self.finalize_round(&prepared, done1, done2, &meter, fault_stats_before, 0, Vec::new()))
@@ -542,13 +518,6 @@ impl SecureEngine {
         self.faults.as_ref()
     }
 
-    /// Claims the next audit round id from the engine's monotonic
-    /// counter — one id per driven round, feeding the audit challenge
-    /// schedule.
-    pub(crate) fn next_audit_round(&self) -> u64 {
-        self.audit_rounds.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// The user phase, run once per *logical* round: shares, noise,
     /// threshold offsets and the six encrypted payloads per user are all
     /// drawn here. Crash-recovery attempts replay this prepared data
@@ -556,9 +525,10 @@ impl SecureEngine {
     /// round and a recovered outcome can be bit-identical to an
     /// uninterrupted one.
     ///
-    /// Randomness is consumed in the exact order the pre-decomposition
-    /// engine did (per user: z1, z2, share split, then the six payload
-    /// encryptions in upload order, and finally the two server seeds).
+    /// Randomness is consumed in a fixed order: per user z1, z2, the share
+    /// split and the six payload encryptions in upload order; then the
+    /// round's three seeds — S1's root, S2's root, the shard seed — as
+    /// three raw draws, none a function of another.
     pub(crate) fn prepare_round<R: Rng + ?Sized>(
         &self,
         votes: &[Vec<f64>],
@@ -625,18 +595,10 @@ impl SecureEngine {
                 s2_noisy: encrypt_share_vector(&noisy_b, user_ctx.pk1(), par, rng)?,
             });
         }
-        let seed1: u64 = rng.gen();
-        let seed2: u64 = rng.gen();
-        // The shard plan must be identical on both servers, so its seed is
-        // a hashed mix of the two server seeds instead of a fresh draw —
-        // the round's RNG stream stays identical to pre-shard builds, and
-        // the mix does not linearly expose either private seed.
-        let shard_seed = {
-            let mut z = seed1 ^ seed2.rotate_left(32);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let (mut seed1, mut seed2) = ([0u8; 32], [0u8; 32]);
+        rng.fill_bytes(&mut seed1);
+        rng.fill_bytes(&mut seed2);
+        let shard_seed: u64 = rng.gen();
         Ok(PreparedRound {
             roster: roster.to_vec(),
             num_classes,
@@ -674,8 +636,7 @@ impl SecureEngine {
     }
 
     /// Starts one attempt of `prepared`'s round: builds the network,
-    /// injects `uploads` and seats both servers. `round_id` feeds the
-    /// audit challenge schedule.
+    /// injects `uploads` and seats both servers.
     pub(crate) fn launch(
         &self,
         prepared: &PreparedRound,
@@ -683,7 +644,6 @@ impl SecureEngine {
         meter: &Arc<Meter>,
         plan: Option<FaultPlan>,
         seats: Seats,
-        round_id: u64,
     ) -> Result<Servers, SmcError> {
         let mut net = self.build_network(meter, plan);
         let endpoints = [net.take_endpoint(PartyId::Server1), net.take_endpoint(PartyId::Server2)];
@@ -695,28 +655,9 @@ impl SecureEngine {
             sender.as_ref().expect("seated above").send_frame(to, step, payload)?;
         }
         let quorum = self.resilient().then(|| self.quorum());
-        let seat = |role, seed, (state, restored): (RoundState, Option<AuditCheckpoint>)| {
-            let party = party_of(role);
-            let audit = match restored {
-                Some(ckpt) => AuditContext::restore(self.audit, round_id, party, ckpt),
-                None => AuditContext::new(self.audit, round_id, party),
-            };
-            let deviations = [Step::BlindPermute1, Step::BlindPermute2, Step::Restoration]
-                .into_iter()
-                .filter_map(|step| {
-                    Some((step, self.faults.as_ref()?.byzantine_action(party, step)?))
-                })
-                .collect();
-            ServerRound::new(
-                role,
-                prepared.roster.clone(),
-                seed,
-                prepared.shard_seed,
-                quorum,
-                audit,
-            )
-            .from_state(state)
-            .with_deviations(deviations)
+        let seat = |role, seed, state| {
+            ServerRound::new(role, prepared.roster.clone(), seed, prepared.shard_seed, quorum)
+                .from_state(state)
         };
         let [seat1, seat2] = seats;
         let rounds = [
@@ -817,7 +758,6 @@ impl SecureEngine {
             timeouts: fault_stats.timeouts - fault_stats_before.timeouts,
             resumptions,
             resumed_from,
-            audit_challenges: fault_stats.audit_challenges - fault_stats_before.audit_challenges,
         };
         SecureOutcome { label, witness, health }
     }
@@ -1204,20 +1144,63 @@ mod tests {
         assert_eq!(prepared.upload_header(usize::MAX), None);
     }
 
+    /// Passes `inner`'s output through and keeps every byte of it.
+    struct Recording {
+        inner: StdRng,
+        tape: Vec<u8>,
+    }
+
+    impl rand::RngCore for Recording {
+        fn next_u32(&mut self) -> u32 {
+            let word = self.inner.next_u32();
+            self.tape.extend(word.to_le_bytes());
+            word
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let word = self.inner.next_u64();
+            self.tape.extend(word.to_le_bytes());
+            word
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.inner.fill_bytes(dest);
+            self.tape.extend(&*dest);
+        }
+
+        fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
+            self.fill_bytes(dest);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_rounds_three_seeds_are_three_raw_draws() {
+        // Either server holds its own root seed and the shard seed: if one
+        // of the three were computed from the others, it could solve for
+        // its peer's root and replay every permutation and mask it drew.
+        let votes: Vec<Vec<f64>> = (0..4).map(|_| onehot(1)).collect();
+        let mut rng = Recording { inner: StdRng::seed_from_u64(12), tape: Vec::new() };
+        let prepared = engine().prepare_round(&votes, &[0, 1, 2, 3], &mut rng).unwrap();
+        let drawn =
+            [&prepared.seed1[..], &prepared.seed2[..], &prepared.shard_seed.to_le_bytes()].concat();
+        assert_eq!(drawn.len(), 32 + 32 + 8);
+        assert_eq!(rng.tape[rng.tape.len() - drawn.len()..], drawn[..]);
+        assert_ne!(prepared.seed1, prepared.seed2);
+    }
+
     #[test]
     fn server_link_transcript_is_the_same_in_memory_and_over_endpoints() {
         let engine = SecureEngine::with_keys(
             SessionKeys::generate(SessionConfig::test(4, 3), &mut StdRng::seed_from_u64(2024)),
             ConsensusConfig::paper_default(1e-6, 1e-6).with_min_users(3),
-        )
-        .with_audit(AuditPolicy::strict());
+        );
         let votes: Vec<Vec<f64>> = (0..4).map(|_| onehot(2)).collect();
         let prepared =
             engine.prepare_round(&votes, &[0, 1, 2, 3], &mut StdRng::seed_from_u64(9)).unwrap();
 
-        let launch = || {
-            engine.launch(&prepared, prepared.upload_frames(), &Meter::new(), None, FROM_START, 0)
-        };
+        let launch =
+            || engine.launch(&prepared, prepared.upload_frames(), &Meter::new(), None, FROM_START);
         struct Tape(Vec<Frame>);
         impl RoundHook for Tape {
             fn sending(&mut self, from: PartyId, frame: &Outbound) {

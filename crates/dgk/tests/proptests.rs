@@ -44,10 +44,10 @@ fn sized_keypairs() -> &'static [DgkKeypair] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The audit replays a server's draws by position and every parity
-    /// suite pins frames by fingerprint, so the key holder's route has to
-    /// be indistinguishable from the public one on the wire and in the
-    /// generator: equal ciphertext, equal next draw.
+    /// Every parity suite pins frames by fingerprint and a resumed step
+    /// re-derives its stream by position, so the key holder's route has
+    /// to be indistinguishable from the public one on the wire and in
+    /// the generator: equal ciphertext, equal next draw.
     #[test]
     fn key_holder_bit_encryption_matches_public_byte_for_byte(
         size in 0usize..3,

@@ -6,9 +6,9 @@
 //! `std::thread::scope`. Two invariants shape the design:
 //!
 //! 1. **Bit-identical to sequential.** Randomized loops never share an RNG
-//!    across a split. [`Parallelism::map_seeded`] draws one `u64` seed per
-//!    item from the caller's RNG *sequentially up front*, then hands each
-//!    item its own `StdRng` derived from its seed. The sequential path
+//!    across a split. [`Parallelism::map_seeded`] draws one 256-bit seed
+//!    per item from the caller's RNG *sequentially up front*, then hands
+//!    each item its own `StdRng` keyed with its seed. The sequential path
 //!    (`threads == 1`, or a batch below [`Parallelism::min_batch`]) uses the
 //!    exact same derivation, so outputs do not depend on the thread count.
 //! 2. **Deterministic errors.** [`Parallelism::try_map`] evaluates every
@@ -23,6 +23,19 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One full-width `StdRng` seed per item, drawn from `rng` in index order.
+/// These streams feed every Paillier randomizer of an upload and every
+/// DGK bit encryption, so a seed carries the generator's whole key width.
+fn item_seeds<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<[u8; 32]> {
+    (0..n)
+        .map(|_| {
+            let mut seed = [0u8; 32];
+            rng.fill_bytes(&mut seed);
+            seed
+        })
+        .collect()
+}
 
 /// Default minimum batch size before a loop is split across workers.
 ///
@@ -212,11 +225,11 @@ impl Parallelism {
 
     /// Randomized map: one independent `StdRng` stream per item.
     ///
-    /// Draws `items.len()` seeds from `rng` sequentially, then applies `f`
-    /// with a fresh `StdRng` seeded from the item's own seed. The caller's
-    /// RNG advances by exactly `items.len()` draws regardless of the thread
-    /// count, and per-item streams never interleave — this is what makes
-    /// parallel output bit-identical to sequential.
+    /// Draws `items.len()` 32-byte seeds from `rng` sequentially, then
+    /// applies `f` with a fresh `StdRng` keyed with the item's own seed. The
+    /// caller's RNG advances by exactly `items.len()` seeds regardless of
+    /// the thread count, and per-item streams never interleave — this is
+    /// what makes parallel output bit-identical to sequential.
     pub fn map_seeded<T, U, F, R>(&self, items: &[T], rng: &mut R, f: F) -> Vec<U>
     where
         T: Sync,
@@ -224,9 +237,9 @@ impl Parallelism {
         F: Fn(usize, &T, &mut StdRng) -> U + Sync,
         R: Rng + ?Sized,
     {
-        let seeds: Vec<u64> = (0..items.len()).map(|_| rng.gen()).collect();
+        let seeds = item_seeds(items.len(), rng);
         self.map(items, |i, item| {
-            let mut item_rng = StdRng::seed_from_u64(seeds[i]);
+            let mut item_rng = StdRng::from_seed(seeds[i]);
             f(i, item, &mut item_rng)
         })
     }
@@ -241,9 +254,9 @@ impl Parallelism {
         F: Fn(usize, &T, &mut StdRng) -> Result<U, E> + Sync,
         R: Rng + ?Sized,
     {
-        let seeds: Vec<u64> = (0..items.len()).map(|_| rng.gen()).collect();
+        let seeds = item_seeds(items.len(), rng);
         self.try_map(items, |i, item| {
-            let mut item_rng = StdRng::seed_from_u64(seeds[i]);
+            let mut item_rng = StdRng::from_seed(seeds[i]);
             f(i, item, &mut item_rng)
         })
     }
@@ -274,6 +287,7 @@ impl Parallelism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     #[test]
     fn default_is_sequential() {
@@ -389,11 +403,12 @@ mod tests {
         let out = par.map_n_seeded(5, &mut rng, |i, item_rng| (i as u64) + item_rng.gen::<u64>());
 
         let mut manual_rng = StdRng::seed_from_u64(99);
-        let seeds: Vec<u64> = (0..5).map(|_| manual_rng.gen()).collect();
-        let manual: Vec<u64> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (i as u64) + StdRng::seed_from_u64(s).gen::<u64>())
+        let manual: Vec<u64> = (0..5)
+            .map(|i| {
+                let mut seed = [0u8; 32];
+                manual_rng.fill_bytes(&mut seed);
+                i + StdRng::from_seed(seed).gen::<u64>()
+            })
             .collect();
         assert_eq!(out, manual);
     }

@@ -34,16 +34,12 @@
 //! needs (the vote sums and the noisy threshold sequence must share a
 //! permutation).
 
-use bigint::Ubig;
 use paillier::Ciphertext;
 use rand::rngs::StdRng;
-use transport::{ByzantineAction, Step};
+use transport::Step;
 
-use crate::audit::transpose01;
 use crate::error::SmcError;
-use crate::machine::{
-    decode, expect_len, from_peer, peer_of, Attest, Inbound, Machine, Next, Outbox,
-};
+use crate::machine::{decode, expect_len, from_peer, peer_of, Inbound, Machine, Next, Outbox};
 use crate::pack::Packer;
 use crate::permutation::Permutation;
 use crate::session::{ServerContext, ServerRole};
@@ -67,19 +63,16 @@ enum Stage {
     PermutedA {
         pi1: Permutation,
         r1: Vec<i128>,
-        stale: Option<Vec<Ciphertext>>,
     },
     /// S1 sent `E_pk1[r1]`, waits for `E_pk1[π2(b+r1+r2)+r3]` …
     MaskedB {
         pi1: Permutation,
         sequences: Vec<Vec<i128>>,
-        stale: Option<Vec<Ciphertext>>,
     },
     /// … and then for `E_pk2[−r3]`.
     NegR3 {
         pi1: Permutation,
         sequences: Vec<Vec<i128>>,
-        stale: Option<Vec<Ciphertext>>,
         masked_b: Vec<Ciphertext>,
     },
     /// S2 waits for `E_pk2[a + r1]`.
@@ -102,11 +95,6 @@ enum Stage {
 /// One server's side of Alg. 2 over `enc`: on S1 the aggregated `a`-share
 /// vectors encrypted under pk2, on S2 the `b`-share vectors under pk1.
 ///
-/// `byzantine` is the covert deviation the fault plan schedules here, if
-/// any: the machine attests (see [`Attest`], [`Outbox::send_forged`]) to
-/// what it actually drew and to the frames an honest run would have sent,
-/// so a challenge replay from the committed seed exposes the substitution.
-///
 /// # Errors
 ///
 /// Resuming fails on transport, cryptosystem or domain errors.
@@ -115,37 +103,21 @@ pub struct BlindPermute {
     enc: Vec<Vec<Ciphertext>>,
     step: Step,
     rng: StdRng,
-    byzantine: Option<ByzantineAction>,
     stage: Stage,
 }
 
 impl BlindPermute {
     /// Alg. 2 over `enc` under `step`, drawing from `rng`.
-    pub fn new(
-        enc: Vec<Vec<Ciphertext>>,
-        step: Step,
-        rng: StdRng,
-        byzantine: Option<ByzantineAction>,
-    ) -> BlindPermute {
-        BlindPermute { enc, step, rng, byzantine, stage: Stage::Start }
+    pub fn new(enc: Vec<Vec<Ciphertext>>, step: Step, rng: StdRng) -> BlindPermute {
+        BlindPermute { enc, step, rng, stage: Stage::Start }
     }
 
     /// Draws this server's permutation and one scalar mask per vector in
-    /// the batch, and attests to them. Covert deviations replace the
-    /// committed draws with tampered ones.
-    fn draw(&mut self, ctx: &ServerContext, out: &mut Outbox) -> (Permutation, Vec<i128>) {
+    /// the batch.
+    fn draw(&mut self, ctx: &ServerContext) -> (Permutation, Vec<i128>) {
         let domain = ctx.domain();
-        let mut pi = Permutation::random(ctx.config().num_classes, &mut self.rng);
-        let mut r: Vec<i128> =
-            (0..self.enc.len()).map(|_| domain.random_mask(&mut self.rng)).collect();
-        if self.byzantine == Some(ByzantineAction::TamperPermutation) {
-            pi = transpose01(&pi);
-        }
-        if self.byzantine == Some(ByzantineAction::DropMask) {
-            r[0] = 0;
-        }
-        out.attest.push(Attest::Permutation(pi.clone()));
-        out.attest.push(Attest::Masks(r.clone()));
+        let pi = Permutation::random(ctx.config().num_classes, &mut self.rng);
+        let r = (0..self.enc.len()).map(|_| domain.random_mask(&mut self.rng)).collect();
         (pi, r)
     }
 }
@@ -174,7 +146,7 @@ impl Machine for BlindPermute {
         let (peer, step) = (peer_of(ctx.role()), self.step);
         match std::mem::replace(&mut self.stage, Stage::Finished) {
             Stage::Start if ctx.role() == ServerRole::Server1 => {
-                let (pi1, r1) = self.draw(ctx, out);
+                let (pi1, r1) = self.draw(ctx);
                 // Step 1: send E_pk2[a + r1] to S2, the whole batch packed
                 // row after row; each row's scalar mask rides in with the
                 // slot offsets.
@@ -183,21 +155,10 @@ impl Machine for BlindPermute {
                 }
                 let masks: Vec<i128> =
                     r1.iter().flat_map(|&mask| std::iter::repeat_n(mask, k)).collect();
-                let masked_a = to_peer.fold_masked(&self.enc.concat(), &masks)?;
-                if self.byzantine == Some(ByzantineAction::Equivocate) {
-                    // Attest to the honest frame, put a different one on
-                    // the wire: slot 0 is one off.
-                    let mut forged = masked_a.clone();
-                    forged[0] = peer_pk.add_plain(&forged[0], &Ubig::one());
-                    out.send_forged(peer, step, &masked_a, &forged);
-                } else {
-                    out.send(peer, step, &masked_a);
-                }
-                let stale =
-                    (self.byzantine == Some(ByzantineAction::ReplayStaleFrame)).then_some(masked_a);
-                self.stage = Stage::PermutedA { pi1, r1, stale };
+                out.send(peer, step, &to_peer.fold_masked(&self.enc.concat(), &masks)?);
+                self.stage = Stage::PermutedA { pi1, r1 };
             }
-            Stage::PermutedA { pi1, r1, stale } => {
+            Stage::PermutedA { pi1, r1 } => {
                 // Step 2 happened on S2; π2(a + r1 + r2) arrives in plaintext.
                 let permuted_a: Vec<Vec<i128>> = decode(answer)?;
                 expect_len(m, permuted_a.len())?;
@@ -218,15 +179,15 @@ impl Machine for BlindPermute {
                     },
                 )?;
                 out.send(peer, step, &enc_r1);
-                self.stage = Stage::MaskedB { pi1, sequences, stale };
+                self.stage = Stage::MaskedB { pi1, sequences };
             }
-            Stage::MaskedB { pi1, sequences, stale } => {
+            Stage::MaskedB { pi1, sequences } => {
                 // Step 4 happened on S2: E_pk1[π2(b+r1+r2)+r3], packed …
                 let masked_b: Vec<Ciphertext> = decode(answer)?;
                 expect_len(to_own.frame_len(m * k), masked_b.len())?;
-                self.stage = Stage::NegR3 { pi1, sequences, stale, masked_b };
+                self.stage = Stage::NegR3 { pi1, sequences, masked_b };
             }
-            Stage::NegR3 { pi1, sequences, stale, masked_b } => {
+            Stage::NegR3 { pi1, sequences, masked_b } => {
                 // … and E_pk2[−r3], entry by entry: S1 has to permute them.
                 let neg_r3: Vec<Vec<Ciphertext>> = decode(answer)?;
                 expect_len(m, neg_r3.len())?;
@@ -250,17 +211,11 @@ impl Machine for BlindPermute {
                     .zip(&to_peer.fold(&negs))
                     .map(|(reenc, neg)| peer_pk.add(reenc, neg))
                     .collect();
-                match stale {
-                    // Resend the step-1 frame in place of the
-                    // re-encryption; it has the same shape and decrypts
-                    // cleanly, but is stale.
-                    Some(masked_a) => out.send_forged(peer, step, &reencrypted, &masked_a),
-                    None => out.send(peer, step, &reencrypted),
-                }
+                out.send(peer, step, &reencrypted);
                 return Ok(Next::Done(BlindPermuteOutput { sequences, own_permutation: pi1 }));
             }
             Stage::Start => {
-                let (pi2, r2) = self.draw(ctx, out);
+                let (pi2, r2) = self.draw(ctx);
                 self.stage = Stage::MaskedA { pi2, r2 };
             }
             Stage::MaskedA { pi2, r2 } => {
@@ -274,13 +229,7 @@ impl Machine for BlindPermute {
                         pi2.apply(&row.iter().map(|v| v + mask2).collect::<Vec<i128>>())
                     })
                     .collect();
-                if self.byzantine == Some(ByzantineAction::Equivocate) {
-                    let mut forged = permuted_a.clone();
-                    forged[0][0] += 1;
-                    out.send_forged(peer, step, &permuted_a, &forged);
-                } else {
-                    out.send(peer, step, &permuted_a);
-                }
+                out.send(peer, step, &permuted_a);
                 self.stage = Stage::EncR1 { pi2, r2 };
             }
             Stage::EncR1 { pi2, r2 } => {
@@ -309,18 +258,8 @@ impl Machine for BlindPermute {
                         },
                     )?);
                 }
-                let masked_b = to_peer.fold_masked(&permuted_b, &masks)?;
-                out.send(peer, step, &masked_b);
-                if self.byzantine == Some(ByzantineAction::ReplayStaleFrame) {
-                    // Resend the masked-b ciphertexts in place of −r3,
-                    // cycled to the honest frame's shape; stale content.
-                    let mut replay = masked_b.iter().cycle().cloned();
-                    let stale: Vec<Vec<Ciphertext>> =
-                        (0..m).map(|_| replay.by_ref().take(k).collect()).collect();
-                    out.send_forged(peer, step, &neg_r3, &stale);
-                } else {
-                    out.send(peer, step, &neg_r3);
-                }
+                out.send(peer, step, &to_peer.fold_masked(&permuted_b, &masks)?);
+                out.send(peer, step, &neg_r3);
                 self.stage = Stage::Final { pi2 };
             }
             Stage::Final { pi2 } => {
@@ -366,8 +305,8 @@ mod tests {
         let enc_b = encrypt(&b_vectors, user_ctx.pk1());
 
         let step = Step::BlindPermute1;
-        let s1 = BlindPermute::new(enc_a, step, StdRng::seed_from_u64(seed + 1), None);
-        let s2 = BlindPermute::new(enc_b, step, StdRng::seed_from_u64(seed + 2), None);
+        let s1 = BlindPermute::new(enc_a, step, StdRng::seed_from_u64(seed + 1));
+        let s2 = BlindPermute::new(enc_b, step, StdRng::seed_from_u64(seed + 2));
         run_pair((&s1_ctx, s1), (&s2_ctx, s2), Vec::new()).unwrap().outputs
     }
 

@@ -60,19 +60,6 @@ pub enum SmcError {
         /// The configured quorum the round needed.
         required: usize,
     },
-    /// A covert-security audit challenge convicted a server: its opened
-    /// commitment, attested transcript, or replayed permutation/mask
-    /// draws are inconsistent with what actually happened. Distinct from
-    /// [`SmcError::QuorumLost`]; the round aborts without releasing a
-    /// label and the evidence names the deviation.
-    AuditFailure {
-        /// The server the audit convicted.
-        party: transport::PartyId,
-        /// The protocol step the deviation occurred at.
-        step: transport::Step,
-        /// What the challenge found inconsistent.
-        evidence: crate::audit::AuditEvidence,
-    },
 }
 
 impl fmt::Display for SmcError {
@@ -95,9 +82,6 @@ impl fmt::Display for SmcError {
             SmcError::QuorumLost { step, survivors, required } => {
                 write!(f, "quorum lost at {step}: {survivors} survivors < {required} required")
             }
-            SmcError::AuditFailure { party, step, evidence } => {
-                write!(f, "audit failure: {party} deviated at {step}: {evidence}")
-            }
         }
     }
 }
@@ -113,8 +97,7 @@ impl Error for SmcError {
             SmcError::LengthMismatch { .. }
             | SmcError::InvalidCiphertext { .. }
             | SmcError::DuplicateSubmission { .. }
-            | SmcError::QuorumLost { .. }
-            | SmcError::AuditFailure { .. } => None,
+            | SmcError::QuorumLost { .. } => None,
         }
     }
 }

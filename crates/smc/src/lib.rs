@@ -31,8 +31,6 @@
 //!   knock-out bracket of `K−1` comparisons in `⌈log₂K⌉` such rounds;
 //! * [`restoration`] — Alg. 3, recovering the true label index of a
 //!   permuted position;
-//! * [`audit`] — covert-security commit-and-challenge verification of
-//!   the blind-permute/restoration transcripts (typed audit aborts);
 //! * [`state`] — the serializable per-step round state machine behind
 //!   crash recovery (checkpointed through [`transport::checkpoint`]);
 //! * [`validate`] — adversarial validation of inbound uploads
@@ -40,11 +38,15 @@
 //!
 //! Each protocol has a deterministic plaintext *reference model* used by
 //! tests to pin the secure execution to its specification.
+//!
+//! The threat model is the paper's and only the paper's: two
+//! honest-but-curious, non-colluding servers (DESIGN.md §11). Bytes from
+//! the network are validated and fail typed; a server that *deviates* is
+//! out of scope, and nothing here claims to catch one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod blind_permute;
 pub mod bracket;
 pub mod compare;
@@ -62,7 +64,6 @@ pub mod shard;
 pub mod state;
 pub mod validate;
 
-pub use audit::{AuditCheckpoint, AuditContext, AuditEvidence, AuditPolicy, Audited};
 pub use domain::{ShareDomain, SharesOutOfRange};
 pub use error::SmcError;
 pub use machine::{run_pair, Machine};
@@ -72,5 +73,5 @@ pub use permutation::Permutation;
 pub use round::ServerRound;
 pub use session::{ServerContext, ServerRole, SessionConfig, SessionKeys, UserContext};
 pub use shard::{ShardAccumulator, ShardConfig, ShardPlan};
-pub use state::{CheckpointImage, RoundState};
+pub use state::RoundState;
 pub use validate::UploadValidator;

@@ -13,8 +13,8 @@
 //! its events on the meter, and performs the receive.
 //!
 //! A lost frame is an *input*: resilient collection turns a timed-out
-//! upload into a dropout, a strict audit turns a timed-out opening into a
-//! conviction, everything else fails the round with the typed error.
+//! upload into a dropout, everything else fails the round with the typed
+//! error.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -22,7 +22,6 @@ use bytes::Bytes;
 use transport::{FaultEvent, PartyId, Step, TransportError, Wire};
 
 use crate::error::SmcError;
-use crate::permutation::Permutation;
 use crate::session::{ServerContext, ServerRole};
 
 /// How a requested receive ended: the frame's per-link sequence number
@@ -38,10 +37,6 @@ pub struct Outbound {
     pub step: Step,
     /// The encoded frame that goes on the wire.
     pub payload: Bytes,
-    /// What the sender *attests* to having sent, when that is not
-    /// `payload`: set only by a scheduled covert deviation (see
-    /// [`transport::ByzantineAction`]) and read only by the audit layer.
-    pub attested: Option<Bytes>,
 }
 
 /// The one frame a machine needs next.
@@ -76,44 +71,21 @@ impl<O> Next<O> {
     }
 }
 
-/// Randomness a machine used, declared to the audit layer as it is
-/// drawn (see [`crate::audit::Audited`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Attest {
-    /// The permutation actually applied.
-    Permutation(Permutation),
-    /// Masks actually used, in draw order.
-    Masks(Vec<i128>),
-}
-
 /// Everything a resume hands its driver besides [`Next`]. It is passed
-/// in rather than returned so that what was emitted before an error —
-/// a rejection counter, an audit verdict — still reaches the meter.
+/// in rather than returned so that what was emitted before an error — a
+/// rejection counter — still reaches the meter.
 #[derive(Debug, Default)]
 pub struct Outbox {
     /// Frames to send, in order.
     pub frames: Vec<Outbound>,
     /// Reliability events to count.
     pub events: Vec<FaultEvent>,
-    /// Draws to attest, in order.
-    pub attest: Vec<Attest>,
 }
 
 impl Outbox {
     /// Queues `value` for `to`.
     pub fn send<T: Wire>(&mut self, to: PartyId, step: Step, value: &T) {
-        self.frames.push(Outbound { to, step, payload: value.to_bytes(), attested: None });
-    }
-
-    /// Queues `wire` for `to` while attesting to `honest` — a covert
-    /// deviation's frame.
-    pub fn send_forged<T: Wire>(&mut self, to: PartyId, step: Step, honest: &T, wire: &T) {
-        self.frames.push(Outbound {
-            to,
-            step,
-            payload: wire.to_bytes(),
-            attested: Some(honest.to_bytes()),
-        });
+        self.frames.push(Outbound { to, step, payload: value.to_bytes() });
     }
 }
 
@@ -306,7 +278,7 @@ pub fn run_pair_lossy<A: Machine, B: Machine>(
                 Next::Recv(recv) => Some(recv),
                 Next::Done(()) => None,
             };
-            for Outbound { to, step, payload, .. } in out.frames {
+            for Outbound { to, step, payload } in out.frames {
                 inboxes[side_of(to)].push(party_of(role), step, payload.clone());
                 transcript.push(Frame { from: party_of(role), to, step, payload });
             }

@@ -28,13 +28,10 @@
 
 use paillier::{Ciphertext, PublicKey};
 use rand::rngs::StdRng;
-use transport::{ByzantineAction, Step};
+use transport::Step;
 
-use crate::audit::transpose01;
 use crate::error::SmcError;
-use crate::machine::{
-    decode, expect_len, from_peer, peer_of, Attest, Inbound, Machine, Next, Outbox,
-};
+use crate::machine::{decode, expect_len, from_peer, peer_of, Inbound, Machine, Next, Outbox};
 use crate::pack::Packer;
 use crate::permutation::Permutation;
 use crate::session::{ServerContext, ServerRole};
@@ -69,21 +66,17 @@ enum Stage {
 /// the winning slot `π(ĩ*)` both servers learned from the ranking (S2
 /// starts the walk from it). Finishes with the true label index.
 ///
-/// `byzantine` is the covert deviation the fault plan schedules here, if
-/// any; see [`crate::blind_permute::BlindPermute`].
-///
 /// # Errors
 ///
-/// Resuming fails on transport, cryptosystem or domain errors, or if the
-/// recovered vector is not a valid one-hot indicator (which would mean a
-/// corrupted run).
+/// Resuming fails on transport, cryptosystem or domain errors, if the
+/// recovered vector is not a valid one-hot indicator, or if the announced
+/// label is not a class index (either would mean a corrupted run).
 #[derive(Debug)]
 pub struct Restoration {
     permutation: Permutation,
     permuted_slot: usize,
     step: Step,
     rng: StdRng,
-    byzantine: Option<ByzantineAction>,
     stage: Stage,
 }
 
@@ -94,20 +87,14 @@ impl Restoration {
         permuted_slot: usize,
         step: Step,
         rng: StdRng,
-        byzantine: Option<ByzantineAction>,
     ) -> Restoration {
-        Restoration { permutation, permuted_slot, step, rng, byzantine, stage: Stage::Start }
+        Restoration { permutation, permuted_slot, step, rng, stage: Stage::Start }
     }
 
-    /// Draws this server's per-entry masks and attests to them.
-    fn draw_masks(&mut self, ctx: &ServerContext, out: &mut Outbox) -> Vec<i128> {
+    /// Draws this server's per-entry masks.
+    fn draw_masks(&mut self, ctx: &ServerContext) -> Vec<i128> {
         let (k, domain) = (ctx.config().num_classes, ctx.domain());
-        let mut r: Vec<i128> = (0..k).map(|_| domain.random_mask(&mut self.rng)).collect();
-        if self.byzantine == Some(ByzantineAction::DropMask) {
-            r[0] = 0;
-        }
-        out.attest.push(Attest::Masks(r.clone()));
-        r
+        (0..k).map(|_| domain.random_mask(&mut self.rng)).collect()
     }
 }
 
@@ -119,8 +106,7 @@ impl Restoration {
 /// it chose: dividing the plaintext it decrypts out of the frame, and the
 /// plaintexts it knows out of what it sent, leaves bare randomizers it
 /// can match to positions — the sender's inverse permutation, and with
-/// it the labels behind step 8's outcome bits. Drawn after the masks, so
-/// the audit replays the same draws as before.
+/// it the labels behind step 8's outcome bits.
 fn rerandomized(key: &PublicKey, frame: &[Ciphertext], rng: &mut StdRng) -> Vec<Ciphertext> {
     frame.iter().map(|c| key.rerandomize(c, rng)).collect()
 }
@@ -151,14 +137,6 @@ impl Machine for Restoration {
         };
         match std::mem::replace(&mut self.stage, Stage::Finished) {
             Stage::Start => {
-                // A tampering server walks the indicator through the
-                // wrong inverse; it attests to the permutation actually
-                // used, which the peer checks against the one verified at
-                // the second Blind-and-Permute.
-                if self.byzantine == Some(ByzantineAction::TamperPermutation) {
-                    self.permutation = transpose01(&self.permutation);
-                }
-                out.attest.push(Attest::Permutation(self.permutation.clone()));
                 if ctx.role() == ServerRole::Server1 {
                     self.stage = Stage::Indicator;
                 } else {
@@ -181,7 +159,7 @@ impl Machine for Restoration {
                 // Step 1 output from S2: E_pk2[π(e)]. Step 2: revert π1,
                 // add per-entry mask r1 and pack for S2's one decryption.
                 let reverted = self.permutation.inverse().apply(&decode_k(answer)?);
-                let r1 = self.draw_masks(ctx, out);
+                let r1 = self.draw_masks(ctx);
                 let masked = to_peer.fold_masked(&reverted, &r1)?;
                 out.send(peer, step, &rerandomized(peer_pk, &masked, &mut self.rng));
                 self.stage = Stage::PlainMasked { r1 };
@@ -206,50 +184,33 @@ impl Machine for Restoration {
                 // Step 5 output from S2: E_pk1[e + r2]; step 6: decrypt
                 // and return.
                 let plain = to_own.open(sk, &decode::<Vec<Ciphertext>>(answer)?, k)?;
-                if self.byzantine == Some(ByzantineAction::Equivocate) {
-                    let mut forged = plain.clone();
-                    forged[0] += 1;
-                    out.send_forged(peer, step, &plain, &forged);
-                } else {
-                    out.send(peer, step, &plain);
-                }
+                out.send(peer, step, &plain);
                 self.stage = Stage::Winner;
             }
             Stage::Winner => {
-                // Step 7: S2 announces the winner.
-                let winner: u64 = decode(answer)?;
-                return Ok(Next::Done(winner as usize));
+                // Step 7: S2 announces the winner. Only a class index is
+                // released as a label; anything else is protocol
+                // corruption, as a malformed indicator is on S2.
+                let winner = usize::try_from(decode::<u64>(answer)?).unwrap_or(usize::MAX);
+                if winner >= k {
+                    return Err(SmcError::LengthMismatch { expected: k, got: winner });
+                }
+                return Ok(Next::Done(winner));
             }
             Stage::Masked => {
                 // Step 3: decrypt S1's masked, π1-reverted vector and
                 // bounce it back in plaintext.
                 let plain_masked = to_own.open(sk, &decode::<Vec<Ciphertext>>(answer)?, k)?;
-                if self.byzantine == Some(ByzantineAction::Equivocate) {
-                    let mut forged = plain_masked.clone();
-                    forged[0] += 1;
-                    out.send_forged(peer, step, &plain_masked, &forged);
-                } else {
-                    out.send(peer, step, &plain_masked);
-                }
+                out.send(peer, step, &plain_masked);
                 self.stage = Stage::EncPi2E;
             }
             Stage::EncPi2E => {
                 // Step 5: revert π2 on the re-encrypted vector, add r2 and
                 // pack for S1's one decryption.
-                let enc_pi2_e = decode_k(answer)?;
-                let reverted = self.permutation.inverse().apply(&enc_pi2_e);
-                let r2 = self.draw_masks(ctx, out);
-                let masked_e =
-                    rerandomized(peer_pk, &to_peer.fold_masked(&reverted, &r2)?, &mut self.rng);
-                if self.byzantine == Some(ByzantineAction::ReplayStaleFrame) {
-                    // Echo the head of S1's own step-4 frame in place of
-                    // the masked one: same shape, decrypts cleanly under
-                    // sk1, stale content.
-                    let stale = enc_pi2_e[..masked_e.len()].to_vec();
-                    out.send_forged(peer, step, &masked_e, &stale);
-                } else {
-                    out.send(peer, step, &masked_e);
-                }
+                let reverted = self.permutation.inverse().apply(&decode_k(answer)?);
+                let r2 = self.draw_masks(ctx);
+                let masked_e = to_peer.fold_masked(&reverted, &r2)?;
+                out.send(peer, step, &rerandomized(peer_pk, &masked_e, &mut self.rng));
                 self.stage = Stage::PlainE { r2 };
             }
             Stage::PlainE { r2 } => {
@@ -299,8 +260,8 @@ mod tests {
         let slot = pi1.compose(&pi2).apply_index(true_label);
 
         let step = Step::Restoration;
-        let s1 = Restoration::new(pi1, slot, step, StdRng::seed_from_u64(seed + 1), None);
-        let s2 = Restoration::new(pi2, slot, step, StdRng::seed_from_u64(seed + 2), None);
+        let s1 = Restoration::new(pi1, slot, step, StdRng::seed_from_u64(seed + 1));
+        let s2 = Restoration::new(pi2, slot, step, StdRng::seed_from_u64(seed + 2));
         run_pair((&s1_ctx, s1), (&s2_ctx, s2), Vec::new()).unwrap()
     }
 

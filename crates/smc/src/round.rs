@@ -6,14 +6,13 @@
 //! state. Both servers run this same pipeline — the role only decides
 //! which half of each sub-protocol the lent [`ServerContext`] plays.
 //! A driver that resumes it step by step ([`ServerRound::resume_step`])
-//! can snapshot [`ServerRound::checkpoint`] between steps and later
-//! re-enter the pipeline at exactly that boundary.
+//! can snapshot [`ServerRound::state`] between steps and later re-enter
+//! the pipeline at exactly that boundary.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use transport::{ByzantineAction, Step};
+use rand::{RngCore, SeedableRng};
+use transport::Step;
 
-use crate::audit::{AuditContext, Audited};
 use crate::blind_permute::{BlindPermute, BlindPermuteOutput};
 use crate::bracket::Argmax;
 use crate::compare::CompareRound;
@@ -23,33 +22,36 @@ use crate::restoration::Restoration;
 use crate::secure_sum::{Collect, SurvivorAggregate};
 use crate::session::{ServerContext, ServerRole};
 use crate::shard::ShardPlan;
-use crate::state::{CheckpointImage, RoundState};
+use crate::state::RoundState;
 
-/// Derives the RNG seed for one protocol step from a server's root seed
-/// (SplitMix64 of the seed and the step ordinal).
+/// The RNG one protocol step draws from: a generator keyed with the
+/// server's 256-bit root seed produces 32-byte blocks, and the step's own
+/// generator is keyed with the block at the step's ordinal.
 ///
 /// Each step draws from its own derived stream instead of one rolling
 /// RNG: resuming the pipeline at step *k* then reproduces the exact
 /// randomness the uninterrupted run would have used there, which is what
 /// makes recovered rounds bit-identical. Crash recovery never needs to
 /// checkpoint RNG *states* — only the root seeds, drawn once per round.
-/// The audit layer commits to this seed before the step runs, so a
-/// challenged server's draws can be replayed verbatim by its peer.
-fn step_seed(root_seed: u64, step: Step) -> u64 {
-    let mut z = root_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(step.ordinal()) + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// A step's seed is generator output, not an invertible function of the
+/// root, and carries the generator's whole key width.
+fn step_rng(root_seed: &[u8; 32], step: Step) -> StdRng {
+    let mut blocks = StdRng::from_seed(*root_seed);
+    let mut seed = [0u8; 32];
+    for _ in 0..=step.ordinal() {
+        blocks.fill_bytes(&mut seed);
+    }
+    StdRng::from_seed(seed)
 }
 
 /// The sub-protocol of the step in progress.
 #[derive(Debug)]
 enum StepMachine {
     Collect(Collect),
-    BlindPermute(Audited<BlindPermute>),
+    BlindPermute(BlindPermute),
     Argmax(Argmax),
     Threshold(CompareRound),
-    Restore(Audited<Restoration>),
+    Restore(Restoration),
 }
 
 /// What a step's sub-protocol computed.
@@ -84,29 +86,27 @@ impl StepMachine {
 pub struct ServerRound {
     role: ServerRole,
     roster: Vec<usize>,
-    root_seed: u64,
+    root_seed: [u8; 32],
     shard_seed: u64,
     quorum: Option<usize>,
-    deviations: Vec<(Step, ByzantineAction)>,
     state: RoundState,
-    audit: AuditContext,
     step: Option<StepMachine>,
 }
 
 impl ServerRound {
     /// `role`'s side of a round over `roster`, at [`RoundState::Start`].
     ///
-    /// `root_seed` is this server's private seed; `shard_seed` is
-    /// round-shared, so both servers derive the identical shard plan and
-    /// their streaming folds and per-shard exchanges line up. `quorum`
-    /// selects the collection mode (see [`Collect`]).
+    /// `root_seed` is this server's private seed, which its peer must
+    /// never see or be able to derive; `shard_seed` is round-shared, so
+    /// both servers derive the identical shard plan and their streaming
+    /// folds and per-shard exchanges line up. `quorum` selects the
+    /// collection mode (see [`Collect`]).
     pub fn new(
         role: ServerRole,
         roster: Vec<usize>,
-        root_seed: u64,
+        root_seed: [u8; 32],
         shard_seed: u64,
         quorum: Option<usize>,
-        audit: AuditContext,
     ) -> ServerRound {
         ServerRound {
             role,
@@ -114,9 +114,7 @@ impl ServerRound {
             root_seed,
             shard_seed,
             quorum,
-            deviations: Vec::new(),
             state: RoundState::Start,
-            audit,
             step: None,
         }
     }
@@ -129,39 +127,22 @@ impl ServerRound {
         self
     }
 
-    /// Schedules covert deviations: at most one per audited step.
-    #[must_use]
-    pub fn with_deviations(mut self, deviations: Vec<(Step, ByzantineAction)>) -> ServerRound {
-        self.deviations = deviations;
-        self
-    }
-
     /// Which server this is.
     pub fn role(&self) -> ServerRole {
         self.role
     }
 
-    /// The state after the last completed step.
+    /// The state after the last completed step — what a durable
+    /// checkpoint of that step holds.
     pub fn state(&self) -> &RoundState {
         &self.state
-    }
-
-    /// What a durable checkpoint of the last completed step holds.
-    pub fn checkpoint(&self) -> CheckpointImage {
-        CheckpointImage {
-            state: self.state.clone(),
-            audit: self.audit.enabled().then(|| self.audit.checkpoint()),
-        }
     }
 
     /// Deals the next step's sub-protocol from the current state.
     fn deal(&mut self, ctx: &ServerContext) -> StepMachine {
         let step = self.state.next_step().expect("cannot advance a terminal round state");
-        let seed = step_seed(self.root_seed, step);
-        let rng = StdRng::seed_from_u64(seed);
+        let rng = step_rng(&self.root_seed, step);
         let k = ctx.config().num_classes;
-        let byzantine =
-            self.deviations.iter().find(|(at, _)| *at == step).map(|&(_, action)| action);
         let collect = |users: &[usize], vectors_per_user| {
             let plan = ShardPlan::derive(self.shard_seed, users, ctx.config().shards);
             StepMachine::Collect(Collect::new(ctx, step, plan, k, vectors_per_user, self.quorum))
@@ -173,14 +154,11 @@ impl ServerRound {
             RoundState::Gated { survivors } => collect(survivors, 1),
             // Step 3: Blind-and-Permute over both vectors, one shared π;
             // step 7: over the noisy votes, fresh π′.
-            RoundState::Summed { votes, thresh, .. } => {
-                let inner =
-                    BlindPermute::new(vec![votes.clone(), thresh.clone()], step, rng, byzantine);
-                StepMachine::BlindPermute(self.audit.wrap(inner, step, seed, k, 2))
-            }
+            RoundState::Summed { votes, thresh, .. } => StepMachine::BlindPermute(
+                BlindPermute::new(vec![votes.clone(), thresh.clone()], step, rng),
+            ),
             RoundState::SummedNoisy { noisy, .. } => {
-                let inner = BlindPermute::new(vec![noisy.clone()], step, rng, byzantine);
-                StepMachine::BlindPermute(self.audit.wrap(inner, step, seed, k, 1))
+                StepMachine::BlindPermute(BlindPermute::new(vec![noisy.clone()], step, rng))
             }
             // Steps 4 and 8: ranking → permuted winner slot.
             RoundState::Permuted { votes_seq: seq, .. }
@@ -194,9 +172,7 @@ impl ServerRound {
             }
             // Step 9: restore the true label.
             RoundState::RankedNoisy { noisy_slot, permutation, .. } => {
-                let inner =
-                    Restoration::new(permutation.clone(), *noisy_slot, step, rng, byzantine);
-                StepMachine::Restore(self.audit.wrap(inner, step, seed, k, 0))
+                StepMachine::Restore(Restoration::new(permutation.clone(), *noisy_slot, step, rng))
             }
             RoundState::Done { .. } => unreachable!("terminal state has no next step"),
         }
@@ -280,11 +256,7 @@ impl ServerRound {
         match machine.resume(ctx, answer, out)? {
             Next::Recv(recv) => Ok(Next::Recv(recv)),
             Next::Done(output) => {
-                match self.step.take() {
-                    Some(StepMachine::BlindPermute(audited)) => self.audit.complete(&audited),
-                    Some(StepMachine::Restore(audited)) => self.audit.complete(&audited),
-                    _ => {}
-                }
+                self.step = None;
                 self.advance(output);
                 Ok(Next::Done(()))
             }
@@ -309,6 +281,36 @@ impl Machine for ServerRound {
                 }
                 Next::Done(()) => {}
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn head(mut rng: StdRng) -> [u64; 4] {
+        std::array::from_fn(|_| rng.next_u64())
+    }
+
+    #[test]
+    fn step_streams_use_the_whole_root_and_do_not_depend_on_history() {
+        let root: [u8; 32] = std::array::from_fn(|i| i as u8 * 7 + 1);
+        let mut other = root;
+        other[31] ^= 1;
+        let forward: Vec<[u64; 4]> = Step::ALL.iter().map(|&s| head(step_rng(&root, s))).collect();
+        for (i, &step) in Step::ALL.iter().enumerate() {
+            // The last byte of the root reaches every step's stream.
+            assert_ne!(forward[i], head(step_rng(&other, step)), "{step}");
+            // No two steps share a stream.
+            for earlier in &forward[..i] {
+                assert_ne!(&forward[i], earlier, "{step}");
+            }
+        }
+        // A resumed round derives step k without having derived 0..k, and
+        // gets what the uninterrupted round did.
+        for (i, &step) in Step::ALL.iter().enumerate().rev() {
+            assert_eq!(head(step_rng(&root, step)), forward[i], "{step}");
         }
     }
 }

@@ -1,15 +1,12 @@
 //! Adversarial input validation for the servers' receive paths.
 //!
-//! Every party is honest-but-curious in the paper's model. This
-//! implementation hardens both directions of that assumption: *user*
-//! encodings are never trusted — a flipped bit, a replayed upload or a
+//! Every party is honest-but-curious in the paper's model, and the two
+//! servers are held to exactly that (DESIGN.md §11). *User* encodings are
+//! still never trusted — a flipped bit, a replayed upload or a
 //! deliberately malformed ciphertext must be rejected with a typed
 //! error before any homomorphic work touches it, never absorbed, never
-//! a panic — and the *servers* themselves are held to covert security
-//! by the commit-and-challenge layer in [`crate::audit`], which catches
-//! a server deviating from its committed randomness with tunable
-//! probability. [`UploadValidator`] centralizes the user-facing half:
-//! the three checks every encrypted upload must pass:
+//! a panic. [`UploadValidator`] centralizes the three checks every
+//! encrypted upload must pass:
 //!
 //! 1. **freshness** — the (sender, step, sequence) tuple has not been
 //!    seen before (the transport de-duplicates redelivered envelopes;

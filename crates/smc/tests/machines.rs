@@ -2,10 +2,11 @@
 //! sub-protocol, or of a whole round, and watch where the loss surfaces.
 //!
 //! Every machine is resumed with `Err(Timeout)` at each of its requests
-//! in turn. The outcome must be typed — the timeout itself, the audit
-//! conviction a strict policy turns a missing opening into, or, where the
+//! in turn. The outcome must be typed — the timeout itself or, where the
 //! lost frame was a user's upload under resilient collection, a dropout —
-//! and never a panic.
+//! and never a panic. The same goes for a frame that arrives but is not
+//! what an honest peer would have sent: the test plays the peer and
+//! forges it from its side of the wire.
 
 use std::sync::OnceLock;
 
@@ -21,8 +22,8 @@ use smc::pack::Packer;
 use smc::restoration::Restoration;
 use smc::secure_sum::{encrypt_share_vector, Collect};
 use smc::{
-    AuditContext, AuditEvidence, AuditPolicy, PackError, Parallelism, Permutation, RoundState,
-    ServerRole, ServerRound, SessionConfig, SessionKeys, ShardPlan, SmcError,
+    PackError, Parallelism, Permutation, RoundState, ServerRole, ServerRound, SessionConfig,
+    SessionKeys, ShardPlan, SmcError,
 };
 use transport::{PartyId, Step, TransportError, Wire};
 
@@ -101,44 +102,21 @@ fn comparison_machines_fail_typed_on_any_lost_frame() {
     assert_eq!(losses, 9);
 }
 
-/// Both halves of a blind-and-permute over one encrypted vector each,
-/// under `policy`.
-fn blind_permute_pair(policy: Option<AuditPolicy>) -> (impl Machine, impl Machine) {
+/// Both halves of a blind-and-permute over one encrypted vector each.
+fn blind_permute_pair() -> (BlindPermute, BlindPermute) {
     let user = keys().user();
     let mut r = rng(5);
-    let step = Step::BlindPermute1;
-    let half = |party, enc, seed| {
-        let inner = BlindPermute::new(vec![enc], step, rng(seed), None);
-        AuditContext::new(policy, 0, party).wrap(inner, step, seed, CLASSES, 1)
-    };
+    let half = |enc, seed| BlindPermute::new(vec![enc], Step::BlindPermute1, rng(seed));
     let enc_a = encrypt(&[3, -7, 100], user.pk2(), &mut r);
     let enc_b = encrypt(&[10, 7, -50], user.pk1(), &mut r);
-    (half(PartyId::Server1, enc_a, 6), half(PartyId::Server2, enc_b, 7))
+    (half(enc_a, 6), half(enc_b, 7))
 }
 
 #[test]
 fn blind_permute_and_restoration_fail_typed_on_any_lost_frame() {
-    let losses = lose_each_frame(
-        || blind_permute_pair(None),
-        Vec::new,
-        |run| assert!(is_timeout(&run.map(|_| ()))),
-    );
+    let losses =
+        lose_each_frame(blind_permute_pair, Vec::new, |run| assert!(is_timeout(&run.map(|_| ()))));
     assert_eq!(losses, 6, "Alg. 2 is six legs");
-
-    // A strict audit adds a commitment and an opening per direction; a
-    // lost opening convicts, a lost commitment is a timeout.
-    let convictions = std::cell::Cell::new(0);
-    let losses = lose_each_frame(
-        || blind_permute_pair(Some(AuditPolicy::strict())),
-        Vec::new,
-        |run| match run.map(|_| ()) {
-            Err(SmcError::AuditFailure { evidence: AuditEvidence::MissingOpening, .. }) => {
-                convictions.set(convictions.get() + 1);
-            }
-            run => assert!(is_timeout(&run), "{run:?}"),
-        },
-    );
-    assert_eq!((losses, convictions.get()), (10, 2));
 
     let pi1 = Permutation::random(CLASSES, &mut rng(8));
     let pi2 = Permutation::random(CLASSES, &mut rng(9));
@@ -147,8 +125,8 @@ fn blind_permute_and_restoration_fail_typed_on_any_lost_frame() {
     let losses = lose_each_frame(
         || {
             (
-                Restoration::new(pi1.clone(), slot, step, rng(10), None),
-                Restoration::new(pi2.clone(), slot, step, rng(11), None),
+                Restoration::new(pi1.clone(), slot, step, rng(10)),
+                Restoration::new(pi2.clone(), slot, step, rng(11)),
             )
         },
         Vec::new,
@@ -184,15 +162,9 @@ fn round_uploads() -> Vec<Frame> {
     frames
 }
 
-fn round_pair(quorum: Option<usize>, policy: Option<AuditPolicy>) -> (ServerRound, ServerRound) {
-    let server = |role, party, seed| {
-        let audit = AuditContext::new(policy, 0, party);
-        ServerRound::new(role, (0..USERS).collect(), seed, 77, quorum, audit)
-    };
-    (
-        server(ServerRole::Server1, PartyId::Server1, 13),
-        server(ServerRole::Server2, PartyId::Server2, 14),
-    )
+fn round_pair(quorum: Option<usize>) -> (ServerRound, ServerRound) {
+    let server = |role, seed| ServerRound::new(role, (0..USERS).collect(), [seed; 32], 77, quorum);
+    (server(ServerRole::Server1, 13), server(ServerRole::Server2, 14))
 }
 
 #[test]
@@ -235,31 +207,29 @@ fn a_round_survives_or_fails_typed_on_any_lost_frame() {
     let released = |state: &RoundState| matches!(state, RoundState::Done { label: Some(1), .. });
 
     // Nothing lost: both servers release the unanimous class.
-    let (a, b) = round_pair(None, None);
+    let (a, b) = round_pair(None);
     let clean = run_pair((&s1_ctx, a), (&s2_ctx, b), round_uploads()).unwrap();
     assert!(released(&clean.outputs.0) && released(&clean.outputs.1));
 
     // Strict: every lost frame, an upload's included, is the timeout.
     lose_each_frame(
-        || round_pair(None, None),
+        || round_pair(None),
         round_uploads,
         |run| assert!(is_timeout(&run.map(|_| ()))),
     );
 
-    // Resilient and audited: a lost upload degrades the round, which
-    // still releases; anything else is a typed abort.
+    // Resilient: a lost upload degrades the round, which still releases;
+    // anything else is the timeout.
     let degraded = std::cell::Cell::new(0);
     let losses = lose_each_frame(
-        || round_pair(Some(2), Some(AuditPolicy::strict())),
+        || round_pair(Some(2)),
         round_uploads,
         |run| match run {
             Ok(run) => {
                 assert!(released(&run.outputs.0) && released(&run.outputs.1));
                 degraded.set(degraded.get() + 1);
             }
-            Err(SmcError::Transport(TransportError::Timeout(_)))
-            | Err(SmcError::AuditFailure { evidence: AuditEvidence::MissingOpening, .. }) => {}
-            Err(other) => panic!("untyped failure: {other}"),
+            run => assert!(is_timeout(&run.map(|_| ()))),
         },
     );
     assert!(degraded.get() > 0 && degraded.get() < losses);
@@ -269,7 +239,7 @@ fn a_round_survives_or_fails_typed_on_any_lost_frame() {
 /// wait for S1's packed `E_pk2[a + r1]` and answered with `frame`.
 fn answer_blind_permute(keys: &SessionKeys, frame: &[Ciphertext]) -> Result<(), SmcError> {
     let enc_b = encrypt(&[10, 7, -50], keys.user().pk1(), &mut rng(5));
-    let mut s2 = BlindPermute::new(vec![enc_b], Step::BlindPermute1, rng(7), None);
+    let mut s2 = BlindPermute::new(vec![enc_b], Step::BlindPermute1, rng(7));
     let (ctx, mut out) = (keys.server2(), Outbox::default());
     assert!(matches!(s2.resume(&ctx, None, &mut out)?, Next::Recv(_)));
     s2.resume(&ctx, Some(Ok((1, frame.to_vec().to_bytes()))), &mut out).map(|_| ())
@@ -279,7 +249,7 @@ fn answer_blind_permute(keys: &SessionKeys, frame: &[Ciphertext]) -> Result<(), 
 /// with `frame` where S1's packed `E_pk2[π2(e) + r1]` is due.
 fn answer_restoration(keys: &SessionKeys, frame: &[Ciphertext]) -> Result<(), SmcError> {
     let pi2 = Permutation::random(CLASSES, &mut rng(9));
-    let mut s2 = Restoration::new(pi2, 1, Step::Restoration, rng(11), None);
+    let mut s2 = Restoration::new(pi2, 1, Step::Restoration, rng(11));
     let (ctx, mut out) = (keys.server2(), Outbox::default());
     assert!(matches!(s2.resume(&ctx, None, &mut out)?, Next::Recv(_)));
     s2.resume(&ctx, Some(Ok((1, frame.to_vec().to_bytes()))), &mut out).map(|_| ())
@@ -293,8 +263,7 @@ fn a_hostile_packed_frame_is_a_typed_error() {
     // full ciphertext and a short one.
     assert_eq!((packer.slot_bits(), packer.slots(), packer.frame_len(CLASSES)), (27, 2, 2));
     let encrypt_raw = |plain: &Ubig| pk2.encrypt(plain, &mut rng(15)).unwrap();
-    let honest: Vec<Ciphertext> =
-        packer.pack(&[1, -2, 3]).unwrap().iter().map(encrypt_raw).collect();
+    let honest = packed(&[1, -2, 3], &pk2);
 
     for answer in [answer_blind_permute, answer_restoration] {
         answer(keys(), &honest).expect("the honest shape is accepted");
@@ -334,6 +303,91 @@ fn a_hostile_packed_frame_is_a_typed_error() {
     }
 }
 
+/// Resumes `machine` with `frame` as the answer to its last request.
+fn resume_with<M: Machine>(
+    machine: &mut M,
+    ctx: &smc::ServerContext,
+    frame: &impl Wire,
+    out: &mut Outbox,
+) -> Result<Next<M::Output>, SmcError> {
+    machine.resume(ctx, Some(Ok((1, frame.to_bytes()))), out)
+}
+
+/// `values`, packed and encrypted under `key` as a leg-2 or leg-5 frame.
+fn packed(values: &[i128], key: &PublicKey) -> Vec<Ciphertext> {
+    let plains = Packer::new(keys().config(), key).unwrap().pack(values).unwrap();
+    plains.iter().map(|plain| key.encrypt(plain, &mut rng(15)).unwrap()).collect()
+}
+
+/// S2's half of Alg. 3, walked to its last receive by a test that plays
+/// S1 with S1's keys and then answers `e + r2` for the "indicator" `e`.
+fn announce(e: [i128; CLASSES]) -> Result<usize, SmcError> {
+    let (s1, s2) = (keys().server1(), keys().server2());
+    let pi2 = Permutation::random(CLASSES, &mut rng(9));
+    let mut machine = Restoration::new(pi2, 1, Step::Restoration, rng(11));
+    let mut out = Outbox::default();
+    machine.resume(&s2, None, &mut out)?;
+    resume_with(&mut machine, &s2, &packed(&[0; CLASSES], s2.own_public()), &mut out)?;
+    // Leg 4 encrypts zeros, so leg 5 comes back as E_pk1[r2].
+    resume_with(
+        &mut machine,
+        &s2,
+        &encrypt(&[0; CLASSES], s1.own_public(), &mut rng(16)),
+        &mut out,
+    )?;
+    let leg5 = Vec::<Ciphertext>::from_bytes(out.frames.last().unwrap().payload.clone()).unwrap();
+    let r2 =
+        Packer::new(keys().config(), s1.own_public())?.open(s1.own_private(), &leg5, CLASSES)?;
+    let leg6: Vec<i128> = e.iter().zip(&r2).map(|(e, mask)| e + mask).collect();
+    match resume_with(&mut machine, &s2, &leg6, &mut out)? {
+        Next::Done(label) => Ok(label),
+        Next::Recv(_) => panic!("leg 6 is S2's last receive"),
+    }
+}
+
+/// S1's half of Alg. 3, walked to its last receive and told `winner`.
+fn hear(winner: u64) -> Result<usize, SmcError> {
+    let (s1, s2) = (keys().server1(), keys().server2());
+    let pi1 = Permutation::random(CLASSES, &mut rng(8));
+    let mut machine = Restoration::new(pi1, 1, Step::Restoration, rng(10));
+    let mut out = Outbox::default();
+    machine.resume(&s1, None, &mut out)?;
+    resume_with(&mut machine, &s1, &encrypt(&[0, 1, 0], s2.own_public(), &mut rng(16)), &mut out)?;
+    resume_with(&mut machine, &s1, &vec![0i128; CLASSES], &mut out)?;
+    resume_with(&mut machine, &s1, &packed(&[0; CLASSES], s1.own_public()), &mut out)?;
+    match resume_with(&mut machine, &s1, &winner, &mut out)? {
+        Next::Done(label) => Ok(label),
+        Next::Recv(_) => panic!("the announcement is S1's last receive"),
+    }
+}
+
+/// Alg. 3's last two legs carry plaintext. Neither receiver releases a
+/// label a well-formed run could not have produced.
+#[test]
+fn a_hostile_indicator_or_announcement_is_a_typed_error() {
+    for label in 0..CLASSES {
+        let mut e = [0; CLASSES];
+        e[label] = 1;
+        assert!(matches!(announce(e), Ok(l) if l == label));
+        assert!(matches!(hear(label as u64), Ok(l) if l == label));
+    }
+    // All-zero, two-hot, and one entry that is not a bit.
+    for (e, nonzero) in [([0, 0, 0], 0), ([1, 0, 1], 2), ([0, 2, 0], 1)] {
+        let run = announce(e);
+        assert!(
+            matches!(run, Err(SmcError::LengthMismatch { expected: 1, got }) if got == nonzero),
+            "{e:?}: {run:?}"
+        );
+    }
+    for winner in [CLASSES as u64, u64::from(u32::MAX) + 1, u64::MAX] {
+        let run = hear(winner);
+        assert!(
+            matches!(run, Err(SmcError::LengthMismatch { expected: CLASSES, .. })),
+            "{winner}: {run:?}"
+        );
+    }
+}
+
 /// K = 100 under 256-bit keys: 9 slots to a plaintext, so every packed
 /// frame of the m = 2 batch is 23 ciphertexts and Restoration's are 12.
 #[test]
@@ -357,8 +411,8 @@ fn frames_spanning_many_packed_ciphertexts_match_the_clear_oracle() {
     };
     let step = Step::BlindPermute1;
     let run = run_pair(
-        (&s1_ctx, BlindPermute::new(enc(&a, user.pk2(), &mut r), step, rng(19), None)),
-        (&s2_ctx, BlindPermute::new(enc(&b, user.pk1(), &mut r), step, rng(20), None)),
+        (&s1_ctx, BlindPermute::new(enc(&a, user.pk2(), &mut r), step, rng(19))),
+        (&s2_ctx, BlindPermute::new(enc(&b, user.pk1(), &mut r), step, rng(20))),
         Vec::new(),
     )
     .unwrap();
@@ -385,8 +439,8 @@ fn frames_spanning_many_packed_ciphertexts_match_the_clear_oracle() {
     let slot = pi1.compose(&pi2).apply_index(37);
     let step = Step::Restoration;
     let run = run_pair(
-        (&s1_ctx, Restoration::new(pi1, slot, step, rng(21), None)),
-        (&s2_ctx, Restoration::new(pi2, slot, step, rng(22), None)),
+        (&s1_ctx, Restoration::new(pi1, slot, step, rng(21))),
+        (&s2_ctx, Restoration::new(pi2, slot, step, rng(22))),
         Vec::new(),
     )
     .unwrap();
@@ -431,8 +485,8 @@ fn a_restoration_frame_does_not_betray_the_order_of_its_entries() {
         let pi2 = Permutation::random(CLASSES, &mut rng(40 + seed));
         let (slot, step) = (seed as usize % CLASSES, Step::Restoration);
         let transcript = run_pair(
-            (&s1_ctx, Restoration::new(pi1.clone(), slot, step, rng(50 + seed), None)),
-            (&s2_ctx, Restoration::new(pi2.clone(), slot, step, rng(60 + seed), None)),
+            (&s1_ctx, Restoration::new(pi1.clone(), slot, step, rng(50 + seed))),
+            (&s2_ctx, Restoration::new(pi2.clone(), slot, step, rng(60 + seed))),
             Vec::new(),
         )
         .unwrap()

@@ -77,34 +77,12 @@ pub struct SocketFault {
     /// Fragment every forwarded write into tiny chunks, exercising
     /// short-read handling in the framing layer.
     pub partial_writes: bool,
-    /// Byzantine byte tampering: XOR the byte at this forwarded-stream
-    /// offset with `0xFF` (fires once — a man-in-the-middle altering a
-    /// frame in flight). The link's frame checksum catches the damage;
+    /// Byte tampering: XOR the byte at this forwarded-stream offset with
+    /// `0xFF` (fires once — a man-in-the-middle altering a frame in
+    /// flight). The link's frame checksum catches the damage;
     /// the connection established after the resulting teardown passes
     /// cleanly, like the other one-shot faults.
     pub tamper_byte_at: Option<u64>,
-}
-
-/// A deterministic Byzantine deviation a server commits at one protocol
-/// step. Unlike the crash/omission faults above, these model a *covert*
-/// server that keeps the protocol running but computes or reports the
-/// wrong thing; they are realized value-aware inside the SMC step
-/// implementations (driven by [`FaultPlan::byzantine_action`]) so the
-/// corruption stays silent at the transport layer and only the audit
-/// layer (`smc::audit`) can catch it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ByzantineAction {
-    /// Send a frame on the wire that differs from the frame the server
-    /// attests to in its audit transcript — different stories to
-    /// different observers.
-    Equivocate,
-    /// Use a permutation other than the one the committed seed derives.
-    TamperPermutation,
-    /// Skip one of the committed masks (use zero), leaking the value the
-    /// mask was supposed to hide.
-    DropMask,
-    /// Replace a fresh protocol frame with a stale, previously sent one.
-    ReplayStaleFrame,
 }
 
 /// A deterministic, seedable schedule of transport faults.
@@ -132,9 +110,6 @@ pub struct FaultPlan {
     /// Socket-level chaos per directed link, applied only by the TCP
     /// backend (via a chaos proxy on that link).
     socket_faults: BTreeMap<(PartyId, PartyId), SocketFault>,
-    /// (party, step) → covert deviation the party commits at that step,
-    /// realized value-aware inside the SMC step implementations.
-    byzantine: BTreeMap<(PartyId, Step), ByzantineAction>,
 }
 
 impl FaultPlan {
@@ -153,7 +128,6 @@ impl FaultPlan {
             link_filter: None,
             step_filter: None,
             socket_faults: BTreeMap::new(),
-            byzantine: BTreeMap::new(),
         }
     }
 
@@ -291,48 +265,6 @@ impl FaultPlan {
     pub fn tamper_connection(mut self, from: PartyId, to: PartyId, at_byte: u64) -> FaultPlan {
         self.socket_faults.entry((from, to)).or_default().tamper_byte_at = Some(at_byte);
         self
-    }
-
-    /// Schedules `party` to [equivocate](ByzantineAction::Equivocate) at
-    /// `step`: the frame it puts on the wire differs from the frame it
-    /// attests to in its audit transcript.
-    #[must_use]
-    pub fn equivocate(mut self, party: PartyId, step: Step) -> FaultPlan {
-        self.byzantine.insert((party, step), ByzantineAction::Equivocate);
-        self
-    }
-
-    /// Schedules `party` to apply a permutation other than the one its
-    /// committed seed derives at `step`.
-    #[must_use]
-    pub fn tamper_permutation(mut self, party: PartyId, step: Step) -> FaultPlan {
-        self.byzantine.insert((party, step), ByzantineAction::TamperPermutation);
-        self
-    }
-
-    /// Schedules `party` to skip one committed mask (use zero) at `step`.
-    #[must_use]
-    pub fn drop_mask(mut self, party: PartyId, step: Step) -> FaultPlan {
-        self.byzantine.insert((party, step), ByzantineAction::DropMask);
-        self
-    }
-
-    /// Schedules `party` to replay a stale, previously sent frame in
-    /// place of the fresh one at `step`.
-    #[must_use]
-    pub fn replay_stale_frame(mut self, party: PartyId, step: Step) -> FaultPlan {
-        self.byzantine.insert((party, step), ByzantineAction::ReplayStaleFrame);
-        self
-    }
-
-    /// The covert deviation scheduled for `party` at `step`, if any.
-    pub fn byzantine_action(&self, party: PartyId, step: Step) -> Option<ByzantineAction> {
-        self.byzantine.get(&(party, step)).copied()
-    }
-
-    /// True if any covert deviation is scheduled on the plan.
-    pub fn has_byzantine(&self) -> bool {
-        !self.byzantine.is_empty()
     }
 
     /// The socket fault attached to the directed link `from → to`, if any.
@@ -588,45 +520,6 @@ mod tests {
         assert_eq!(u0.kill_after_bytes, None);
         assert_eq!(plan.socket_fault(PartyId::Server2, PartyId::Server1), None);
         assert_eq!(plan.socket_faults().len(), 2);
-    }
-
-    #[test]
-    fn byzantine_actions_accumulate_per_party_step() {
-        let plan = FaultPlan::new(31)
-            .equivocate(PartyId::Server1, Step::BlindPermute1)
-            .tamper_permutation(PartyId::Server2, Step::BlindPermute2)
-            .drop_mask(PartyId::Server1, Step::Restoration)
-            .replay_stale_frame(PartyId::Server2, Step::Restoration);
-        assert_eq!(
-            plan.byzantine_action(PartyId::Server1, Step::BlindPermute1),
-            Some(ByzantineAction::Equivocate)
-        );
-        assert_eq!(
-            plan.byzantine_action(PartyId::Server2, Step::BlindPermute2),
-            Some(ByzantineAction::TamperPermutation)
-        );
-        assert_eq!(
-            plan.byzantine_action(PartyId::Server1, Step::Restoration),
-            Some(ByzantineAction::DropMask)
-        );
-        assert_eq!(
-            plan.byzantine_action(PartyId::Server2, Step::Restoration),
-            Some(ByzantineAction::ReplayStaleFrame)
-        );
-        assert_eq!(plan.byzantine_action(PartyId::Server1, Step::BlindPermute2), None);
-        assert!(plan.has_byzantine());
-        assert!(!FaultPlan::new(31).has_byzantine());
-    }
-
-    #[test]
-    fn later_byzantine_builder_overrides_same_slot() {
-        let plan = FaultPlan::new(32)
-            .equivocate(PartyId::Server1, Step::BlindPermute1)
-            .drop_mask(PartyId::Server1, Step::BlindPermute1);
-        assert_eq!(
-            plan.byzantine_action(PartyId::Server1, Step::BlindPermute1),
-            Some(ByzantineAction::DropMask)
-        );
     }
 
     #[test]

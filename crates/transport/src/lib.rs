@@ -65,7 +65,7 @@ pub mod wire;
 pub use checkpoint::{
     Checkpoint, CheckpointError, CheckpointStore, FileCheckpointStore, MemoryCheckpointStore,
 };
-pub use faults::{ByzantineAction, FaultDecision, FaultPlan, SocketFault};
+pub use faults::{FaultDecision, FaultPlan, SocketFault};
 pub use journal::{AppendJournal, JournalRecord};
 pub use metrics::{FaultEvent, FaultStats, LinkKind, Meter, MeterReport, Step};
 pub use network::{

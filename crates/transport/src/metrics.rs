@@ -210,16 +210,6 @@ pub enum FaultEvent {
     /// A severed socket link was re-established and resumed from the
     /// last acknowledged sequence number.
     Reconnected,
-    /// A covert-security audit challenge verification ran on a
-    /// server-to-server step (commitment opened and replayed).
-    AuditChallenge,
-    /// An audit verification found a deviation and raised a typed
-    /// audit failure.
-    AuditFailureDetected,
-    /// An audit verification caught a server equivocating: the frames it
-    /// attested to differ from the frames it put on the wire, or its
-    /// opening does not match its pre-step commitment.
-    EquivocationDetected,
     /// A planned aggregation shard lost its *entire* membership: every
     /// member dropped before reconciliation, and the round degraded to
     /// the surviving shards with rescaled noise instead of aborting.
@@ -274,13 +264,6 @@ pub struct FaultStats {
     pub liveness_expired: u64,
     /// Socket links re-established after a connection loss.
     pub reconnects: u64,
-    /// Audit challenge verifications run on server-to-server steps.
-    pub audit_challenges: u64,
-    /// Audit verifications that found a deviation.
-    pub audit_failures: u64,
-    /// Audit verifications that caught a server equivocating between its
-    /// attested transcript and the frames it actually sent.
-    pub equivocation_detected: u64,
     /// Aggregation shards whose entire membership dropped mid-round
     /// (the round completed on the surviving shards).
     pub shards_dropped: u64,
@@ -314,19 +297,16 @@ impl FaultEvent {
             FaultEvent::BackpressureBlocked => 15,
             FaultEvent::LivenessExpired => 16,
             FaultEvent::Reconnected => 17,
-            FaultEvent::AuditChallenge => 18,
-            FaultEvent::AuditFailureDetected => 19,
-            FaultEvent::EquivocationDetected => 20,
-            FaultEvent::ShardDropped => 21,
-            FaultEvent::SessionAdmitted => 22,
-            FaultEvent::SessionRejected => 23,
-            FaultEvent::SessionEvicted => 24,
+            FaultEvent::ShardDropped => 18,
+            FaultEvent::SessionAdmitted => 19,
+            FaultEvent::SessionRejected => 20,
+            FaultEvent::SessionEvicted => 21,
         }
     }
 }
 
 /// Number of [`FaultEvent`] variants (fault-counter array length).
-const FAULT_KINDS: usize = 25;
+const FAULT_KINDS: usize = 22;
 
 impl FaultStats {
     /// True if no event was ever recorded.
@@ -429,9 +409,6 @@ impl Meter {
             backpressure_blocked: read(FaultEvent::BackpressureBlocked),
             liveness_expired: read(FaultEvent::LivenessExpired),
             reconnects: read(FaultEvent::Reconnected),
-            audit_challenges: read(FaultEvent::AuditChallenge),
-            audit_failures: read(FaultEvent::AuditFailureDetected),
-            equivocation_detected: read(FaultEvent::EquivocationDetected),
             shards_dropped: read(FaultEvent::ShardDropped),
             sessions_admitted: read(FaultEvent::SessionAdmitted),
             sessions_rejected: read(FaultEvent::SessionRejected),
@@ -567,9 +544,6 @@ impl MeterReport {
             ("sends blocked on backpressure", f.backpressure_blocked),
             ("peers declared dead (liveness)", f.liveness_expired),
             ("connections re-established", f.reconnects),
-            ("audit challenges run", f.audit_challenges),
-            ("audit failures detected", f.audit_failures),
-            ("equivocations detected", f.equivocation_detected),
             ("whole shards dropped", f.shards_dropped),
             ("sessions admitted", f.sessions_admitted),
             ("sessions rejected (shedding)", f.sessions_rejected),
@@ -767,24 +741,6 @@ mod tests {
         assert!(summary.contains("sends blocked on backpressure"), "{summary}");
         assert!(summary.contains("peers declared dead (liveness)"), "{summary}");
         assert!(summary.contains("connections re-established"), "{summary}");
-    }
-
-    #[test]
-    fn audit_counters_accumulate_and_render() {
-        let meter = Meter::new();
-        meter.record_fault(FaultEvent::AuditChallenge);
-        meter.record_fault(FaultEvent::AuditChallenge);
-        meter.record_fault(FaultEvent::AuditFailureDetected);
-        meter.record_fault(FaultEvent::EquivocationDetected);
-        let stats = meter.fault_stats();
-        assert_eq!(stats.audit_challenges, 2);
-        assert_eq!(stats.audit_failures, 1);
-        assert_eq!(stats.equivocation_detected, 1);
-        assert!(!stats.is_empty());
-        let summary = meter.report().render_fault_summary();
-        assert!(summary.contains("audit challenges run"), "{summary}");
-        assert!(summary.contains("audit failures detected"), "{summary}");
-        assert!(summary.contains("equivocations detected"), "{summary}");
     }
 
     #[test]

@@ -9,13 +9,11 @@
 //! recovered result is bit-identical to an uninterrupted round, and its
 //! privacy budget is charged exactly once.
 //!
-//! Three more fault classes round out the tour: hostile upload
-//! encodings (replays, wrong arity, malformed ciphertexts) refused at
-//! the door with their `rejected_*` counters surfaced on the meter, a
+//! Two more fault classes round out the tour: hostile upload encodings
+//! (replays, wrong arity, malformed ciphertexts) refused at the door
+//! with their `rejected_*` counters surfaced on the meter, and a
 //! mid-round TCP connection kill that the socket transport heals by
-//! reconnect-and-replay without the protocol ever noticing, and an
-//! *equivocating server* convicted by the covert-security audit layer
-//! with a typed `AuditFailure` naming the guilty party and step.
+//! reconnect-and-replay without the protocol ever noticing.
 //!
 //! ```bash
 //! cargo run --release -p consensus-core --example fault_tolerance
@@ -31,7 +29,7 @@ use consensus_core::secure::SecureEngine;
 use paillier::Ciphertext;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use smc::{AuditPolicy, SessionConfig, SessionKeys, SmcError, UploadValidator};
+use smc::{SessionConfig, SessionKeys, SmcError, UploadValidator};
 use transport::{
     FaultPlan, MemoryCheckpointStore, Meter, PartyId, Step, TcpConfig, TimeoutPolicy,
     TransportBackend,
@@ -190,7 +188,7 @@ fn main() {
         .expect("in-proc reference completes");
 
     let sever_plan = FaultPlan::new(11).sever_connection(PartyId::Server1, PartyId::Server2, 2_000);
-    let tcp_engine = SecureEngine::with_keys(keys.clone(), config)
+    let tcp_engine = SecureEngine::with_keys(keys, config)
         .with_timeout(TimeoutPolicy::fast_local())
         .with_fault_plan(sever_plan)
         .with_transport(TransportBackend::Tcp(TcpConfig::fast_local()));
@@ -204,35 +202,6 @@ fn main() {
     println!(
         "tcp fingerprint matches in-proc: {}",
         tcp.consensus_fingerprint() == inproc.consensus_fingerprint()
-    );
-    print!("\n{}", meter.report().render_fault_summary());
-
-    // Finally, a server that *deviates from the protocol itself*: S2
-    // equivocates during the second Blind-and-Permute, attesting one
-    // transcript to the audit layer while putting a different ciphertext
-    // on the wire. The round is a challenge round (challenge rate 1.0),
-    // so S1 opens S2's commitment, replays its draws, spots the
-    // divergence before decrypting anything derived from it, and
-    // convicts with a typed abort naming the guilty party and step.
-    println!("\n== equivocating server convicted by the audit layer ==");
-    let byz_plan = FaultPlan::new(13).equivocate(PartyId::Server2, Step::BlindPermute2);
-    let audit_engine = SecureEngine::with_keys(keys, config)
-        .with_timeout(TimeoutPolicy::with_retries(Duration::from_millis(100), 1, 2.0))
-        .with_fault_plan(byz_plan)
-        .with_audit(AuditPolicy::strict());
-    let meter = Meter::new();
-    let mut audit_rng = StdRng::seed_from_u64(101);
-    match audit_engine.run_instance(&instance, meter.clone(), &mut audit_rng) {
-        Err(SmcError::AuditFailure { party, step, evidence }) => {
-            println!("typed abort: {party} convicted at {step}");
-            println!("evidence:    {evidence}");
-        }
-        other => println!("unexpected outcome: {other:?}"),
-    }
-    let stats = meter.fault_stats();
-    println!(
-        "audit counters: challenges={} failures={} equivocations={}",
-        stats.audit_challenges, stats.audit_failures, stats.equivocation_detected
     );
     print!("\n{}", meter.report().render_fault_summary());
 }

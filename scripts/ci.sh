@@ -2,9 +2,11 @@
 # The repository's CI gate, for machines with crates.io access:
 #
 #   1. cargo fmt --check          — formatting (rustfmt.toml at the root)
-#   2. cargo clippy -D warnings   — lints, all targets; plus three greps:
-#      smc and core spawn no thread, smc names no Endpoint, and no
-#      manifest names serde or criterion
+#   2. cargo clippy -D warnings   — lints, all targets; plus the five
+#      source guards of `scripts/devcheck.sh guards`: smc and core spawn
+#      no thread, smc names no Endpoint, no manifest names serde or
+#      criterion, nothing names the deleted covert-security layer, and no
+#      non-test protocol code seeds a generator from a u64
 #   3. cargo build --release      — the tier-1 build
 #   4. cargo test                 — the tier-1 test suite
 #   5. the smoke suites and the repo benchmark's --smoke pass (a kernel
@@ -27,12 +29,8 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> one round, one driver (no thread in smc/core, no endpoint inside smc)"
-if grep -rnE 'thread::(scope|spawn)' crates/smc/src crates/core/src; then exit 1; fi
-if grep -rn 'Endpoint' crates/smc/src; then exit 1; fi
-
-echo "==> one byte format, one harness (no manifest names serde or criterion)"
-if grep -nE 'serde|criterion' Cargo.toml crates/*/Cargo.toml; then exit 1; fi
+echo "==> source guards (one driver, one byte format, one harness, one threat model, 256-bit seeds)"
+bash scripts/devcheck.sh guards
 
 echo "==> cargo build --release"
 cargo build --release
@@ -46,9 +44,6 @@ cargo test -q -p consensus-core --test recovery recovery_smoke_two_seeds
 echo "==> tcp transport smoke (fingerprint parity + mid-round connection kill, 2 seeds)"
 cargo test -q -p consensus-core --test chaos tcp_backend_matches_inproc_fingerprint
 cargo test -q -p consensus-core --test recovery tcp_connection_kill_recovers_two_seeds
-
-echo "==> covert-audit smoke (strict conviction + resilient clean abort, 2 seeds)"
-cargo test -q -p consensus-core --test audit audit_smoke_two_seeds
 
 echo "==> sharded aggregation smoke (fingerprint parity across shard/thread counts)"
 cargo test -q -p consensus-core --test shard

@@ -374,7 +374,7 @@ fn whole_shard_dropout_recalibrates_and_matches_flat_path() {
             .with_timeout(fast_timeout())
             .with_fault_plan(plan.clone());
         let meter = Meter::new();
-        let mut rng = StdRng::seed_from_u64(55);
+        let mut rng = StdRng::seed_from_u64(57);
         let out = engine
             .run_instance(&votes, Arc::clone(&meter), &mut rng)
             .expect("degraded round completes");

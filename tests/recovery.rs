@@ -19,8 +19,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smc::{SessionConfig, SessionKeys};
 use transport::{
-    CheckpointStore, FaultPlan, FileCheckpointStore, MemoryCheckpointStore, Meter, PartyId, Step,
-    TcpConfig, TimeoutPolicy, TransportBackend,
+    Checkpoint, CheckpointError, CheckpointStore, FaultPlan, FileCheckpointStore,
+    MemoryCheckpointStore, Meter, PartyId, Step, TcpConfig, TimeoutPolicy, TransportBackend,
 };
 
 const USERS: usize = 5;
@@ -207,6 +207,70 @@ fn tcp_connection_kill_recovers_two_seeds() {
         let stats = meter.fault_stats();
         assert!(stats.reconnects >= 1, "seed {seed}: the kill never forced a redial");
         assert!(out.health.dropouts.is_empty(), "seed {seed}: a severed socket is not a dropout");
+    }
+}
+
+type StoreResult<T> = Result<T, CheckpointError>;
+
+/// A store whose snapshots come back damaged: `mangle` is applied to
+/// every payload on its way out.
+struct Mangled {
+    inner: MemoryCheckpointStore,
+    mangle: fn(&mut Vec<u8>),
+}
+
+impl Mangled {
+    fn damage(&self, loaded: Option<Checkpoint>) -> Option<Checkpoint> {
+        loaded.map(|mut checkpoint| {
+            (self.mangle)(&mut checkpoint.payload);
+            checkpoint
+        })
+    }
+}
+
+impl CheckpointStore for Mangled {
+    fn save(&self, round: u64, party: PartyId, step: Step, payload: &[u8]) -> StoreResult<()> {
+        self.inner.save(round, party, step, payload)
+    }
+
+    fn load_latest(&self, round: u64, party: PartyId) -> StoreResult<Option<Checkpoint>> {
+        self.inner.load_latest(round, party).map(|loaded| self.damage(loaded))
+    }
+
+    fn load_at(&self, round: u64, party: PartyId, step: Step) -> StoreResult<Option<Checkpoint>> {
+        self.inner.load_at(round, party, step).map(|loaded| self.damage(loaded))
+    }
+
+    fn clear_round(&self, round: u64) -> StoreResult<()> {
+        self.inner.clear_round(round)
+    }
+}
+
+/// A checkpoint is a `RoundState`'s bytes and nothing else. A snapshot
+/// in the previous format (one trailing byte) or cut short anywhere is
+/// refused by the decoder, and the supervisor then restarts the round
+/// from the beginning: same outcome, one charge, nothing restored.
+#[test]
+fn an_undecodable_snapshot_restarts_the_round_from_the_start() {
+    let base = baseline(false);
+    let manglings: [fn(&mut Vec<u8>); 4] = [
+        |payload| payload.push(0),
+        |payload| payload.truncate(payload.len() - 1),
+        |payload| payload.truncate(payload.len() / 2),
+        |payload| payload.clear(),
+    ];
+    for (case, mangle) in manglings.into_iter().enumerate() {
+        let eng = engine(base_plan(false).crash(PartyId::Server1, Step::BlindPermute2));
+        let store = Mangled { inner: MemoryCheckpointStore::new(), mangle };
+        let ledger = Arc::new(RdpLedger::new());
+        let mut sup = RoundSupervisor::new(&eng, Arc::new(store)).with_ledger(Arc::clone(&ledger));
+        let meter = Meter::new();
+        let mut rng = StdRng::seed_from_u64(rng_seed(false));
+        let out = sup.run_instance(&votes(), Arc::clone(&meter), &mut rng).expect("recovered");
+        assert_eq!(out.consensus_fingerprint(), base.consensus_fingerprint(), "case {case}");
+        assert_eq!(out.health.resumed_from, [Step::SecureSumVotes], "case {case}");
+        assert_eq!(meter.fault_stats().checkpoints_restored, 0, "case {case}");
+        assert_eq!(ledger.charges(), 1, "case {case}");
     }
 }
 
